@@ -220,6 +220,18 @@ def reference_budget(net: NetworkInstance, history: ScenarioHistory) -> float:
     return float(np.mean([float(net.price_pre @ sc.capacity) for sc in history]))
 
 
+def _sweep_cell(cfg: ExperimentConfig, net: NetworkInstance, history: ScenarioHistory,
+                budget: float, mult: float, norm: Norm):
+    """The decision region, metric references and solver settings of one sweep cell."""
+    region = FeasibleSet.nonnegative(net.edge_count, [(net.price_pre.copy(), mult * budget)])
+    refs = build_metric_refs(net, history, norm)
+    solve_cfg = SolveConfig(norm=norm,
+                            gamma_tolerance=cfg.gamma_tolerance,
+                            feasibility_tolerance=cfg.feasibility_tolerance,
+                            max_projection_iters=cfg.max_projection_iters)
+    return region, refs, solve_cfg
+
+
 def run_sweep(cfg: ExperimentConfig | None = None) -> list[SweepRow]:
     """Solve every (budget multiplier, norm) cell and report per-metric rows.
 
@@ -231,14 +243,8 @@ def run_sweep(cfg: ExperimentConfig | None = None) -> list[SweepRow]:
     budget = reference_budget(net, history)
     rows: list[SweepRow] = []
     for mult in cfg.budget_multipliers:
-        region = FeasibleSet.nonnegative(
-            net.edge_count, [(net.price_pre.copy(), mult * budget)])
         for norm in cfg.norms:
-            refs = build_metric_refs(net, history, norm)
-            solve_cfg = SolveConfig(norm=norm,
-                                    gamma_tolerance=cfg.gamma_tolerance,
-                                    feasibility_tolerance=cfg.feasibility_tolerance,
-                                    max_projection_iters=cfg.max_projection_iters)
+            region, refs, solve_cfg = _sweep_cell(cfg, net, history, budget, mult, norm)
             started = time.perf_counter()
             try:
                 sol = solve_caolf(refs, region, solve_cfg)
@@ -262,12 +268,8 @@ def verify_sweep_cell(cfg: ExperimentConfig, mult: float, norm: Norm,
     """Re-solve one cell and check the realized metrics against its gamma."""
     net, _, history = build_experiment(cfg)
     budget = reference_budget(net, history)
-    region = FeasibleSet.nonnegative(net.edge_count, [(net.price_pre.copy(), mult * budget)])
-    refs = build_metric_refs(net, history, norm)
-    sol = solve_caolf(refs, region, SolveConfig(norm=norm,
-                                                gamma_tolerance=cfg.gamma_tolerance,
-                                                feasibility_tolerance=cfg.feasibility_tolerance,
-                                                max_projection_iters=cfg.max_projection_iters))
+    region, refs, solve_cfg = _sweep_cell(cfg, net, history, budget, mult, norm)
+    sol = solve_caolf(refs, region, solve_cfg)
     metrics = [(ref_evaluator(net, history, r.id), r.value, r.sense) for r in refs]
     _, ok = verify_competitiveness(sol.x, sol.gamma + slack, metrics)
     return ok

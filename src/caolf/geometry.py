@@ -9,9 +9,9 @@ zeroed out.  Norms of clipped displacements are what the solvers bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -98,6 +98,8 @@ class RefGeometry:
     x_ref: np.ndarray
     mono: np.ndarray
     sense: Sense = Sense.MINIMIZE
+    # monotonicity after folding in the optimization sense
+    eff_mono: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "x_ref", np.asarray(self.x_ref, dtype=float))
@@ -106,16 +108,17 @@ class RefGeometry:
             raise ValueError("reference point must be a non-empty 1-D vector")
         if not np.all(np.isfinite(self.x_ref)):
             raise ValueError("reference point must be finite")
+        eff = (-self.mono).astype(np.int8) if self.sense == Sense.MAXIMIZE else self.mono
+        object.__setattr__(self, "eff_mono", eff)
 
     @property
     def dim(self) -> int:
         return self.x_ref.size
 
-    def effective_mono(self) -> np.ndarray:
-        """Monotonicity after folding in the optimization sense."""
-        if self.sense == Sense.MAXIMIZE:
-            return (-self.mono).astype(np.int8)
-        return self.mono
+
+def _harm(d: np.ndarray, eff: np.ndarray) -> np.ndarray:
+    """Clip displacements ``d`` elementwise under effective monotonicity ``eff``."""
+    return np.where(eff > 0, np.maximum(d, 0.0), np.where(eff < 0, np.maximum(-d, 0.0), d))
 
 
 def clip(x, geom: RefGeometry) -> np.ndarray:
@@ -128,14 +131,12 @@ def clip(x, geom: RefGeometry) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != geom.x_ref.shape:
         raise ValueError(f"point has shape {x.shape}, reference has {geom.x_ref.shape}")
-    d = x - geom.x_ref
-    eff = geom.effective_mono()
-    return np.where(eff > 0, np.maximum(d, 0.0), np.where(eff < 0, np.maximum(-d, 0.0), d))
+    return _harm(x - geom.x_ref, geom.eff_mono)
 
 
 def safe_region_bounds(geom: RefGeometry) -> tuple[np.ndarray, np.ndarray]:
     """Per-coordinate interval [lo, hi] on which the clipped displacement is 0."""
-    eff = geom.effective_mono()
+    eff = geom.eff_mono
     lo = np.where(eff > 0, -np.inf, geom.x_ref)
     hi = np.where(eff < 0, np.inf, geom.x_ref)
     return lo, hi
@@ -234,9 +235,6 @@ class LowerBoundSet:
     def violation(self, x: np.ndarray) -> float:
         return norm_value(np.maximum(self.lower - x, 0.0), Norm.L2)
 
-    def anchor(self) -> np.ndarray:
-        return np.where(np.isfinite(self.lower), np.maximum(self.lower, 0.0), 0.0)
-
 
 class HalfspaceSet:
     """{x : a.x <= b}."""
@@ -254,9 +252,6 @@ class HalfspaceSet:
         excess = float(np.dot(self.a, x)) - self.b
         return max(0.0, excess) / norm_value(self.a, Norm.L2)
 
-    def anchor(self):
-        return None
-
 
 class ClippedBallSet:
     """{x : ||clip(x, geom)||_2 <= radius}."""
@@ -273,8 +268,67 @@ class ClippedBallSet:
     def violation(self, x: np.ndarray) -> float:
         return max(0.0, norm_value(clip(x, self.geom), Norm.L2) - self.radius)
 
-    def anchor(self) -> np.ndarray:
-        return self.geom.x_ref
+
+class ClippedNormSurrogate:
+    """The clipped-norm surrogate of m metric references in one norm.
+
+    Reference i admits a point x at tolerance gamma when
+    rate_i * ||clip_i(x)|| <= gamma, where clip_i folds in the metric's sense
+    and monotonicity and rate_i = bound_i / value_i.  Built once from metric
+    references (`MetricRef`): ``models`` gives one Lipschitz model per
+    reference and defaults to each reference's model in ``norm``.
+    """
+
+    def __init__(self, refs, norm: Norm, models=None):
+        refs = list(refs)
+        if not refs:
+            raise ValueError("need at least one metric reference")
+        norm = Norm(norm)
+        if models is None:
+            models = [r.lipschitz_model(norm) for r in refs]
+        self.norm = norm
+        self.ids = tuple(r.id for r in refs)
+        self.geoms = tuple(r.geometry(m) for r, m in zip(refs, models))
+        self.x_ref = np.array([g.x_ref for g in self.geoms])        # (m, d)
+        self.eff_mono = np.array([g.eff_mono for g in self.geoms])  # (m, d)
+        self.rate = np.array([m.bound / r.value for r, m in zip(refs, models)])
+
+    def needed(self, x) -> np.ndarray:
+        """Smallest tolerance each reference admits ``x`` at, shape (m,)."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != self.x_ref.shape[1:]:
+            raise ValueError(f"point has shape {x.shape}, references have {self.x_ref.shape[1:]}")
+        harm = _harm(x - self.x_ref, self.eff_mono)
+        # norm_value row by row: vectorised row norms differ in the last bit
+        return self.rate * np.array([norm_value(h, self.norm) for h in harm])
+
+    def certify(self, x) -> float:
+        """Smallest tolerance every reference admits ``x`` at."""
+        return max(0.0, float(np.max(self.needed(x))))
+
+    def on_grid(self, pts: np.ndarray) -> np.ndarray:
+        """`certify` for each row of ``pts`` (P, d), vectorised over the rows.
+
+        Row norms are taken with array reductions, so a value can differ
+        from `certify` in the last bit.
+        """
+        worst = np.zeros(len(pts))
+        for ref, eff, rate in zip(self.x_ref, self.eff_mono, self.rate):
+            harm = _harm(pts - ref, eff)
+            if self.norm == Norm.L1:
+                g = np.sum(np.abs(harm), axis=1)
+            elif self.norm == Norm.L2:
+                g = np.sqrt(np.sum(harm * harm, axis=1))
+            else:
+                g = np.max(np.abs(harm), axis=1)
+            worst = np.maximum(worst, g * rate)
+        return worst
+
+    def ball(self, i: int, gamma: float) -> ClippedBallSet:
+        """Reference ``i``'s surrogate set at tolerance ``gamma`` (l2 only)."""
+        if self.norm != Norm.L2:
+            raise NotImplementedError("clipped balls exist only for the l2 norm")
+        return ClippedBallSet(self.geoms[i], gamma / self.rate[i])
 
 
 class BallSet:
@@ -291,9 +345,6 @@ class BallSet:
 
     def violation(self, x: np.ndarray) -> float:
         return max(0.0, norm_value(x - self.center, Norm.L2) - self.radius)
-
-    def anchor(self) -> np.ndarray:
-        return self.center
 
 
 @dataclass

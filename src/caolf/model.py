@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import Union
 
 import numpy as np
 
 from .geometry import (
     HalfspaceSet,
     LowerBoundSet,
-    Mono,
     Norm,
     RefGeometry,
     Sense,
@@ -209,7 +208,6 @@ class CompetitiveSolution:
     x: np.ndarray
     gamma: float
     diagnostics: SolveDiagnostics
-    slacks: np.ndarray | None = None
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
@@ -219,5 +217,3 @@ class CompetitiveSolution:
                 raise ValueError(f"tolerance parameter must be nonnegative, got {self.gamma}")
             self.gamma = 0.0
 
-
-MetricEvaluator = Callable[[np.ndarray], float]

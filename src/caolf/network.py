@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Mono, Norm, Sense, dual_norm_value, norm_value
+from .geometry import Mono, Norm, Sense, dual_norm_value
 from .lp import LpProblem, LpStatus, solve_lp
 from .model import LipschitzNorm, MetricRef
 

@@ -18,14 +18,12 @@ import numpy as np
 
 from .geometry import (
     BallSet,
-    ClippedBallSet,
+    ClippedNormSurrogate,
     HalfspaceSet,
     Norm,
     Sense,
-    clip,
     dykstra,
     max_violation,
-    norm_value,
     quadratic_cap_ball,
 )
 from .lp import LpProblem, LpStatus, solve_lp
@@ -35,7 +33,6 @@ from .model import (
     ConvexQuadratic,
     FeasibleSet,
     LipschitzNorm,
-    MetricRef,
     SolveDiagnostics,
 )
 
@@ -149,28 +146,20 @@ def _accelerated_feasibility(sets, config: SolveConfig, start,
                              iterations=len(history))
 
 
-def _certify(x: np.ndarray, constraints) -> float:
-    """Smallest gamma for which ``x`` satisfies every surrogate constraint."""
-    worst = 0.0
-    for need in constraints:
-        worst = max(worst, need(x))
-    return worst
-
-
-def _bisect(build_sets, needed_gamma, x0, region: FeasibleSet, config: SolveConfig,
+def _bisect(build_sets, certify, x0, region: FeasibleSet, config: SolveConfig,
             method: str) -> CompetitiveSolution:
     """Shared bisection driver over the gamma axis.
 
     ``build_sets(gamma)`` yields the projectable constraint sets at that
-    tolerance and ``needed_gamma`` maps a point to the smallest tolerance it
-    certifies; the latter is also the reported gamma, so the answer is always
-    a value the returned point actually achieves.
+    tolerance and ``certify`` maps a point to the smallest tolerance it
+    satisfies every constraint at; the latter is also the reported gamma, so
+    the answer is always a value the returned point actually achieves.
     """
     region_sets = region.sets()
     hi = config.gamma_upper_init
     total_iters = 0
     if hi is None:
-        hi = _certify(x0, needed_gamma)
+        hi = certify(x0)
     else:
         for _ in range(64):
             probe = _accelerated_feasibility(build_sets(hi) + region_sets, config, x0)
@@ -182,7 +171,7 @@ def _bisect(build_sets, needed_gamma, x0, region: FeasibleSet, config: SolveConf
             raise SolveError("no feasible upper bound for the tolerance search")
     if hi <= config.gamma_tolerance:
         x_final = np.maximum(x0, region.lower)
-        gamma = _certify(x_final, needed_gamma)
+        gamma = certify(x_final)
         diag = SolveDiagnostics(iterations=total_iters, residual=region.violation(x_final),
                                 method=method)
         return CompetitiveSolution(x=x_final, gamma=gamma, diagnostics=diag)
@@ -197,7 +186,7 @@ def _bisect(build_sets, needed_gamma, x0, region: FeasibleSet, config: SolveConf
             # projections land on the active constraint surface, so the point
             # usually certifies a tolerance well below mid; shrink the bracket
             # to that certified value instead of mid
-            hi = min(mid, _certify(probe.x, needed_gamma))
+            hi = min(mid, certify(probe.x))
             if hi <= lo:
                 break
         else:
@@ -205,7 +194,7 @@ def _bisect(build_sets, needed_gamma, x0, region: FeasibleSet, config: SolveConf
     # hard lower bounds hold exactly so downstream metric evaluation never
     # sees a tolerance-scale negative capacity
     x_best = np.maximum(x_best, region.lower)
-    gamma = _certify(x_best, needed_gamma)
+    gamma = certify(x_best)
     diag = SolveDiagnostics(iterations=total_iters, residual=region.violation(x_best), method=method)
     return CompetitiveSolution(x=x_best, gamma=gamma, diagnostics=diag)
 
@@ -220,36 +209,28 @@ def solve_caolf(refs, region: FeasibleSet, config: SolveConfig | None = None) ->
     """
     config = config or SolveConfig()
     refs = list(refs)
-    if not refs:
-        raise ValueError("need at least one metric reference")
     dim = region.dim
     for r in refs:
         if r.dim != dim:
             raise ValueError(f"metric {r.id!r} has dimension {r.dim}, region has {dim}")
-    prepared = []
-    for r in refs:
-        m = r.lipschitz_model(config.norm)
-        prepared.append((r.geometry(m), m.bound / r.value))
+    surrogate = ClippedNormSurrogate(refs, config.norm)
     if config.norm == Norm.L2:
-        return _solve_caolf_projection(prepared, region, config)
-    return _solve_caolf_lp(prepared, region, config)
+        return _solve_caolf_projection(surrogate, region, config)
+    return _solve_caolf_lp(surrogate, region, config)
 
 
-def _solve_caolf_projection(prepared, region, config) -> CompetitiveSolution:
+def _solve_caolf_projection(surrogate: ClippedNormSurrogate, region, config) -> CompetitiveSolution:
     def build_sets(gamma):
-        return [ClippedBallSet(geom, gamma / rate) for geom, rate in prepared]
+        return [surrogate.ball(i, gamma) for i in range(len(surrogate.ids))]
 
-    needed = [
-        (lambda x, geom=geom, rate=rate: rate * norm_value(clip(x, geom), Norm.L2))
-        for geom, rate in prepared
-    ]
-    centroid = np.mean([geom.x_ref for geom, _ in prepared], axis=0)
+    centroid = np.mean(surrogate.x_ref, axis=0)
     x0 = region.find_point(start=centroid, tol=min(1e-9, config.feasibility_tolerance),
                            max_iters=max(config.max_projection_iters, 10000))
-    return _bisect(build_sets, needed, x0, region, config, method="bisection-projection-l2")
+    return _bisect(build_sets, surrogate.certify, x0, region, config,
+                   method="bisection-projection-l2")
 
 
-def _solve_caolf_lp(prepared, region, config) -> CompetitiveSolution:
+def _solve_caolf_lp(surrogate: ClippedNormSurrogate, region, config) -> CompetitiveSolution:
     """Epigraph linear program for the L1 and LINF radius constraints.
 
     Layout: decision coordinates, then (L1 only) one magnitude variable per
@@ -262,7 +243,7 @@ def _solve_caolf_lp(prepared, region, config) -> CompetitiveSolution:
     aux_offsets = []
     n_aux = 0
     if norm == Norm.L1:
-        for geom, _ in prepared:
+        for _ in surrogate.ids:
             aux_offsets.append(dim + n_aux)
             n_aux += dim
     n_var = dim + n_aux + 1
@@ -278,9 +259,7 @@ def _solve_caolf_lp(prepared, region, config) -> CompetitiveSolution:
         rows_a.append(row)
         rows_b.append(rhs)
 
-    for idx, (geom, rate) in enumerate(prepared):
-        eff = geom.effective_mono()
-        ref = geom.x_ref
+    for idx, (ref, eff, rate) in enumerate(zip(surrogate.x_ref, surrogate.eff_mono, surrogate.rate)):
         if norm == Norm.L1:
             off = aux_offsets[idx]
             for j in range(dim):
@@ -311,7 +290,7 @@ def _solve_caolf_lp(prepared, region, config) -> CompetitiveSolution:
     if sol.status != LpStatus.OPTIMAL:
         raise SolveError(f"epigraph LP ended with status {sol.status.value}")
     x = sol.x[:dim]
-    gamma = max((rate * norm_value(clip(x, geom), norm) for geom, rate in prepared), default=0.0)
+    gamma = surrogate.certify(x)
     diag = SolveDiagnostics(iterations=sol.iterations, residual=region.violation(x),
                             method=f"epigraph-lp-{norm.value}")
     return CompetitiveSolution(x=x, gamma=gamma, diagnostics=diag)
@@ -331,6 +310,7 @@ def solve_approx(refs, region: FeasibleSet, config: SolveConfig | None = None) -
     dim = region.dim
     builders = []
     needed = []
+    lipschitz = []  # (ref, model) pairs behind the surrogate built below
     for r in refs:
         if r.dim != dim:
             raise ValueError(f"metric {r.id!r} has dimension {r.dim}, region has {dim}")
@@ -339,10 +319,8 @@ def solve_approx(refs, region: FeasibleSet, config: SolveConfig | None = None) -
                 if m.norm != Norm.L2:
                     raise ValueError(
                         f"metric {r.id!r}: only l2 Lipschitz models are usable here, got {m.norm.value}")
-                geom = r.geometry(m)
-                rate = m.bound / r.value
-                builders.append(lambda g, geom=geom, rate=rate: ClippedBallSet(geom, g / rate))
-                needed.append(lambda x, geom=geom, rate=rate: rate * norm_value(clip(x, geom), Norm.L2))
+                builders.append(lambda g, i=len(lipschitz): surrogate.ball(i, g))
+                lipschitz.append((r, m))
             elif isinstance(m, ConcaveLinear):
                 grad, ref, v = m.grad, r.x_ref, r.value
                 if float(np.dot(grad, grad)) == 0.0:
@@ -361,14 +339,22 @@ def solve_approx(refs, region: FeasibleSet, config: SolveConfig | None = None) -
                 raise TypeError(f"unknown constraint model {type(m).__name__}")
     if not builders:
         raise ValueError("no usable constraint models")
+    surrogate = None
+    if lipschitz:
+        surrogate = ClippedNormSurrogate([r for r, _ in lipschitz], Norm.L2,
+                                         [m for _, m in lipschitz])
 
     def build_sets(gamma):
         return [b(gamma) for b in builders]
 
+    def certify(x):
+        worst = surrogate.certify(x) if surrogate else 0.0
+        return max([worst] + [need(x) for need in needed])
+
     centroid = np.mean([r.x_ref for r in refs], axis=0)
     x0 = region.find_point(start=centroid, tol=min(1e-9, config.feasibility_tolerance),
                            max_iters=max(config.max_projection_iters, 10000))
-    return _bisect(build_sets, needed, x0, region, config, method="bisection-projection-mixed")
+    return _bisect(build_sets, certify, x0, region, config, method="bisection-projection-mixed")
 
 
 def stability_probe(refs, region: FeasibleSet, config: SolveConfig, kappas) -> CompetitiveSolution:
@@ -464,9 +450,7 @@ def grid_oracle_caolf(refs, region: FeasibleSet, resolution: int, box=None,
     max_i bound_i * ||clip(x, ref_i)|| / value_i, vectorized over the grid.
     Returns (gamma, point).
     """
-    refs = list(refs)
-    if not refs:
-        raise ValueError("need at least one metric reference")
+    surrogate = ClippedNormSurrogate(refs, norm)
     axes = _grid_axes(region, resolution, box)
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)  # (P, dim)
@@ -476,20 +460,6 @@ def grid_oracle_caolf(refs, region: FeasibleSet, resolution: int, box=None,
     pts = pts[keep]
     if len(pts) == 0:
         raise ValueError("no grid point fell inside the region; enlarge the box or resolution")
-    worst = np.zeros(len(pts))
-    for r in refs:
-        m = r.lipschitz_model(norm)
-        geom = r.geometry(m)
-        eff = geom.effective_mono()
-        d = pts - geom.x_ref
-        clipped = np.where(eff > 0, np.maximum(d, 0.0),
-                           np.where(eff < 0, np.maximum(-d, 0.0), d))
-        if norm == Norm.L1:
-            g = np.sum(np.abs(clipped), axis=1)
-        elif norm == Norm.L2:
-            g = np.sqrt(np.sum(clipped * clipped, axis=1))
-        else:
-            g = np.max(np.abs(clipped), axis=1)
-        worst = np.maximum(worst, g * (m.bound / r.value))
+    worst = surrogate.on_grid(pts)
     i = int(np.argmin(worst))
     return float(worst[i]), pts[i]

@@ -1,9 +1,14 @@
 """Generator, sweep, and file-format checks for the benchmark harness."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import caolf
+from caolf import bench, geometry, network, solver
 
 from caolf.bench import (
     CSV_HEADER,
@@ -24,6 +29,7 @@ from caolf.bench import (
     verify_sweep_cell,
 )
 from caolf.geometry import Norm
+from caolf.model import FeasibleSet, LipschitzNorm, MetricRef
 from caolf.network import DemandMatrix, NetworkInstance
 
 
@@ -281,3 +287,29 @@ def test_experiment_from_files(tmp_path):
     assert history.scenarios[0].demand.triples == ((0, 2, 1.0),)
     assert history.scenarios[1].demand.triples == ((1, 0, 2.0),)
     np.testing.assert_array_equal(history.scenarios[0].capacity, net.base_capacity)
+
+
+def test_benchmark_tracer_installs_and_uninstalls():
+    # the benchmark wraps caolf's entry points from outside; a renamed or
+    # inherited entry point must fail here rather than in a traced run
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    originals = (geometry.clip, geometry.ClippedBallSet.project, solver.solve_lp,
+                 network.solve_lp, bench.solve_caolf)
+    tracer = module.Tracer()
+    tracer.install(caolf)
+    try:
+        refs = [MetricRef(id="a", x_ref=[0.0], value=1.0,
+                          models=(LipschitzNorm(2.0, Norm.L2, [0]),)),
+                MetricRef(id="b", x_ref=[1.0], value=1.0,
+                          models=(LipschitzNorm(1.0, Norm.L2, [0]),))]
+        sol = solver.solve_caolf(refs, FeasibleSet.unconstrained(1), solver.SolveConfig())
+    finally:
+        tracer.uninstall()
+    assert sol.gamma == pytest.approx(2.0 / 3.0, abs=1e-5)
+    assert tracer.counts["solver.solves"] == 1
+    assert tracer.counts["geometry.project.calls"] > 0
+    assert (geometry.clip, geometry.ClippedBallSet.project, solver.solve_lp,
+            network.solve_lp, bench.solve_caolf) == originals

@@ -6,6 +6,7 @@ import pytest
 from caolf.geometry import (
     BallSet,
     ClippedBallSet,
+    ClippedNormSurrogate,
     HalfspaceSet,
     LowerBoundSet,
     Mono,
@@ -22,6 +23,7 @@ from caolf.geometry import (
     project_safe_region,
     quadratic_cap_ball,
 )
+from caolf.model import LipschitzNorm, MetricRef
 
 
 def test_norm_values_on_fixed_vector():
@@ -266,3 +268,38 @@ def test_mono_spec_validation():
         RefGeometry([np.inf], [0])
     geom = RefGeometry([0.0, 0.0], ["inc", "dec"])
     assert list(geom.mono) == [1, -1]
+
+
+def test_surrogate_needed_matches_clip_bit_for_bit():
+    rng = np.random.default_rng(61)
+    for norm in Norm:
+        refs = [MetricRef(id=f"m{i}", x_ref=rng.uniform(-2.0, 2.0, 7),
+                          value=float(rng.uniform(0.5, 3.0)),
+                          sense=Sense.MINIMIZE if i % 2 == 0 else Sense.MAXIMIZE,
+                          models=(LipschitzNorm(float(rng.uniform(0.5, 2.0)), norm,
+                                                rng.integers(-1, 2, 7)),))
+                for i in range(6)]
+        assert any(0 in r.models[0].mono for r in refs)
+        surrogate = ClippedNormSurrogate(refs, norm)
+        for _ in range(50):
+            x = rng.uniform(-3.0, 3.0, 7)
+            want = [r.models[0].bound / r.value
+                    * norm_value(clip(x, r.geometry(r.models[0])), norm) for r in refs]
+            got = surrogate.needed(x)
+            assert [v.hex() for v in got] == [w.hex() for w in want]
+            assert surrogate.certify(x) == max(want)
+            np.testing.assert_allclose(surrogate.on_grid(x[None, :]), [max(want)], rtol=1e-14)
+
+
+def test_surrogate_ball_radius_and_norm_guard():
+    ref = MetricRef(id="m", x_ref=[1.0, 2.0], value=2.0,
+                    models=(LipschitzNorm(3.0, Norm.L2, [1, 0]),
+                            LipschitzNorm(3.0, Norm.L1, [1, 0])))
+    ball = ClippedNormSurrogate([ref], Norm.L2).ball(0, 0.6)
+    assert ball.radius == 0.6 / 1.5
+    with pytest.raises(NotImplementedError):
+        ClippedNormSurrogate([ref], Norm.L1).ball(0, 0.6)
+    with pytest.raises(ValueError):
+        ClippedNormSurrogate([ref], Norm.L2).needed([1.0])
+    with pytest.raises(ValueError):
+        ClippedNormSurrogate([], Norm.L2)
