@@ -275,43 +275,6 @@ def laplacian(weights: np.ndarray) -> np.ndarray:
     return np.diag(weights.sum(axis=1)) - weights
 
 
-def jacobi_eigenvalues(sym: np.ndarray, sweep_tol: float = 1e-12,
-                       max_sweeps: int = 100) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix by cyclic Jacobi rotations."""
-    a = np.array(sym, dtype=float)
-    k = a.shape[0]
-    if a.shape != (k, k):
-        raise ValueError("matrix must be square")
-    if not np.allclose(a, a.T, atol=1e-10 * (1.0 + np.abs(a).max())):
-        raise ValueError("matrix must be symmetric")
-    a = 0.5 * (a + a.T)
-    if k == 1:
-        return a[0].copy()
-    scale = max(1.0, float(np.linalg.norm(a)))
-    for _ in range(max_sweeps):
-        off = float(np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2.0))
-        if off <= sweep_tol * scale:
-            break
-        for p in range(k - 1):
-            for q in range(p + 1, k):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau)) if tau != 0 else 1.0
-                cth = 1.0 / np.sqrt(1.0 + t * t)
-                sth = t * cth
-                rp, rq = a[p].copy(), a[q].copy()
-                a[p] = cth * rp - sth * rq
-                a[q] = sth * rp + cth * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = cth * cp - sth * cq
-                a[:, q] = sth * cp + cth * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    return np.sort(np.diag(a))
-
-
 def algebraic_connectivity(weights: np.ndarray) -> float:
     """Second-smallest Laplacian eigenvalue of the weighted graph.
 
@@ -324,7 +287,10 @@ def algebraic_connectivity(weights: np.ndarray) -> float:
     if weights.shape[0] < 2:
         raise ValueError("need at least two nodes")
     lap = laplacian(weights)
-    eigs = jacobi_eigenvalues(lap)
+    # eigvalsh reads one triangle only and would take an asymmetric input silently
+    if not np.allclose(lap, lap.T, atol=1e-10 * (1.0 + np.abs(lap).max())):
+        raise ValueError("weights must be symmetric")
+    eigs = np.linalg.eigvalsh(lap)
     scale = max(1.0, float(np.abs(lap).max()))
     if abs(eigs[0]) > 1e-8 * scale:
         raise RuntimeError(f"Laplacian smallest eigenvalue not at zero: {eigs[0]:.3e}")

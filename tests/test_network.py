@@ -21,7 +21,6 @@ from caolf.network import (
     demand_to_supply,
     evaluate_scenario,
     incidence,
-    jacobi_eigenvalues,
     laplacian,
     max_flow,
     max_flow_lipschitz,
@@ -258,20 +257,9 @@ def test_max_flow_lipschitz_constants():
 # algebraic connectivity
 
 
-def test_jacobi_matches_numpy_on_random_symmetric():
-    rng = np.random.default_rng(41)
-    for _ in range(20):
-        k = int(rng.integers(2, 8))
-        m = rng.normal(size=(k, k))
-        sym = 0.5 * (m + m.T)
-        got = jacobi_eigenvalues(sym)
-        want = np.linalg.eigvalsh(sym)
-        np.testing.assert_allclose(got, want, atol=1e-9)
-
-
-def test_jacobi_rejects_asymmetric():
+def test_connectivity_rejects_asymmetric():
     with pytest.raises(ValueError):
-        jacobi_eigenvalues(np.array([[0.0, 1.0], [2.0, 0.0]]))
+        algebraic_connectivity(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
 
 def test_laplacian_rows_sum_to_zero():
