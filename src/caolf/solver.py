@@ -259,7 +259,8 @@ def _solve_caolf_lp(surrogate: ClippedNormSurrogate, region, config) -> Competit
         rows_a.append(row)
         rows_b.append(rhs)
 
-    for idx, (ref, eff, rate) in enumerate(zip(surrogate.x_ref, surrogate.eff_mono, surrogate.rate)):
+    for idx, (ref, eff, rate) in enumerate(
+            zip(surrogate.x_ref, surrogate.eff_mono, surrogate.rate)):
         if norm == Norm.L1:
             off = aux_offsets[idx]
             for j in range(dim):
