@@ -309,9 +309,9 @@ def solve_approx(refs, region: FeasibleSet, config: SolveConfig | None = None) -
     if not refs:
         raise ValueError("need at least one metric reference")
     dim = region.dim
-    builders = []
+    builders = []  # None marks the next clipped ball of the surrogate
     needed = []
-    lipschitz = []  # (ref, model) pairs behind the surrogate built below
+    lipschitz = []  # (ref, model) pairs behind the surrogate
     for r in refs:
         if r.dim != dim:
             raise ValueError(f"metric {r.id!r} has dimension {r.dim}, region has {dim}")
@@ -320,7 +320,7 @@ def solve_approx(refs, region: FeasibleSet, config: SolveConfig | None = None) -
                 if m.norm != Norm.L2:
                     raise ValueError(
                         f"metric {r.id!r}: only l2 Lipschitz models are usable here, got {m.norm.value}")
-                builders.append(lambda g, i=len(lipschitz): surrogate.ball(i, g))
+                builders.append(None)
                 lipschitz.append((r, m))
             elif isinstance(m, ConcaveLinear):
                 grad, ref, v = m.grad, r.x_ref, r.value
@@ -346,7 +346,8 @@ def solve_approx(refs, region: FeasibleSet, config: SolveConfig | None = None) -
                                          [m for _, m in lipschitz])
 
     def build_sets(gamma):
-        return [b(gamma) for b in builders]
+        balls = (surrogate.ball(i, gamma) for i in range(len(lipschitz)))
+        return [next(balls) if b is None else b(gamma) for b in builders]
 
     def certify(x):
         worst = surrogate.certify(x) if surrogate else 0.0
