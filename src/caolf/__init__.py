@@ -17,10 +17,8 @@ from .model import (
     MetricRef,
 )
 from .solver import (
-    FeasibilityResult,
     SolveConfig,
     SolveError,
-    feasibility_check,
     grid_oracle_caolf,
     grid_oracle_swcm,
     solve_approx,
@@ -34,9 +32,8 @@ __all__ = [
     "LpProblem", "LpSolution", "LpStatus", "solve_lp",
     "CompetitiveSolution", "ConcaveLinear", "ConvexQuadratic", "FeasibleSet",
     "LipschitzNorm", "MetricRef",
-    "FeasibilityResult", "SolveConfig", "SolveError", "feasibility_check",
-    "grid_oracle_caolf", "grid_oracle_swcm", "solve_approx", "solve_caolf",
-    "stability_probe", "verify_competitiveness",
+    "SolveConfig", "SolveError", "grid_oracle_caolf", "grid_oracle_swcm",
+    "solve_approx", "solve_caolf", "stability_probe", "verify_competitiveness",
 ]
 
 __version__ = "0.1.0"

@@ -248,7 +248,7 @@ def run_sweep(cfg: ExperimentConfig | None = None) -> list[SweepRow]:
             started = time.perf_counter()
             try:
                 sol = solve_caolf(refs, region, solve_cfg)
-            except (SolveError, RuntimeError):
+            except SolveError:
                 wall = (time.perf_counter() - started) * 1000.0
                 for ref in refs:
                     rows.append(SweepRow(mult, norm, float("nan"), ref.id,

@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 
-from .bench import ExperimentConfig, emit_csv, run_sweep
+from .bench import CSV_HEADER, ExperimentConfig, emit_csv, format_row, run_sweep
 from .geometry import ClippedNormSurrogate, Norm, Sense
 from .model import ConcaveLinear, ConvexQuadratic, FeasibleSet, LipschitzNorm, MetricRef
 from .solver import SolveConfig, grid_oracle_caolf, solve_approx, solve_caolf
@@ -95,8 +95,7 @@ def _cmd_sweep(args) -> int:
     norms = (Norm(args.norm),) if args.norm else (Norm.L1, Norm.L2, Norm.LINF)
     pairs = args.demand_pairs
     if pairs is None:
-        default_pairs = ExperimentConfig.__dataclass_fields__["demand_pairs"].default
-        pairs = min(default_pairs, args.nodes * (args.nodes - 1))
+        pairs = min(ExperimentConfig.demand_pairs, args.nodes * (args.nodes - 1))
     cfg = ExperimentConfig(seed=args.seed, norms=norms,
                            node_count=args.nodes, edge_count=args.edges,
                            scenario_count=args.scenarios,
@@ -106,7 +105,6 @@ def _cmd_sweep(args) -> int:
     if args.out:
         emit_csv(rows, args.out, include_timing=not args.no_timing)
     else:
-        from .bench import CSV_HEADER, format_row
         print(CSV_HEADER)
         for r in rows:
             print(format_row(r, include_timing=not args.no_timing))
@@ -117,10 +115,10 @@ def _cmd_verify(args) -> int:
     payload, metrics, region = load_instance(args.instance)
     if "point" not in payload:
         raise ValueError("verify needs a 'point' entry in the instance file")
-    x = np.asarray(payload["point"], dtype=float)
-    gamma = float(payload["gamma"]) if "gamma" in payload else None
-    if gamma is None:
+    if "gamma" not in payload:
         raise ValueError("verify needs a 'gamma' entry in the instance file")
+    x = np.asarray(payload["point"], dtype=float)
+    gamma = float(payload["gamma"])
     surrogate = ClippedNormSurrogate(metrics, Norm(args.norm))
     report = [{"id": ref_id, "needed_gamma": float(needed), "ok": bool(needed <= gamma + args.tol)}
               for ref_id, needed in zip(surrogate.ids, surrogate.needed(x))]

@@ -22,8 +22,7 @@ from .geometry import (
     HalfspaceSet,
     Norm,
     Sense,
-    dykstra,
-    max_violation,
+    extrapolated_projections,
     quadratic_cap_ball,
 )
 from .lp import LpProblem, LpStatus, solve_lp
@@ -47,7 +46,6 @@ class SolveConfig:
     gamma_tolerance: float = 1e-6
     feasibility_tolerance: float = 1e-7
     max_projection_iters: int = 5000
-    gamma_upper_init: float | None = None
 
     def __post_init__(self):
         if self.gamma_tolerance <= 0 or self.feasibility_tolerance <= 0:
@@ -56,132 +54,28 @@ class SolveConfig:
             raise ValueError("iteration budget must be at least 1")
 
 
-@dataclass
-class FeasibilityResult:
-    feasible: bool
-    x: np.ndarray
-    residual: float
-    iterations: int
-
-
-def feasibility_check(sets, config: SolveConfig, start) -> FeasibilityResult:
-    """Decide whether the intersection of ``sets`` is (numerically) reachable.
-
-    Wraps the alternating-projection loop: a residual at or below the
-    feasibility tolerance certifies a point; a stalled residual is reported
-    as infeasible at that tolerance, with the best residual attained.
-    """
-    run = dykstra(sets, start, tol=config.feasibility_tolerance,
-                  max_iters=config.max_projection_iters)
-    return FeasibilityResult(feasible=run.converged, x=run.x,
-                             residual=run.residual, iterations=run.iterations)
-
-
-def _accelerated_feasibility(sets, config: SolveConfig, start,
-                             jump_every: int = 8, stall_window: int = 100,
-                             stall_rtol: float = 1e-4) -> FeasibilityResult:
-    """Cyclic projections with a safeguarded extrapolation accelerator.
-
-    Thin intersections make plain alternating projections crawl: the cycle map
-    is asymptotically a contraction with factor close to one, so the iterates
-    form a near-geometric sequence.  Every few cycles the crawl direction and
-    its decay ratio are estimated from consecutive cycle deltas and the limit
-    is extrapolated in one jump; the jump is adopted only when it actually
-    lowers the residual, so the safeguard keeps plain-projection behavior on
-    anything the model does not fit.  Used for the bisection probes, where
-    only a yes/no answer plus a witness point is needed.
-    """
-    tol = config.feasibility_tolerance
-    x = np.array(start, dtype=float)
-    sets = list(sets)
-    if not sets:
-        return FeasibilityResult(feasible=True, x=x, residual=0.0, iterations=0)
-    best = max_violation(sets, x)
-    if best <= tol:
-        return FeasibilityResult(feasible=True, x=x, residual=best, iterations=0)
-    best_x = x.copy()
-    prev_delta = None
-    history = []
-    frozen = max(stall_window // 4, 1)
-    for it in range(1, config.max_projection_iters + 1):
-        x_prev = x.copy()
-        for s in sets:
-            x = s.project(x)
-        res = max_violation(sets, x)
-        if res < best:
-            best = res
-            best_x = x.copy()
-        if best <= tol:
-            return FeasibilityResult(feasible=True, x=best_x, residual=best, iterations=it)
-        if it % jump_every == 0:
-            delta = x - x_prev
-            adopted = False
-            if prev_delta is not None:
-                den = float(prev_delta @ prev_delta)
-                rho = float(delta @ prev_delta) / den if den > 0 else 0.0
-                if 0.1 < rho < 0.9999:
-                    cand = x + delta * (rho / (1.0 - rho))
-                    cand_res = max_violation(sets, cand)
-                    if cand_res < best:
-                        x = cand
-                        best = cand_res
-                        best_x = cand.copy()
-                        if best <= tol:
-                            return FeasibilityResult(feasible=True, x=best_x,
-                                                     residual=best, iterations=it)
-                        # the delta across a jump is not a plain cycle delta,
-                        # so the ratio estimate restarts
-                        prev_delta = None
-                        adopted = True
-            if not adopted:
-                prev_delta = delta
-        history.append(best)
-        if it > frozen and history[-frozen - 1] - best <= 0.0:
-            break
-        if it > stall_window:
-            gained = history[-stall_window - 1] - best
-            if gained <= stall_rtol * max(best, tol):
-                break
-    return FeasibilityResult(feasible=False, x=best_x, residual=best,
-                             iterations=len(history))
-
-
-def _bisect(build_sets, certify, x0, region: FeasibleSet, config: SolveConfig,
+def _bisect(build_sets, certify, start, region: FeasibleSet, config: SolveConfig,
             method: str) -> CompetitiveSolution:
     """Shared bisection driver over the gamma axis.
 
+    The search starts from the projection of ``start`` into the region.
     ``build_sets(gamma)`` yields the projectable constraint sets at that
     tolerance and ``certify`` maps a point to the smallest tolerance it
     satisfies every constraint at; the latter is also the reported gamma, so
     the answer is always a value the returned point actually achieves.
     """
+    x_best = region.find_point(start=start, tol=min(1e-9, config.feasibility_tolerance),
+                               max_iters=max(config.max_projection_iters, 10000))
     region_sets = region.sets()
-    hi = config.gamma_upper_init
+    lo, hi = 0.0, certify(x_best)
     total_iters = 0
-    if hi is None:
-        hi = certify(x0)
-    else:
-        for _ in range(64):
-            probe = _accelerated_feasibility(build_sets(hi) + region_sets, config, x0)
-            total_iters += probe.iterations
-            if probe.feasible:
-                break
-            hi *= 2.0
-        else:
-            raise SolveError("no feasible upper bound for the tolerance search")
-    if hi <= config.gamma_tolerance:
-        x_final = np.maximum(x0, region.lower)
-        gamma = certify(x_final)
-        diag = SolveDiagnostics(iterations=total_iters, residual=region.violation(x_final),
-                                method=method)
-        return CompetitiveSolution(x=x_final, gamma=gamma, diagnostics=diag)
-    x_best = x0
-    lo = 0.0
     while hi - lo > config.gamma_tolerance:
         mid = 0.5 * (lo + hi)
-        probe = _accelerated_feasibility(build_sets(mid) + region_sets, config, x_best)
+        probe = extrapolated_projections(build_sets(mid) + region_sets, x_best,
+                                         tol=config.feasibility_tolerance,
+                                         max_iters=config.max_projection_iters)
         total_iters += probe.iterations
-        if probe.feasible:
+        if probe.converged:
             x_best = probe.x
             # projections land on the active constraint surface, so the point
             # usually certifies a tolerance well below mid; shrink the bracket
@@ -214,20 +108,14 @@ def solve_caolf(refs, region: FeasibleSet, config: SolveConfig | None = None) ->
         if r.dim != dim:
             raise ValueError(f"metric {r.id!r} has dimension {r.dim}, region has {dim}")
     surrogate = ClippedNormSurrogate(refs, config.norm)
-    if config.norm == Norm.L2:
-        return _solve_caolf_projection(surrogate, region, config)
-    return _solve_caolf_lp(surrogate, region, config)
+    if config.norm != Norm.L2:
+        return _solve_caolf_lp(surrogate, region, config)
 
-
-def _solve_caolf_projection(surrogate: ClippedNormSurrogate, region, config) -> CompetitiveSolution:
     def build_sets(gamma):
         return [surrogate.ball(i, gamma) for i in range(len(surrogate.ids))]
 
-    centroid = np.mean(surrogate.x_ref, axis=0)
-    x0 = region.find_point(start=centroid, tol=min(1e-9, config.feasibility_tolerance),
-                           max_iters=max(config.max_projection_iters, 10000))
-    return _bisect(build_sets, surrogate.certify, x0, region, config,
-                   method="bisection-projection-l2")
+    return _bisect(build_sets, surrogate.certify, np.mean(surrogate.x_ref, axis=0), region,
+                   config, method="bisection-projection-l2")
 
 
 def _solve_caolf_lp(surrogate: ClippedNormSurrogate, region, config) -> CompetitiveSolution:
@@ -353,10 +241,8 @@ def solve_approx(refs, region: FeasibleSet, config: SolveConfig | None = None) -
         worst = surrogate.certify(x) if surrogate else 0.0
         return max([worst] + [need(x) for need in needed])
 
-    centroid = np.mean([r.x_ref for r in refs], axis=0)
-    x0 = region.find_point(start=centroid, tol=min(1e-9, config.feasibility_tolerance),
-                           max_iters=max(config.max_projection_iters, 10000))
-    return _bisect(build_sets, certify, x0, region, config, method="bisection-projection-mixed")
+    return _bisect(build_sets, certify, np.mean([r.x_ref for r in refs], axis=0), region,
+                   config, method="bisection-projection-mixed")
 
 
 def stability_probe(refs, region: FeasibleSet, config: SolveConfig, kappas) -> CompetitiveSolution:

@@ -16,6 +16,7 @@ from caolf.geometry import (
     clip,
     dual_norm_value,
     dykstra,
+    extrapolated_projections,
     norm_value,
     project_clipped_ball,
     project_halfspace,
@@ -146,12 +147,6 @@ def test_clipped_ball_output_feasible_and_fixed_points():
             np.testing.assert_allclose(out, x)
 
 
-def test_clipped_ball_rejects_other_norms():
-    geom = RefGeometry([0.0], [Mono.NON_MONOTONE])
-    with pytest.raises(NotImplementedError):
-        project_clipped_ball([1.0], geom, 1.0, norm=Norm.L1)
-
-
 def test_halfspace_projection():
     out = project_halfspace([2.0, 2.0], [1.0, 0.0], 1.0)
     np.testing.assert_allclose(out, [1.0, 2.0])
@@ -226,6 +221,16 @@ def test_dykstra_disjoint_balls_reports_gap():
     # the centers are 2 apart and radii sum to 1.8, so the gap is 0.2
     assert run.residual >= 0.2 * (1 - 1e-7)
     assert run.residual == pytest.approx(0.2, abs=1e-3)
+
+
+def test_extrapolated_projections_disjoint_balls_stall_at_the_gap():
+    sets = [BallSet([0.0, 0.0], 0.9), BallSet([2.0, 0.0], 0.9)]
+    # unlike dykstra, the start's own residual counts as a candidate, so start
+    # where it exceeds the gap (the midpoint (1, 0) would report 0.1)
+    run = extrapolated_projections(sets, [3.0, 1.0], tol=1e-7, max_iters=3000)
+    assert not run.converged
+    assert run.residual == pytest.approx(0.2, abs=1e-3)
+    assert run.iterations < 300
 
 
 def test_dykstra_tangent_balls_meet_at_the_touch_point():

@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from caolf.geometry import Mono, Norm, Sense, clip, norm_value
+from caolf.geometry import (
+    ClippedBallSet,
+    Mono,
+    Norm,
+    Sense,
+    clip,
+    dykstra,
+    extrapolated_projections,
+    norm_value,
+)
 from caolf.model import (
     ConcaveLinear,
     ConvexQuadratic,
@@ -14,7 +23,6 @@ from caolf.model import (
 from caolf.solver import (
     SolveConfig,
     SolveError,
-    feasibility_check,
     grid_oracle_caolf,
     grid_oracle_swcm,
     solve_approx,
@@ -137,8 +145,7 @@ def test_budget_constraint_binds():
     assert sol.gamma == pytest.approx(np.sqrt(2 * 1.5 ** 2), abs=1e-5)
 
 
-def test_feasibility_check_monotone_in_gamma():
-    from caolf.geometry import ClippedBallSet
+def test_projection_probes_monotone_in_gamma():
     rng = np.random.default_rng(33)
     region = FeasibleSet.nonnegative(2)
     for _ in range(20):
@@ -155,8 +162,10 @@ def test_feasibility_check_monotone_in_gamma():
             sets = [ClippedBallSet(r.geometry(r.lipschitz_model(Norm.L2)),
                                    factor * base * r.value / r.lipschitz_model(Norm.L2).bound)
                     for r in refs] + region.sets()
-            probe = feasibility_check(sets, cfg, start)
-            assert probe.feasible, factor
+            for loop in (dykstra, extrapolated_projections):
+                probe = loop(sets, start, tol=cfg.feasibility_tolerance,
+                             max_iters=cfg.max_projection_iters)
+                assert probe.converged, (loop.__name__, factor)
 
 
 def test_verify_competitiveness_envelope():
