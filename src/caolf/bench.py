@@ -32,7 +32,15 @@ from .solver import SolveConfig, SolveError, solve_caolf, verify_competitiveness
 
 CSV_HEADER = "budget_mult,norm,gamma,metric_id,ratio,wall_ms,iters"
 
-DEFAULT_METRICS = (METRIC_ROUTING, METRIC_THROUGHPUT, METRIC_CONNECTIVITY)
+METRICS = (METRIC_ROUTING, METRIC_THROUGHPUT, METRIC_CONNECTIVITY)
+COST_RANGE = (1.0, 10.0)        # routing cost per unit of flow on an edge
+CAPACITY_RANGE = (5.0, 15.0)    # base capacity of an edge
+DEMAND_RANGE = (1.0, 5.0)       # amount of one demand pair
+JITTER_RANGE = (0.8, 1.2)       # per-edge factor on a scenario's capacity
+PRICE_SCALE = 10.0              # capacity price at unit routing cost
+SPARSIFY_PROBABILITY = 0.4      # chance a scenario drops a demand pair
+FLOW_PAIR_FRACTION = 0.05       # share of the largest pairs given a throughput metric
+VERIFY_SLACK = 1e-6             # gamma slack when `verify_sweep_cell` re-checks a cell
 
 
 @dataclass
@@ -41,24 +49,10 @@ class ExperimentConfig:
     edge_count: int = 30
     scenario_count: int = 5
     demand_pairs: int = 36
-    demand_low: float = 1.0
-    demand_high: float = 5.0
-    sparsify_probability: float = 0.4
     budget_multipliers: tuple = tuple(np.linspace(0.1, 1.6, 10))
     norms: tuple = (Norm.L1, Norm.L2, Norm.LINF)
-    metrics: tuple = DEFAULT_METRICS
     seed: int = 0
-    cost_scale: float = 10.0
-    flow_pair_fraction: float = 0.05
-    capacity_low: float = 5.0
-    capacity_high: float = 15.0
-    cost_low: float = 1.0
-    cost_high: float = 10.0
-    jitter_low: float = 0.8
-    jitter_high: float = 1.2
     gamma_tolerance: float = 1e-6
-    feasibility_tolerance: float = 1e-7
-    max_projection_iters: int = 5000
     network_path: str | None = None
     demand_paths: tuple = ()
 
@@ -67,8 +61,6 @@ class ExperimentConfig:
             raise ValueError("need >= 2 nodes and at least one edge per node (spanning cycle)")
         if self.edge_count > self.node_count * (self.node_count - 1):
             raise ValueError("more edges than ordered node pairs")
-        if not 0.0 <= self.sparsify_probability <= 1.0:
-            raise ValueError("sparsification probability must be in [0, 1]")
         if self.scenario_count < 1:
             raise ValueError("need at least one scenario")
         mults = tuple(float(m) for m in self.budget_multipliers)
@@ -80,8 +72,6 @@ class ExperimentConfig:
         self.norms = tuple(Norm(n) for n in self.norms)
         if not (1 <= self.demand_pairs <= self.node_count * (self.node_count - 1)):
             raise ValueError("demand pair count out of range")
-        if not 0.0 < self.flow_pair_fraction <= 1.0:
-            raise ValueError("flow pair fraction must be in (0, 1]")
 
 
 @dataclass
@@ -121,7 +111,7 @@ def sparsify(demand: DemandMatrix, probability: float, rng) -> DemandMatrix:
     return DemandMatrix(node_count=demand.node_count, triples=kept)
 
 
-def select_flow_pairs(demand: DemandMatrix, fraction: float = 0.05) -> list[tuple[int, int]]:
+def select_flow_pairs(demand: DemandMatrix, fraction: float = FLOW_PAIR_FRACTION) -> list[tuple[int, int]]:
     """The largest demand pairs: a ``fraction`` share, at least one.
 
     Ties are broken by node ids so the selection never depends on input
@@ -151,12 +141,11 @@ def _random_edges(node_count: int, edge_count: int, rng) -> tuple[tuple[int, int
     return tuple(edges)
 
 
-def _random_demand(node_count: int, pair_count: int, low: float, high: float,
-                   rng) -> DemandMatrix:
+def _random_demand(node_count: int, pair_count: int, rng) -> DemandMatrix:
     all_pairs = [(s, t) for s in range(node_count) for t in range(node_count) if s != t]
     pair_count = min(pair_count, len(all_pairs))
     chosen = rng.choice(len(all_pairs), size=pair_count, replace=False)
-    amounts = rng.uniform(low, high, pair_count)
+    amounts = rng.uniform(*DEMAND_RANGE, pair_count)
     triples = tuple((all_pairs[int(i)][0], all_pairs[int(i)][1], float(a))
                     for i, a in zip(chosen, amounts))
     return DemandMatrix(node_count=node_count, triples=triples)
@@ -178,16 +167,15 @@ def build_experiment(cfg: ExperimentConfig) -> tuple[NetworkInstance, DemandMatr
     else:
         k, n = cfg.node_count, cfg.edge_count
         edges = _random_edges(k, n, rng)
-        flow_cost = rng.uniform(cfg.cost_low, cfg.cost_high, n)
-        base_capacity = rng.uniform(cfg.capacity_low, cfg.capacity_high, n)
+        flow_cost = rng.uniform(*COST_RANGE, n)
+        base_capacity = rng.uniform(*CAPACITY_RANGE, n)
     if cfg.demand_paths:
         scenario_demands = [load_demands(p, k) for p in cfg.demand_paths]
         base_demand = scenario_demands[0]
     else:
-        base_demand = _random_demand(k, cfg.demand_pairs, cfg.demand_low,
-                                     cfg.demand_high, rng)
+        base_demand = _random_demand(k, cfg.demand_pairs, rng)
         scenario_demands = None
-    price_pre, price_in = generate_costs(flow_cost, cfg.cost_scale, rng)
+    price_pre, price_in = generate_costs(flow_cost, PRICE_SCALE, rng)
     net = NetworkInstance(node_count=k, edges=edges, flow_cost=flow_cost,
                           base_capacity=base_capacity,
                           price_pre=price_pre, price_in=price_in)
@@ -198,17 +186,16 @@ def build_experiment(cfg: ExperimentConfig) -> tuple[NetworkInstance, DemandMatr
             demand_i = scenario_demands[i]
             capacity_i = base_capacity.copy()
         else:
-            demand_i = sparsify(base_demand, cfg.sparsify_probability, rng)
+            demand_i = sparsify(base_demand, SPARSIFY_PROBABILITY, rng)
             for _ in range(100):
                 if len(demand_i):
                     break
-                demand_i = sparsify(base_demand, cfg.sparsify_probability, rng)
+                demand_i = sparsify(base_demand, SPARSIFY_PROBABILITY, rng)
             else:
                 raise RuntimeError("could not draw a non-empty sparsified demand")
-            capacity_i = base_capacity * rng.uniform(cfg.jitter_low, cfg.jitter_high, n)
-        pairs = select_flow_pairs(demand_i, cfg.flow_pair_fraction) \
-            if METRIC_THROUGHPUT in cfg.metrics else ()
-        values = evaluate_scenario(net, capacity_i, demand_i, cfg.metrics, pairs)
+            capacity_i = base_capacity * rng.uniform(*JITTER_RANGE, n)
+        values = evaluate_scenario(net, capacity_i, demand_i, METRICS,
+                                   select_flow_pairs(demand_i))
         scenarios.append(Scenario(capacity=capacity_i, demand=demand_i, values=values))
     return net, base_demand, ScenarioHistory(tuple(scenarios))
 
@@ -225,10 +212,7 @@ def _sweep_cell(cfg: ExperimentConfig, net: NetworkInstance, history: ScenarioHi
     """The decision region, metric references and solver settings of one sweep cell."""
     region = FeasibleSet.nonnegative(net.edge_count, [(net.price_pre.copy(), mult * budget)])
     refs = build_metric_refs(net, history, norm)
-    solve_cfg = SolveConfig(norm=norm,
-                            gamma_tolerance=cfg.gamma_tolerance,
-                            feasibility_tolerance=cfg.feasibility_tolerance,
-                            max_projection_iters=cfg.max_projection_iters)
+    solve_cfg = SolveConfig(norm=norm, gamma_tolerance=cfg.gamma_tolerance)
     return region, refs, solve_cfg
 
 
@@ -263,15 +247,14 @@ def run_sweep(cfg: ExperimentConfig | None = None) -> list[SweepRow]:
     return rows
 
 
-def verify_sweep_cell(cfg: ExperimentConfig, mult: float, norm: Norm,
-                      slack: float = 1e-6) -> bool:
+def verify_sweep_cell(cfg: ExperimentConfig, mult: float, norm: Norm) -> bool:
     """Re-solve one cell and check the realized metrics against its gamma."""
     net, _, history = build_experiment(cfg)
     budget = reference_budget(net, history)
     region, refs, solve_cfg = _sweep_cell(cfg, net, history, budget, mult, norm)
     sol = solve_caolf(refs, region, solve_cfg)
     metrics = [(ref_evaluator(net, history, r.id), r.value, r.sense) for r in refs]
-    _, ok = verify_competitiveness(sol.x, sol.gamma + slack, metrics)
+    _, ok = verify_competitiveness(sol.x, sol.gamma + VERIFY_SLACK, metrics)
     return ok
 
 

@@ -14,19 +14,32 @@ from .model import ConcaveLinear, ConvexQuadratic, FeasibleSet, LipschitzNorm, M
 from .solver import SolveConfig, grid_oracle_caolf, solve_approx, solve_caolf
 
 
-def _parse_region(payload, dim_hint=None) -> FeasibleSet:
+class _Entries(dict):
+    """A JSON object whose missing entries raise a ValueError naming them."""
+
+    def __init__(self, payload, what: str):
+        if not isinstance(payload, dict):
+            raise ValueError(f"{what} must be a JSON object")
+        super().__init__(payload)
+        self.what = what
+
+    def __missing__(self, key):
+        raise ValueError(f"{self.what} needs a {key!r} entry")
+
+
+def _parse_region(payload, dim: int) -> FeasibleSet:
+    payload = _Entries(payload, "region")
     lower = payload.get("lower")
     if lower is None:
-        if dim_hint is None:
-            raise ValueError("region needs a 'lower' vector")
-        lower = [-np.inf] * dim_hint
+        lower = [None] * dim
     lower = [(-np.inf if v is None else float(v)) for v in lower]
-    halfspaces = [(np.asarray(h["a"], dtype=float), float(h["b"]))
-                  for h in payload.get("halfspaces", [])]
+    halfspaces = [_Entries(h, "halfspace") for h in payload.get("halfspaces", [])]
+    halfspaces = [(np.asarray(h["a"], dtype=float), float(h["b"])) for h in halfspaces]
     return FeasibleSet(lower=np.asarray(lower), halfspaces=tuple(halfspaces))
 
 
-def _parse_model(payload):
+def _parse_model(payload, what: str):
+    payload = _Entries(payload, what)
     kind = payload.get("kind", "lipschitz")
     if kind == "lipschitz":
         return LipschitzNorm(bound=float(payload["bound"]),
@@ -37,7 +50,7 @@ def _parse_model(payload):
     if kind == "quadratic":
         return ConvexQuadratic(grad=np.asarray(payload["grad"], dtype=float),
                                curvature=float(payload["curvature"]))
-    raise ValueError(f"unknown model kind {kind!r}")
+    raise ValueError(f"{what}: unknown model kind {kind!r}")
 
 
 _SENSES = {"min": Sense.MINIMIZE, "minimize": Sense.MINIMIZE,
@@ -45,21 +58,26 @@ _SENSES = {"min": Sense.MINIMIZE, "minimize": Sense.MINIMIZE,
 
 
 def _parse_metric(payload) -> MetricRef:
+    ident = str(_Entries(payload, "metric").get("id", "metric"))
+    payload = _Entries(payload, f"metric {ident!r}")
+    sense = str(payload.get("sense", "min")).lower()
+    if sense not in _SENSES:
+        raise ValueError(f"{payload.what}: unknown sense {sense!r} (use min or max)")
     return MetricRef(
-        id=str(payload.get("id", "metric")),
+        id=ident,
         x_ref=np.asarray(payload["x_ref"], dtype=float),
         value=float(payload["value"]),
-        sense=_SENSES[str(payload.get("sense", "min")).lower()],
-        models=tuple(_parse_model(m) for m in payload["models"]))
+        sense=_SENSES[sense],
+        models=tuple(_parse_model(m, f"{payload.what} model") for m in payload["models"]))
 
 
 def load_instance(path):
     with open(path) as fh:
-        payload = json.load(fh)
+        payload = _Entries(json.load(fh), "instance")
     metrics = [_parse_metric(m) for m in payload["metrics"]]
     if not metrics:
         raise ValueError("instance has no metrics")
-    region = _parse_region(payload.get("region", {}), dim_hint=metrics[0].dim)
+    region = _parse_region(payload.get("region", {}), metrics[0].dim)
     return payload, metrics, region
 
 
@@ -113,10 +131,6 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     payload, metrics, region = load_instance(args.instance)
-    if "point" not in payload:
-        raise ValueError("verify needs a 'point' entry in the instance file")
-    if "gamma" not in payload:
-        raise ValueError("verify needs a 'gamma' entry in the instance file")
     x = np.asarray(payload["point"], dtype=float)
     gamma = float(payload["gamma"])
     surrogate = ClippedNormSurrogate(metrics, Norm(args.norm))
@@ -131,11 +145,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_oracle(args) -> int:
     payload, metrics, region = load_instance(args.instance)
-    box = payload.get("box")
-    if box is None:
-        raise ValueError("oracle needs a 'box' entry ([lo, hi] per dimension)")
     gamma, point = grid_oracle_caolf(metrics, region, resolution=args.resolution,
-                                     box=box, norm=Norm(args.norm))
+                                     box=payload["box"], norm=Norm(args.norm))
     _emit({"gamma": gamma, "x": [float(v) for v in point],
            "resolution": args.resolution}, args.out)
     return 0

@@ -347,7 +347,11 @@ class BallSet:
 
 @dataclass
 class ProjectionRun:
-    """Outcome of an alternating-projection pass over a family of sets."""
+    """Outcome of an alternating-projection pass over a family of sets.
+
+    A run that did not converge reports the best residual it saw, at ``x``;
+    in `extrapolated_projections` that can be the start's, not a gap estimate.
+    """
 
     x: np.ndarray
     residual: float
@@ -433,6 +437,8 @@ def extrapolated_projections(sets: Sequence, start, tol: float = 1e-9,
     sets = list(sets)
     if not sets:
         return ProjectionRun(x=x, residual=0.0, iterations=0, converged=True)
+    # The start (a probe's last feasible point) counts as a candidate best, unlike
+    # in `dykstra`: failing probes stall out sooner; without it, 1.2x-6x the cycles.
     best = max_violation(sets, x)
     if best <= tol:
         return ProjectionRun(x=x, residual=best, iterations=0, converged=True)

@@ -16,6 +16,7 @@ from enum import Enum
 import numpy as np
 
 REFACTOR_EVERY = 50
+REDUCED_COST_TOL = 1e-9  # a column may enter once its reduced cost is below minus this
 
 
 class LpStatus(str, Enum):
@@ -83,14 +84,14 @@ def _refactor(T, basis, A0, b0) -> bool:
     return True
 
 
-def _run_phase(T, basis, A0, b0, cost, tol, max_iters, counter):
+def _run_phase(T, basis, A0, b0, cost, max_iters, counter):
     """Bland-rule simplex iterations on tableau ``T``; returns (status, counter)."""
     ncols = T.shape[1] - 1
     r = cost - cost[basis] @ T[:, :ncols]
     r[basis] = 0.0
     since_refactor = 0
     while True:
-        negative = np.nonzero(r < -tol)[0]
+        negative = np.nonzero(r < -REDUCED_COST_TOL)[0]
         if negative.size == 0:
             return "optimal", counter
         j = int(negative[0])
@@ -115,7 +116,7 @@ def _run_phase(T, basis, A0, b0, cost, tol, max_iters, counter):
             since_refactor = 0
 
 
-def solve_lp(problem: LpProblem, tol: float = 1e-9, max_iters: int | None = None) -> LpSolution:
+def solve_lp(problem: LpProblem, max_iters: int | None = None) -> LpSolution:
     """Solve ``problem`` with the two-phase dense simplex method.
 
     Returns OPTIMAL with the minimizer, INFEASIBLE / UNBOUNDED when phase one
@@ -195,7 +196,7 @@ def solve_lp(problem: LpProblem, tol: float = 1e-9, max_iters: int | None = None
         return LpSolution(LpStatus.OPTIMAL, x, value, iterations)
 
     if m == 0:
-        if np.any(c_t < -tol):
+        if np.any(c_t < -REDUCED_COST_TOL):
             return LpSolution(LpStatus.UNBOUNDED, None, np.nan, 0)
         return finish(np.zeros(nt), 0)
 
@@ -229,7 +230,7 @@ def solve_lp(problem: LpProblem, tol: float = 1e-9, max_iters: int | None = None
 
     cost1 = np.zeros(A0.shape[1])
     cost1[art_off:] = 1.0
-    status, iters = _run_phase(T, basis, A0, b0, cost1, tol, max_iters, 0)
+    status, iters = _run_phase(T, basis, A0, b0, cost1, max_iters, 0)
     if status == "stalled" or status == "unbounded":
         return LpSolution(LpStatus.STALLED, None, np.nan, iters)
     art_total = float(np.sum(T[basis >= art_off, -1], initial=0.0))
@@ -259,7 +260,7 @@ def solve_lp(problem: LpProblem, tol: float = 1e-9, max_iters: int | None = None
         return LpSolution(LpStatus.STALLED, None, np.nan, iters)
 
     cost2 = np.concatenate([c_t, np.zeros(m_ub)])
-    status, iters = _run_phase(T, basis, A0, b0, cost2, tol, max_iters, iters)
+    status, iters = _run_phase(T, basis, A0, b0, cost2, max_iters, iters)
     if status == "unbounded":
         return LpSolution(LpStatus.UNBOUNDED, None, np.nan, iters)
     if status == "stalled":

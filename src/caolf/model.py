@@ -18,6 +18,8 @@ from .geometry import (
     max_violation,
 )
 
+REGION_PROJECTION_ITERS = 10000  # cycle cap of the emptiness check and find_point
+
 
 @dataclass(frozen=True, eq=False)
 class LipschitzNorm:
@@ -153,7 +155,7 @@ class FeasibleSet:
             cleaned.append((a, float(b)))
         self.halfspaces = tuple(cleaned)
         start = np.where(np.isfinite(self.lower), np.maximum(self.lower, 0.0), 0.0)
-        run = dykstra(self.sets(), start, tol=1e-9, max_iters=10000)
+        run = dykstra(self.sets(), start, tol=1e-9, max_iters=REGION_PROJECTION_ITERS)
         if not run.converged:
             raise ValueError(
                 f"feasible set appears empty: projection residual {run.residual:.3e}")
@@ -184,11 +186,9 @@ class FeasibleSet:
     def contains(self, x, tol: float = 1e-9) -> bool:
         return self.violation(x) <= tol
 
-    def find_point(self, start=None, tol: float = 1e-9, max_iters: int = 10000) -> np.ndarray:
-        """Project ``start`` (default: clamped lower bounds) into the set."""
-        if start is None:
-            start = np.where(np.isfinite(self.lower), np.maximum(self.lower, 0.0), 0.0)
-        run = dykstra(self.sets(), np.asarray(start, dtype=float), tol=tol, max_iters=max_iters)
+    def find_point(self, start, tol: float = 1e-9) -> np.ndarray:
+        """Project ``start`` into the set."""
+        run = dykstra(self.sets(), start, tol=tol, max_iters=REGION_PROJECTION_ITERS)
         if not run.converged:
             raise ValueError(f"could not reach the feasible set: residual {run.residual:.3e}")
         return run.x

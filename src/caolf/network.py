@@ -23,6 +23,8 @@ METRIC_ROUTING = "routing-cost"
 METRIC_THROUGHPUT = "throughput"
 METRIC_CONNECTIVITY = "connectivity"
 
+FLOW_EPS = 1e-12  # residual capacity at or below which Dinic treats an arc as full
+
 
 @dataclass(eq=False)
 class NetworkInstance:
@@ -172,8 +174,7 @@ def routing_cost_lipschitz(net: NetworkInstance, norm: Norm) -> float:
     return dual_norm_value(net.price_in, norm)
 
 
-def max_flow(net: NetworkInstance, capacity, source: int, target: int,
-             eps: float = 1e-12) -> float:
+def max_flow(net: NetworkInstance, capacity, source: int, target: int) -> float:
     """Maximum s-t flow under ``capacity``, by blocking flows on level graphs."""
     if source == target:
         raise ValueError("source and target must differ")
@@ -197,7 +198,7 @@ def max_flow(net: NetworkInstance, capacity, source: int, target: int,
         queue = [source]
         for u in queue:
             for aid in adj[u]:
-                if cap[aid] > eps and level[to[aid]] < 0:
+                if cap[aid] > FLOW_EPS and level[to[aid]] < 0:
                     level[to[aid]] = level[u] + 1
                     queue.append(to[aid])
         if level[target] < 0:
@@ -210,9 +211,9 @@ def max_flow(net: NetworkInstance, capacity, source: int, target: int,
             while it[u] < len(adj[u]):
                 aid = adj[u][it[u]]
                 v = to[aid]
-                if cap[aid] > eps and level[v] == level[u] + 1:
+                if cap[aid] > FLOW_EPS and level[v] == level[u] + 1:
                     pushed = augment(v, min(limit, cap[aid]))
-                    if pushed > eps:
+                    if pushed > FLOW_EPS:
                         cap[aid] -= pushed
                         cap[aid ^ 1] += pushed
                         return pushed
@@ -222,7 +223,7 @@ def max_flow(net: NetworkInstance, capacity, source: int, target: int,
 
         while True:
             pushed = augment(source, np.inf)
-            if pushed <= eps:
+            if pushed <= FLOW_EPS:
                 break
             total += pushed
 

@@ -45,13 +45,10 @@ class SolveConfig:
     norm: Norm = Norm.L2
     gamma_tolerance: float = 1e-6
     feasibility_tolerance: float = 1e-7
-    max_projection_iters: int = 5000
 
     def __post_init__(self):
         if self.gamma_tolerance <= 0 or self.feasibility_tolerance <= 0:
             raise ValueError("tolerances must be positive")
-        if self.max_projection_iters < 1:
-            raise ValueError("iteration budget must be at least 1")
 
 
 def _bisect(build_sets, certify, start, region: FeasibleSet, config: SolveConfig,
@@ -64,16 +61,14 @@ def _bisect(build_sets, certify, start, region: FeasibleSet, config: SolveConfig
     satisfies every constraint at; the latter is also the reported gamma, so
     the answer is always a value the returned point actually achieves.
     """
-    x_best = region.find_point(start=start, tol=min(1e-9, config.feasibility_tolerance),
-                               max_iters=max(config.max_projection_iters, 10000))
+    x_best = region.find_point(start, tol=min(1e-9, config.feasibility_tolerance))
     region_sets = region.sets()
     lo, hi = 0.0, certify(x_best)
     total_iters = 0
     while hi - lo > config.gamma_tolerance:
         mid = 0.5 * (lo + hi)
         probe = extrapolated_projections(build_sets(mid) + region_sets, x_best,
-                                         tol=config.feasibility_tolerance,
-                                         max_iters=config.max_projection_iters)
+                                         tol=config.feasibility_tolerance)
         total_iters += probe.iterations
         if probe.converged:
             x_best = probe.x
@@ -260,13 +255,17 @@ def stability_probe(refs, region: FeasibleSet, config: SolveConfig, kappas) -> C
     return solve_caolf(scaled, region, config)
 
 
-def verify_competitiveness(x, gamma: float, metrics, rel_tolerance: float = 1e-9):
+VERIFY_REL_TOL = 1e-9  # slack on top of gamma in `verify_competitiveness`
+GRID_MEMBERSHIP_TOL = 1e-9  # region violation up to which a grid point is inside
+
+
+def verify_competitiveness(x, gamma: float, metrics):
     """Check realized metric values against the (1 +/- gamma) envelope.
 
     ``metrics`` is an iterable of (evaluator, reference_value, sense).
     Returns (slacks, ok): slack is the relative excess f(x)/v - 1 for
     minimized metrics and 1 - f(x)/v for maximized ones, so ``ok`` means
-    every slack is at most gamma (plus the relative tolerance).
+    every slack is at most gamma (plus ``VERIFY_REL_TOL``).
     """
     x = np.asarray(x, dtype=float)
     slacks = []
@@ -279,7 +278,7 @@ def verify_competitiveness(x, gamma: float, metrics, rel_tolerance: float = 1e-9
         else:
             slacks.append(1.0 - f / value)
     slacks = np.asarray(slacks)
-    ok = bool(np.all(slacks <= gamma + rel_tolerance))
+    ok = bool(np.all(slacks <= gamma + VERIFY_REL_TOL))
     return slacks, ok
 
 
@@ -299,8 +298,7 @@ def _grid_axes(region: FeasibleSet, resolution: int, box):
     return [np.linspace(lo, hi, resolution) for lo, hi in box]
 
 
-def grid_oracle_swcm(metrics, region: FeasibleSet, resolution: int, box=None,
-                     membership_tol: float = 1e-9):
+def grid_oracle_swcm(metrics, region: FeasibleSet, resolution: int, box):
     """Brute-force the smallest worst-case relative slack on a dense grid.
 
     ``metrics`` is an iterable of (evaluator, reference_value, sense).
@@ -315,7 +313,7 @@ def grid_oracle_swcm(metrics, region: FeasibleSet, resolution: int, box=None,
     best_point = None
     for coords in itertools.product(*axes):
         p = np.asarray(coords)
-        if region.violation(p) > membership_tol:
+        if region.violation(p) > GRID_MEMBERSHIP_TOL:
             continue
         worst = 0.0
         for evaluate, value, sense in metrics:
@@ -330,8 +328,7 @@ def grid_oracle_swcm(metrics, region: FeasibleSet, resolution: int, box=None,
     return max(best, 0.0), best_point
 
 
-def grid_oracle_caolf(refs, region: FeasibleSet, resolution: int, box=None,
-                      norm: Norm = Norm.L2, membership_tol: float = 1e-9):
+def grid_oracle_caolf(refs, region: FeasibleSet, resolution: int, box, norm: Norm = Norm.L2):
     """Brute-force the smallest radius-scaled clipped norm on a dense grid.
 
     Same search as `grid_oracle_swcm` but over the surrogate objective
@@ -344,7 +341,7 @@ def grid_oracle_caolf(refs, region: FeasibleSet, resolution: int, box=None,
     pts = np.stack([m.ravel() for m in mesh], axis=1)  # (P, dim)
     keep = np.ones(len(pts), dtype=bool)
     for s in region.sets():
-        keep &= np.array([s.violation(p) <= membership_tol for p in pts])
+        keep &= np.array([s.violation(p) <= GRID_MEMBERSHIP_TOL for p in pts])
     pts = pts[keep]
     if len(pts) == 0:
         raise ValueError("no grid point fell inside the region; enlarge the box or resolution")

@@ -1,6 +1,7 @@
 """Generator, sweep, and file-format checks for the benchmark harness."""
 
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -35,8 +36,7 @@ from caolf.network import DemandMatrix, NetworkInstance
 
 def tiny_config(**overrides):
     base = dict(node_count=4, edge_count=7, scenario_count=2, demand_pairs=5,
-                budget_multipliers=(0.5, 1.2), norms=(Norm.L2,),
-                flow_pair_fraction=0.2, seed=7)
+                budget_multipliers=(0.5, 1.2), norms=(Norm.L2,), seed=7)
     base.update(overrides)
     return ExperimentConfig(**base)
 
@@ -134,11 +134,29 @@ def test_build_experiment_scenarios_jitter_and_demand():
     assert len(history) == cfg.scenario_count
     for sc in history:
         ratio = sc.capacity / net.base_capacity
-        assert np.all(ratio >= cfg.jitter_low - 1e-12)
-        assert np.all(ratio <= cfg.jitter_high + 1e-12)
+        assert np.all(ratio >= bench.JITTER_RANGE[0] - 1e-12)
+        assert np.all(ratio <= bench.JITTER_RANGE[1] + 1e-12)
         assert len(sc.demand) >= 1
         assert set(sc.demand.triples) <= set(base_demand.triples)
         assert sc.values  # every scenario carries realized metrics
+
+
+def test_default_experiment_draws_are_pinned():
+    # the random draws of build_experiment(ExperimentConfig()), recorded once:
+    # a change to the generator settings or the draw order shows up here
+    path = Path(__file__).resolve().parent / "data" / "default_experiment_draws.json"
+    want = json.loads(path.read_text())
+    net, _, history = build_experiment(ExperimentConfig())
+    assert net.edges == tuple(tuple(e) for e in want["edges"])
+    for name in ("base_capacity", "price_pre", "price_in"):
+        np.testing.assert_allclose(getattr(net, name), want[name], rtol=1e-12, atol=0)
+    assert len(history) == len(want["scenarios"])
+    for sc, pinned in zip(history, want["scenarios"]):
+        np.testing.assert_allclose(sc.capacity, pinned["capacity"], rtol=1e-12, atol=0)
+        assert [(s, t) for s, t, _ in sc.demand.triples] == \
+            [(s, t) for s, t, _ in pinned["demand"]]
+        np.testing.assert_allclose([a for _, _, a in sc.demand.triples],
+                                   [a for _, _, a in pinned["demand"]], rtol=1e-12, atol=0)
 
 
 def test_reference_budget_matches_manual_mean():
@@ -154,8 +172,6 @@ def test_config_validation_rejects_bad_values():
         tiny_config(budget_multipliers=(1.0, 0.5))
     with pytest.raises(ValueError):
         tiny_config(budget_multipliers=())
-    with pytest.raises(ValueError):
-        tiny_config(sparsify_probability=-0.1)
     with pytest.raises(ValueError):
         tiny_config(scenario_count=0)
     with pytest.raises(ValueError):

@@ -139,6 +139,23 @@ def test_missing_instance_file_exits_with_error(tmp_path, capsys):
 
 
 def test_malformed_instance_exits_with_error(tmp_path, capsys):
-    inst = write_instance(tmp_path / "bad.json", {"metrics": []})
-    assert main(["solve", inst]) == 2
-    assert "error:" in capsys.readouterr().err
+    def broken(edit):
+        payload = two_anchor_instance(gamma=0.7, point=[0.3])
+        edit(payload)
+        return payload
+
+    cases = [
+        ({"metrics": []}, "no metrics"),
+        (broken(lambda p: p["metrics"][0].update(sense="minimise")), "unknown sense"),
+        (broken(lambda p: p["metrics"][0].pop("x_ref")), "'x_ref'"),
+        (broken(lambda p: p["metrics"][1]["models"][0].pop("bound")), "'bound'"),
+        (broken(lambda p: p["region"].update(halfspaces=[{"a": [1.0]}])), "'b'"),
+        ([two_anchor_instance()], "JSON object"),
+    ]
+    for payload, reason in cases:
+        inst = write_instance(tmp_path / "bad.json", payload)
+        # exit 2, not a traceback, and not verify's 1 for a violated metric
+        for command in ("solve", "verify"):
+            assert main([command, inst]) == 2, (command, reason)
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and reason in err, (command, err)

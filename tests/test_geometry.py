@@ -12,6 +12,7 @@ from caolf.geometry import (
     Mono,
     Norm,
     RefGeometry,
+    STALL_FROZEN,
     Sense,
     clip,
     dual_norm_value,
@@ -226,11 +227,18 @@ def test_dykstra_disjoint_balls_reports_gap():
 def test_extrapolated_projections_disjoint_balls_stall_at_the_gap():
     sets = [BallSet([0.0, 0.0], 0.9), BallSet([2.0, 0.0], 0.9)]
     # unlike dykstra, the start's own residual counts as a candidate, so start
-    # where it exceeds the gap (the midpoint (1, 0) would report 0.1)
+    # where it exceeds the gap
     run = extrapolated_projections(sets, [3.0, 1.0], tol=1e-7, max_iters=3000)
     assert not run.converged
     assert run.residual == pytest.approx(0.2, abs=1e-3)
     assert run.iterations < 300
+    # from the midpoint no cycle beats the start's residual of 0.1, half the
+    # gap: the run stalls on the frozen rule and reports the start
+    run = extrapolated_projections(sets, [1.0, 0.0], tol=1e-7, max_iters=3000)
+    assert not run.converged
+    np.testing.assert_array_equal(run.x, [1.0, 0.0])
+    assert run.residual == pytest.approx(0.1, rel=1e-12)
+    assert run.iterations == STALL_FROZEN + 1
 
 
 def test_dykstra_tangent_balls_meet_at_the_touch_point():

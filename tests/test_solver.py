@@ -163,8 +163,7 @@ def test_projection_probes_monotone_in_gamma():
                                    factor * base * r.value / r.lipschitz_model(Norm.L2).bound)
                     for r in refs] + region.sets()
             for loop in (dykstra, extrapolated_projections):
-                probe = loop(sets, start, tol=cfg.feasibility_tolerance,
-                             max_iters=cfg.max_projection_iters)
+                probe = loop(sets, start, tol=cfg.feasibility_tolerance)
                 assert probe.converged, (loop.__name__, factor)
 
 
@@ -173,7 +172,7 @@ def test_verify_competitiveness_envelope():
     region = FeasibleSet.unconstrained(1)
     sol = solve_caolf(refs, region, SolveConfig())
     metrics = piecewise_evaluators(refs)
-    slacks, ok = verify_competitiveness(sol.x, sol.gamma, metrics, rel_tolerance=1e-9)
+    slacks, ok = verify_competitiveness(sol.x, sol.gamma, metrics)
     assert ok
     assert np.all(slacks <= sol.gamma + 1e-9)
     # shrinking gamma below the achieved slack must flip the verdict
