@@ -28,7 +28,7 @@ from .network import (
     evaluate_scenario,
     ref_evaluator,
 )
-from .solver import SolveConfig, SolveError, solve_caolf, verify_competitiveness
+from .solver import SolveConfig, SolveError, solve_caolf
 
 CSV_HEADER = "budget_mult,norm,gamma,metric_id,ratio,wall_ms,iters"
 
@@ -40,7 +40,6 @@ JITTER_RANGE = (0.8, 1.2)       # per-edge factor on a scenario's capacity
 PRICE_SCALE = 10.0              # capacity price at unit routing cost
 SPARSIFY_PROBABILITY = 0.4      # chance a scenario drops a demand pair
 FLOW_PAIR_FRACTION = 0.05       # share of the largest pairs given a throughput metric
-VERIFY_SLACK = 1e-6             # gamma slack when `verify_sweep_cell` re-checks a cell
 
 
 @dataclass
@@ -207,15 +206,6 @@ def reference_budget(net: NetworkInstance, history: ScenarioHistory) -> float:
     return float(np.mean([float(net.price_pre @ sc.capacity) for sc in history]))
 
 
-def _sweep_cell(cfg: ExperimentConfig, net: NetworkInstance, history: ScenarioHistory,
-                budget: float, mult: float, norm: Norm):
-    """The decision region, metric references and solver settings of one sweep cell."""
-    region = FeasibleSet.nonnegative(net.edge_count, [(net.price_pre.copy(), mult * budget)])
-    refs = build_metric_refs(net, history, norm)
-    solve_cfg = SolveConfig(norm=norm, gamma_tolerance=cfg.gamma_tolerance)
-    return region, refs, solve_cfg
-
-
 def run_sweep(cfg: ExperimentConfig | None = None) -> list[SweepRow]:
     """Solve every (budget multiplier, norm) cell and report per-metric rows.
 
@@ -228,7 +218,10 @@ def run_sweep(cfg: ExperimentConfig | None = None) -> list[SweepRow]:
     rows: list[SweepRow] = []
     for mult in cfg.budget_multipliers:
         for norm in cfg.norms:
-            region, refs, solve_cfg = _sweep_cell(cfg, net, history, budget, mult, norm)
+            region = FeasibleSet.nonnegative(net.edge_count,
+                                             [(net.price_pre.copy(), mult * budget)])
+            refs = build_metric_refs(net, history, norm)
+            solve_cfg = SolveConfig(norm=norm, gamma_tolerance=cfg.gamma_tolerance)
             started = time.perf_counter()
             try:
                 sol = solve_caolf(refs, region, solve_cfg)
@@ -245,17 +238,6 @@ def run_sweep(cfg: ExperimentConfig | None = None) -> list[SweepRow]:
                                      realized / ref.value, wall,
                                      sol.diagnostics.iterations))
     return rows
-
-
-def verify_sweep_cell(cfg: ExperimentConfig, mult: float, norm: Norm) -> bool:
-    """Re-solve one cell and check the realized metrics against its gamma."""
-    net, _, history = build_experiment(cfg)
-    budget = reference_budget(net, history)
-    region, refs, solve_cfg = _sweep_cell(cfg, net, history, budget, mult, norm)
-    sol = solve_caolf(refs, region, solve_cfg)
-    metrics = [(ref_evaluator(net, history, r.id), r.value, r.sense) for r in refs]
-    _, ok = verify_competitiveness(sol.x, sol.gamma + VERIFY_SLACK, metrics)
-    return ok
 
 
 def format_row(row: SweepRow, include_timing: bool = True) -> str:

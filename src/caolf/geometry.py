@@ -1,10 +1,12 @@
-"""Norms, the monotonicity-aware clip operator, and projection primitives.
+"""Norms, the monotonicity-aware clip operator, and projectable sets.
 
 Every metric carries a reference point together with per-coordinate
 monotonicity tags.  The clip operator turns the displacement from that
 reference into a vector of *harmful* movement only: movement in a direction
 that cannot increase a minimized metric (or decrease a maximized one) is
 zeroed out.  Norms of clipped displacements are what the solvers bound.
+The points with zero clip form a box, the reference's safe region, and the
+harmful movement is the displacement out of that box.
 """
 
 from __future__ import annotations
@@ -100,6 +102,9 @@ class RefGeometry:
     sense: Sense = Sense.MINIMIZE
     # monotonicity after folding in the optimization sense
     eff_mono: np.ndarray = field(init=False, repr=False)
+    # the safe region: the box [lo, hi] on which the clipped displacement is 0
+    lo: np.ndarray = field(init=False, repr=False)
+    hi: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "x_ref", np.asarray(self.x_ref, dtype=float))
@@ -110,15 +115,18 @@ class RefGeometry:
             raise ValueError("reference point must be finite")
         eff = (-self.mono).astype(np.int8) if self.sense == Sense.MAXIMIZE else self.mono
         object.__setattr__(self, "eff_mono", eff)
+        object.__setattr__(self, "lo", np.where(eff > 0, -np.inf, self.x_ref))
+        object.__setattr__(self, "hi", np.where(eff < 0, np.inf, self.x_ref))
 
     @property
     def dim(self) -> int:
         return self.x_ref.size
 
 
-def _harm(d: np.ndarray, eff: np.ndarray) -> np.ndarray:
-    """Clip displacements ``d`` elementwise under effective monotonicity ``eff``."""
-    return np.where(eff > 0, np.maximum(d, 0.0), np.where(eff < 0, np.maximum(-d, 0.0), d))
+def _harm(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, eff: np.ndarray) -> np.ndarray:
+    """Per-coordinate distance of ``x`` out of the safe box [lo, hi], signed by ``eff``."""
+    p = np.minimum(np.maximum(x, lo), hi)
+    return np.where(eff < 0, p - x, x - p)
 
 
 def clip(x, geom: RefGeometry) -> np.ndarray:
@@ -131,57 +139,7 @@ def clip(x, geom: RefGeometry) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != geom.x_ref.shape:
         raise ValueError(f"point has shape {x.shape}, reference has {geom.x_ref.shape}")
-    return _harm(x - geom.x_ref, geom.eff_mono)
-
-
-def safe_region_bounds(geom: RefGeometry) -> tuple[np.ndarray, np.ndarray]:
-    """Per-coordinate interval [lo, hi] on which the clipped displacement is 0."""
-    eff = geom.eff_mono
-    lo = np.where(eff > 0, -np.inf, geom.x_ref)
-    hi = np.where(eff < 0, np.inf, geom.x_ref)
-    return lo, hi
-
-
-def project_safe_region(x, geom: RefGeometry) -> np.ndarray:
-    """Nearest point (any p-norm: the clamp is per coordinate) with zero clip."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != geom.x_ref.shape:
-        raise ValueError(f"point has shape {x.shape}, reference has {geom.x_ref.shape}")
-    lo, hi = safe_region_bounds(geom)
-    return np.minimum(np.maximum(x, lo), hi)
-
-
-def project_clipped_ball(x, geom: RefGeometry, radius: float) -> np.ndarray:
-    """Project ``x`` onto {y : ||clip(y, geom)||_2 <= radius}.
-
-    The set is the safe region fattened by ``radius``, so the projection moves
-    straight toward the nearest safe point until the clipped norm equals the
-    radius.  Only the Euclidean case exists; L1/LINF instances go through the
-    LP path.
-    """
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    g = clip(x, geom)
-    gn = norm_value(g, Norm.L2)
-    if gn <= radius:
-        return x.copy()
-    p = project_safe_region(x, geom)
-    # ||x - p||_2 == gn coordinate by coordinate, and gn > radius >= 0 here.
-    return p + (radius / gn) * (x - p)
-
-
-def project_halfspace(x, a, b: float) -> np.ndarray:
-    """Project ``x`` onto {y : a.y <= b}."""
-    x = np.asarray(x, dtype=float)
-    a = np.asarray(a, dtype=float)
-    nrm2 = float(np.dot(a, a))
-    if nrm2 <= 0.0:
-        raise ValueError("halfspace normal must be nonzero")
-    excess = float(np.dot(a, x)) - b
-    if excess <= 0.0:
-        return x.copy()
-    return x - (excess / nrm2) * a
+    return _harm(x, geom.lo, geom.hi, geom.eff_mono)
 
 
 def quadratic_cap_ball(x_ref, grad, lip: float, rhs: float) -> tuple[np.ndarray, float]:
@@ -199,22 +157,6 @@ def quadratic_cap_ball(x_ref, grad, lip: float, rhs: float) -> tuple[np.ndarray,
     if rad_sq < 0:
         raise ValueError("quadratic cap is empty: right-hand side below the minimum")
     return center, float(np.sqrt(rad_sq))
-
-
-def project_quadratic_cap(x, x_ref, grad, lip: float, rhs: float) -> np.ndarray:
-    """Project ``x`` onto {y : lip*||y-x_ref||^2 + grad.(y-x_ref) <= rhs}."""
-    center, radius = quadratic_cap_ball(x_ref, grad, lip, rhs)
-    return _project_ball(np.asarray(x, dtype=float), center, radius)
-
-
-def _project_ball(x: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
-    d = x - center
-    dn = norm_value(d, Norm.L2)
-    if dn <= radius:
-        return x.copy()
-    if dn == 0.0:
-        return center.copy()
-    return center + (radius / dn) * d
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +186,10 @@ class HalfspaceSet:
             raise ValueError("halfspace normal must be nonzero")
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        return project_halfspace(x, self.a, self.b)
+        excess = float(np.dot(self.a, x)) - self.b
+        if excess <= 0.0:
+            return x.copy()
+        return x - (excess / float(np.dot(self.a, self.a))) * self.a
 
     def violation(self, x: np.ndarray) -> float:
         excess = float(np.dot(self.a, x)) - self.b
@@ -252,7 +197,13 @@ class HalfspaceSet:
 
 
 class ClippedBallSet:
-    """{x : ||clip(x, geom)||_2 <= radius}."""
+    """{x : ||clip(x, geom)||_2 <= radius}; radius 0 gives the safe region.
+
+    The set is the safe box fattened by ``radius``, so the projection moves
+    straight toward the nearest safe point (the clamp into the box, nearest
+    in every p-norm) until the clipped norm equals the radius.  Only the
+    Euclidean case exists; L1/LINF instances go through the LP path.
+    """
 
     def __init__(self, geom: RefGeometry, radius: float):
         if radius < 0:
@@ -261,10 +212,16 @@ class ClippedBallSet:
         self.radius = float(radius)
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        return project_clipped_ball(x, self.geom, self.radius)
+        p = np.minimum(np.maximum(x, self.geom.lo), self.geom.hi)
+        d = x - p
+        gn = norm_value(d, Norm.L2)
+        if gn <= self.radius:
+            return x.copy()
+        return p + (self.radius / gn) * d
 
     def violation(self, x: np.ndarray) -> float:
-        return max(0.0, norm_value(clip(x, self.geom), Norm.L2) - self.radius)
+        d = x - np.minimum(np.maximum(x, self.geom.lo), self.geom.hi)
+        return max(0.0, norm_value(d, Norm.L2) - self.radius)
 
 
 class ClippedNormSurrogate:
@@ -289,6 +246,8 @@ class ClippedNormSurrogate:
         self.geoms = tuple(r.geometry(m) for r, m in zip(refs, models))
         self.x_ref = np.array([g.x_ref for g in self.geoms])        # (m, d)
         self.eff_mono = np.array([g.eff_mono for g in self.geoms])  # (m, d)
+        self.lo = np.array([g.lo for g in self.geoms])              # (m, d)
+        self.hi = np.array([g.hi for g in self.geoms])              # (m, d)
         self.rate = np.array([m.bound / r.value for r, m in zip(refs, models)])
 
     def needed(self, x) -> np.ndarray:
@@ -296,7 +255,7 @@ class ClippedNormSurrogate:
         x = np.asarray(x, dtype=float)
         if x.shape != self.x_ref.shape[1:]:
             raise ValueError(f"point has shape {x.shape}, references have {self.x_ref.shape[1:]}")
-        harm = _harm(x - self.x_ref, self.eff_mono)
+        harm = _harm(x, self.lo, self.hi, self.eff_mono)
         # norm_value row by row: vectorised row norms differ in the last bit
         return self.rate * np.array([norm_value(h, self.norm) for h in harm])
 
@@ -311,8 +270,8 @@ class ClippedNormSurrogate:
         from `certify` in the last bit.
         """
         worst = np.zeros(len(pts))
-        for ref, eff, rate in zip(self.x_ref, self.eff_mono, self.rate):
-            harm = _harm(pts - ref, eff)
+        for lo, hi, eff, rate in zip(self.lo, self.hi, self.eff_mono, self.rate):
+            harm = _harm(pts, lo, hi, eff)
             if self.norm == Norm.L1:
                 g = np.sum(np.abs(harm), axis=1)
             elif self.norm == Norm.L2:
@@ -339,7 +298,11 @@ class BallSet:
         self.radius = float(radius)
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        return _project_ball(x, self.center, self.radius)
+        d = x - self.center
+        dn = norm_value(d, Norm.L2)
+        if dn <= self.radius:
+            return x.copy()
+        return self.center + (self.radius / dn) * d
 
     def violation(self, x: np.ndarray) -> float:
         return max(0.0, norm_value(x - self.center, Norm.L2) - self.radius)

@@ -27,11 +27,10 @@ from caolf.bench import (
     save_network,
     select_flow_pairs,
     sparsify,
-    verify_sweep_cell,
 )
 from caolf.geometry import Norm
 from caolf.model import FeasibleSet, LipschitzNorm, MetricRef
-from caolf.network import DemandMatrix, NetworkInstance
+from caolf.network import METRIC_ROUTING, DemandMatrix, NetworkInstance
 
 
 def tiny_config(**overrides):
@@ -203,9 +202,18 @@ def test_run_sweep_gamma_shrinks_with_budget():
     assert gammas[1] <= gammas[0] + 1e-5
 
 
-def test_verify_sweep_cell_accepts_solved_cell():
-    cfg = tiny_config()
-    assert verify_sweep_cell(cfg, cfg.budget_multipliers[-1], Norm.L2)
+def test_run_sweep_rows_meet_their_envelope():
+    # every cell solves, and each realized metric keeps to its cell's gamma:
+    # routing cost at most (1 + gamma) times the recorded value, the maximized
+    # metrics at least (1 - gamma) times theirs
+    rows = run_sweep(tiny_config())
+    assert rows
+    for r in rows:
+        assert not math.isnan(r.gamma), r
+        if r.metric_id.startswith(METRIC_ROUTING):
+            assert r.ratio <= 1.0 + r.gamma + 1e-6, r
+        else:
+            assert r.ratio >= 1.0 - r.gamma - 1e-6, r
 
 
 # ---------------------------------------------------------------------------

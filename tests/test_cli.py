@@ -144,18 +144,28 @@ def test_malformed_instance_exits_with_error(tmp_path, capsys):
         edit(payload)
         return payload
 
+    every = ("solve", "verify", "oracle")
     cases = [
-        ({"metrics": []}, "no metrics"),
-        (broken(lambda p: p["metrics"][0].update(sense="minimise")), "unknown sense"),
-        (broken(lambda p: p["metrics"][0].pop("x_ref")), "'x_ref'"),
-        (broken(lambda p: p["metrics"][1]["models"][0].pop("bound")), "'bound'"),
-        (broken(lambda p: p["region"].update(halfspaces=[{"a": [1.0]}])), "'b'"),
-        ([two_anchor_instance()], "JSON object"),
+        ({"metrics": []}, "no metrics", every),
+        (broken(lambda p: p["metrics"][0].update(sense="minimise")), "unknown sense", every),
+        (broken(lambda p: p["metrics"][0].pop("x_ref")), "'x_ref'", every),
+        (broken(lambda p: p["metrics"][1]["models"][0].pop("bound")), "'bound'", every),
+        (broken(lambda p: p["region"].update(halfspaces=[{"a": [1.0]}])), "'b'", every),
+        ([two_anchor_instance()], "JSON object", every),
+        # entries of the wrong type: the message is numpy's or Python's own
+        (broken(lambda p: p["metrics"][0].update(value=[1.0])), "", every),
+        (broken(lambda p: p["metrics"][0].update(models=3)), "", every),
+        (broken(lambda p: p["region"].update(lower=3)), "", every),
+        (broken(lambda p: p["region"].update(halfspaces=3)), "", every),
+        (broken(lambda p: p["metrics"][1]["models"][0].update(bound=None)), "", every),
+        (broken(lambda p: p.update(point={"a": 1})), "", ("verify",)),
+        (broken(lambda p: p.update(gamma=[1])), "", ("verify",)),
+        (broken(lambda p: p.update(box=3)), "", ("oracle",)),
     ]
-    for payload, reason in cases:
+    for payload, reason, commands in cases:
         inst = write_instance(tmp_path / "bad.json", payload)
         # exit 2, not a traceback, and not verify's 1 for a violated metric
-        for command in ("solve", "verify"):
-            assert main([command, inst]) == 2, (command, reason)
+        for command in commands:
+            assert main([command, inst]) == 2, (command, payload)
             err = capsys.readouterr().err
             assert err.startswith("error:") and reason in err, (command, err)

@@ -1,5 +1,7 @@
 """Units and property checks for norms, clipping, and projections."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -19,10 +21,6 @@ from caolf.geometry import (
     dykstra,
     extrapolated_projections,
     norm_value,
-    project_clipped_ball,
-    project_halfspace,
-    project_quadratic_cap,
-    project_safe_region,
     quadratic_cap_ball,
 )
 from caolf.model import LipschitzNorm, MetricRef
@@ -77,7 +75,7 @@ def test_clip_zero_iff_in_safe_region():
                            rng.integers(-1, 2, size=3),
                            Sense.MAXIMIZE if rng.random() < 0.5 else Sense.MINIMIZE)
         x = rng.normal(size=3) * 2
-        p = project_safe_region(x, geom)
+        p = ClippedBallSet(geom, 0.0).project(x)
         assert norm_value(clip(p, geom), Norm.LINF) <= 1e-15
         if norm_value(clip(x, geom), Norm.LINF) == 0.0:
             np.testing.assert_allclose(p, x)
@@ -89,8 +87,9 @@ def test_safe_region_projection_is_idempotent_and_nonexpansive():
         geom = RefGeometry(rng.normal(size=4), rng.integers(-1, 2, size=4))
         x = rng.normal(size=4) * 3
         y = rng.normal(size=4) * 3
-        px, py = project_safe_region(x, geom), project_safe_region(y, geom)
-        np.testing.assert_allclose(project_safe_region(px, geom), px)
+        safe = ClippedBallSet(geom, 0.0)
+        px, py = safe.project(x), safe.project(y)
+        np.testing.assert_allclose(safe.project(px), px)
         assert np.all(np.abs(px - py) <= np.abs(x - y) + 1e-15)
 
 
@@ -112,15 +111,16 @@ def test_clip_norm_is_distance_to_safe_region():
 def test_clipped_ball_projection_one_dim_frozen():
     # derived by hand: safe set {0}, radius 1, so -3 lands at -1
     geom = RefGeometry([0.0], [Mono.NON_MONOTONE])
-    np.testing.assert_allclose(project_clipped_ball([-3.0], geom, 1.0), [-1.0])
-    np.testing.assert_allclose(project_clipped_ball([0.5], geom, 1.0), [0.5])
+    ball = ClippedBallSet(geom, 1.0)
+    np.testing.assert_allclose(ball.project(np.array([-3.0])), [-1.0])
+    np.testing.assert_allclose(ball.project(np.array([0.5])), [0.5])
 
 
 def test_clipped_ball_projection_matches_grid_argmin():
     geom = RefGeometry([1.0, 2.0], [Mono.INCREASING, Mono.NON_MONOTONE])
     x = np.array([3.0, 5.0])
     r = 1.0
-    out = project_clipped_ball(x, geom, r)
+    out = ClippedBallSet(geom, r).project(x)
     # frozen closed form: safe point (1, 2), distance sqrt(13)
     expect = np.array([1.0, 2.0]) + (r / np.sqrt(13.0)) * np.array([2.0, 3.0])
     np.testing.assert_allclose(out, expect, atol=1e-12)
@@ -142,19 +142,18 @@ def test_clipped_ball_output_feasible_and_fixed_points():
         geom = RefGeometry(rng.normal(size=3), rng.integers(-1, 2, size=3))
         r = float(rng.uniform(0, 2))
         x = rng.normal(size=3) * 4
-        out = project_clipped_ball(x, geom, r)
+        out = ClippedBallSet(geom, r).project(x)
         assert norm_value(clip(out, geom), Norm.L2) <= r + 1e-9
         if norm_value(clip(x, geom), Norm.L2) <= r:
             np.testing.assert_allclose(out, x)
 
 
 def test_halfspace_projection():
-    out = project_halfspace([2.0, 2.0], [1.0, 0.0], 1.0)
-    np.testing.assert_allclose(out, [1.0, 2.0])
-    inside = project_halfspace([0.0, 0.0], [1.0, 0.0], 1.0)
-    np.testing.assert_allclose(inside, [0.0, 0.0])
+    half = HalfspaceSet([1.0, 0.0], 1.0)
+    np.testing.assert_allclose(half.project(np.array([2.0, 2.0])), [1.0, 2.0])
+    np.testing.assert_allclose(half.project(np.array([0.0, 0.0])), [0.0, 0.0])
     with pytest.raises(ValueError):
-        project_halfspace([1.0], [0.0], 1.0)
+        HalfspaceSet([0.0], 1.0)
 
 
 def test_quadratic_cap_ball_reduction():
@@ -176,7 +175,7 @@ def test_quadratic_cap_projection_satisfies_inequality():
         lhs_min = -float(grad @ grad) / (4 * lip)
         rhs = float(lhs_min + rng.uniform(0.01, 4.0))
         x = rng.normal(size=2) * 3
-        out = project_quadratic_cap(x, ref, grad, lip, rhs)
+        out = BallSet(*quadratic_cap_ball(ref, grad, lip, rhs)).project(x)
         val = lip * float((out - ref) @ (out - ref)) + float(grad @ (out - ref))
         assert val <= rhs + 1e-9
         if lip * float((x - ref) @ (x - ref)) + float(grad @ (x - ref)) <= rhs:
@@ -213,6 +212,44 @@ def test_violation_is_euclidean_distance():
             x = rng.normal(size=2) * 4
             assert s.violation(x) == pytest.approx(
                 norm_value(x - s.project(x), Norm.L2), abs=1e-9)
+
+
+def test_projections_match_the_written_out_formulas_bit_for_bit():
+    # the clip as a nested where on x - x_ref, the clipped-ball projection as a
+    # move toward the clamp into the safe box, and the halfspace and ball
+    # projections in closed form, over every monotonicity pattern in 3-D, both
+    # senses, coordinates tied at x_ref and radius 0
+    rng = np.random.default_rng(67)
+    for mono, sense in itertools.product(itertools.product((-1, 0, 1), repeat=3), Sense):
+        geom = RefGeometry(rng.uniform(-2.0, 2.0, 3), list(mono), sense)
+        eff = geom.eff_mono
+        lo = np.where(eff > 0, -np.inf, geom.x_ref)
+        hi = np.where(eff < 0, np.inf, geom.x_ref)
+        for k in range(40):
+            x = rng.uniform(-3.0, 3.0, 3)
+            tied = rng.random(3) < 0.3
+            x[tied] = geom.x_ref[tied]
+            r = 0.0 if k % 4 == 0 else float(rng.uniform(0.0, 2.0))
+            d = x - geom.x_ref
+            harm = np.where(eff > 0, np.maximum(d, 0.0),
+                            np.where(eff < 0, np.maximum(-d, 0.0), d))
+            assert clip(x, geom).tobytes() == harm.tobytes()
+            gn = norm_value(harm, Norm.L2)
+            p = np.minimum(np.maximum(x, lo), hi)
+            want = x.copy() if gn <= r else p + (r / gn) * (x - p)
+            ball = ClippedBallSet(geom, r)
+            assert ball.project(x).tobytes() == want.tobytes()
+            assert ball.violation(x) == max(0.0, gn - r)
+
+            a, b = rng.normal(size=3), float(rng.normal())
+            excess = float(np.dot(a, x)) - b
+            want = x.copy() if excess <= 0.0 else x - (excess / float(np.dot(a, a))) * a
+            assert HalfspaceSet(a, b).project(x).tobytes() == want.tobytes()
+
+            center = rng.normal(size=3)
+            dn = norm_value(x - center, Norm.L2)
+            want = x.copy() if dn <= r else center + (r / dn) * (x - center)
+            assert BallSet(center, r).project(x).tobytes() == want.tobytes()
 
 
 def test_dykstra_disjoint_balls_reports_gap():
