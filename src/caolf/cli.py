@@ -133,6 +133,9 @@ def _cmd_verify(args) -> int:
     payload, metrics, region = load_instance(args.instance)
     x = np.asarray(payload["point"], dtype=float)
     gamma = float(payload["gamma"])
+    # a NaN would read as a violated metric (exit 1) rather than as bad input
+    if not (np.all(np.isfinite(x)) and np.isfinite(gamma)):
+        raise ValueError("'point' and 'gamma' must be finite")
     surrogate = ClippedNormSurrogate(metrics, Norm(args.norm))
     report = [{"id": ref_id, "needed_gamma": float(needed), "ok": bool(needed <= gamma + args.tol)}
               for ref_id, needed in zip(surrogate.ids, surrogate.needed(x))]

@@ -11,6 +11,7 @@ harmful movement is the displacement out of that box.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from typing import Sequence
@@ -249,6 +250,29 @@ class ClippedNormSurrogate:
         self.lo = np.array([g.lo for g in self.geoms])              # (m, d)
         self.hi = np.array([g.hi for g in self.geoms])              # (m, d)
         self.rate = np.array([m.bound / r.value for r, m in zip(refs, models)])
+
+    def merged(self) -> "ClippedNormSurrogate":
+        """The same surrogate with one reference per distinct geometry.
+
+        References with equal ``x_ref`` and ``eff_mono`` have the same clipped
+        displacement at every x, so of each such group only the largest rate
+        can bind; it is kept (the first on a tie), in the original order.
+        Rounding is monotone in the rate, so `certify` and `on_grid` of the
+        result equal the full surrogate's bit for bit.
+        """
+        best: dict[tuple[bytes, bytes], int] = {}
+        for i, key in enumerate(zip(map(np.ndarray.tobytes, self.x_ref),
+                                    map(np.ndarray.tobytes, self.eff_mono))):
+            j = best.setdefault(key, i)
+            if self.rate[i] > self.rate[j]:
+                best[key] = i
+        keep = sorted(best.values())
+        out = copy.copy(self)
+        out.ids = tuple(self.ids[i] for i in keep)
+        out.geoms = tuple(self.geoms[i] for i in keep)
+        for name in ("x_ref", "eff_mono", "lo", "hi", "rate"):
+            setattr(out, name, getattr(self, name)[keep])
+        return out
 
     def needed(self, x) -> np.ndarray:
         """Smallest tolerance each reference admits ``x`` at, shape (m,)."""

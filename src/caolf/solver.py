@@ -93,8 +93,10 @@ def solve_caolf(refs, region: FeasibleSet, config: SolveConfig | None = None) ->
 
     Each metric contributes the constraint that the clipped displacement from
     its reference, measured in the configured norm, stays within
-    gamma * value / bound.  The reported gamma is certified at the returned
-    point, so it never understates what the point achieves.
+    gamma * value / bound.  Metrics that share a reference point and effective
+    monotonicity are solved as one, at the largest rate of the group, which
+    certifies every one of them.  The reported gamma is certified at the
+    returned point, so it never understates what the point achieves.
     """
     config = config or SolveConfig()
     refs = list(refs)
@@ -102,7 +104,7 @@ def solve_caolf(refs, region: FeasibleSet, config: SolveConfig | None = None) ->
     for r in refs:
         if r.dim != dim:
             raise ValueError(f"metric {r.id!r} has dimension {r.dim}, region has {dim}")
-    surrogate = ClippedNormSurrogate(refs, config.norm)
+    surrogate = ClippedNormSurrogate(refs, config.norm).merged()
     if config.norm != Norm.L2:
         return _solve_caolf_lp(surrogate, region, config)
 

@@ -192,6 +192,26 @@ def test_run_sweep_rows_shape_and_determinism():
         [format_row(r, include_timing=False) for r in again]
 
 
+def test_three_norm_sweep_matches_its_recording():
+    # gamma and ratio of run_sweep in all three norms, recorded before the
+    # solver started merging references that share a geometry (each scenario
+    # here has 3 metrics at one reference point): the LP norms must not move,
+    # and an L2 gamma may only move within the bisection tolerance
+    path = Path(__file__).resolve().parent / "data" / "tiny_sweep_three_norms.json"
+    want = json.loads(path.read_text())["rows"]
+    cfg = tiny_config(norms=(Norm.L1, Norm.L2, Norm.LINF))
+    rows = run_sweep(cfg)
+    assert [(r.budget_mult, r.norm.value, r.metric_id) for r in rows] == \
+        [(w["budget_mult"], w["norm"], w["metric_id"]) for w in want]
+    for r, w in zip(rows, want):
+        if r.norm == Norm.L2:
+            assert r.gamma <= w["gamma"] + cfg.gamma_tolerance, (r, w)
+            continue
+        for name in ("gamma", "ratio"):
+            got, pinned = getattr(r, name), w[name]
+            assert abs(got - pinned) <= 1e-12 * max(1.0, abs(pinned)), (name, r, w)
+
+
 def test_run_sweep_gamma_shrinks_with_budget():
     cfg = tiny_config()
     rows = run_sweep(cfg)

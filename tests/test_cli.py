@@ -160,6 +160,10 @@ def test_malformed_instance_exits_with_error(tmp_path, capsys):
         (broken(lambda p: p["metrics"][1]["models"][0].update(bound=None)), "", every),
         (broken(lambda p: p.update(point={"a": 1})), "", ("verify",)),
         (broken(lambda p: p.update(gamma=[1])), "", ("verify",)),
+        (broken(lambda p: p.update(point=[float("nan")])), "finite", ("verify",)),
+        (broken(lambda p: p.update(point=[float("inf")])), "finite", ("verify",)),
+        (broken(lambda p: p.update(gamma=float("nan"))), "finite", ("verify",)),
+        (broken(lambda p: p.update(gamma=float("inf"))), "finite", ("verify",)),
         (broken(lambda p: p.update(box=3)), "", ("oracle",)),
     ]
     for payload, reason, commands in cases:

@@ -353,3 +353,83 @@ def test_surrogate_ball_radius_and_norm_guard():
         ClippedNormSurrogate([ref], Norm.L2).needed([1.0])
     with pytest.raises(ValueError):
         ClippedNormSurrogate([], Norm.L2)
+
+
+def _grouped_refs(rng, norm, dim=5, groups=4, per_group=4):
+    """References in groups that share x_ref and effective monotonicity.
+
+    Odd members reach the group's effective monotonicity through the opposite
+    sense and the flipped signature.  Every group has a rate tie between
+    members 1 and 3, which is the largest rate in the even groups.
+    """
+    refs = []
+    for g in range(groups):
+        x_ref = rng.uniform(-2.0, 2.0, dim)
+        eff = rng.integers(-1, 2, dim)
+        bounds = rng.uniform(0.5, 2.0, per_group)
+        if g % 2 == 0:
+            bounds[1] = bounds.max()
+        bounds[3] = bounds[1]
+        for k in range(per_group):
+            flip = k % 2 == 1
+            refs.append(MetricRef(id=f"g{g}m{k}", x_ref=x_ref.copy(), value=1.5,
+                                  sense=Sense.MAXIMIZE if flip else Sense.MINIMIZE,
+                                  models=(LipschitzNorm(float(bounds[k]), norm,
+                                                        -eff if flip else eff),)))
+    order = rng.permutation(len(refs))
+    return [refs[i] for i in order]
+
+
+def test_merged_surrogate_certifies_bit_for_bit():
+    rng = np.random.default_rng(67)
+    for norm in Norm:
+        for _ in range(5):
+            refs = _grouped_refs(rng, norm)
+            full = ClippedNormSurrogate(refs, norm)
+            merged = full.merged()
+            assert len(merged.ids) == 4
+            pts = rng.uniform(-3.0, 3.0, (200, 5))
+            for x in pts:
+                assert merged.certify(x).hex() == full.certify(x).hex()
+            assert [v.hex() for v in merged.on_grid(pts)] == \
+                [v.hex() for v in full.on_grid(pts)]
+
+
+def test_merged_keeps_the_largest_rate_first_on_ties_in_order():
+    rng = np.random.default_rng(71)
+    for norm in Norm:
+        refs = _grouped_refs(rng, norm)
+        full = ClippedNormSurrogate(refs, norm)
+        keep = {}
+        for i, r in enumerate(refs):
+            group = r.id.split("m")[0]
+            if group not in keep or full.rate[i] > full.rate[keep[group]]:
+                keep[group] = i
+        want = sorted(keep.values())
+        merged = full.merged()
+        assert merged.ids == tuple(full.ids[i] for i in want)
+        np.testing.assert_array_equal(merged.rate, full.rate[want])
+        np.testing.assert_array_equal(merged.x_ref, full.x_ref[want])
+        assert merged.geoms == tuple(full.geoms[i] for i in want)
+    # an exact tie keeps the first of the two
+    tied = [MetricRef(id=name, x_ref=[1.0, 2.0], value=2.0,
+                      models=(LipschitzNorm(3.0, Norm.L2, [1, -1]),)) for name in "ab"]
+    assert ClippedNormSurrogate(tied, Norm.L2).merged().ids == ("a",)
+
+
+def test_merged_without_duplicates_is_unchanged():
+    rng = np.random.default_rng(73)
+    for norm in Norm:
+        monos = rng.integers(-1, 2, (6, 4))
+        monos[0, 0] = 1
+        refs = [MetricRef(id=f"m{i}", x_ref=rng.uniform(-2.0, 2.0, 4), value=1.0,
+                          models=(LipschitzNorm(1.0, norm, mono),))
+                for i, mono in enumerate(monos)]
+        # same point, other effective monotonicity: not a duplicate either
+        refs.append(MetricRef(id="twin", x_ref=refs[0].x_ref, value=1.0, sense=Sense.MAXIMIZE,
+                              models=(LipschitzNorm(1.0, norm, monos[0]),)))
+        full = ClippedNormSurrogate(refs, norm)
+        merged = full.merged()
+        assert merged.ids == full.ids
+        for name in ("x_ref", "eff_mono", "lo", "hi", "rate"):
+            np.testing.assert_array_equal(getattr(merged, name), getattr(full, name))
