@@ -193,10 +193,10 @@ def test_run_sweep_rows_shape_and_determinism():
 
 
 def test_three_norm_sweep_matches_its_recording():
-    # gamma and ratio of run_sweep in all three norms, recorded before the
-    # solver started merging references that share a geometry (each scenario
-    # here has 3 metrics at one reference point): the LP norms must not move,
-    # and an L2 gamma may only move within the bisection tolerance
+    # gamma and ratio of run_sweep in all three norms, recorded from a solver
+    # with one constraint per metric; each scenario here has 3 metrics at one
+    # reference point, which the solver merges into one constraint.  The LP
+    # norms must not move; an L2 gamma may only move within the tolerance.
     path = Path(__file__).resolve().parent / "data" / "tiny_sweep_three_norms.json"
     want = json.loads(path.read_text())["rows"]
     cfg = tiny_config(norms=(Norm.L1, Norm.L2, Norm.LINF))

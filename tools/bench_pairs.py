@@ -52,9 +52,9 @@ def parse_args(argv):
     return args
 
 
-def git(*argv, **kwargs) -> str:
+def git(*argv) -> str:
     return subprocess.run(["git", *argv], cwd=ROOT, check=True, capture_output=True,
-                          text=True, **kwargs).stdout.strip()
+                          text=True).stdout.strip()
 
 
 def export_tree(ref: str, dest: Path) -> None:
