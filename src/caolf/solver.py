@@ -111,8 +111,8 @@ def solve_caolf(refs, region: FeasibleSet, config: SolveConfig | None = None) ->
     def build_sets(gamma):
         return [surrogate.ball(i, gamma) for i in range(len(surrogate.ids))]
 
-    return _bisect(build_sets, surrogate.certify, np.mean(surrogate.x_ref, axis=0), region,
-                   config, method="bisection-projection-l2")
+    return _bisect(build_sets, surrogate.certify, np.mean([r.x_ref for r in refs], axis=0),
+                   region, config, method="bisection-projection-l2")
 
 
 def _solve_caolf_lp(surrogate: ClippedNormSurrogate, region, config) -> CompetitiveSolution:

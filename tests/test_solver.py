@@ -97,6 +97,27 @@ def test_reported_gamma_is_certified_at_x():
         assert region.violation(sol.x) <= 1e-6
 
 
+def test_l2_search_starts_at_the_mean_of_every_reference(monkeypatch):
+    # three metrics share one reference and merge into one; the start is
+    # still the mean over all four references, not over the two kept
+    import caolf.solver as solver
+    starts = []
+    bisect = solver._bisect
+
+    def recording_bisect(build_sets, certify, start, *rest, **kw):
+        starts.append(np.array(start))
+        return bisect(build_sets, certify, start, *rest, **kw)
+
+    monkeypatch.setattr(solver, "_bisect", recording_bisect)
+    model = (LipschitzNorm(1.0, Norm.L2, [0, 0]),)
+    refs = [MetricRef(id=f"a{i}", x_ref=[0.0, 0.0], value=v, models=model)
+            for i, v in enumerate((1.0, 2.0, 4.0))]
+    refs.append(MetricRef(id="b", x_ref=[3.0, 3.0], value=1.0, models=model))
+    sol = solve_caolf(refs, FeasibleSet.unconstrained(2), SolveConfig())
+    np.testing.assert_array_equal(starts[0], np.mean([r.x_ref for r in refs], axis=0))
+    assert sol.gamma == pytest.approx(np.hypot(3.0, 3.0) / 2, abs=2e-6)
+
+
 def test_lp_and_projection_paths_agree_on_l2_symmetric_instances():
     # on 1-D instances the three norms coincide, so the LP paths must land
     # on the projection path's answer

@@ -8,8 +8,9 @@ directory (removed afterwards; set TMPDIR to choose where), so nothing is
 registered in the repository.  For each workload, N pairs of untraced runs of
 ``python3 perfbench/run.py --workload W --seed S --seconds T`` are made, one
 in the parent's tree and one in this checkout, one run at a time; the side
-that goes first alternates from pair to pair.  ``perfbench/`` is only run,
-never imported.
+that goes first alternates from pair to pair.  T is ``run_seconds`` from
+``BENCHMARK.json``, so every report compares with the benchmark's bounds.
+``perfbench/`` is only run, never imported.
 
 The output file holds every run's final JSON line and ``output_sha256``, and
 per workload and end-to-end metric the median and quartiles of each side and
@@ -40,7 +41,6 @@ def parse_args(argv):
     parser.add_argument("--pairs", action="append", required=True, metavar="WORKLOAD=N",
                         help="run N pairs of WORKLOAD; repeat for more workloads")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20.0)
     args = parser.parse_args(argv)
     plan = []
     for item in args.pairs:
@@ -111,7 +111,7 @@ def main(argv=None) -> int:
         "parent": parent_sha,
         "change": git("rev-parse", "HEAD") + (" with local edits" if git("status", "--porcelain")
                                               else ""),
-        "seed": args.seed, "seconds": args.seconds,
+        "seed": args.seed, "run_seconds": spec["run_seconds"],
         "host": {"nproc": os.cpu_count(), "python": platform.python_version(),
                  "machine": platform.machine()},
         "workloads": {},
@@ -126,7 +126,7 @@ def main(argv=None) -> int:
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 pair = {"first": order[0]}
                 for side in order:
-                    pair[side] = run_once(trees[side], workload, args.seed, args.seconds)
+                    pair[side] = run_once(trees[side], workload, args.seed, spec["run_seconds"])
                     wall = pair[side]["metrics"].get("wall_s", {}).get("value")
                     print(f"{workload} pair {i + 1}/{count} {side}: wall_s {wall}", flush=True)
                 pairs.append(pair)
