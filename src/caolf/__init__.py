@@ -7,7 +7,7 @@ as small as the geometry allows.
 """
 
 from .geometry import Mono, Norm, RefGeometry, Sense, clip, dual_norm_value, norm_value
-from .lp import LpProblem, LpSolution, LpStatus, solve_lp
+from .lp import LpBasis, LpProblem, LpSolution, LpStatus, solve_lp
 from .model import (
     CompetitiveSolution,
     ConcaveLinear,
@@ -29,7 +29,7 @@ from .solver import (
 
 __all__ = [
     "Mono", "Norm", "RefGeometry", "Sense", "clip", "dual_norm_value", "norm_value",
-    "LpProblem", "LpSolution", "LpStatus", "solve_lp",
+    "LpBasis", "LpProblem", "LpSolution", "LpStatus", "solve_lp",
     "CompetitiveSolution", "ConcaveLinear", "ConvexQuadratic", "FeasibleSet",
     "LipschitzNorm", "MetricRef",
     "SolveConfig", "SolveError", "grid_oracle_caolf", "grid_oracle_swcm",

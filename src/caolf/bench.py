@@ -22,10 +22,9 @@ from .network import (
     METRIC_THROUGHPUT,
     DemandMatrix,
     NetworkInstance,
-    Scenario,
     ScenarioHistory,
     build_metric_refs,
-    evaluate_scenario,
+    record_scenario,
     ref_evaluator,
 )
 from .solver import SolveConfig, SolveError, solve_caolf
@@ -193,9 +192,8 @@ def build_experiment(cfg: ExperimentConfig) -> tuple[NetworkInstance, DemandMatr
             else:
                 raise RuntimeError("could not draw a non-empty sparsified demand")
             capacity_i = base_capacity * rng.uniform(*JITTER_RANGE, n)
-        values = evaluate_scenario(net, capacity_i, demand_i, METRICS,
-                                   select_flow_pairs(demand_i))
-        scenarios.append(Scenario(capacity=capacity_i, demand=demand_i, values=values))
+        scenarios.append(record_scenario(net, capacity_i, demand_i, METRICS,
+                                         select_flow_pairs(demand_i)))
     return net, base_demand, ScenarioHistory(tuple(scenarios))
 
 
@@ -215,12 +213,15 @@ def run_sweep(cfg: ExperimentConfig | None = None) -> list[SweepRow]:
     cfg = cfg or ExperimentConfig()
     net, _, history = build_experiment(cfg)
     budget = reference_budget(net, history)
+    refs_by_norm = {norm: build_metric_refs(net, history, norm) for norm in cfg.norms}
+    evaluators = {ref.id: ref_evaluator(net, history, ref.id)
+                  for refs in refs_by_norm.values() for ref in refs}
     rows: list[SweepRow] = []
     for mult in cfg.budget_multipliers:
         for norm in cfg.norms:
             region = FeasibleSet.nonnegative(net.edge_count,
                                              [(net.price_pre.copy(), mult * budget)])
-            refs = build_metric_refs(net, history, norm)
+            refs = refs_by_norm[norm]
             solve_cfg = SolveConfig(norm=norm, gamma_tolerance=cfg.gamma_tolerance)
             started = time.perf_counter()
             try:
@@ -233,7 +234,7 @@ def run_sweep(cfg: ExperimentConfig | None = None) -> list[SweepRow]:
                 continue
             wall = (time.perf_counter() - started) * 1000.0
             for ref in refs:
-                realized = ref_evaluator(net, history, ref.id)(sol.x)
+                realized = evaluators[ref.id](sol.x)
                 rows.append(SweepRow(mult, norm, sol.gamma, ref.id,
                                      realized / ref.value, wall,
                                      sol.diagnostics.iterations))

@@ -6,17 +6,24 @@ in are desk-scale (hundreds to low thousands of variables).  Bland's rule is
 used for both the entering and the leaving choice, so the method cannot
 cycle; the tableau is refactorized from the original data every
 ``REFACTOR_EVERY`` pivots to keep drift bounded.
+
+A solve that changes only the right-hand side of an earlier one can start
+from that solve's optimal basis (`LpSolution.basis`): the basis stays dual
+feasible, so a dual simplex (Chvatal, *Linear Programming*, ch. 10) restores
+primal feasibility in a few pivots instead of a cold phase one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
 REFACTOR_EVERY = 50
 REDUCED_COST_TOL = 1e-9  # a column may enter once its reduced cost is below minus this
+PRIMAL_TOL = 1e-9  # a basic value below minus this times (1 + max |b|) must leave in the dual simplex
 
 
 class LpStatus(str, Enum):
@@ -43,12 +50,27 @@ class LpProblem:
     upper: np.ndarray | None = None
 
 
+@dataclass(frozen=True, eq=False)
+class LpBasis:
+    """The basis an optimal solve ended on; pass it back as ``solve_lp``'s start.
+
+    ``shape`` is the standard form's (rows, columns) without artificials,
+    ``rows`` the rows kept after phase one and ``cols`` the basic column of
+    each kept row.
+    """
+
+    shape: tuple[int, int]
+    rows: np.ndarray
+    cols: np.ndarray
+
+
 @dataclass(eq=False)
 class LpSolution:
     status: LpStatus
     x: np.ndarray | None
     value: float
     iterations: int
+    basis: LpBasis | None = None  # set when OPTIMAL
 
 
 def _as_matrix(a, b, n, label):
@@ -84,26 +106,58 @@ def _refactor(T, basis, A0, b0) -> bool:
     return True
 
 
-def _run_phase(T, basis, A0, b0, cost, max_iters, counter):
-    """Bland-rule simplex iterations on tableau ``T``; returns (status, counter)."""
-    ncols = T.shape[1] - 1
-    r = cost - cost[basis] @ T[:, :ncols]
+def _reduced_costs(cost, basis, T):
+    r = cost - cost[basis] @ T[:, :-1]
     r[basis] = 0.0
+    return r
+
+
+def _primal_pivot(T, r, basis):
+    """Bland's rule: the first improving column, the lowest basic index on ratio ties."""
+    negative = np.nonzero(r < -REDUCED_COST_TOL)[0]
+    if negative.size == 0:
+        return "optimal"
+    j = int(negative[0])
+    col = T[:, j]
+    rows = np.nonzero(col > 1e-9)[0]
+    if rows.size == 0:
+        return "unbounded"
+    ratios = np.maximum(T[rows, -1], 0.0) / col[rows]
+    rmin = float(ratios.min())
+    tied = rows[ratios <= rmin + 1e-9 * (1.0 + rmin)]
+    return int(tied[np.argmin(basis[tied])]), j
+
+
+def _dual_pivot(T, r, basis, tol):
+    """Dual Bland rule: the infeasible row with the lowest basic index leaves,
+    the lowest column index among the minimum ratios enters."""
+    if np.any(r < -REDUCED_COST_TOL):
+        return "not dual feasible"
+    short = np.nonzero(T[:, -1] < -tol)[0]
+    if short.size == 0:
+        return "feasible"
+    row = int(short[np.argmin(basis[short])])
+    cols = np.nonzero(T[row, :-1] < -1e-9)[0]
+    if cols.size == 0:
+        return "infeasible"
+    ratios = np.maximum(r[cols], 0.0) / -T[row, cols]
+    rmin = float(ratios.min())
+    return row, int(cols[np.argmax(ratios <= rmin + 1e-9 * (1.0 + rmin))])
+
+
+def _run_phase(T, basis, A0, b0, cost, max_iters, counter, choose=_primal_pivot):
+    """Simplex iterations on tableau ``T`` with the pivot rule ``choose``.
+
+    ``choose`` returns a (row, column) pivot or a final status; returns
+    (status, counter), "stalled" once ``max_iters`` pivots are counted.
+    """
+    r = _reduced_costs(cost, basis, T)
     since_refactor = 0
     while True:
-        negative = np.nonzero(r < -REDUCED_COST_TOL)[0]
-        if negative.size == 0:
-            return "optimal", counter
-        j = int(negative[0])
-        col = T[:, j]
-        rows = np.nonzero(col > 1e-9)[0]
-        if rows.size == 0:
-            return "unbounded", counter
-        ratios = np.maximum(T[rows, ncols], 0.0) / col[rows]
-        rmin = float(ratios.min())
-        tied = rows[ratios <= rmin + 1e-9 * (1.0 + rmin)]
-        row = int(tied[np.argmin(basis[tied])])
-        _pivot(T, r, basis, row, j)
+        step = choose(T, r, basis)
+        if isinstance(step, str):
+            return step, counter
+        _pivot(T, r, basis, *step)
         counter += 1
         since_refactor += 1
         if counter >= max_iters:
@@ -111,19 +165,51 @@ def _run_phase(T, basis, A0, b0, cost, max_iters, counter):
         if since_refactor >= REFACTOR_EVERY:
             if not _refactor(T, basis, A0, b0):
                 return "stalled", counter
-            r = cost - cost[basis] @ T[:, :ncols]
-            r[basis] = 0.0
+            r = _reduced_costs(cost, basis, T)
             since_refactor = 0
 
 
-def solve_lp(problem: LpProblem, max_iters: int | None = None) -> LpSolution:
+def _warm_solve(start, A, b, cost, max_iters):
+    """Re-solve from ``start``: dual simplex to primal feasibility, then the
+    primal optimality test.  Returns (working values or None, pivots, basis)."""
+    m, ncols = A.shape
+    if not (isinstance(start, LpBasis) and start.shape == (m, ncols)
+            and start.rows.shape == start.cols.shape
+            and np.all((start.rows >= 0) & (start.rows < m))
+            and np.all((start.cols >= 0) & (start.cols < ncols))):
+        return None, 0, None
+    A0, b0, basis = A[start.rows], b[start.rows], start.cols.copy()
+    T = np.empty((basis.size, ncols + 1))
+    if not _refactor(T, basis, A0, b0):
+        return None, 0, None
+    tol = PRIMAL_TOL * (1.0 + float(np.max(np.abs(b0), initial=0.0)))
+    status, iters = _run_phase(T, basis, A0, b0, cost, max_iters, 0, partial(_dual_pivot, tol=tol))
+    if status == "feasible":
+        status, iters = _run_phase(T, basis, A0, b0, cost, max_iters, iters)
+    if status != "optimal" or not _refactor(T, basis, A0, b0):
+        return None, iters, None
+    t_vals = np.zeros(ncols)
+    t_vals[basis] = np.maximum(T[:, -1], 0.0)
+    return t_vals, iters, LpBasis((m, ncols), start.rows, basis)
+
+
+def solve_lp(problem: LpProblem, max_iters: int | None = None,
+             start: LpBasis | None = None) -> LpSolution:
     """Solve ``problem`` with the two-phase dense simplex method.
 
-    Returns OPTIMAL with the minimizer, INFEASIBLE / UNBOUNDED when phase one
-    or two proves it, and STALLED when the iteration or accuracy budget is
-    exhausted.  An OPTIMAL answer is re-verified against the original data
-    before being reported; a failed check demotes the status to STALLED
-    rather than ever reporting a wrong optimum.
+    Returns OPTIMAL with the minimizer and its basis, INFEASIBLE / UNBOUNDED
+    when phase one or two proves it, and STALLED when the iteration or
+    accuracy budget is exhausted.  An OPTIMAL answer is re-verified against
+    the original data before being reported; a failed check demotes the
+    status to STALLED rather than ever reporting a wrong optimum.
+
+    ``start`` is the basis of an earlier OPTIMAL solve of a problem with the
+    same constraint matrix and costs.  The solve then begins with dual
+    simplex pivots from it and ends with the same optimality test and
+    re-verification.  A start that does not fit, is singular or not dual
+    feasible, stalls, or ends anywhere but at a verified optimum falls back
+    to the cold two-phase solve, so INFEASIBLE and UNBOUNDED are always
+    decided cold; ``iterations`` then counts the pivots of both.
     """
     c = np.asarray(problem.c, dtype=float)
     if c.ndim != 1 or c.size == 0:
@@ -158,12 +244,12 @@ def solve_lp(problem: LpProblem, max_iters: int | None = None) -> LpSolution:
             col_map.append((j, 1.0))
             col_map.append((j, -1.0))
     nt = len(col_map)
-    S = np.zeros((n, nt))
-    for t_idx, (j, sgn) in enumerate(col_map):
-        S[j, t_idx] = sgn
-    c_t = S.T @ c
+    # working column t is sign[t] times variable var[t]
+    var = np.array([j for j, _ in col_map])
+    sign = np.array([sgn for _, sgn in col_map])
+    c_t = c[var] * sign
 
-    ub_t = a_ub @ S
+    ub_t = a_ub[:, var] * sign
     ub_rhs = b_ub - a_ub @ shift
     if bound_rows:
         extra = np.zeros((len(bound_rows), nt))
@@ -171,14 +257,15 @@ def solve_lp(problem: LpProblem, max_iters: int | None = None) -> LpSolution:
             extra[i, t_idx] = 1.0
         ub_t = np.vstack([ub_t, extra])
         ub_rhs = np.concatenate([ub_rhs, [cap for _, cap in bound_rows]])
-    eq_t = a_eq @ S
+    eq_t = a_eq[:, var] * sign
     eq_rhs = b_eq - a_eq @ shift
 
     m_ub, m_eq = ub_t.shape[0], eq_t.shape[0]
     m = m_ub + m_eq
 
-    def finish(t_vals: np.ndarray, iterations: int) -> LpSolution:
-        x = shift + S @ t_vals
+    def finish(t_vals: np.ndarray, iterations: int, basis: LpBasis | None = None) -> LpSolution:
+        # t_vals may carry slack columns after the nt working variables
+        x = shift + np.bincount(var, weights=sign * t_vals[:nt], minlength=n)
         value = float(np.dot(c, x))
         viol = 0.0
         if m_ub and a_ub.shape[0]:
@@ -193,7 +280,7 @@ def solve_lp(problem: LpProblem, max_iters: int | None = None) -> LpSolution:
             float(np.max(np.abs(x), initial=0.0)))
         if viol > 1e-6 * scale:
             return LpSolution(LpStatus.STALLED, None, np.nan, iterations)
-        return LpSolution(LpStatus.OPTIMAL, x, value, iterations)
+        return LpSolution(LpStatus.OPTIMAL, x, value, iterations, basis)
 
     if m == 0:
         if np.any(c_t < -REDUCED_COST_TOL):
@@ -202,7 +289,8 @@ def solve_lp(problem: LpProblem, max_iters: int | None = None) -> LpSolution:
 
     # Standard form with one slack per inequality row, then flip rows so every
     # right-hand side is nonnegative; rows whose slack got flipped, and all
-    # equality rows, receive an artificial variable for phase one.
+    # equality rows, receive an artificial variable for phase one.  Flipping
+    # rows changes no basic solution, so a warm start ignores it.
     A_std = np.zeros((m, nt + m_ub))
     A_std[:m_ub, :nt] = ub_t
     A_std[:m_ub, nt:nt + m_ub] = np.eye(m_ub)
@@ -211,22 +299,38 @@ def solve_lp(problem: LpProblem, max_iters: int | None = None) -> LpSolution:
     negate = b_std < 0
     A_std[negate] *= -1.0
     b_std = np.abs(b_std)
+    needs_art = negate.copy()
+    needs_art[m_ub:] = True
+    if max_iters is None:
+        max_iters = 2000 + 10 * (m + A_std.shape[1] + int(needs_art.sum()))
+    cost = np.concatenate([c_t, np.zeros(m_ub)])
 
-    art_rows = [i for i in range(m) if (i < m_ub and negate[i]) or i >= m_ub]
-    art_off = nt + m_ub
-    A0 = np.hstack([A_std, np.zeros((m, len(art_rows)))])
-    basis = np.empty(m, dtype=int)
-    for k, i in enumerate(art_rows):
-        A0[i, art_off + k] = 1.0
-        basis[i] = art_off + k
-    for i in range(m_ub):
-        if not negate[i]:
-            basis[i] = nt + i
+    spent = 0
+    if start is not None:
+        t_vals, spent, basis = _warm_solve(start, A_std, b_std, cost, max_iters)
+        if t_vals is not None:
+            sol = finish(t_vals, spent, basis)
+            if sol.status == LpStatus.OPTIMAL:
+                return sol
+    sol = _two_phase(A_std, b_std, needs_art, nt, cost, max_iters, finish)
+    sol.iterations += spent
+    return sol
 
+
+def _two_phase(A_std, b_std, needs_art, nt, cost, max_iters, finish) -> LpSolution:
+    """The cold solve of ``A_std t = b_std, t >= 0`` (``b_std >= 0``).
+
+    Rows flagged in ``needs_art`` start on an artificial variable; every
+    other row is an inequality whose slack, column ``nt + row``, starts basic.
+    """
+    m, art_off = A_std.shape
+    art_rows = np.nonzero(needs_art)[0]
+    A0 = np.hstack([A_std, np.zeros((m, art_rows.size))])
+    basis = nt + np.arange(m)
+    A0[art_rows, art_off + np.arange(art_rows.size)] = 1.0
+    basis[art_rows] = art_off + np.arange(art_rows.size)
     b0 = b_std.copy()
     T = np.column_stack([A0, b0])
-    if max_iters is None:
-        max_iters = 2000 + 10 * (m + A0.shape[1])
 
     cost1 = np.zeros(A0.shape[1])
     cost1[art_off:] = 1.0
@@ -239,6 +343,7 @@ def solve_lp(problem: LpProblem, max_iters: int | None = None) -> LpSolution:
 
     # Drive leftover artificials out of the basis; a row with no eligible
     # pivot is linearly dependent on the others and is dropped.
+    keep = np.arange(m)
     drop = []
     for i in range(m):
         if basis[i] < art_off:
@@ -249,7 +354,7 @@ def solve_lp(problem: LpProblem, max_iters: int | None = None) -> LpSolution:
         else:
             drop.append(i)
     if drop:
-        keep = np.setdiff1d(np.arange(m), np.array(drop))
+        keep = np.setdiff1d(keep, np.array(drop))
         T = T[keep]
         basis = basis[keep]
         A0 = A0[keep]
@@ -259,8 +364,7 @@ def solve_lp(problem: LpProblem, max_iters: int | None = None) -> LpSolution:
     if not _refactor(T, basis, A0, b0):
         return LpSolution(LpStatus.STALLED, None, np.nan, iters)
 
-    cost2 = np.concatenate([c_t, np.zeros(m_ub)])
-    status, iters = _run_phase(T, basis, A0, b0, cost2, max_iters, iters)
+    status, iters = _run_phase(T, basis, A0, b0, cost, max_iters, iters)
     if status == "unbounded":
         return LpSolution(LpStatus.UNBOUNDED, None, np.nan, iters)
     if status == "stalled":
@@ -270,4 +374,4 @@ def solve_lp(problem: LpProblem, max_iters: int | None = None) -> LpSolution:
         return LpSolution(LpStatus.STALLED, None, np.nan, iters)
     t_vals = np.zeros(art_off)
     t_vals[basis] = np.maximum(T[:, -1], 0.0)
-    return finish(t_vals[:nt], iters)
+    return finish(t_vals, iters, LpBasis((m, art_off), keep, basis))

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import Mono, Norm, Sense, dual_norm_value
-from .lp import LpProblem, LpStatus, solve_lp
+from .lp import LpBasis, LpProblem, LpStatus, solve_lp
 from .model import LipschitzNorm, MetricRef
 
 METRIC_ROUTING = "routing-cost"
@@ -130,23 +130,42 @@ def demand_to_supply(demand: DemandMatrix) -> np.ndarray:
     return np.diag(d.sum(axis=1)) - d.T
 
 
+def _checked_capacity(net: NetworkInstance, capacity) -> np.ndarray:
+    """``capacity`` as floats; raises unless finite, nonnegative, one per edge."""
+    capacity = np.asarray(capacity, dtype=float)
+    if capacity.shape != (net.edge_count,):
+        raise ValueError(f"capacity vector must have one entry per edge ({net.edge_count}), "
+                         f"got shape {capacity.shape}")
+    bad = np.nonzero(~(capacity >= 0) | ~np.isfinite(capacity))[0]
+    if bad.size:
+        e = int(bad[0])
+        raise ValueError(f"capacity {capacity[e]!r} of edge {e} is not finite and nonnegative")
+    return capacity
+
+
 def routing_cost(net: NetworkInstance, demand: DemandMatrix, capacity) -> float:
     """Cheapest way to route all demand, renting capacity beyond ``capacity``.
 
     One commodity per demand-bearing source node; flow on an edge beyond the
     installed capacity is paid for at the rental price.  Raises when the
     instance has no rental prices or the LP cannot be certified optimal.
+    Always a cold solve; `scenario_evaluator` re-solves warm.
     """
+    return _route(net, demand, capacity, None)[0]
+
+
+def _route(net: NetworkInstance, demand: DemandMatrix, capacity,
+           start: LpBasis | None) -> tuple[float, LpBasis | None]:
+    """Routing cost and the LP's optimal basis (None when nothing is routed),
+    solved from ``start`` when it is given."""
     if net.price_in is None:
         raise ValueError("routing cost needs rental prices on the instance")
-    capacity = np.asarray(capacity, dtype=float)
+    capacity = _checked_capacity(net, capacity)
     n = net.edge_count
-    if capacity.shape != (n,):
-        raise ValueError(f"capacity vector must have one entry per edge ({n})")
     supply = demand_to_supply(demand)
     sources = [s for s in range(net.node_count) if supply[s, s] > 0]
     if not sources:
-        return 0.0
+        return 0.0, None
     k = net.node_count
     a = incidence(net)
     n_commod = len(sources)
@@ -161,10 +180,11 @@ def routing_cost(net: NetworkInstance, demand: DemandMatrix, capacity) -> float:
         a_ub[:, ci * n:(ci + 1) * n] = np.eye(n)
     a_ub[:, n_commod * n:] = -np.eye(n)
     c = np.concatenate([np.tile(net.flow_cost, n_commod), net.price_in])
-    sol = solve_lp(LpProblem(c=c, a_ub=a_ub, b_ub=capacity.copy(), a_eq=a_eq, b_eq=b_eq))
+    sol = solve_lp(LpProblem(c=c, a_ub=a_ub, b_ub=capacity.copy(), a_eq=a_eq, b_eq=b_eq),
+                   start=start)
     if sol.status != LpStatus.OPTIMAL:
         raise RuntimeError(f"routing LP ended with status {sol.status.value}")
-    return sol.value
+    return sol.value, sol.basis
 
 
 def routing_cost_lipschitz(net: NetworkInstance, norm: Norm) -> float:
@@ -181,9 +201,7 @@ def max_flow(net: NetworkInstance, capacity, source: int, target: int) -> float:
     k = net.node_count
     if not (0 <= source < k and 0 <= target < k):
         raise ValueError("source/target out of range")
-    capacity = np.asarray(capacity, dtype=float)
-    if capacity.shape != (net.edge_count,) or np.any(capacity < 0):
-        raise ValueError("capacity vector must be nonnegative, one entry per edge")
+    capacity = _checked_capacity(net, capacity)
     # arc list with paired reverse arcs at even/odd indices
     to: list[int] = []
     cap: list[float] = []
@@ -232,7 +250,7 @@ def max_flow_lp(net: NetworkInstance, capacity, source: int, target: int) -> flo
     """Same value as `max_flow`, posed as a circulation LP for cross-checking."""
     if source == target:
         raise ValueError("source and target must differ")
-    capacity = np.asarray(capacity, dtype=float)
+    capacity = _checked_capacity(net, capacity)
     n = net.edge_count
     a = incidence(net)
     a_eq = np.zeros((net.node_count, n + 1))
@@ -263,7 +281,7 @@ def max_flow_lipschitz(norm: Norm, edge_count: int) -> float:
 
 def capacity_weights(net: NetworkInstance, capacity) -> np.ndarray:
     """Symmetric node-by-node weight matrix; parallel and opposite arcs add up."""
-    capacity = np.asarray(capacity, dtype=float)
+    capacity = _checked_capacity(net, capacity)
     w = np.zeros((net.node_count, net.node_count))
     for e, (u, v) in enumerate(net.edges):
         w[u, v] += capacity[e]
@@ -316,11 +334,16 @@ def connectivity_lipschitz(norm: Norm, edge_count: int) -> float:
 @dataclass(eq=False)
 class Scenario:
     """One historical operating point: installed capacities, the demand they
-    served, and the realized metric values keyed by metric id."""
+    served, and the realized metric values keyed by metric id.
+
+    ``routing_basis`` is the optimal basis of the routing LP at
+    ``capacity``; `scenario_evaluator` starts every routing solve from it.
+    """
 
     capacity: np.ndarray
     demand: DemandMatrix
     values: dict[str, float]
+    routing_basis: LpBasis | None = None
 
     def __post_init__(self):
         self.capacity = np.asarray(self.capacity, dtype=float)
@@ -355,13 +378,15 @@ def parse_throughput_id(metric_id: str) -> tuple[int, int]:
     return int(s), int(t)
 
 
-def evaluate_scenario(net: NetworkInstance, capacity, demand: DemandMatrix,
-                      metrics: Sequence[str], flow_pairs=()) -> dict[str, float]:
-    """Realized metric values at one operating point, keyed by metric id."""
+def record_scenario(net: NetworkInstance, capacity, demand: DemandMatrix,
+                    metrics: Sequence[str], flow_pairs=()) -> Scenario:
+    """The scenario at one operating point: its realized metric values, and
+    the basis of the routing LP solved for them."""
     values: dict[str, float] = {}
+    basis = None
     for metric in metrics:
         if metric == METRIC_ROUTING:
-            values[METRIC_ROUTING] = routing_cost(net, demand, capacity)
+            values[METRIC_ROUTING], basis = _route(net, demand, capacity, None)
         elif metric == METRIC_THROUGHPUT:
             for s, t in flow_pairs:
                 values[throughput_metric_id(s, t)] = max_flow(net, capacity, s, t)
@@ -369,14 +394,18 @@ def evaluate_scenario(net: NetworkInstance, capacity, demand: DemandMatrix,
             values[METRIC_CONNECTIVITY] = algebraic_connectivity(capacity_weights(net, capacity))
         else:
             raise ValueError(f"unknown metric {metric!r}")
-    return values
+    return Scenario(capacity=capacity, demand=demand, values=values, routing_basis=basis)
 
 
 def scenario_evaluator(net: NetworkInstance, scenario: Scenario, metric_id: str):
-    """Callable mapping a capacity vector to the named realized metric."""
+    """Callable mapping a capacity vector to the named realized metric.
+
+    Routing cost is re-solved from the scenario's own routing basis, the same
+    start for every capacity, so a value never depends on earlier calls.
+    """
     if metric_id == METRIC_ROUTING:
-        demand = scenario.demand
-        return lambda b: routing_cost(net, demand, b)
+        demand, start = scenario.demand, scenario.routing_basis
+        return lambda b: _route(net, demand, b, start)[0]
     if metric_id.startswith(METRIC_THROUGHPUT + ":"):
         s, t = parse_throughput_id(metric_id)
         return lambda b: max_flow(net, b, s, t)

@@ -158,6 +158,45 @@ def test_default_experiment_draws_are_pinned():
                                    [a for _, _, a in pinned["demand"]], rtol=1e-12, atol=0)
 
 
+def test_warm_routing_equals_cold_routing_cost(monkeypatch):
+    # every scenario's routing evaluator re-solves from the scenario's own
+    # basis; its values must equal the cold routing_cost and must not depend
+    # on the order in which capacities are evaluated
+    net, _, history = build_experiment(ExperimentConfig())
+    rng = np.random.default_rng(2027)
+    solve_lp = network.solve_lp
+    starts, pivots = [], []
+
+    def recording(problem, max_iters=None, start=None):
+        sol = solve_lp(problem, max_iters, start)
+        starts.append(start)
+        pivots.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(network, "solve_lp", recording)
+    warm_pivots = cold_pivots = 0
+    for sc in history:
+        assert sc.routing_basis is not None
+        evaluate = network.scenario_evaluator(net, sc, METRIC_ROUTING)
+        capacities = [sc.capacity, np.zeros(net.edge_count), 100.0 * sc.capacity]
+        capacities += [sc.capacity * scale * rng.uniform(0.9, 1.1, net.edge_count)
+                       for scale in (0.5, 0.75, 1.0, 1.25, 1.5)]
+        starts.clear()
+        pivots.clear()
+        forward = [evaluate(b) for b in capacities]
+        assert all(start is sc.routing_basis for start in starts)
+        warm_pivots += sum(pivots)
+        backward = [evaluate(b) for b in reversed(capacities)][::-1]
+        assert [v.hex() for v in forward] == [v.hex() for v in backward]
+        pivots.clear()
+        for b, value in zip(capacities, forward):
+            cold = network.routing_cost(net, sc.demand, b)
+            assert abs(value - cold) <= 1e-9 * max(1.0, abs(cold)), (value, cold)
+        assert starts[-1] is None
+        cold_pivots += sum(pivots)
+    assert warm_pivots < cold_pivots / 4
+
+
 def test_reference_budget_matches_manual_mean():
     net, _, history = build_experiment(tiny_config())
     want = np.mean([float(net.price_pre @ sc.capacity) for sc in history])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from caolf.lp import LpProblem, LpStatus, solve_lp
+from caolf.lp import LpBasis, LpProblem, LpStatus, solve_lp
 
 
 def test_two_variable_known_optimum():
@@ -148,3 +148,111 @@ def test_input_validation():
         solve_lp(LpProblem(c=[1.0], a_ub=[[np.inf]], b_ub=[1.0]))
     with pytest.raises(ValueError):
         solve_lp(LpProblem(c=[1.0], lower=np.array([np.nan])))
+
+
+# ---------------------------------------------------------------------------
+# warm re-solves from a recorded basis
+
+
+def flow_like_problem(rng, b_ub):
+    """Equalities with a dependent row, and four capacities that dearer
+    columns may exceed, as in the routing LP: feasible for every ``b_ub``."""
+    n = 8
+    a_eq = rng.normal(size=(3, n))
+    a_eq = np.hstack([np.vstack([a_eq, a_eq[0] + a_eq[1]]), np.zeros((4, 4))])
+    x0 = rng.uniform(0.5, 1.5, n + 4)
+    a_ub = np.hstack([np.eye(4), np.zeros((4, n - 4)), -np.eye(4)])
+    c = np.concatenate([rng.uniform(0.5, 3.0, n), rng.uniform(5.0, 8.0, 4)])
+    return LpProblem(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=a_eq @ x0)
+
+
+def same_solution(a, b):
+    assert a.status == b.status
+    assert a.iterations == b.iterations
+    if a.status == LpStatus.OPTIMAL:
+        assert a.value == b.value
+        np.testing.assert_array_equal(a.x, b.x)
+
+
+def test_warm_start_reaches_the_cold_optimum_for_another_rhs():
+    for seed in range(10):
+        rng = np.random.default_rng([11, seed])
+        base = flow_like_problem(rng, rng.uniform(1.0, 2.0, 4))
+        first = solve_lp(base)
+        assert first.status == LpStatus.OPTIMAL
+        assert first.basis.rows.size == 7  # the dependent equality row was dropped
+        again = solve_lp(base, start=first.basis)
+        assert again.iterations == 0
+        np.testing.assert_allclose(again.x, first.x, atol=1e-12)
+        for _ in range(5):
+            problem = flow_like_problem(np.random.default_rng([11, seed]), rng.uniform(0.0, 3.0, 4))
+            cold = solve_lp(problem)
+            warm = solve_lp(problem, start=first.basis)
+            assert cold.status == warm.status == LpStatus.OPTIMAL
+            assert warm.value == pytest.approx(cold.value, rel=1e-9, abs=1e-12)
+            assert np.all(problem.a_ub @ warm.x <= problem.b_ub + 1e-9)
+            assert warm.basis is not None
+
+
+def test_unusable_starts_fall_back_to_the_cold_solve():
+    problem = LpProblem(c=[1.0, 1.0, 2.0], a_ub=[[-1.0, -1.0, -1.0], [1.0, 1.0, 3.0]],
+                        b_ub=[-1.0, 5.0])
+    cold = solve_lp(problem)
+    assert cold.status == LpStatus.OPTIMAL
+    # a basis of a problem with another shape
+    other = solve_lp(LpProblem(c=[1.0, 2.0], a_ub=[[-1.0, -1.0]], b_ub=[-1.0]))
+    same_solution(solve_lp(problem, start=other.basis), cold)
+    # columns 0 and 1 are equal, so this basis is singular
+    same_solution(solve_lp(problem, start=LpBasis((2, 5), np.array([0, 1]), np.array([0, 1]))), cold)
+    # indices outside the problem
+    same_solution(solve_lp(problem, start=LpBasis((2, 5), np.array([0, 7]), np.array([0, 9]))), cold)
+    # optimal for other costs, so not dual feasible for these; a primal
+    # simplex from it would need 1 pivot where the cold solve needs 11
+    moved = flow_like_problem(np.random.default_rng(0), np.ones(4))
+    start = solve_lp(moved).basis
+    moved.c = moved.c[::-1].copy()
+    cold = solve_lp(moved)
+    assert cold.status == LpStatus.OPTIMAL
+    same_solution(solve_lp(moved, start=start), cold)
+
+
+def test_warm_start_on_an_infeasible_rhs_reports_infeasible():
+    # x1 + x2 >= 1, x1 <= 3, x2 <= 1; then x1 + x2 >= 5 cannot hold
+    a_ub = [[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]
+    start = solve_lp(LpProblem(c=[1.0, 1.0], a_ub=a_ub, b_ub=[-1.0, 3.0, 1.0])).basis
+    sol = solve_lp(LpProblem(c=[1.0, 1.0], a_ub=a_ub, b_ub=[-5.0, 3.0, 1.0]), start=start)
+    assert sol.status == LpStatus.INFEASIBLE
+    assert sol.x is None
+
+
+def test_warm_start_with_a_tiny_budget_never_reports_a_wrong_optimum():
+    start = solve_lp(flow_like_problem(np.random.default_rng(3), np.full(4, 2.0))).basis
+    problem = flow_like_problem(np.random.default_rng(3), np.full(4, -0.5))
+    cold = solve_lp(problem)
+    assert cold.status == LpStatus.OPTIMAL
+    full = solve_lp(problem, start=start)
+    assert full.iterations >= 2
+    assert solve_lp(problem, max_iters=1, start=start).status == LpStatus.STALLED
+    for max_iters in range(1, full.iterations + 3):
+        sol = solve_lp(problem, max_iters=max_iters, start=start)
+        assert sol.status in (LpStatus.OPTIMAL, LpStatus.STALLED)
+        if sol.status == LpStatus.OPTIMAL:
+            assert sol.value == pytest.approx(cold.value, rel=1e-9)
+        else:
+            assert sol.x is None
+
+
+def test_status_triple_holds_with_a_start():
+    start = solve_lp(LpProblem(c=[1.0, 2.0], a_ub=[[-1.0, -1.0]], b_ub=[-3.0])).basis
+    sol = solve_lp(LpProblem(c=[1.0, 2.0], a_ub=[[-1.0, -1.0]], b_ub=[-1.0]), start=start)
+    assert sol.status == LpStatus.OPTIMAL
+    assert sol.value == pytest.approx(1.0, abs=1e-9)
+    start = solve_lp(LpProblem(c=[1.0], a_ub=[[1.0]], b_ub=[1.0])).basis
+    infeasible = solve_lp(LpProblem(c=[1.0], a_ub=[[1.0]], b_ub=[-1.0]), start=start)
+    assert infeasible.status == LpStatus.INFEASIBLE
+    # x >= 1: the start is optimal for min x, and min -x is unbounded
+    start = solve_lp(LpProblem(c=[1.0], a_ub=[[-1.0]], b_ub=[-1.0])).basis
+    unbounded = solve_lp(LpProblem(c=[-1.0], a_ub=[[-1.0]], b_ub=[-1.0]), start=start)
+    assert unbounded.status == LpStatus.UNBOUNDED
+    no_rows = solve_lp(LpProblem(c=[-1.0], a_ub=np.zeros((0, 1)), b_ub=[]), start=start)
+    assert no_rows.status == LpStatus.UNBOUNDED

@@ -19,13 +19,13 @@ from caolf.network import (
     capacity_weights,
     connectivity_lipschitz,
     demand_to_supply,
-    evaluate_scenario,
     incidence,
     laplacian,
     max_flow,
     max_flow_lipschitz,
     max_flow_lp,
     parse_throughput_id,
+    record_scenario,
     ref_evaluator,
     routing_cost,
     routing_cost_lipschitz,
@@ -172,6 +172,42 @@ def test_routing_lipschitz_constants():
     assert routing_cost_lipschitz(two, Norm.L2) == pytest.approx(5.0)
     assert routing_cost_lipschitz(two, Norm.L1) == pytest.approx(4.0)
     assert routing_cost_lipschitz(two, Norm.LINF) == pytest.approx(7.0)
+
+
+def one_edge_routing():
+    """One edge, cost 1, rental price 3, demand 5 across it."""
+    net = single_edge_net()
+    demand = DemandMatrix(2, ((0, 1, 5.0),))
+    return net, demand, record_scenario(net, [2.0], demand, (METRIC_ROUTING,))
+
+
+CAPACITY_EVALUATORS = {
+    "routing_cost": lambda net, demand, sc: lambda b: routing_cost(net, demand, b),
+    "warm routing": lambda net, demand, sc: scenario_evaluator(net, sc, METRIC_ROUTING),
+    "max_flow": lambda net, demand, sc: lambda b: max_flow(net, b, 0, 1),
+    "capacity_weights": lambda net, demand, sc: lambda b: capacity_weights(net, b),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAPACITY_EVALUATORS))
+def test_evaluators_reject_a_bad_capacity(name):
+    net, demand, scenario = one_edge_routing()
+    assert scenario.routing_basis is not None
+    evaluate = CAPACITY_EVALUATORS[name](net, demand, scenario)
+    evaluate([2.0])
+    # routing_cost used to price capacity -4 at 32.0 and max_flow NaN at 0.0
+    for bad in ([-4.0], [np.nan], [np.inf], [-np.inf], [1.0, 1.0], [[1.0]]):
+        with pytest.raises(ValueError, match="capacity"):
+            evaluate(bad)
+
+
+def test_record_scenario_keeps_the_routing_basis():
+    net, demand, scenario = one_edge_routing()
+    assert scenario.values == {METRIC_ROUTING: pytest.approx(5.0 + 3.0 * 3.0)}
+    warm = scenario_evaluator(net, scenario, METRIC_ROUTING)
+    for cap in (0.0, 2.0, 5.0, 9.0):
+        assert warm([cap]) == pytest.approx(routing_cost(net, demand, [cap]), abs=1e-12)
+    assert record_scenario(net, [2.0], demand, (METRIC_CONNECTIVITY,)).routing_basis is None
 
 
 def test_routing_cost_requires_rental_prices():
@@ -338,10 +374,9 @@ def make_history(rng, net, scenario_count=2):
     for _ in range(scenario_count):
         cap = rng.uniform(1.0, 5.0, net.edge_count)
         demand = DemandMatrix(net.node_count, ((0, net.node_count - 1, float(rng.uniform(1, 2))),))
-        values = evaluate_scenario(net, cap, demand,
-                                   (METRIC_ROUTING, METRIC_THROUGHPUT, METRIC_CONNECTIVITY),
-                                   flow_pairs=((0, net.node_count - 1),))
-        scenarios.append(Scenario(capacity=cap, demand=demand, values=values))
+        scenarios.append(record_scenario(net, cap, demand,
+                                         (METRIC_ROUTING, METRIC_THROUGHPUT, METRIC_CONNECTIVITY),
+                                         flow_pairs=((0, net.node_count - 1),)))
     return ScenarioHistory(tuple(scenarios))
 
 
@@ -354,9 +389,9 @@ def test_evaluate_scenario_keys_and_values():
     net = random_net(rng, 4, 8, with_prices=True)
     cap = rng.uniform(1.0, 4.0, net.edge_count)
     demand = DemandMatrix(4, ((0, 3, 1.5),))
-    values = evaluate_scenario(net, cap, demand,
-                               (METRIC_ROUTING, METRIC_THROUGHPUT, METRIC_CONNECTIVITY),
-                               flow_pairs=((0, 3),))
+    values = record_scenario(net, cap, demand,
+                             (METRIC_ROUTING, METRIC_THROUGHPUT, METRIC_CONNECTIVITY),
+                             flow_pairs=((0, 3),)).values
     assert set(values) == {METRIC_ROUTING, throughput_metric_id(0, 3), METRIC_CONNECTIVITY}
     assert values[METRIC_ROUTING] == pytest.approx(routing_cost(net, demand, cap))
     assert values[throughput_metric_id(0, 3)] == pytest.approx(max_flow(net, cap, 0, 3))
@@ -365,7 +400,7 @@ def test_evaluate_scenario_keys_and_values():
 def test_evaluate_scenario_unknown_metric():
     net = single_edge_net()
     with pytest.raises(ValueError):
-        evaluate_scenario(net, [1.0], DemandMatrix(2, ((0, 1, 1.0),)), ("latency",))
+        record_scenario(net, [1.0], DemandMatrix(2, ((0, 1, 1.0),)), ("latency",))
 
 
 def test_build_metric_refs_signatures():
