@@ -70,7 +70,7 @@ class LpSolution:
     x: np.ndarray | None
     value: float
     iterations: int
-    basis: LpBasis | None = None  # set when OPTIMAL
+    basis: LpBasis | None = None  # set when OPTIMAL with at least one constraint row
 
 
 def _as_matrix(a, b, n, label):
