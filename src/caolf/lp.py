@@ -87,9 +87,18 @@ def _as_matrix(a, b, n, label):
 
 def _pivot(T, r, basis, row, col):
     T[row] /= T[row, col]
-    factor = T[:, col].copy()
-    factor[row] = 0.0
-    T -= np.outer(factor, T[row])
+    # Only rows with a nonzero in the pivot column change.  Updating just
+    # those pays off when they are few (a cold routing LP's pivot columns are
+    # about 23% nonzero, a warm one's 8%); on denser columns, as in the
+    # L-infinity epigraph LP, gathering the rows costs more than it saves.
+    rows = np.nonzero(T[:, col])[0]
+    if 2 * rows.size < T.shape[0]:
+        rows = rows[rows != row]
+        T[rows] -= np.outer(T[rows, col], T[row])
+    else:
+        factor = T[:, col].copy()
+        factor[row] = 0.0
+        T -= np.outer(factor, T[row])
     if r is not None:
         r -= r[col] * T[row, :-1]
     basis[row] = col

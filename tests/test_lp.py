@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from caolf.lp import LpBasis, LpProblem, LpStatus, solve_lp
+from caolf.lp import LpBasis, LpProblem, LpStatus, _pivot, solve_lp
 
 
 def test_two_variable_known_optimum():
@@ -148,6 +148,27 @@ def test_input_validation():
         solve_lp(LpProblem(c=[1.0], a_ub=[[np.inf]], b_ub=[1.0]))
     with pytest.raises(ValueError):
         solve_lp(LpProblem(c=[1.0], lower=np.array([np.nan])))
+
+
+def test_pivot_matches_the_dense_rank_one_update():
+    # _pivot updates only the rows with a nonzero in the pivot column when
+    # they are few; either way the tableau must equal the dense update
+    rng = np.random.default_rng(19)
+    for density in (0.1, 0.3, 0.6, 1.0):
+        T = rng.normal(size=(40, 61)) * (rng.random((40, 61)) < density)
+        row = 3
+        col = int(np.argmax(np.abs(T[row, :-1]) > 0))
+        r = rng.normal(size=60)
+        want = T.copy()
+        want[row] /= want[row, col]
+        factor = want[:, col].copy()
+        factor[row] = 0.0
+        want -= np.outer(factor, want[row])
+        want_r = r - r[col] * want[row, :-1]
+        basis = np.arange(40)
+        _pivot(T, r, basis, row, col)
+        assert np.array_equal(T, want) and np.array_equal(r, want_r)
+        assert basis[row] == col
 
 
 # ---------------------------------------------------------------------------
