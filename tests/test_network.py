@@ -195,7 +195,6 @@ def test_evaluators_reject_a_bad_capacity(name):
     assert scenario.routing_basis is not None
     evaluate = CAPACITY_EVALUATORS[name](net, demand, scenario)
     evaluate([2.0])
-    # routing_cost used to price capacity -4 at 32.0 and max_flow NaN at 0.0
     for bad in ([-4.0], [np.nan], [np.inf], [-np.inf], [1.0, 1.0], [[1.0]]):
         with pytest.raises(ValueError, match="capacity"):
             evaluate(bad)
