@@ -11,7 +11,7 @@ import numpy as np
 from .bench import CSV_HEADER, ExperimentConfig, emit_csv, format_row, run_sweep
 from .geometry import ClippedNormSurrogate, Norm, Sense
 from .model import ConcaveLinear, ConvexQuadratic, FeasibleSet, LipschitzNorm, MetricRef
-from .solver import SolveConfig, grid_oracle_caolf, solve_approx, solve_caolf
+from .solver import SolveConfig, grid_oracle_caolf, model_entries, solve_approx, solve_caolf
 
 
 class _Entries(dict):
@@ -90,12 +90,15 @@ def _emit(payload, out_path) -> None:
         sys.stdout.write(text)
 
 
+def _lipschitz_only(metrics) -> bool:
+    """Whether `solve_caolf` takes the instance; otherwise `solve_approx` does."""
+    return all(isinstance(m, LipschitzNorm) for ref in metrics for m in ref.models)
+
+
 def _cmd_solve(args) -> int:
     _, metrics, region = load_instance(args.instance)
     config = SolveConfig(norm=Norm(args.norm), gamma_tolerance=args.tol)
-    pure_lipschitz = all(isinstance(m, LipschitzNorm)
-                         for ref in metrics for m in ref.models)
-    if pure_lipschitz:
+    if _lipschitz_only(metrics):
         sol = solve_caolf(metrics, region, config)
     else:
         sol = solve_approx(metrics, region, config)
@@ -136,9 +139,18 @@ def _cmd_verify(args) -> int:
     # a NaN would read as a violated metric (exit 1) rather than as bad input
     if not (np.all(np.isfinite(x)) and np.isfinite(gamma)):
         raise ValueError("'point' and 'gamma' must be finite")
-    surrogate = ClippedNormSurrogate(metrics, Norm(args.norm))
-    report = [{"id": ref_id, "needed_gamma": float(needed), "ok": bool(needed <= gamma + args.tol)}
-              for ref_id, needed in zip(surrogate.ids, surrogate.needed(x))]
+    if x.shape != (region.dim,):
+        raise ValueError(f"'point' has shape {x.shape}, the instance has dimension {region.dim}")
+    # the certificate of the solver `solve` would pick
+    if _lipschitz_only(metrics):
+        needed = ClippedNormSurrogate(metrics, Norm(args.norm)).needed(x)
+    elif Norm(args.norm) != Norm.L2:
+        raise ValueError("the mixed-model solver works in the l2 norm")
+    else:
+        needed = [max([0.0] + [need(x) for _, need in own])
+                  for own in model_entries(metrics, region.dim)]
+    report = [{"id": ref.id, "needed_gamma": float(need), "ok": bool(need <= gamma + args.tol)}
+              for ref, need in zip(metrics, needed)]
     region_ok = region.violation(x) <= args.tol
     ok = region_ok and all(m["ok"] for m in report)
     _emit({"ok": bool(ok), "region_ok": bool(region_ok),

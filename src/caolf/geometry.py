@@ -231,17 +231,15 @@ class ClippedNormSurrogate:
     Reference i admits a point x at tolerance gamma when
     rate_i * ||clip_i(x)|| <= gamma, where clip_i folds in the metric's sense
     and monotonicity and rate_i = bound_i / value_i.  Built once from metric
-    references (`MetricRef`): ``models`` gives one Lipschitz model per
-    reference and defaults to each reference's model in ``norm``.
+    references (`MetricRef`), each through its Lipschitz model in ``norm``.
     """
 
-    def __init__(self, refs, norm: Norm, models=None):
+    def __init__(self, refs, norm: Norm):
         refs = list(refs)
         if not refs:
             raise ValueError("need at least one metric reference")
         norm = Norm(norm)
-        if models is None:
-            models = [r.lipschitz_model(norm) for r in refs]
+        models = [r.lipschitz_model(norm) for r in refs]
         self.norm = norm
         self.ids = tuple(r.id for r in refs)
         self.geoms = tuple(r.geometry(m) for r, m in zip(refs, models))

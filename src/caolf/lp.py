@@ -235,54 +235,34 @@ def solve_lp(problem: LpProblem, max_iters: int | None = None,
     a_ub, b_ub = _as_matrix(problem.a_ub, problem.b_ub, n, "a_ub")
     a_eq, b_eq = _as_matrix(problem.a_eq, problem.b_eq, n, "a_eq")
 
-    # Shift/mirror/split every variable so the working variables are all >= 0.
-    col_map: list[tuple[int, float]] = []
-    shift = np.zeros(n)
-    bound_rows: list[tuple[int, float]] = []  # (working column, upper bound on it)
-    for j in range(n):
-        lb, ub = lower[j], upper[j]
-        if np.isfinite(lb):
-            shift[j] = lb
-            col_map.append((j, 1.0))
-            if np.isfinite(ub):
-                bound_rows.append((len(col_map) - 1, ub - lb))
-        elif np.isfinite(ub):
-            shift[j] = ub
-            col_map.append((j, -1.0))
-        else:
-            col_map.append((j, 1.0))
-            col_map.append((j, -1.0))
-    nt = len(col_map)
+    # Working variables are all >= 0: a variable with a finite lower bound is
+    # shifted by it, one with only an upper bound is mirrored at it, and a
+    # free one is split into a + then a - column.  A boxed variable keeps its
+    # upper bound as one extra inequality row, after the problem's own.
+    has_lo, has_up = np.isfinite(lower), np.isfinite(upper)
+    free = ~has_lo & ~has_up
+    shift = np.where(has_lo, lower, np.where(has_up, upper, 0.0))
+    width = 1 + free
+    first = np.cumsum(width) - width  # each variable's first working column
+    nt = int(width.sum())
     # working column t is sign[t] times variable var[t]
-    var = np.array([j for j, _ in col_map])
-    sign = np.array([sgn for _, sgn in col_map])
+    var = np.repeat(np.arange(n), width)
+    sign = np.ones(nt)
+    sign[np.concatenate([first[has_up & ~has_lo], first[free] + 1])] = -1.0
     c_t = c[var] * sign
 
-    ub_t = a_ub[:, var] * sign
-    ub_rhs = b_ub - a_ub @ shift
-    if bound_rows:
-        extra = np.zeros((len(bound_rows), nt))
-        for i, (t_idx, cap) in enumerate(bound_rows):
-            extra[i, t_idx] = 1.0
-        ub_t = np.vstack([ub_t, extra])
-        ub_rhs = np.concatenate([ub_rhs, [cap for _, cap in bound_rows]])
-    eq_t = a_eq[:, var] * sign
-    eq_rhs = b_eq - a_eq @ shift
-
-    m_ub, m_eq = ub_t.shape[0], eq_t.shape[0]
-    m = m_ub + m_eq
+    boxed = np.nonzero(has_lo & has_up)[0]
+    m_ub = a_ub.shape[0] + boxed.size
+    m = m_ub + a_eq.shape[0]
 
     def finish(t_vals: np.ndarray, iterations: int, basis: LpBasis | None = None) -> LpSolution:
         # t_vals may carry slack columns after the nt working variables
         x = shift + np.bincount(var, weights=sign * t_vals[:nt], minlength=n)
         value = float(np.dot(c, x))
-        viol = 0.0
-        if m_ub and a_ub.shape[0]:
-            viol = max(viol, float(np.max(a_ub @ x - b_ub, initial=0.0)))
-        if m_eq:
-            viol = max(viol, float(np.max(np.abs(a_eq @ x - b_eq), initial=0.0)))
-        viol = max(viol, float(np.max(np.where(np.isfinite(lower), lower - x, 0.0), initial=0.0)))
-        viol = max(viol, float(np.max(np.where(np.isfinite(upper), x - upper, 0.0), initial=0.0)))
+        viol = max(float(np.max(a_ub @ x - b_ub, initial=0.0)),
+                   float(np.max(np.abs(a_eq @ x - b_eq), initial=0.0)),
+                   float(np.max(np.where(has_lo, lower - x, 0.0), initial=0.0)),
+                   float(np.max(np.where(has_up, x - upper, 0.0), initial=0.0)))
         scale = 1.0 + max(
             float(np.max(np.abs(b_ub), initial=0.0)),
             float(np.max(np.abs(b_eq), initial=0.0)),
@@ -301,10 +281,10 @@ def solve_lp(problem: LpProblem, max_iters: int | None = None,
     # equality rows, receive an artificial variable for phase one.  Flipping
     # rows changes no basic solution, so a warm start ignores it.
     A_std = np.zeros((m, nt + m_ub))
-    A_std[:m_ub, :nt] = ub_t
-    A_std[:m_ub, nt:nt + m_ub] = np.eye(m_ub)
-    A_std[m_ub:, :nt] = eq_t
-    b_std = np.concatenate([ub_rhs, eq_rhs])
+    unit_rows = (boxed[:, None] == np.arange(n)).astype(float)
+    A_std[:, :nt] = np.vstack([a_ub, unit_rows, a_eq])[:, var] * sign
+    A_std[:m_ub, nt:] = np.eye(m_ub)
+    b_std = np.concatenate([b_ub - a_ub @ shift, upper[boxed] - lower[boxed], b_eq - a_eq @ shift])
     negate = b_std < 0
     A_std[negate] *= -1.0
     b_std = np.abs(b_std)

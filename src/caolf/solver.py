@@ -18,11 +18,14 @@ import numpy as np
 
 from .geometry import (
     BallSet,
+    ClippedBallSet,
     ClippedNormSurrogate,
     HalfspaceSet,
     Norm,
     Sense,
+    clip,
     extrapolated_projections,
+    norm_value,
     quadratic_cap_ball,
 )
 from .lp import LpProblem, LpStatus, solve_lp
@@ -119,67 +122,78 @@ def _solve_caolf_lp(surrogate: ClippedNormSurrogate, region, config) -> Competit
     """Epigraph linear program for the L1 and LINF radius constraints.
 
     Layout: decision coordinates, then (L1 only) one magnitude variable per
-    non-safe coordinate of each metric, then gamma last.  Increasing and
-    decreasing coordinates need one inequality each; non-monotone
-    coordinates bound the displacement from both sides.
+    coordinate of each metric, then gamma last.  Coordinate by coordinate, a
+    metric bounds +x_j where it is increasing or non-monotone and -x_j where
+    it is decreasing or non-monotone.  Under L1 the bound is the coordinate's
+    magnitude variable, and one row per metric caps their sum at gamma/rate;
+    under LINF each bound is gamma/rate itself.
     """
-    dim = region.dim
-    norm = config.norm
-    aux_offsets = []
-    n_aux = 0
-    if norm == Norm.L1:
-        for _ in surrogate.ids:
-            aux_offsets.append(dim + n_aux)
-            n_aux += dim
-    n_var = dim + n_aux + 1
-    g_col = n_var - 1
+    dim, count = region.dim, len(surrogate.ids)
+    n_var = dim + (count * dim if config.norm == Norm.L1 else 0) + 1
+    # one row per (metric, coordinate, direction) in that order, + before -
+    ref_i, coord, side = np.nonzero(np.stack([surrogate.eff_mono >= 0,
+                                              surrogate.eff_mono <= 0], axis=2))
+    sign = 1.0 - 2.0 * side
+    rows = np.arange(sign.size)
+    a_ub = np.zeros((sign.size, n_var))
+    a_ub[rows, coord] = sign
+    b_ub = sign * surrogate.x_ref[ref_i, coord]
+    if config.norm == Norm.L1:
+        a_ub[rows, dim + ref_i * dim + coord] = -1.0
+        sums = np.hstack([np.zeros((count, dim)), np.kron(np.eye(count), np.ones(dim)),
+                          -1.0 / surrogate.rate[:, None]])
+        # each metric's sum row follows its last coordinate row
+        ends = np.searchsorted(ref_i, np.arange(count), side="right")
+        a_ub, b_ub = np.insert(a_ub, ends, sums, axis=0), np.insert(b_ub, ends, 0.0)
+    else:
+        a_ub[:, -1] = -1.0 / surrogate.rate[ref_i]
+    caps = np.reshape([a for a, _ in region.halfspaces], (-1, dim))
+    a_ub = np.vstack([a_ub, np.pad(caps, ((0, 0), (0, n_var - dim)))])
+    b_ub = np.concatenate([b_ub, [b for _, b in region.halfspaces]])
 
-    rows_a: list[np.ndarray] = []
-    rows_b: list[float] = []
-
-    def add_row(cols: dict[int, float], rhs: float):
-        row = np.zeros(n_var)
-        for j, v in cols.items():
-            row[j] = v
-        rows_a.append(row)
-        rows_b.append(rhs)
-
-    for idx, (ref, eff, rate) in enumerate(
-            zip(surrogate.x_ref, surrogate.eff_mono, surrogate.rate)):
-        if norm == Norm.L1:
-            off = aux_offsets[idx]
-            for j in range(dim):
-                if eff[j] >= 0:
-                    add_row({j: 1.0, off + j: -1.0}, float(ref[j]))
-                if eff[j] <= 0:
-                    add_row({j: -1.0, off + j: -1.0}, float(-ref[j]))
-            add_row({off + j: 1.0 for j in range(dim)} | {g_col: -1.0 / rate}, 0.0)
-        else:
-            for j in range(dim):
-                if eff[j] >= 0:
-                    add_row({j: 1.0, g_col: -1.0 / rate}, float(ref[j]))
-                if eff[j] <= 0:
-                    add_row({j: -1.0, g_col: -1.0 / rate}, float(-ref[j]))
-    for a, b in region.halfspaces:
-        row = np.zeros(n_var)
-        row[:dim] = a
-        rows_a.append(row)
-        rows_b.append(b)
-
-    lower = np.full(n_var, -np.inf)
-    lower[:dim] = region.lower
-    lower[dim:] = 0.0
+    lower = np.concatenate([region.lower, np.zeros(n_var - dim)])
     c = np.zeros(n_var)
-    c[g_col] = 1.0
-    problem = LpProblem(c=c, a_ub=np.array(rows_a), b_ub=np.array(rows_b), lower=lower)
+    c[-1] = 1.0
+    problem = LpProblem(c=c, a_ub=a_ub, b_ub=b_ub, lower=lower)
     sol = solve_lp(problem, max_iters=200000)
     if sol.status != LpStatus.OPTIMAL:
         raise SolveError(f"epigraph LP ended with status {sol.status.value}")
     x = sol.x[:dim]
     gamma = surrogate.certify(x)
     diag = SolveDiagnostics(iterations=sol.iterations, residual=region.violation(x),
-                            method=f"epigraph-lp-{norm.value}")
+                            method=f"epigraph-lp-{config.norm.value}")
     return CompetitiveSolution(x=x, gamma=gamma, diagnostics=diag)
+
+
+def _model_entry(r, m):
+    """Model ``m`` of metric ``r`` as (set at gamma, gamma needed at x); None
+    for a hyperplane model with a zero gradient, which holds everywhere."""
+    ref, v = r.x_ref, r.value
+    if isinstance(m, LipschitzNorm):
+        if m.norm != Norm.L2:
+            raise ValueError(f"metric {r.id!r}: only l2 Lipschitz models are usable here, got {m.norm.value}")
+        geom, rate = r.geometry(m), m.bound / v
+        return (lambda g: ClippedBallSet(geom, g / rate),
+                lambda x: rate * norm_value(clip(x, geom), Norm.L2))
+    if isinstance(m, ConcaveLinear):
+        if float(np.dot(m.grad, m.grad)) == 0.0:
+            return None
+        return (lambda g: HalfspaceSet(m.grad, g * v + float(np.dot(m.grad, ref))),
+                lambda x: float(np.dot(m.grad, x - ref)) / v)
+    if isinstance(m, ConvexQuadratic):
+        a, lip = m.grad, m.curvature
+        return (lambda g: BallSet(*quadratic_cap_ball(ref, a, lip, g * v)),
+                lambda x: (lip * float(np.dot(x - ref, x - ref)) + float(np.dot(a, x - ref))) / v)
+    raise TypeError(f"unknown constraint model {type(m).__name__}")
+
+
+def model_entries(refs, dim: int) -> list[list[tuple]]:
+    """Per metric, the (set at gamma, gamma needed at x) pair of each usable
+    model, in model order: the constraints `solve_approx` solves with."""
+    for r in refs:
+        if r.dim != dim:
+            raise ValueError(f"metric {r.id!r} has dimension {r.dim}, region has {dim}")
+    return [[e for e in (_model_entry(r, m) for m in r.models) if e is not None] for r in refs]
 
 
 def solve_approx(refs, region: FeasibleSet, config: SolveConfig | None = None) -> CompetitiveSolution:
@@ -191,52 +205,15 @@ def solve_approx(refs, region: FeasibleSet, config: SolveConfig | None = None) -
     if config.norm != Norm.L2:
         raise ValueError("the mixed-model solver works in the l2 norm")
     refs = list(refs)
-    if not refs:
-        raise ValueError("need at least one metric reference")
-    dim = region.dim
-    builders = []  # None marks the next clipped ball of the surrogate
-    needed = []
-    lipschitz = []  # (ref, model) pairs behind the surrogate
-    for r in refs:
-        if r.dim != dim:
-            raise ValueError(f"metric {r.id!r} has dimension {r.dim}, region has {dim}")
-        for m in r.models:
-            if isinstance(m, LipschitzNorm):
-                if m.norm != Norm.L2:
-                    raise ValueError(
-                        f"metric {r.id!r}: only l2 Lipschitz models are usable here, got {m.norm.value}")
-                builders.append(None)
-                lipschitz.append((r, m))
-            elif isinstance(m, ConcaveLinear):
-                grad, ref, v = m.grad, r.x_ref, r.value
-                if float(np.dot(grad, grad)) == 0.0:
-                    continue  # satisfied by every x at any gamma >= 0
-                builders.append(lambda g, grad=grad, ref=ref, v=v:
-                                HalfspaceSet(grad, g * v + float(np.dot(grad, ref))))
-                needed.append(lambda x, grad=grad, ref=ref, v=v:
-                              float(np.dot(grad, x - ref)) / v)
-            elif isinstance(m, ConvexQuadratic):
-                grad, ref, v, lip = m.grad, r.x_ref, r.value, m.curvature
-                builders.append(lambda g, grad=grad, ref=ref, v=v, lip=lip:
-                                BallSet(*quadratic_cap_ball(ref, grad, lip, g * v)))
-                needed.append(lambda x, grad=grad, ref=ref, v=v, lip=lip:
-                              (lip * float(np.dot(x - ref, x - ref)) + float(np.dot(grad, x - ref))) / v)
-            else:
-                raise TypeError(f"unknown constraint model {type(m).__name__}")
-    if not builders:
+    entries = [e for own in model_entries(refs, region.dim) for e in own]
+    if not entries:
         raise ValueError("no usable constraint models")
-    surrogate = None
-    if lipschitz:
-        surrogate = ClippedNormSurrogate([r for r, _ in lipschitz], Norm.L2,
-                                         [m for _, m in lipschitz])
 
     def build_sets(gamma):
-        balls = (surrogate.ball(i, gamma) for i in range(len(lipschitz)))
-        return [next(balls) if b is None else b(gamma) for b in builders]
+        return [at(gamma) for at, _ in entries]
 
     def certify(x):
-        worst = surrogate.certify(x) if surrogate else 0.0
-        return max([worst] + [need(x) for need in needed])
+        return max([0.0] + [need(x) for _, need in entries])
 
     return _bisect(build_sets, certify, np.mean([r.x_ref for r in refs], axis=0), region,
                    config, method="bisection-projection-mixed")

@@ -100,6 +100,38 @@ def test_verify_rejects_an_understated_gamma(tmp_path, capsys):
     assert not out["ok"]
 
 
+def test_verify_counts_a_linear_model_next_to_a_lipschitz_one(tmp_path, capsys):
+    # moving up is harmless to the decreasing Lipschitz model but costs the
+    # linear one (x - 0) * 1 / 1 = 1, which solve_approx certifies at x = 1
+    payload = {"region": {"lower": [None]}, "point": [1.0], "gamma": 0.0, "metrics": [
+        {"id": "both", "x_ref": [0.0], "value": 1.0, "models": [
+            {"kind": "lipschitz", "bound": 1.0, "norm": "l2", "mono": [-1]},
+            {"kind": "linear", "grad": [1.0]}]}]}
+    inst = write_instance(tmp_path / "inst.json", payload)
+    assert main(["verify", inst]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert not out["ok"] and out["region_ok"]
+    assert out["metrics"] == [{"id": "both", "needed_gamma": 1.0, "ok": False}]
+
+
+def test_verify_accepts_a_quadratic_only_metric(tmp_path, capsys):
+    # (curvature * 1 + grad * 1) / value = (1 + 1) / 2 at x = 1
+    payload = {"region": {"lower": [None]}, "point": [1.0], "gamma": 1.0, "metrics": [
+        {"id": "bowl", "x_ref": [0.0], "value": 2.0,
+         "models": [{"kind": "quadratic", "grad": [1.0], "curvature": 1.0}]}]}
+    inst = write_instance(tmp_path / "inst.json", payload)
+    assert main(["verify", inst]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] and out["metrics"] == [{"id": "bowl", "needed_gamma": 1.0, "ok": True}]
+    payload["gamma"] = 0.5
+    inst = write_instance(tmp_path / "inst.json", payload)
+    assert main(["verify", inst]) == 1
+    capsys.readouterr()
+    # `solve` refuses mixed models outside l2, and so does verify
+    assert main(["verify", inst, "--norm", "l1"]) == 2
+    assert "l2" in capsys.readouterr().err
+
+
 def test_verify_requires_point_and_gamma(tmp_path, capsys):
     inst = write_instance(tmp_path / "inst.json", two_anchor_instance(gamma=0.5))
     assert main(["verify", inst]) == 2

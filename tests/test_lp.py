@@ -62,6 +62,22 @@ def test_variable_upper_bounds():
     np.testing.assert_allclose(sol.x, [1.0, 2.0], atol=1e-9)
 
 
+def test_every_bound_kind_in_one_lp():
+    # x0 boxed (shifted, one extra row), x1 lower only (shifted), x2 upper
+    # only (mirrored), x3 free (split into + then -): 5 working columns,
+    # then one slack per row; the basis pins that column order
+    sol = solve_lp(LpProblem(c=[-1.0, 1.0, -1.0, 1.0],
+                             a_ub=[[0.0, 0.0, 1.0, -1.0], [0.0, 0.0, 0.0, -1.0]], b_ub=[6.0, 5.0],
+                             lower=np.array([-1.0, 0.5, -np.inf, -np.inf]),
+                             upper=np.array([2.0, np.inf, 4.0, np.inf])))
+    assert sol.status == LpStatus.OPTIMAL
+    np.testing.assert_array_equal(sol.x, [2.0, 0.5, 4.0, -2.0])
+    assert sol.value == -7.5
+    assert sol.iterations == 2
+    assert sol.basis.shape == (3, 8)
+    np.testing.assert_array_equal(sol.basis.cols, [4, 6, 0])
+
+
 def test_degenerate_transport_problem():
     # balanced 2x2 transportation: supplies (1,1), demands (1,1),
     # costs [[1, 3], [3, 1]] -> ship diagonally, total cost 2

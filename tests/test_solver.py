@@ -1,10 +1,14 @@
 """Solver checks: closed forms, path agreement, stability, grid oracles."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from caolf.geometry import (
     ClippedBallSet,
+    ClippedNormSurrogate,
     Mono,
     Norm,
     Sense,
@@ -25,6 +29,7 @@ from caolf.solver import (
     SolveError,
     grid_oracle_caolf,
     grid_oracle_swcm,
+    model_entries,
     solve_approx,
     solve_caolf,
     stability_probe,
@@ -389,3 +394,75 @@ def test_stability_probe_validates_kappas():
         stability_probe(refs, region, SolveConfig(), kappas=[1.0])
     with pytest.raises(ValueError):
         stability_probe(refs, region, SolveConfig(), kappas=[1.0, -2.0])
+
+
+PINNED_SOLVES = Path(__file__).resolve().parent / "data" / "pinned_solves.json"
+
+
+def pinned_instance(seed):
+    """A small seeded instance for the bit-for-bit recording.
+
+    Returns (refs, mixed, region): ``refs`` carry Lipschitz models in all
+    three norms, ``mixed`` the same metrics with l2 Lipschitz, hyperplane
+    (one with a zero gradient) and quadratic-cap models.  The last metric
+    repeats the first one's geometry, so the epigraph LP merges them, and
+    one coordinate has no lower bound, so the LP splits its column.
+    """
+    rng = np.random.default_rng([2026, seed])
+    d = 4
+    points = rng.uniform(1.0, 4.0, (4, d))
+    refs, mixed = [], []
+    for i in range(5):
+        k = 0 if i == 4 else i
+        x_ref, mono = points[k], rng.integers(-1, 2, d)
+        if i == 4:
+            mono = refs[0].models[0].mono
+        sense = Sense.MAXIMIZE if k % 2 else Sense.MINIMIZE
+        value, bound = float(rng.uniform(1.0, 3.0)), float(rng.uniform(0.5, 2.0))
+        l2 = LipschitzNorm(bound, Norm.L2, mono)
+        models = (l2, LipschitzNorm(bound * float(rng.uniform(0.5, 1.0)), Norm.L1, mono),
+                  LipschitzNorm(bound * float(rng.uniform(1.0, 3.0)), Norm.LINF, mono))
+        grad, curvature = rng.normal(0.0, 0.3, d), float(rng.uniform(0.05, 0.2))
+        approx = [(l2,), (l2, ConcaveLinear(grad)), (ConvexQuadratic(grad, curvature),),
+                  (l2, ConcaveLinear(np.zeros(d)), ConvexQuadratic(grad, curvature)),
+                  (ConcaveLinear(grad),)][i]
+        refs.append(MetricRef(id=f"m{i}", x_ref=x_ref, value=value, sense=sense, models=models))
+        mixed.append(MetricRef(id=f"m{i}", x_ref=x_ref, value=value, sense=sense, models=approx))
+    lower = np.zeros(d)
+    lower[seed % d] = -np.inf
+    price = rng.uniform(0.5, 1.5, d)
+    region = FeasibleSet(lower=lower, halfspaces=((price, float(np.mean(points @ price))),))
+    return refs, mixed, region
+
+
+def pinned_record(seed):
+    """Bits of ``solve_approx`` and the L1/LINF ``solve_caolf`` on one instance."""
+    refs, mixed, region = pinned_instance(seed)
+    solves = {"approx": solve_approx(mixed, region, SolveConfig())}
+    for norm in (Norm.L1, Norm.LINF):
+        solves[norm.value] = solve_caolf(refs, region, SolveConfig(norm=norm))
+    return {name: {"gamma": float(sol.gamma).hex(), "iterations": sol.diagnostics.iterations,
+                   "x": [float(v).hex() for v in sol.x]}
+            for name, sol in solves.items()}
+
+
+def test_solvers_match_their_bitwise_recording():
+    # recorded before the epigraph rows, the mixed-model entries and the LP's
+    # working columns were rewritten; the rewrite may not move a single bit,
+    # so gamma, the point and the pivot / projection-cycle counts must match
+    want = json.loads(PINNED_SOLVES.read_text())
+    assert [pinned_record(seed) for seed in range(3)] == want["records"]
+
+
+def test_model_entries_give_the_certificate_solve_approx_reports():
+    # `caolf verify` reads each metric's need from these entries
+    refs, mixed, region = pinned_instance(0)
+    sol = solve_approx(mixed, region, SolveConfig())
+    entries = model_entries(mixed, region.dim)
+    assert [len(own) for own in entries] == [1, 2, 1, 2, 1]  # the zero gradient has none
+    assert max(need(sol.x) for own in entries for _, need in own) == sol.gamma
+    # a Lipschitz entry's need is the surrogate's row, bit for bit
+    surrogate = ClippedNormSurrogate([refs[i] for i in (0, 1, 3)], Norm.L2)
+    for x in np.random.default_rng(3).uniform(0.0, 5.0, (50, region.dim)):
+        rows = surrogate.needed(x)
+        assert [float(entries[i][0][1](x)).hex() for i in (0, 1, 3)] == [float(v).hex() for v in rows]

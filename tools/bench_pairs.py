@@ -12,10 +12,11 @@ that goes first alternates from pair to pair.  T is ``run_seconds`` from
 ``BENCHMARK.json``, so every report compares with the benchmark's bounds.
 ``perfbench/`` is only run, never imported.
 
-The output file holds every run's final JSON line and ``output_sha256``, and
-per workload and end-to-end metric the median and quartiles of each side and
-the number of pairs this checkout won, with the better direction taken from
-``BENCHMARK.json``.
+The output file holds every run's final JSON line, ``output_sha256`` and exit
+code.  Each workload's summary lists each side's distinct ``output_sha256``
+values and counts its runs with a nonzero exit code; per end-to-end metric it
+gives the median and quartiles of each side and the number of pairs this
+checkout won, with the better direction taken from ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -88,7 +89,11 @@ def quartiles(values: list[float]) -> dict:
 
 
 def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    out = {}
+    out = {
+        "output_sha256": {side: list(dict.fromkeys(p[side]["output_sha256"] for p in pairs))
+                          for side in SIDES},
+        "nonzero_exit": {side: sum(p[side]["exit_code"] != 0 for p in pairs) for side in SIDES},
+    }
     for name, direction in better.items():
         sides = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
         sign = 1.0 if direction == "lower" else -1.0
