@@ -23,7 +23,7 @@ METRIC_ROUTING = "routing-cost"
 METRIC_THROUGHPUT = "throughput"
 METRIC_CONNECTIVITY = "connectivity"
 
-FLOW_EPS = 1e-12  # residual capacity at or below which Dinic treats an arc as full
+FLOW_EPS = 1e-12  # residual capacity at or below which `max_flow` treats an arc as full
 
 
 @dataclass(eq=False)
@@ -189,80 +189,62 @@ def _route(net: NetworkInstance, demand: DemandMatrix, capacity,
 
 def routing_cost_lipschitz(net: NetworkInstance, norm: Norm) -> float:
     """Sensitivity bound of the routing cost to capacity changes in ``norm``."""
-    if net.price_in is None:
-        raise ValueError("routing sensitivity needs rental prices on the instance")
-    return dual_norm_value(net.price_in, norm)
+    return _lipschitz(METRIC_ROUTING, norm, net.edge_count, net.price_in)
+
+
+def _check_endpoints(net: NetworkInstance, source: int, target: int) -> None:
+    if source == target:
+        raise ValueError("source and target must differ")
+    if not (0 <= source < net.node_count and 0 <= target < net.node_count):
+        raise ValueError("source/target out of range")
 
 
 def max_flow(net: NetworkInstance, capacity, source: int, target: int) -> float:
-    """Maximum s-t flow under ``capacity``, by blocking flows on level graphs."""
-    if source == target:
-        raise ValueError("source and target must differ")
-    k = net.node_count
-    if not (0 <= source < k and 0 <= target < k):
-        raise ValueError("source/target out of range")
+    """Maximum s-t flow under ``capacity``, by shortest augmenting paths."""
+    _check_endpoints(net, source, target)
     capacity = _checked_capacity(net, capacity)
     # arc list with paired reverse arcs at even/odd indices
     to: list[int] = []
     cap: list[float] = []
-    adj: list[list[int]] = [[] for _ in range(k)]
+    adj: list[list[int]] = [[] for _ in range(net.node_count)]
     for e, (u, v) in enumerate(net.edges):
         adj[u].append(len(to)); to.append(v); cap.append(float(capacity[e]))
         adj[v].append(len(to)); to.append(u); cap.append(0.0)
     total = 0.0
     while True:
-        level = [-1] * k
-        level[source] = 0
+        via = {source: -1}  # the arc a breadth-first search reached each node by
         queue = [source]
         for u in queue:
             for aid in adj[u]:
-                if cap[aid] > FLOW_EPS and level[to[aid]] < 0:
-                    level[to[aid]] = level[u] + 1
+                if cap[aid] > FLOW_EPS and to[aid] not in via:
+                    via[to[aid]] = aid
                     queue.append(to[aid])
-        if level[target] < 0:
+        if target not in via:
             return total
-        it = [0] * k
-
-        def augment(u: int, limit: float) -> float:
-            if u == target:
-                return limit
-            while it[u] < len(adj[u]):
-                aid = adj[u][it[u]]
-                v = to[aid]
-                if cap[aid] > FLOW_EPS and level[v] == level[u] + 1:
-                    pushed = augment(v, min(limit, cap[aid]))
-                    if pushed > FLOW_EPS:
-                        cap[aid] -= pushed
-                        cap[aid ^ 1] += pushed
-                        return pushed
-                it[u] += 1
-            level[u] = -1
-            return 0.0
-
-        while True:
-            pushed = augment(source, np.inf)
-            if pushed <= FLOW_EPS:
-                break
-            total += pushed
+        path = []
+        v = target
+        while v != source:
+            path.append(via[v])
+            v = to[via[v] ^ 1]
+        pushed = min(cap[aid] for aid in path)
+        for aid in path:
+            cap[aid] -= pushed
+            cap[aid ^ 1] += pushed
+        total += pushed
 
 
 def max_flow_lp(net: NetworkInstance, capacity, source: int, target: int) -> float:
     """Same value as `max_flow`, posed as a circulation LP for cross-checking."""
-    if source == target:
-        raise ValueError("source and target must differ")
+    _check_endpoints(net, source, target)
     capacity = _checked_capacity(net, capacity)
     n = net.edge_count
-    a = incidence(net)
-    a_eq = np.zeros((net.node_count, n + 1))
-    a_eq[:, :n] = a
+    a_eq = np.hstack([incidence(net), np.zeros((net.node_count, 1))])
     a_eq[source, n] = -1.0  # the extracted flow re-enters at the source
     a_eq[target, n] = 1.0
     c = np.zeros(n + 1)
     c[n] = -1.0
-    lower = np.zeros(n + 1)
     upper = np.concatenate([capacity, [np.inf]])
-    sol = solve_lp(LpProblem(c=c, a_eq=a_eq, b_eq=np.zeros(net.node_count),
-                             lower=lower, upper=upper))
+    sol = solve_lp(LpProblem(c=c, a_eq=a_eq, b_eq=np.zeros(net.node_count), upper=upper))
     if sol.status != LpStatus.OPTIMAL:
         raise RuntimeError(f"max-flow LP ended with status {sol.status.value}")
     return -sol.value
@@ -270,13 +252,7 @@ def max_flow_lp(net: NetworkInstance, capacity, source: int, target: int) -> flo
 
 def max_flow_lipschitz(norm: Norm, edge_count: int) -> float:
     """Sensitivity of any s-t max flow to capacity changes, per ``norm``."""
-    if edge_count < 1:
-        raise ValueError("edge count must be positive")
-    if norm == Norm.L1:
-        return 1.0
-    if norm == Norm.L2:
-        return float(np.sqrt(edge_count))
-    return float(edge_count)
+    return _lipschitz(METRIC_THROUGHPUT, norm, edge_count)
 
 
 def capacity_weights(net: NetworkInstance, capacity) -> np.ndarray:
@@ -318,13 +294,26 @@ def algebraic_connectivity(weights: np.ndarray) -> float:
 
 def connectivity_lipschitz(norm: Norm, edge_count: int) -> float:
     """Sensitivity of algebraic connectivity to capacity changes, per ``norm``."""
+    return _lipschitz(METRIC_CONNECTIVITY, norm, edge_count)
+
+
+# Per metric kind: its sense, its monotonicity in every capacity, and its
+# per-edge sensitivity s (from the rental prices and the edge count); a capacity
+# change d moves the value by at most s . |d|, so its Lipschitz bound is s's dual norm.
+_KINDS = {
+    METRIC_ROUTING: (Sense.MINIMIZE, Mono.DECREASING, lambda price_in, n: price_in),
+    METRIC_THROUGHPUT: (Sense.MAXIMIZE, Mono.INCREASING, lambda price_in, n: np.ones(n)),
+    METRIC_CONNECTIVITY: (Sense.MAXIMIZE, Mono.INCREASING, lambda price_in, n: np.full(n, 2.0)),
+}
+
+
+def _lipschitz(kind: str, norm: Norm, edge_count: int, price_in=None) -> float:
     if edge_count < 1:
         raise ValueError("edge count must be positive")
-    if norm == Norm.L1:
-        return 2.0
-    if norm == Norm.L2:
-        return float(2.0 * np.sqrt(edge_count))
-    return float(2.0 * edge_count)
+    sensitivity = _KINDS[kind][2](price_in, edge_count)
+    if sensitivity is None:
+        raise ValueError("routing sensitivity needs rental prices on the instance")
+    return dual_norm_value(sensitivity, norm)
 
 
 # ---------------------------------------------------------------------------
@@ -425,36 +414,30 @@ def build_metric_refs(net: NetworkInstance, history: ScenarioHistory,
     """
     refs: list[MetricRef] = []
     n = net.edge_count
-    dec = np.full(n, Mono.DECREASING, dtype=np.int8)
-    inc = np.full(n, Mono.INCREASING, dtype=np.int8)
     for idx, sc in enumerate(history):
         for metric_id in sorted(sc.values):
             v = float(sc.values[metric_id])
             if v <= 0:
                 raise ValueError(
                     f"scenario {idx}: metric {metric_id!r} value {v} is not positive")
-            if metric_id == METRIC_ROUTING:
-                bound = routing_cost_lipschitz(net, norm)
-                sense, mono = Sense.MINIMIZE, dec
-            elif metric_id.startswith(METRIC_THROUGHPUT + ":"):
-                bound = max_flow_lipschitz(norm, n)
-                sense, mono = Sense.MAXIMIZE, inc
-            elif metric_id == METRIC_CONNECTIVITY:
-                bound = connectivity_lipschitz(norm, n)
-                sense, mono = Sense.MAXIMIZE, inc
-            else:
+            kind = METRIC_THROUGHPUT if metric_id.startswith(METRIC_THROUGHPUT + ":") else metric_id
+            if kind not in _KINDS or metric_id == METRIC_THROUGHPUT:
                 raise ValueError(f"scenario {idx}: unknown metric id {metric_id!r}")
+            sense, mono, _ = _KINDS[kind]
             refs.append(MetricRef(
                 id=f"{metric_id}@s{idx}",
                 x_ref=sc.capacity,
                 value=v,
                 sense=sense,
-                models=(LipschitzNorm(bound=bound, norm=norm, mono=mono),)))
+                models=(LipschitzNorm(bound=_lipschitz(kind, norm, n, net.price_in), norm=norm,
+                                      mono=np.full(n, mono, dtype=np.int8)),)))
     return refs
 
 
 def ref_evaluator(net: NetworkInstance, history: ScenarioHistory, ref_id: str):
     """Evaluator for a reference id of the form ``<metric-id>@s<index>``."""
     metric_id, _, tag = ref_id.rpartition("@s")
-    scenario = history.scenarios[int(tag)]
-    return scenario_evaluator(net, scenario, metric_id)
+    if not (tag.isdecimal() and int(tag) < len(history)):
+        raise ValueError(f"reference id {ref_id!r} names no scenario of the "
+                         f"{len(history)} in the history")
+    return scenario_evaluator(net, history.scenarios[int(tag)], metric_id)

@@ -155,7 +155,7 @@ def _solve_caolf_lp(surrogate: ClippedNormSurrogate, region, config) -> Competit
     c = np.zeros(n_var)
     c[-1] = 1.0
     problem = LpProblem(c=c, a_ub=a_ub, b_ub=b_ub, lower=lower)
-    sol = solve_lp(problem, max_iters=200000)
+    sol = solve_lp(problem)
     if sol.status != LpStatus.OPTIMAL:
         raise SolveError(f"epigraph LP ended with status {sol.status.value}")
     x = sol.x[:dim]

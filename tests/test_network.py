@@ -1,6 +1,9 @@
 """Units and cross-checks for the network experiment metrics."""
 
 import itertools
+import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -273,6 +276,16 @@ def test_max_flow_combinatorial_matches_lp():
         assert max_flow(net, cap, s, t) == pytest.approx(max_flow_lp(net, cap, s, t), abs=1e-7)
 
 
+@pytest.mark.parametrize("flow", [max_flow, max_flow_lp])
+def test_max_flow_rejects_endpoints_outside_the_graph(flow):
+    net = NetworkInstance(node_count=3, edges=((0, 1), (1, 2), (2, 0)),
+                          flow_cost=np.zeros(3), base_capacity=np.ones(3))
+    assert flow(net, [1.0, 2.0, 3.0], 2, 0) == pytest.approx(3.0)
+    for source, target in ((-1, 0), (0, 5)):
+        with pytest.raises(ValueError, match="source/target out of range"):
+            flow(net, [1.0, 2.0, 3.0], source, target)
+
+
 def test_max_flow_monotone_in_capacity():
     rng = np.random.default_rng(31)
     net = random_net(rng, 5, 10)
@@ -282,10 +295,40 @@ def test_max_flow_monotone_in_capacity():
     assert max_flow(net, bigger, 0, 4) >= base - 1e-9
 
 
+PINNED_MAX_FLOWS = Path(__file__).resolve().parent / "data" / "pinned_max_flows.json"
+
+
+def pinned_flow_instance(seed):
+    """A seeded max-flow instance: 4-16 nodes, capacities uniform(0, 10),
+    about a tenth of them set to zero, and a random source/target pair."""
+    rng = np.random.default_rng([2026, seed])
+    k = int(rng.integers(4, 17))
+    net = random_net(rng, k, int(rng.integers(k, 3 * k + 1)))
+    cap = rng.uniform(0.0, 10.0, net.edge_count)
+    cap[rng.random(net.edge_count) < 0.1] = 0.0
+    s, t = (int(v) for v in rng.choice(k, 2, replace=False))
+    return net, cap, s, t
+
+
+def test_max_flow_matches_its_bitwise_recording():
+    # recorded with the blocking-flow kernel this one replaced; the values
+    # may not move by a single bit
+    want = json.loads(PINNED_MAX_FLOWS.read_text())["flows"]
+    assert [max_flow(*pinned_flow_instance(seed)).hex() for seed in range(len(want))] == want
+
+
+def test_max_flow_on_a_long_path():
+    k = 1200
+    net = NetworkInstance(node_count=k, edges=tuple((v, v + 1) for v in range(k - 1)),
+                          flow_cost=np.zeros(k - 1), base_capacity=np.ones(k - 1))
+    assert max_flow(net, np.ones(k - 1), 0, k - 1) == 1.0
+
+
 def test_max_flow_lipschitz_constants():
-    assert max_flow_lipschitz(Norm.L1, 9) == 1.0
-    assert max_flow_lipschitz(Norm.L2, 9) == pytest.approx(3.0)
-    assert max_flow_lipschitz(Norm.LINF, 9) == 9.0
+    for n in (4, 9, 30):
+        assert max_flow_lipschitz(Norm.L1, n) == 1.0
+        assert max_flow_lipschitz(Norm.L2, n) == float(np.sqrt(n))
+        assert max_flow_lipschitz(Norm.LINF, n) == float(n)
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +390,10 @@ def test_connectivity_rejects_negative_weights():
 
 
 def test_connectivity_lipschitz_constants():
-    assert connectivity_lipschitz(Norm.L1, 4) == 2.0
-    assert connectivity_lipschitz(Norm.L2, 4) == pytest.approx(4.0)
-    assert connectivity_lipschitz(Norm.LINF, 4) == 8.0
+    for n in (4, 9, 30):
+        assert connectivity_lipschitz(Norm.L1, n) == 2.0
+        assert connectivity_lipschitz(Norm.L2, n) == float(2.0 * np.sqrt(n))
+        assert connectivity_lipschitz(Norm.LINF, n) == float(2.0 * n)
 
 
 def test_connectivity_lipschitz_probe():
@@ -437,6 +481,17 @@ def test_ref_evaluator_matches_recorded_values():
         evaluator = ref_evaluator(net, history, r.id)
         # at the reference capacity the evaluator must reproduce the record
         assert evaluator(r.x_ref) == pytest.approx(r.value, rel=1e-9, abs=1e-9)
+
+
+def test_ref_evaluator_rejects_a_tag_outside_the_history():
+    rng = np.random.default_rng(67)
+    net = random_net(rng, 4, 8, with_prices=True)
+    history = make_history(rng, net)
+    assert len(history) == 2
+    for tag in ("-1", "2", "7", "x", ""):
+        ref_id = f"{METRIC_ROUTING}@s{tag}"
+        with pytest.raises(ValueError, match=re.escape(repr(ref_id))):
+            ref_evaluator(net, history, ref_id)
 
 
 def test_scenario_evaluator_routing_uses_scenario_demand():
