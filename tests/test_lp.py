@@ -1,5 +1,9 @@
 """Simplex kernel checks: known optima, statuses, duality, invariances."""
 
+import json
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -293,3 +297,83 @@ def test_status_triple_holds_with_a_start():
     assert unbounded.status == LpStatus.UNBOUNDED
     no_rows = solve_lp(LpProblem(c=[-1.0], a_ub=np.zeros((0, 1)), b_ub=[]), start=start)
     assert no_rows.status == LpStatus.UNBOUNDED
+
+
+# ---------------------------------------------------------------------------
+# bit-for-bit recording of the kernel
+
+
+PINNED_LPS = Path(__file__).resolve().parent / "data" / "pinned_lps.json"
+
+
+def pinned_lp(seed):
+    """A seeded LP with every bound kind, inequality rows whose right-hand
+    sides may be negative, and equality rows with one dependent row.
+
+    The costs are dual feasible, so the LP is bounded, except that every
+    eighth has a contradictory extra row (infeasible) and every eighth one
+    extra free-rising column (unbounded).  Every tenth is larger, so its
+    solves pass a refactorization."""
+    rng = np.random.default_rng([2028, seed])
+    big = seed % 10 == 9
+    n = int(rng.integers(12, 25)) if big else int(rng.integers(2, 8))
+    kind = rng.integers(0, 4, n)  # boxed, lower only, upper only, free
+    lo = rng.uniform(-2.0, 1.0, n)
+    up = lo + rng.uniform(0.5, 3.0, n)
+    lower = np.where(kind <= 1, lo, -np.inf)
+    upper = np.where((kind == 0) | (kind == 2), up, np.inf)
+    x0 = rng.uniform(lo, up)
+    m_ub = int(rng.integers(n, 2 * n)) if big else int(rng.integers(1, 5))
+    a_ub = rng.normal(size=(m_ub, n))
+    b_ub = a_ub @ x0 + rng.uniform(0.0, 1.0, m_ub)
+    a_eq = rng.normal(size=(int(rng.integers(0, 3)), n))
+    if a_eq.shape[0]:
+        a_eq = np.vstack([a_eq, a_eq[0] + a_eq[-1]])
+    y = rng.uniform(0.0, 1.0, m_ub) * (rng.random(m_ub) < 0.5)
+    z = np.select([kind == 0, kind == 1, kind == 2],
+                  [rng.normal(size=n), rng.uniform(0.0, 1.0, n), -rng.uniform(0.0, 1.0, n)])
+    c = -a_ub.T @ y + a_eq.T @ rng.normal(size=a_eq.shape[0]) + z
+    if seed % 8 == 6:
+        a_ub = np.vstack([a_ub, -a_ub[0]])
+        b_ub = np.append(b_ub, -b_ub[0] - 1.0)
+    if seed % 8 == 7:
+        a_ub = np.hstack([a_ub, np.zeros((a_ub.shape[0], 1))])
+        a_eq = np.hstack([a_eq, np.zeros((a_eq.shape[0], 1))])
+        c, lower, upper = np.append(c, -1.0), np.append(lower, 0.0), np.append(upper, np.inf)
+        x0 = np.append(x0, 0.0)
+    return LpProblem(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=a_eq @ x0,
+                     lower=lower, upper=upper), rng
+
+
+def lp_record(sol):
+    rec = {"status": sol.status.value, "iterations": sol.iterations, "value": float(sol.value).hex()}
+    if sol.x is not None:
+        rec["x"] = [float(v).hex() for v in sol.x]
+    if sol.basis is not None:
+        rec["shape"] = list(sol.basis.shape)
+        rec["rows"] = sol.basis.rows.tolist()
+        rec["cols"] = sol.basis.cols.tolist()
+    return rec
+
+
+def pinned_lp_records(seed):
+    """The cold solve and one with ``max_iters=1``; for an optimum also a warm
+    re-solve at a perturbed ``b_ub`` (in full and with ``max_iters=1``) and
+    one from that basis under costs it is not dual feasible for."""
+    problem, rng = pinned_lp(seed)
+    cold = solve_lp(problem)
+    recs = {"cold": lp_record(cold), "cold_one_pivot": lp_record(solve_lp(problem, max_iters=1))}
+    if cold.status == LpStatus.OPTIMAL:
+        moved = replace(problem, b_ub=problem.b_ub + rng.normal(0.0, 0.5, problem.b_ub.size))
+        recs["warm"] = lp_record(solve_lp(moved, start=cold.basis))
+        recs["warm_one_pivot"] = lp_record(solve_lp(moved, max_iters=1, start=cold.basis))
+        recosted = replace(problem, c=problem.c + rng.normal(0.0, 2.0, problem.c.size))
+        recs["recosted"] = lp_record(solve_lp(recosted, start=cold.basis))
+    return recs
+
+
+def test_kernel_matches_its_bitwise_recording():
+    want = json.loads(PINNED_LPS.read_text())["lps"]
+    assert len(want) == 200
+    for seed, recs in enumerate(want):
+        assert pinned_lp_records(seed) == recs, f"seed {seed}"
