@@ -62,8 +62,8 @@ class ExperimentConfig:
         if self.scenario_count < 1:
             raise ValueError("need at least one scenario")
         mults = tuple(float(m) for m in self.budget_multipliers)
-        if not mults or any(m <= 0 for m in mults):
-            raise ValueError("budget multipliers must be positive")
+        if not mults or not all(0 < m < np.inf for m in mults):
+            raise ValueError("budget multipliers must be positive and finite")
         if list(mults) != sorted(mults):
             raise ValueError("budget multipliers must be ascending")
         self.budget_multipliers = mults

@@ -178,28 +178,30 @@ def _run_phase(T, basis, A0, b0, cost, max_iters, counter, choose=_primal_pivot)
             since_refactor = 0
 
 
-def _warm_solve(start, A, b, cost, max_iters):
-    """Re-solve from ``start``: dual simplex to primal feasibility, then the
-    primal optimality test.  Returns (working values or None, pivots, basis)."""
-    m, ncols = A.shape
-    if not (isinstance(start, LpBasis) and start.shape == (m, ncols)
-            and start.rows.shape == start.cols.shape
-            and np.all((start.rows >= 0) & (start.rows < m))
-            and np.all((start.cols >= 0) & (start.cols < ncols))):
-        return None, 0, None
-    A0, b0, basis = A[start.rows], b[start.rows], start.cols.copy()
-    T = np.empty((basis.size, ncols + 1))
+def _from_basis(A, b, rows, cols, cost, max_iters, iters, dual_tol=None):
+    """Phase two of ``A[rows] t = b[rows], t >= 0`` from the basic columns ``cols``.
+
+    With a ``dual_tol``, dual pivots first restore primal feasibility and must
+    end "feasible".  Returns (status, pivots, working values, basis); the last
+    two are None unless the status is "optimal".
+    """
+    A0, b0, basis = A[rows], b[rows], cols.copy()
+    T = np.empty((basis.size, A.shape[1] + 1))
     if not _refactor(T, basis, A0, b0):
-        return None, 0, None
-    tol = PRIMAL_TOL * (1.0 + float(np.max(np.abs(b0), initial=0.0)))
-    status, iters = _run_phase(T, basis, A0, b0, cost, max_iters, 0, partial(_dual_pivot, tol=tol))
+        return "stalled", iters, None, None
+    status = "feasible"
+    if dual_tol is not None:
+        status, iters = _run_phase(T, basis, A0, b0, cost, max_iters, iters,
+                                   partial(_dual_pivot, tol=dual_tol))
     if status == "feasible":
         status, iters = _run_phase(T, basis, A0, b0, cost, max_iters, iters)
-    if status != "optimal" or not _refactor(T, basis, A0, b0):
-        return None, iters, None
-    t_vals = np.zeros(ncols)
+    if status == "optimal" and not _refactor(T, basis, A0, b0):
+        status = "stalled"
+    if status != "optimal":
+        return status, iters, None, None
+    t_vals = np.zeros(A.shape[1])
     t_vals[basis] = np.maximum(T[:, -1], 0.0)
-    return t_vals, iters, LpBasis((m, ncols), start.rows, basis)
+    return status, iters, t_vals, LpBasis(A.shape, rows, basis)
 
 
 def solve_lp(problem: LpProblem, max_iters: int | None = None,
@@ -295,22 +297,29 @@ def solve_lp(problem: LpProblem, max_iters: int | None = None,
     cost = np.concatenate([c_t, np.zeros(m_ub)])
 
     spent = 0
-    if start is not None:
-        t_vals, spent, basis = _warm_solve(start, A_std, b_std, cost, max_iters)
-        if t_vals is not None:
+    if (isinstance(start, LpBasis) and start.shape == A_std.shape
+            and start.rows.shape == start.cols.shape
+            and np.all((start.rows >= 0) & (start.rows < m))
+            and np.all((start.cols >= 0) & (start.cols < A_std.shape[1]))):
+        tol = PRIMAL_TOL * (1.0 + float(np.max(np.abs(b_std[start.rows]), initial=0.0)))
+        status, spent, t_vals, basis = _from_basis(A_std, b_std, start.rows, start.cols, cost,
+                                                   max_iters, 0, tol)
+        if status == "optimal":
             sol = finish(t_vals, spent, basis)
             if sol.status == LpStatus.OPTIMAL:
                 return sol
-    sol = _two_phase(A_std, b_std, needs_art, nt, cost, max_iters, finish)
-    sol.iterations += spent
-    return sol
+    status, iters, t_vals, basis = _two_phase(A_std, b_std, needs_art, nt, cost, max_iters)
+    if status != "optimal":
+        return LpSolution(LpStatus(status), None, np.nan, iters + spent)
+    return finish(t_vals, iters + spent, basis)
 
 
-def _two_phase(A_std, b_std, needs_art, nt, cost, max_iters, finish) -> LpSolution:
+def _two_phase(A_std, b_std, needs_art, nt, cost, max_iters):
     """The cold solve of ``A_std t = b_std, t >= 0`` (``b_std >= 0``).
 
     Rows flagged in ``needs_art`` start on an artificial variable; every
     other row is an inequality whose slack, column ``nt + row``, starts basic.
+    Returns what `_from_basis` returns.
     """
     m, art_off = A_std.shape
     art_rows = np.nonzero(needs_art)[0]
@@ -318,49 +327,22 @@ def _two_phase(A_std, b_std, needs_art, nt, cost, max_iters, finish) -> LpSoluti
     basis = nt + np.arange(m)
     A0[art_rows, art_off + np.arange(art_rows.size)] = 1.0
     basis[art_rows] = art_off + np.arange(art_rows.size)
-    b0 = b_std.copy()
-    T = np.column_stack([A0, b0])
+    T = np.column_stack([A0, b_std])
 
     cost1 = np.zeros(A0.shape[1])
     cost1[art_off:] = 1.0
-    status, iters = _run_phase(T, basis, A0, b0, cost1, max_iters, 0)
+    status, iters = _run_phase(T, basis, A0, b_std, cost1, max_iters, 0)
     if status == "stalled" or status == "unbounded":
-        return LpSolution(LpStatus.STALLED, None, np.nan, iters)
+        return "stalled", iters, None, None
     art_total = float(np.sum(T[basis >= art_off, -1], initial=0.0))
-    if art_total > 1e-7 * (1.0 + float(np.max(b0, initial=0.0))):
-        return LpSolution(LpStatus.INFEASIBLE, None, np.nan, iters)
+    if art_total > 1e-7 * (1.0 + float(np.max(b_std, initial=0.0))):
+        return "infeasible", iters, None, None
 
     # Drive leftover artificials out of the basis; a row with no eligible
     # pivot is linearly dependent on the others and is dropped.
-    keep = np.arange(m)
-    drop = []
-    for i in range(m):
-        if basis[i] < art_off:
-            continue
+    for i in np.nonzero(basis >= art_off)[0]:
         j = int(np.argmax(np.abs(T[i, :art_off])))
         if abs(T[i, j]) > 1e-8:
             _pivot(T, None, basis, i, j)
-        else:
-            drop.append(i)
-    if drop:
-        keep = np.setdiff1d(keep, np.array(drop))
-        T = T[keep]
-        basis = basis[keep]
-        A0 = A0[keep]
-        b0 = b0[keep]
-    T = np.column_stack([T[:, :art_off], T[:, -1]])
-    A0 = A0[:, :art_off]
-    if not _refactor(T, basis, A0, b0):
-        return LpSolution(LpStatus.STALLED, None, np.nan, iters)
-
-    status, iters = _run_phase(T, basis, A0, b0, cost, max_iters, iters)
-    if status == "unbounded":
-        return LpSolution(LpStatus.UNBOUNDED, None, np.nan, iters)
-    if status == "stalled":
-        return LpSolution(LpStatus.STALLED, None, np.nan, iters)
-
-    if not _refactor(T, basis, A0, b0):
-        return LpSolution(LpStatus.STALLED, None, np.nan, iters)
-    t_vals = np.zeros(art_off)
-    t_vals[basis] = np.maximum(T[:, -1], 0.0)
-    return finish(t_vals, iters, LpBasis((m, art_off), keep, basis))
+    keep = np.nonzero(basis < art_off)[0]
+    return _from_basis(A_std, b_std, keep, basis[keep], cost, max_iters, iters)

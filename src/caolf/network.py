@@ -160,6 +160,8 @@ def _route(net: NetworkInstance, demand: DemandMatrix, capacity,
     solved from ``start`` when it is given."""
     if net.price_in is None:
         raise ValueError("routing cost needs rental prices on the instance")
+    if demand.node_count != net.node_count:
+        raise ValueError(f"demand is for {demand.node_count} nodes, the network has {net.node_count}")
     capacity = _checked_capacity(net, capacity)
     n = net.edge_count
     supply = demand_to_supply(demand)

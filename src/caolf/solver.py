@@ -238,6 +238,19 @@ VERIFY_REL_TOL = 1e-9  # slack on top of gamma in `verify_competitiveness`
 GRID_MEMBERSHIP_TOL = 1e-9  # region violation up to which a grid point is inside
 
 
+def _checked_metrics(metrics) -> list:
+    """``metrics`` as a list; raises unless every reference value is positive and finite."""
+    metrics = list(metrics)
+    for _, value, _ in metrics:
+        if not (value > 0 and np.isfinite(value)):
+            raise ValueError(f"reference value must be positive, got {value}")
+    return metrics
+
+
+def _relative_slack(f: float, value: float, sense: Sense) -> float:
+    return f / value - 1.0 if sense == Sense.MINIMIZE else 1.0 - f / value
+
+
 def verify_competitiveness(x, gamma: float, metrics):
     """Check realized metric values against the (1 +/- gamma) envelope.
 
@@ -247,16 +260,8 @@ def verify_competitiveness(x, gamma: float, metrics):
     every slack is at most gamma (plus ``VERIFY_REL_TOL``).
     """
     x = np.asarray(x, dtype=float)
-    slacks = []
-    for evaluate, value, sense in metrics:
-        if not (value > 0 and np.isfinite(value)):
-            raise ValueError(f"reference value must be positive, got {value}")
-        f = float(evaluate(x))
-        if sense == Sense.MINIMIZE:
-            slacks.append(f / value - 1.0)
-        else:
-            slacks.append(1.0 - f / value)
-    slacks = np.asarray(slacks)
+    slacks = np.asarray([_relative_slack(float(evaluate(x)), value, sense)
+                         for evaluate, value, sense in _checked_metrics(metrics)])
     ok = bool(np.all(slacks <= gamma + VERIFY_REL_TOL))
     return slacks, ok
 
@@ -284,7 +289,7 @@ def grid_oracle_swcm(metrics, region: FeasibleSet, resolution: int, box):
     Independent of the solvers by construction: it evaluates the metrics
     themselves, not any surrogate model.  Returns (gamma, point).
     """
-    metrics = list(metrics)
+    metrics = _checked_metrics(metrics)
     if not metrics:
         raise ValueError("need at least one metric")
     axes = _grid_axes(region, resolution, box)
@@ -296,9 +301,7 @@ def grid_oracle_swcm(metrics, region: FeasibleSet, resolution: int, box):
             continue
         worst = 0.0
         for evaluate, value, sense in metrics:
-            f = float(evaluate(p))
-            slack = f / value - 1.0 if sense == Sense.MINIMIZE else 1.0 - f / value
-            worst = max(worst, slack)
+            worst = max(worst, _relative_slack(float(evaluate(p)), value, sense))
         if worst < best:
             best = worst
             best_point = p

@@ -214,6 +214,9 @@ def test_config_validation_rejects_bad_values():
         tiny_config(scenario_count=0)
     with pytest.raises(ValueError):
         tiny_config(demand_pairs=0)
+    for mults in ((np.nan,), (np.inf,), (0.5, np.nan, 0.2)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            tiny_config(budget_multipliers=mults)
 
 
 # ---------------------------------------------------------------------------

@@ -212,6 +212,19 @@ def test_record_scenario_keeps_the_routing_basis():
     assert record_scenario(net, [2.0], demand, (METRIC_CONNECTIVITY,)).routing_basis is None
 
 
+@pytest.mark.parametrize("evaluate", [
+    lambda net, demand: routing_cost(net, demand, np.ones(net.edge_count)),
+    lambda net, demand: record_scenario(net, np.ones(net.edge_count), demand, (METRIC_ROUTING,)),
+], ids=["routing_cost", "record_scenario"])
+@pytest.mark.parametrize("nodes", [2, 4])
+def test_routing_rejects_a_demand_for_another_node_count(evaluate, nodes):
+    net = NetworkInstance(node_count=3, edges=((0, 1), (1, 2), (2, 0)), flow_cost=np.ones(3),
+                          base_capacity=np.ones(3), price_in=np.full(3, 2.0))
+    assert evaluate(net, DemandMatrix(3, ((0, 2, 1.0),))) is not None
+    with pytest.raises(ValueError, match=f"demand is for {nodes} nodes, the network has 3"):
+        evaluate(net, DemandMatrix(nodes, ((0, 1, 1.0),)))
+
+
 def test_routing_cost_requires_rental_prices():
     net = NetworkInstance(node_count=2, edges=((0, 1),), flow_cost=[1.0],
                           base_capacity=[1.0])

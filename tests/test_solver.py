@@ -371,6 +371,22 @@ def test_grid_oracle_guards():
         grid_oracle_swcm([], region2, 11, box=[(0, 1), (0, 1)])
 
 
+@pytest.mark.parametrize("value", [-1.0, np.nan, 0.0])
+def test_bad_reference_values_raise_before_any_evaluation(value):
+    calls = []
+
+    def evaluate(x):
+        calls.append(x)
+        return 1.0
+
+    metrics = [(evaluate, 1.0, Sense.MINIMIZE), (evaluate, value, Sense.MAXIMIZE)]
+    with pytest.raises(ValueError, match="reference value must be positive"):
+        verify_competitiveness(np.zeros(1), 0.5, metrics)
+    with pytest.raises(ValueError, match="reference value must be positive"):
+        grid_oracle_swcm(metrics, FeasibleSet.unconstrained(1), 11, box=[(0.0, 1.0)])
+    assert calls == []
+
+
 def test_dimension_mismatch_raises():
     region = FeasibleSet.nonnegative(2)
     refs = [MetricRef(id="m", x_ref=[0.5], value=1.0,
