@@ -345,4 +345,5 @@ def _two_phase(A_std, b_std, needs_art, nt, cost, max_iters):
         if abs(T[i, j]) > 1e-8:
             _pivot(T, None, basis, i, j)
     keep = np.nonzero(basis < art_off)[0]
+    del T, A0  # phase two builds its own tableau; free this one first
     return _from_basis(A_std, b_std, keep, basis[keep], cost, max_iters, iters)
