@@ -143,25 +143,8 @@ def clip(x, geom: RefGeometry) -> np.ndarray:
     return _harm(x, geom.lo, geom.hi, geom.eff_mono)
 
 
-def quadratic_cap_ball(x_ref, grad, lip: float, rhs: float) -> tuple[np.ndarray, float]:
-    """Center and radius of {y : lip*||y-x_ref||^2 + grad.(y-x_ref) <= rhs}.
-
-    Completing the square turns the cap into a Euclidean ball.  Raises if the
-    cap is empty (rhs below the attainable minimum of the left-hand side).
-    """
-    x_ref = np.asarray(x_ref, dtype=float)
-    grad = np.asarray(grad, dtype=float)
-    if lip <= 0:
-        raise ValueError("curvature constant must be positive")
-    center = x_ref - grad / (2.0 * lip)
-    rad_sq = rhs / lip + float(np.dot(grad, grad)) / (4.0 * lip * lip)
-    if rad_sq < 0:
-        raise ValueError("quadratic cap is empty: right-hand side below the minimum")
-    return center, float(np.sqrt(rad_sq))
-
-
 # ---------------------------------------------------------------------------
-# Projectable sets and the alternating-projection feasibility routines.
+# Projectable sets and the alternating-projection feasibility routine.
 
 
 class LowerBoundSet:
@@ -303,15 +286,9 @@ class ClippedNormSurrogate:
             worst = np.maximum(worst, g * rate)
         return worst
 
-    def ball(self, i: int, gamma: float) -> ClippedBallSet:
-        """Reference ``i``'s surrogate set at tolerance ``gamma`` (l2 only)."""
-        if self.norm != Norm.L2:
-            raise NotImplementedError("clipped balls exist only for the l2 norm")
-        return ClippedBallSet(self.geoms[i], gamma / self.rate[i])
-
 
 class BallSet:
-    """{x : ||x - center||_2 <= radius}; quadratic caps reduce to this."""
+    """{x : ||x - center||_2 <= radius}."""
 
     def __init__(self, center, radius: float):
         if radius < 0:
@@ -334,8 +311,7 @@ class BallSet:
 class ProjectionRun:
     """Outcome of an alternating-projection pass over a family of sets.
 
-    A run that did not converge reports the best residual it saw, at ``x``;
-    in `extrapolated_projections` that can be the start's, not a gap estimate.
+    A run that did not converge reports the best residual it saw, at ``x``.
     """
 
     x: np.ndarray
@@ -348,15 +324,13 @@ def max_violation(sets: Sequence, x: np.ndarray) -> float:
     return max((s.violation(x) for s in sets), default=0.0)
 
 
-# Stall rule shared by both projection loops: they stop once the best residual
+# Stall rule of the projection loop: it stops once the best residual
 # has gained less than STALL_RTOL (relative) over STALL_WINDOW cycles, or has
 # not moved at all for STALL_FROZEN cycles, which means the iteration is
 # periodic (disjoint sets) and the full window need not be waited out.
 STALL_WINDOW = 100
 STALL_RTOL = 1e-4
 STALL_FROZEN = STALL_WINDOW // 4
-# cycles between extrapolation attempts in `extrapolated_projections`
-JUMP_EVERY = 8
 
 
 def _stalled(history: list, tol: float) -> bool:
@@ -398,70 +372,6 @@ def dykstra(sets: Sequence, start, tol: float = 1e-9, max_iters: int = 5000) -> 
             best_x = x.copy()
         if best <= tol:
             return ProjectionRun(x=best_x, residual=best, iterations=it, converged=True)
-        history.append(best)
-        if _stalled(history, tol):
-            break
-    return ProjectionRun(x=best_x, residual=best, iterations=len(history), converged=False)
-
-
-def extrapolated_projections(sets: Sequence, start, tol: float = 1e-9,
-                             max_iters: int = 5000) -> ProjectionRun:
-    """Cyclic projections with a safeguarded extrapolation accelerator.
-
-    Thin intersections make plain alternating projections crawl: the cycle map
-    is asymptotically a contraction with factor close to one, so the iterates
-    form a near-geometric sequence.  Every few cycles the crawl direction and
-    its decay ratio are estimated from consecutive cycle deltas and the limit
-    is extrapolated in one jump; the jump is adopted only when it actually
-    lowers the residual, so the safeguard keeps plain-projection behavior on
-    anything the model does not fit.  Unlike `dykstra` the result is some
-    point of the intersection, not the projection of ``start``, which is all
-    a bisection probe needs.
-    """
-    x = np.array(start, dtype=float)
-    sets = list(sets)
-    if not sets:
-        return ProjectionRun(x=x, residual=0.0, iterations=0, converged=True)
-    # The start (a probe's last feasible point) counts as a candidate best, unlike
-    # in `dykstra`: failing probes stall out sooner; without it, 1.2x-6x the cycles.
-    best = max_violation(sets, x)
-    if best <= tol:
-        return ProjectionRun(x=x, residual=best, iterations=0, converged=True)
-    best_x = x.copy()
-    prev_delta = None
-    history = []
-    for it in range(1, max_iters + 1):
-        x_prev = x.copy()
-        for s in sets:
-            x = s.project(x)
-        res = max_violation(sets, x)
-        if res < best:
-            best = res
-            best_x = x.copy()
-        if best <= tol:
-            return ProjectionRun(x=best_x, residual=best, iterations=it, converged=True)
-        if it % JUMP_EVERY == 0:
-            delta = x - x_prev
-            adopted = False
-            if prev_delta is not None:
-                den = float(prev_delta @ prev_delta)
-                rho = float(delta @ prev_delta) / den if den > 0 else 0.0
-                if 0.1 < rho < 0.9999:
-                    cand = x + delta * (rho / (1.0 - rho))
-                    cand_res = max_violation(sets, cand)
-                    if cand_res < best:
-                        x = cand
-                        best = cand_res
-                        best_x = cand.copy()
-                        if best <= tol:
-                            return ProjectionRun(x=best_x, residual=best, iterations=it,
-                                                 converged=True)
-                        # the delta across a jump is not a plain cycle delta,
-                        # so the ratio estimate restarts
-                        prev_delta = None
-                        adopted = True
-            if not adopted:
-                prev_delta = delta
         history.append(best)
         if _stalled(history, tol):
             break

@@ -1,12 +1,11 @@
 """Solvers for the competitive-tolerance problem and its verification oracles.
 
-The decision problem at a fixed tolerance gamma is convex feasibility: stay
-inside the decision region while keeping each metric's clipped displacement
-norm within a radius proportional to gamma.  The optimal gamma is found by
-bisection, which is sound because enlarging gamma only enlarges every
-radius.  Euclidean instances use alternating projections; L1 and LINF
-instances have polyhedral radius constraints and go through the simplex
-kernel as one epigraph linear program instead.
+Minimizing the tolerance gamma is a convex program: stay inside the decision
+region while keeping each metric's clipped displacement norm within a radius
+proportional to gamma.  Euclidean instances, and mixed models, are solved by
+the log-barrier method over (x, gamma^2); L1 and LINF instances have
+polyhedral radius constraints and go through the simplex kernel as one
+epigraph linear program instead.
 """
 
 from __future__ import annotations
@@ -16,18 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    BallSet,
-    ClippedBallSet,
-    ClippedNormSurrogate,
-    HalfspaceSet,
-    Norm,
-    Sense,
-    clip,
-    extrapolated_projections,
-    norm_value,
-    quadratic_cap_ball,
-)
+from .geometry import ClippedNormSurrogate, Norm, Sense, clip, norm_value
 from .lp import LpProblem, LpStatus, solve_lp
 from .model import (
     CompetitiveSolution,
@@ -54,41 +42,145 @@ class SolveConfig:
             raise ValueError("tolerances must be positive")
 
 
-def _bisect(build_sets, certify, start, region: FeasibleSet, config: SolveConfig,
-            method: str) -> CompetitiveSolution:
-    """Shared bisection driver over the gamma axis.
+# The log-barrier method of `_barrier` (Boyd & Vandenberghe, *Convex
+# Optimization*, 11.3).
+BARRIER_GROWTH = 20.0  # factor on the barrier weight tau between centerings
+CENTERED = 1e-8  # a centering ends once half the squared Newton decrement is at most this
+BACKTRACK = 0.25  # step factor of the backtracking line search
+ARMIJO = 0.01  # share of the predicted decrease a step must achieve
+MIN_STEP = 1e-4  # a centering ends, without the step, once backtracking falls below this
 
-    The search starts from the projection of ``start`` into the region.
-    ``build_sets(gamma)`` yields the projectable constraint sets at that
-    tolerance and ``certify`` maps a point to the smallest tolerance it
-    satisfies every constraint at; the latter is also the reported gamma, so
-    the answer is always a value the returned point actually achieves.
+
+def _stack(rows, dim: int):
+    """(scalar, vector, vector) rows as arrays of shapes (k,), (k, dim), (k, dim)."""
+    return (np.array([c for c, _, _ in rows], dtype=float),
+            np.reshape([v for _, v, _ in rows], (-1, dim)),
+            np.reshape([w for _, _, w in rows], (-1, dim)))
+
+
+def _barrier(clips, caps, certify, start, region: FeasibleSet, config: SolveConfig,
+             method: str) -> CompetitiveSolution:
+    """Minimize gamma by the log-barrier method over y = (x, t), t = gamma^2.
+
+    The rows, each stacked by `_stack`: ``clips`` = (rate, lo, hi) gives
+    ||rate_i (x - clamp(x, lo_i, hi_i))||^2 < t, ``caps`` = (curv, center, grad)
+    gives sum_j curv_k u_j^2 + grad_kj u_j < sqrt(t) with u = x - center_k.
+    The region adds x_j > lower_j and a.x < b + feasibility_tolerance * ||a||
+    per halfspace; the widening gives a region without interior one.  A
+    centering is damped Newton on tau*t - sum log(slack) + sum slack/slack0
+    over the region rows and the x part of the hyperplane rows (curv 0), the
+    rows whose slack can grow without bound; slack0 is the slack at the start,
+    and the term keeps the iterates from running off along directions no
+    other row bounds.  The search starts at ``start``, or midway between its
+    projection into the region and the point of deepest region slack.  The
+    reported gamma is ``certify`` at the returned point.
     """
-    x_best = region.find_point(start, tol=min(1e-9, config.feasibility_tolerance))
-    region_sets = region.sets()
-    lo, hi = 0.0, certify(x_best)
-    total_iters = 0
-    while hi - lo > config.gamma_tolerance:
-        mid = 0.5 * (lo + hi)
-        probe = extrapolated_projections(build_sets(mid) + region_sets, x_best,
-                                         tol=config.feasibility_tolerance)
-        total_iters += probe.iterations
-        if probe.converged:
-            x_best = probe.x
-            # projections land on the active constraint surface, so the point
-            # usually certifies a tolerance well below mid; shrink the bracket
-            # to that certified value instead of mid
-            hi = min(mid, certify(probe.x))
-            if hi <= lo:
+    (rate, lo, hi), (curv, center, grad) = clips, caps
+    dim, lower = region.dim, region.lower
+    if curv.size:  # caps need the row t > 0: a clip row of rate 0
+        rate, lo, hi = (np.append(rate, 0.0), np.vstack([lo, np.full(dim, -np.inf)]),
+                        np.vstack([hi, np.full(dim, np.inf)]))
+    bounded = np.flatnonzero(np.isfinite(lower))
+    normals = np.reshape([a for a, _ in region.halfspaces], (-1, dim))
+    rhs = np.array([b for _, b in region.halfspaces], dtype=float) \
+        + config.feasibility_tolerance * np.linalg.norm(normals, axis=1)
+    # region rows: slack = fixed . y + region_slack(0), with fixed's t column 0
+    fixed = np.zeros((bounded.size + len(normals), dim + 1))
+    fixed[np.arange(bounded.size), bounded] = 1.0
+    fixed[bounded.size:, :dim] = -normals
+
+    def region_slack(x):
+        return np.concatenate([x[bounded] - lower[bounded], rhs - normals @ x])
+
+    m, k = rate.size, curv.size
+    rate2, n = rate * rate, m + k + len(fixed)
+
+    def slacks(x, t):
+        h, u = x - np.clip(x, lo, hi), x - center
+        s = np.concatenate([t - rate2 * np.einsum("ij,ij->i", h, h),
+                            np.sqrt(max(t, 0.0)) - np.einsum("ij,ij->i", u, curv[:, None] * u + grad),
+                            region_slack(x)])
+        return s, h, u
+
+    x = np.asarray(start, dtype=float)
+    if not np.all(region_slack(x) > 0):
+        deep = solve_lp(LpProblem(
+            c=-np.eye(dim + 1)[dim], a_ub=np.column_stack([-fixed[:, :dim], np.ones(len(fixed))]),
+            b_ub=region_slack(np.zeros(dim)), lower=np.full(dim + 1, -np.inf),
+            upper=np.append(np.full(dim, np.inf), 1.0)))
+        if deep.status != LpStatus.OPTIMAL:
+            raise SolveError(f"interior-point LP ended with status {deep.status.value}")
+        near = region.find_point(x, tol=min(1e-9, config.feasibility_tolerance))
+        x = 0.5 * (near + deep.x[:dim])
+    t = (1.0 + certify(x)) ** 2
+    s, h, u = slacks(x, t)
+    if not np.all(s > 0):
+        raise SolveError("the region has no interior point")
+    # the gradient of the slack/slack0 terms, which are linear in y
+    lin = fixed.T @ (1.0 / s[m + k:])
+    lin[:dim] -= ((curv == 0) / s[m:m + k]) @ grad
+    # H is singular along directions no row depends on: within the coordinates
+    # without a lower bound that no clip row is outside its box in, those
+    # normal to every hyperplane row and halfspace; quadratic caps leave none
+    free_coords = ~np.isfinite(lower) & np.all(curv == 0)
+    planes = np.vstack([grad[curv == 0], normals])
+    planes /= np.linalg.norm(planes, axis=1)[:, None]
+    G = np.zeros((n, dim + 1))
+    G[m + k:], G[:m, dim] = fixed, 1.0
+    tau, steps = n / t, 0
+    while True:
+        while True:  # centering
+            G[:m, :dim] = -2.0 * rate2[:, None] * h
+            G[m:m + k, :dim] = -(2.0 * curv[:, None] * u + grad)
+            G[m:m + k, dim] = 0.5 / np.sqrt(t)
+            W = G / s[:, None]
+            g = lin - W.sum(axis=0)
+            g[dim] += tau
+            outside = h != 0
+            H = W.T @ W + np.diag(np.append(
+                2.0 * (np.sum(outside * (rate2 / s[:m])[:, None], axis=0) + np.sum(curv / s[m:m + k])),
+                0.25 * np.sum(1.0 / s[m:m + k]) / t ** 1.5))
+            free = free_coords & ~np.any(outside, axis=0)
+            if free.any():  # solve on the complement of the flat directions
+                _, sv, vt = np.linalg.svd(planes[:, free])
+                flat = np.zeros((dim + 1, free.sum()))
+                flat[free.nonzero()] = vt.T
+                flat = flat[:, np.sum(sv > 1e-10):]
+                keep = np.eye(dim + 1) - flat @ flat.T
+                H, g = keep @ H @ keep + flat @ flat.T, keep @ g
+            try:
+                dy = np.linalg.solve(H, -g)
+            except np.linalg.LinAlgError:
+                dy = np.linalg.lstsq(H, -g, rcond=None)[0]
+            slope = float(g @ dy)  # minus the squared Newton decrement
+            if not -0.5 * slope > CENTERED:
                 break
-        else:
-            lo = mid
+            step = 1.0
+            while step >= MIN_STEP:
+                x1, t1 = x + step * dy[:dim], t + step * dy[dim]
+                s1, h1, u1 = slacks(x1, t1)
+                if np.all(s1 > 0) and (tau * (t1 - t) - np.sum(np.log(s1 / s))
+                                       + step * float(lin @ dy) <= ARMIJO * step * slope):
+                    break
+                step *= BACKTRACK
+            else:
+                break
+            x, t, s, h, u = x1, t1, s1, h1, u1
+            steps += 1
+        if np.sqrt(t) - np.sqrt(max(t - n / tau, 0.0)) <= config.gamma_tolerance:
+            break
+        tau *= BARRIER_GROWTH
     # hard lower bounds hold exactly so downstream metric evaluation never
     # sees a tolerance-scale negative capacity
-    x_best = np.maximum(x_best, region.lower)
-    gamma = certify(x_best)
-    diag = SolveDiagnostics(iterations=total_iters, residual=region.violation(x_best), method=method)
-    return CompetitiveSolution(x=x_best, gamma=gamma, diagnostics=diag)
+    x = np.maximum(x, lower)
+    diag = SolveDiagnostics(iterations=steps, residual=region.violation(x), method=method)
+    return CompetitiveSolution(x=x, gamma=certify(x), diagnostics=diag)
+
+
+def _check_dims(refs, dim: int) -> None:
+    for r in refs:
+        if r.dim != dim:
+            raise ValueError(f"metric {r.id!r} has dimension {r.dim}, region has {dim}")
 
 
 def solve_caolf(refs, region: FeasibleSet, config: SolveConfig | None = None) -> CompetitiveSolution:
@@ -103,19 +195,13 @@ def solve_caolf(refs, region: FeasibleSet, config: SolveConfig | None = None) ->
     """
     config = config or SolveConfig()
     refs = list(refs)
-    dim = region.dim
-    for r in refs:
-        if r.dim != dim:
-            raise ValueError(f"metric {r.id!r} has dimension {r.dim}, region has {dim}")
+    _check_dims(refs, region.dim)
     surrogate = ClippedNormSurrogate(refs, config.norm).merged()
     if config.norm != Norm.L2:
         return _solve_caolf_lp(surrogate, region, config)
-
-    def build_sets(gamma):
-        return [surrogate.ball(i, gamma) for i in range(len(surrogate.ids))]
-
-    return _bisect(build_sets, surrogate.certify, np.mean([r.x_ref for r in refs], axis=0),
-                   region, config, method="bisection-projection-l2")
+    return _barrier((surrogate.rate, surrogate.lo, surrogate.hi), _stack([], region.dim),
+                    surrogate.certify, np.mean([r.x_ref for r in refs], axis=0), region, config,
+                    method="barrier-l2")
 
 
 def _solve_caolf_lp(surrogate: ClippedNormSurrogate, region, config) -> CompetitiveSolution:
@@ -166,33 +252,33 @@ def _solve_caolf_lp(surrogate: ClippedNormSurrogate, region, config) -> Competit
 
 
 def _model_entry(r, m):
-    """Model ``m`` of metric ``r`` as (set at gamma, gamma needed at x); None
-    for a hyperplane model with a zero gradient, which holds everywhere."""
+    """Model ``m`` of metric ``r`` as (barrier row, gamma needed at x); None
+    for a hyperplane model with a zero gradient, which holds everywhere.  A
+    row is ("clip", rate, lo, hi) or ("cap", curvature, center, gradient) in
+    the terms of `_barrier`, already divided by the reference value."""
     ref, v = r.x_ref, r.value
     if isinstance(m, LipschitzNorm):
         if m.norm != Norm.L2:
             raise ValueError(f"metric {r.id!r}: only l2 Lipschitz models are usable here, got {m.norm.value}")
         geom, rate = r.geometry(m), m.bound / v
-        return (lambda g: ClippedBallSet(geom, g / rate),
+        return (("clip", rate, geom.lo, geom.hi),
                 lambda x: rate * norm_value(clip(x, geom), Norm.L2))
     if isinstance(m, ConcaveLinear):
         if float(np.dot(m.grad, m.grad)) == 0.0:
             return None
-        return (lambda g: HalfspaceSet(m.grad, g * v + float(np.dot(m.grad, ref))),
+        return (("cap", 0.0, ref, m.grad / v),
                 lambda x: float(np.dot(m.grad, x - ref)) / v)
     if isinstance(m, ConvexQuadratic):
         a, lip = m.grad, m.curvature
-        return (lambda g: BallSet(*quadratic_cap_ball(ref, a, lip, g * v)),
+        return (("cap", lip / v, ref, a / v),
                 lambda x: (lip * float(np.dot(x - ref, x - ref)) + float(np.dot(a, x - ref))) / v)
     raise TypeError(f"unknown constraint model {type(m).__name__}")
 
 
 def model_entries(refs, dim: int) -> list[list[tuple]]:
-    """Per metric, the (set at gamma, gamma needed at x) pair of each usable
+    """Per metric, the (barrier row, gamma needed at x) pair of each usable
     model, in model order: the constraints `solve_approx` solves with."""
-    for r in refs:
-        if r.dim != dim:
-            raise ValueError(f"metric {r.id!r} has dimension {r.dim}, region has {dim}")
+    _check_dims(refs, dim)
     return [[e for e in (_model_entry(r, m) for m in r.models) if e is not None] for r in refs]
 
 
@@ -208,15 +294,16 @@ def solve_approx(refs, region: FeasibleSet, config: SolveConfig | None = None) -
     entries = [e for own in model_entries(refs, region.dim) for e in own]
     if not entries:
         raise ValueError("no usable constraint models")
-
-    def build_sets(gamma):
-        return [at(gamma) for at, _ in entries]
+    rows = {"clip": [], "cap": []}
+    for (kind, *row), _ in entries:
+        rows[kind].append(row)
 
     def certify(x):
         return max([0.0] + [need(x) for _, need in entries])
 
-    return _bisect(build_sets, certify, np.mean([r.x_ref for r in refs], axis=0), region,
-                   config, method="bisection-projection-mixed")
+    return _barrier(_stack(rows["clip"], region.dim), _stack(rows["cap"], region.dim), certify,
+                    np.mean([r.x_ref for r in refs], axis=0), region, config,
+                    method="barrier-mixed")
 
 
 def stability_probe(refs, region: FeasibleSet, config: SolveConfig, kappas) -> CompetitiveSolution:
@@ -317,6 +404,8 @@ def grid_oracle_caolf(refs, region: FeasibleSet, resolution: int, box, norm: Nor
     max_i bound_i * ||clip(x, ref_i)|| / value_i, vectorized over the grid.
     Returns (gamma, point).
     """
+    refs = list(refs)
+    _check_dims(refs, region.dim)
     surrogate = ClippedNormSurrogate(refs, norm)
     axes = _grid_axes(region, resolution, box)
     mesh = np.meshgrid(*axes, indexing="ij")

@@ -391,10 +391,13 @@ def test_benchmark_tracer_installs_and_uninstalls():
                           models=(LipschitzNorm(2.0, Norm.L2, [0]),)),
                 MetricRef(id="b", x_ref=[1.0], value=1.0,
                           models=(LipschitzNorm(1.0, Norm.L2, [0]),))]
-        sol = solver.solve_caolf(refs, FeasibleSet.unconstrained(1), solver.SolveConfig())
+        # the cap cuts off the mean of the references, so the solve starts
+        # from the region's `find_point`, which projects
+        region = FeasibleSet(lower=[-np.inf], halfspaces=[([1.0], 0.25)])
+        sol = solver.solve_caolf(refs, region, solver.SolveConfig())
     finally:
         tracer.uninstall()
-    assert sol.gamma == pytest.approx(2.0 / 3.0, abs=1e-5)
+    assert sol.gamma == pytest.approx(0.75, abs=1e-5)
     assert tracer.counts["solver.solves"] == 1
     assert tracer.counts["geometry.project.calls"] > 0
     assert (geometry.clip, geometry.ClippedBallSet.project, solver.solve_lp,

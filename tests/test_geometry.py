@@ -14,14 +14,11 @@ from caolf.geometry import (
     Mono,
     Norm,
     RefGeometry,
-    STALL_FROZEN,
     Sense,
     clip,
     dual_norm_value,
     dykstra,
-    extrapolated_projections,
     norm_value,
-    quadratic_cap_ball,
 )
 from caolf.model import LipschitzNorm, MetricRef
 
@@ -156,32 +153,6 @@ def test_halfspace_projection():
         HalfspaceSet([0.0], 1.0)
 
 
-def test_quadratic_cap_ball_reduction():
-    # lip*||y||^2 - 2*y1 <= 3 with ref 0: center (1/lip... ) derived for lip=1:
-    # center (1, 0), radius sqrt(3 + 1) = 2
-    center, radius = quadratic_cap_ball([0.0, 0.0], [-2.0, 0.0], 1.0, 3.0)
-    np.testing.assert_allclose(center, [1.0, 0.0])
-    assert radius == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        quadratic_cap_ball([0.0], [0.0], 1.0, -1.0)  # empty: min of lhs is 0 > -1
-
-
-def test_quadratic_cap_projection_satisfies_inequality():
-    rng = np.random.default_rng(23)
-    for _ in range(200):
-        ref = rng.normal(size=2)
-        grad = rng.normal(size=2)
-        lip = float(rng.uniform(0.2, 3.0))
-        lhs_min = -float(grad @ grad) / (4 * lip)
-        rhs = float(lhs_min + rng.uniform(0.01, 4.0))
-        x = rng.normal(size=2) * 3
-        out = BallSet(*quadratic_cap_ball(ref, grad, lip, rhs)).project(x)
-        val = lip * float((out - ref) @ (out - ref)) + float(grad @ (out - ref))
-        assert val <= rhs + 1e-9
-        if lip * float((x - ref) @ (x - ref)) + float(grad @ (x - ref)) <= rhs:
-            np.testing.assert_allclose(out, x)
-
-
 def test_all_projections_are_nonexpansive():
     rng = np.random.default_rng(31)
     geom = RefGeometry([0.3, -0.7], [Mono.DECREASING, Mono.NON_MONOTONE])
@@ -261,23 +232,6 @@ def test_dykstra_disjoint_balls_reports_gap():
     assert run.residual == pytest.approx(0.2, abs=1e-3)
 
 
-def test_extrapolated_projections_disjoint_balls_stall_at_the_gap():
-    sets = [BallSet([0.0, 0.0], 0.9), BallSet([2.0, 0.0], 0.9)]
-    # unlike dykstra, the start's own residual counts as a candidate, so start
-    # where it exceeds the gap
-    run = extrapolated_projections(sets, [3.0, 1.0], tol=1e-7, max_iters=3000)
-    assert not run.converged
-    assert run.residual == pytest.approx(0.2, abs=1e-3)
-    assert run.iterations < 300
-    # from the midpoint no cycle beats the start's residual of 0.1, half the
-    # gap: the run stalls on the frozen rule and reports the start
-    run = extrapolated_projections(sets, [1.0, 0.0], tol=1e-7, max_iters=3000)
-    assert not run.converged
-    np.testing.assert_array_equal(run.x, [1.0, 0.0])
-    assert run.residual == pytest.approx(0.1, rel=1e-12)
-    assert run.iterations == STALL_FROZEN + 1
-
-
 def test_dykstra_tangent_balls_meet_at_the_touch_point():
     sets = [BallSet([0.0, 0.0], 1.0), BallSet([2.0, 0.0], 1.0)]
     run = dykstra(sets, [1.0, 0.0], tol=1e-7, max_iters=3000)
@@ -341,14 +295,9 @@ def test_surrogate_needed_matches_clip_bit_for_bit():
             np.testing.assert_allclose(surrogate.on_grid(x[None, :]), [max(want)], rtol=1e-14)
 
 
-def test_surrogate_ball_radius_and_norm_guard():
+def test_surrogate_point_shape_and_empty_guards():
     ref = MetricRef(id="m", x_ref=[1.0, 2.0], value=2.0,
-                    models=(LipschitzNorm(3.0, Norm.L2, [1, 0]),
-                            LipschitzNorm(3.0, Norm.L1, [1, 0])))
-    ball = ClippedNormSurrogate([ref], Norm.L2).ball(0, 0.6)
-    assert ball.radius == 0.6 / 1.5
-    with pytest.raises(NotImplementedError):
-        ClippedNormSurrogate([ref], Norm.L1).ball(0, 0.6)
+                    models=(LipschitzNorm(3.0, Norm.L2, [1, 0]),))
     with pytest.raises(ValueError):
         ClippedNormSurrogate([ref], Norm.L2).needed([1.0])
     with pytest.raises(ValueError):
