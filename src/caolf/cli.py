@@ -114,11 +114,14 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     norms = (Norm(args.norm),) if args.norm else (Norm.L1, Norm.L2, Norm.LINF)
-    pairs = args.demand_pairs
+    ordered_pairs = args.nodes * (args.nodes - 1)
+    edges, pairs = args.edges, args.demand_pairs
+    if edges is None:
+        edges = min(ExperimentConfig.edge_count, ordered_pairs)
     if pairs is None:
-        pairs = min(ExperimentConfig.demand_pairs, args.nodes * (args.nodes - 1))
+        pairs = min(ExperimentConfig.demand_pairs, ordered_pairs)
     cfg = ExperimentConfig(seed=args.seed, norms=norms,
-                           node_count=args.nodes, edge_count=args.edges,
+                           node_count=args.nodes, edge_count=edges,
                            scenario_count=args.scenarios,
                            demand_pairs=pairs,
                            gamma_tolerance=args.tol)
@@ -189,7 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_sweep, with_norm_default=False)
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--nodes", type=int, default=12)
-    p_sweep.add_argument("--edges", type=int, default=30)
+    p_sweep.add_argument("--edges", type=int, default=None,
+                         help="edge count (default: 30, capped at the ordered node pairs)")
     p_sweep.add_argument("--scenarios", type=int, default=5)
     p_sweep.add_argument("--demand-pairs", type=int, default=None,
                          help="demand pair count (default: scales with the node count)")

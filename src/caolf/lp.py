@@ -7,10 +7,12 @@ used for both the entering and the leaving choice, so the method cannot
 cycle; the tableau is refactorized from the original data every
 ``REFACTOR_EVERY`` pivots to keep drift bounded.
 
-A solve that changes only the right-hand side of an earlier one can start
-from that solve's optimal basis (`LpSolution.basis`): the basis stays dual
-feasible, so a dual simplex (Chvatal, *Linear Programming*, ch. 10) restores
-primal feasibility in a few pivots instead of a cold phase one.
+A solve can start from any dual-feasible basis of its problem
+(`LpBasis`), for example the optimal basis of an earlier solve that differs
+only in the right-hand side (`LpSolution.basis`), or one a caller builds
+from the problem's structure.  A dual simplex (Chvatal, *Linear
+Programming*, ch. 10) then restores primal feasibility in a few pivots
+instead of a cold phase one.
 """
 
 from __future__ import annotations
@@ -52,11 +54,16 @@ class LpProblem:
 
 @dataclass(frozen=True, eq=False)
 class LpBasis:
-    """The basis an optimal solve ended on; pass it back as ``solve_lp``'s start.
+    """A basis of the standard form, as an optimal solve ends on or as
+    ``solve_lp``'s start.
 
     ``shape`` is the standard form's (rows, columns) without artificials,
-    ``rows`` the rows kept after phase one and ``cols`` the basic column of
-    each kept row.
+    ``rows`` the kept rows (phase one drops dependent ones) and ``cols`` the
+    basic column of each kept row.  The rows are the ``a_ub`` rows, then one
+    row per boxed variable (finite lower and upper bound) for its upper
+    bound, then the ``a_eq`` rows.  The columns are the working columns (one
+    per variable, two per free one: its + then its - part), then one slack
+    per inequality row, in row order.
     """
 
     shape: tuple[int, int]
@@ -214,13 +221,15 @@ def solve_lp(problem: LpProblem, max_iters: int | None = None,
     the original data before being reported; a failed check demotes the
     status to STALLED rather than ever reporting a wrong optimum.
 
-    ``start`` is the basis of an earlier OPTIMAL solve of a problem with the
-    same constraint matrix and costs.  The solve then begins with dual
-    simplex pivots from it and ends with the same optimality test and
-    re-verification.  A start that does not fit, is singular or not dual
-    feasible, stalls, or ends anywhere but at a verified optimum falls back
-    to the cold two-phase solve, so INFEASIBLE and UNBOUNDED are always
-    decided cold; ``iterations`` then counts the pivots of both.
+    ``start`` may be any dual-feasible basis of this problem: the basis of
+    an earlier OPTIMAL solve of a problem with the same constraint matrix
+    and costs, or one built by the caller in `LpBasis`'s layout.  The solve
+    then begins with dual simplex pivots from it and ends with the same
+    optimality test and re-verification.  A start that does not fit, is
+    singular or not dual feasible, stalls, or ends anywhere but at a
+    verified optimum falls back to the cold two-phase solve, so INFEASIBLE
+    and UNBOUNDED are always decided cold; ``iterations`` then counts the
+    pivots of both.
     """
     c = np.asarray(problem.c, dtype=float)
     if c.ndim != 1 or c.size == 0:

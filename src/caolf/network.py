@@ -10,6 +10,7 @@ as weights.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -155,9 +156,13 @@ def routing_cost(net: NetworkInstance, demand: DemandMatrix, capacity) -> float:
 
 
 def _route(net: NetworkInstance, demand: DemandMatrix, capacity,
-           start: LpBasis | None) -> tuple[float, LpBasis | None]:
-    """Routing cost and the LP's optimal basis (None when nothing is routed),
-    solved from ``start`` when it is given."""
+           start: LpBasis | str | None) -> tuple[float, LpBasis | None]:
+    """Routing cost and the LP's optimal basis (None when nothing is routed).
+
+    The solve starts from ``start`` when it is a basis, from the
+    shortest-path trees of `_tree_basis` when it is ``"trees"``, and cold
+    when it is None.  The inputs are checked before any start is built.
+    """
     if net.price_in is None:
         raise ValueError("routing cost needs rental prices on the instance")
     if demand.node_count != net.node_count:
@@ -182,11 +187,54 @@ def _route(net: NetworkInstance, demand: DemandMatrix, capacity,
         a_ub[:, ci * n:(ci + 1) * n] = np.eye(n)
     a_ub[:, n_commod * n:] = -np.eye(n)
     c = np.concatenate([np.tile(net.flow_cost, n_commod), net.price_in])
+    if start == "trees":
+        start = _tree_basis(net, sources)
     sol = solve_lp(LpProblem(c=c, a_ub=a_ub, b_ub=capacity.copy(), a_eq=a_eq, b_eq=b_eq),
                    start=start)
     if sol.status != LpStatus.OPTIMAL:
         raise RuntimeError(f"routing LP ended with status {sol.status.value}")
     return sol.value, sol.basis
+
+
+def _tree_basis(net: NetworkInstance, sources: Sequence[int]) -> LpBasis | None:
+    """A dual-feasible start for the routing LP that `_route` poses.
+
+    Every capacity row keeps its slack basic.  Each commodity keeps its
+    conservation rows except the source's, each on the flow column of the
+    arc that enters that node in a shortest-path tree from the source under
+    ``flow_cost`` (Dijkstra, ties broken by node id).  With the distances d
+    as node prices a tree arc has reduced cost 0, any other arc
+    c_e + d(u) - d(v) >= 0, and a rent column its rental price, so only the
+    capacity rows of overloaded edges start primal infeasible.  None when
+    some node cannot be reached from a source: the trees do not span.
+    """
+    n, k = net.edge_count, net.node_count
+    cost = net.flow_cost.tolist()
+    out: list[list[tuple[int, int]]] = [[] for _ in range(k)]
+    for e, (u, v) in enumerate(net.edges):
+        out[u].append((v, e))
+    n_var = len(sources) * n + n
+    rows, cols = list(range(n)), list(range(n_var, n_var + n))
+    for ci, s in enumerate(sources):
+        dist = [np.inf] * k
+        via = [-1] * k
+        dist[s] = 0.0
+        heap = [(0.0, s)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist[u]:
+                continue
+            for v, e in out[u]:
+                if d + cost[e] < dist[v]:
+                    dist[v], via[v] = d + cost[e], e
+                    heapq.heappush(heap, (dist[v], v))
+        if np.inf in dist:
+            return None
+        for v in range(k):
+            if v != s:
+                rows.append(n + ci * k + v)
+                cols.append(ci * n + via[v])
+    return LpBasis((n + len(sources) * k, n_var + n), np.array(rows), np.array(cols))
 
 
 def routing_cost_lipschitz(net: NetworkInstance, norm: Norm) -> float:
@@ -372,12 +420,17 @@ def parse_throughput_id(metric_id: str) -> tuple[int, int]:
 def record_scenario(net: NetworkInstance, capacity, demand: DemandMatrix,
                     metrics: Sequence[str], flow_pairs=()) -> Scenario:
     """The scenario at one operating point: its realized metric values, and
-    the basis of the routing LP solved for them."""
+    the basis of the routing LP solved for them.
+
+    The routing LP starts from the shortest-path-tree basis of `_tree_basis`,
+    from which dual simplex pivots repair the overloaded edges; it is solved
+    cold when the trees do not span.  `routing_cost` stays cold.
+    """
     values: dict[str, float] = {}
     basis = None
     for metric in metrics:
         if metric == METRIC_ROUTING:
-            values[METRIC_ROUTING], basis = _route(net, demand, capacity, None)
+            values[METRIC_ROUTING], basis = _route(net, demand, capacity, "trees")
         elif metric == METRIC_THROUGHPUT:
             for s, t in flow_pairs:
                 values[throughput_metric_id(s, t)] = max_flow(net, capacity, s, t)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import caolf
-from caolf import bench, geometry, network, solver
+from caolf import bench, geometry, lp, network, solver
 
 from caolf.bench import (
     CSV_HEADER,
@@ -195,6 +195,67 @@ def test_warm_routing_equals_cold_routing_cost(monkeypatch):
         assert starts[-1] is None
         cold_pivots += sum(pivots)
     assert warm_pivots < cold_pivots / 4
+
+
+def recorded_build(monkeypatch, cfg):
+    """build_experiment(cfg), with each routing solve's problem, start and
+    pivots, and the number of those solves that fell back to phase one."""
+    solve_lp, two_phase = network.solve_lp, lp._two_phase
+    solves, phase_ones = [], []
+
+    def recording(problem, max_iters=None, start=None):
+        sol = solve_lp(problem, max_iters, start)
+        solves.append((problem, start, sol.iterations))
+        return sol
+
+    def counting(*args):
+        phase_ones.append(args)
+        return two_phase(*args)
+
+    monkeypatch.setattr(network, "solve_lp", recording)
+    monkeypatch.setattr(lp, "_two_phase", counting)
+    net, _, history = build_experiment(cfg)
+    monkeypatch.undo()
+    assert len(solves) == len(history)  # one routing LP per scenario
+    return net, history, solves, len(phase_ones)
+
+
+@pytest.mark.parametrize("cfg", [pytest.param(ExperimentConfig(seed=s), id=f"default-{s}")
+                                 for s in range(20)]
+                         + [pytest.param(tiny_config(edge_count=n, seed=s), id=f"tiny{n}-{s}")
+                            for n in (7, 6) for s in range(10)])
+def test_tree_start_records_the_cold_routing_cost(monkeypatch, cfg):
+    net, history, solves, fallbacks = recorded_build(monkeypatch, cfg)
+    assert fallbacks == 0
+    for sc, (_, start, _) in zip(history, solves):
+        assert start is not None
+        cold = network.routing_cost(net, sc.demand, sc.capacity)
+        assert abs(sc.values[METRIC_ROUTING] - cold) <= 1e-12 * cold, (sc.values, cold)
+
+
+def test_tree_start_needs_a_quarter_of_the_cold_pivots(monkeypatch):
+    _, _, solves, _ = recorded_build(monkeypatch, ExperimentConfig())
+    tree_pivots = sum(pivots for _, _, pivots in solves)
+    cold_pivots = sum(lp.solve_lp(problem).iterations for problem, _, _ in solves)
+    assert 4 * tree_pivots <= cold_pivots, (tree_pivots, cold_pivots)  # 343 against 2081
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_tree_start_on_a_larger_network_matches_highs(monkeypatch, seed):
+    # the kernel's cold solves take about 80 s per experiment of this size,
+    # so scipy's HiGHS dual simplex is the reference value here
+    optimize = pytest.importorskip("scipy.optimize")
+    cfg = ExperimentConfig(node_count=20, edge_count=60, demand_pairs=80, seed=seed)
+    _, history, solves, fallbacks = recorded_build(monkeypatch, cfg)
+    assert fallbacks == 0
+    for sc, (problem, start, _) in zip(history, solves):
+        assert start is not None
+        ref = optimize.linprog(problem.c, A_ub=problem.a_ub, b_ub=problem.b_ub,
+                               A_eq=problem.a_eq, b_eq=problem.b_eq, method="highs-ds",
+                               options={"primal_feasibility_tolerance": 1e-10,
+                                        "dual_feasibility_tolerance": 1e-10})
+        assert ref.status == 0
+        assert abs(sc.values[METRIC_ROUTING] - ref.fun) <= 1e-12 * ref.fun, (sc.values, ref.fun)
 
 
 def test_reference_budget_matches_manual_mean():

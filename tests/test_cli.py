@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from caolf.bench import CSV_HEADER
 from caolf.cli import main
 
 
@@ -163,6 +164,14 @@ def test_sweep_smoke_writes_csv(tmp_path):
     assert lines[0] == "budget_mult,norm,gamma,metric_id,ratio,wall_ms,iters"
     assert len(lines) > 1
     assert all(",0.000," in ln for ln in lines[1:])
+
+
+def test_sweep_edge_count_scales_with_the_node_count(capsys):
+    # 4 nodes have 12 ordered pairs, fewer than the default 30 edges
+    assert main(["sweep", "--nodes", "4", "--norm", "l1", "--no-timing"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == CSV_HEADER
+    assert main(["sweep", "--nodes", "4", "--edges", "40", "--norm", "l1", "--no-timing"]) == 2
+    assert "more edges than ordered node pairs" in capsys.readouterr().err
 
 
 def test_missing_instance_file_exits_with_error(tmp_path, capsys):

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from caolf import network
 from caolf.geometry import Norm, Sense, dual_norm_value
 from caolf.network import (
     METRIC_CONNECTIVITY,
@@ -223,6 +224,20 @@ def test_routing_rejects_a_demand_for_another_node_count(evaluate, nodes):
     assert evaluate(net, DemandMatrix(3, ((0, 2, 1.0),))) is not None
     with pytest.raises(ValueError, match=f"demand is for {nodes} nodes, the network has 3"):
         evaluate(net, DemandMatrix(nodes, ((0, 1, 1.0),)))
+
+
+def test_routing_falls_back_to_the_cold_solve_when_the_trees_do_not_span():
+    # node 3 only sends: no shortest-path tree from 0 or 1 reaches it
+    net = NetworkInstance(node_count=4, edges=((0, 1), (1, 2), (2, 0), (3, 0)),
+                          flow_cost=np.ones(4), base_capacity=np.ones(4),
+                          price_in=np.full(4, 2.0))
+    assert network._tree_basis(net, [0, 1]) is None
+    demand = DemandMatrix(4, ((0, 2, 3.0), (1, 0, 1.0)))
+    # flows 3, 4, 1 on the cycle's arcs, all rented at 2
+    scenario = record_scenario(net, np.zeros(4), demand, (METRIC_ROUTING,))
+    assert scenario.values[METRIC_ROUTING] == 24.0 == routing_cost(net, demand, np.zeros(4))
+    with pytest.raises(RuntimeError, match="routing LP ended with status infeasible"):
+        record_scenario(net, np.ones(4), DemandMatrix(4, ((0, 3, 3.0),)), (METRIC_ROUTING,))
 
 
 def test_routing_cost_requires_rental_prices():
