@@ -58,7 +58,7 @@ class Mono(IntEnum):
 def as_mono_array(mono, dim: int | None = None) -> np.ndarray:
     """Coerce a monotonicity signature into an int8 array of -1/0/+1 entries.
 
-    Accepts Mono members, ints, or the strings "inc"/"dec"/"none".
+    Accepts Mono members, ints (not bools), or the strings "inc"/"dec"/"none".
     A scalar is broadcast to ``dim``.
     """
     names = {"inc": 1, "dec": -1, "none": 0}
@@ -74,8 +74,8 @@ def as_mono_array(mono, dim: int | None = None) -> np.ndarray:
             out[j] = names[m]
         else:
             val = int(m)
-            if val not in (-1, 0, 1):
-                raise ValueError(f"monotonicity entries must be -1, 0 or +1, got {val}")
+            if isinstance(m, (bool, np.bool_)) or val not in (-1, 0, 1):
+                raise ValueError(f"monotonicity entries must be -1, 0 or +1, got {m}")
             out[j] = val
     if dim is not None and out.size != dim:
         raise ValueError(f"monotonicity signature has length {out.size}, expected {dim}")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Union
 
 import numpy as np
@@ -15,7 +15,6 @@ from .geometry import (
     Sense,
     as_mono_array,
     dykstra,
-    max_violation,
 )
 
 REGION_PROJECTION_ITERS = 10000  # cycle cap of the emptiness check and find_point
@@ -126,34 +125,37 @@ class MetricRef:
         return replace(self, models=models)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class FeasibleSet:
     """Convex decision region: coordinate lower bounds plus linear caps.
 
     Emptiness is checked at construction by projecting the origin-clamped
     lower-bound point onto the intersection; an unreachable tolerance raises.
+    Halfspace i is normals[i] . x <= rhs[i]; ``halfspaces`` holds views of the rows.
     """
 
     lower: np.ndarray
     halfspaces: tuple[tuple[np.ndarray, float], ...] = ()
+    normals: np.ndarray = field(init=False, repr=False)  # (k, dim)
+    rhs: np.ndarray = field(init=False, repr=False)  # (k,)
 
     def __post_init__(self):
-        self.lower = np.asarray(self.lower, dtype=float)
+        object.__setattr__(self, "lower", np.asarray(self.lower, dtype=float))
         if self.lower.ndim != 1 or self.lower.size == 0:
             raise ValueError("lower bounds must form a 1-D vector")
         if np.any(np.isnan(self.lower)) or np.any(self.lower == np.inf):
             raise ValueError("lower bounds must be finite or -inf")
-        cleaned = []
-        for a, b in self.halfspaces:
-            a = np.asarray(a, dtype=float)
+        rows = [(np.asarray(a, dtype=float), b) for a, b in self.halfspaces]
+        for a, b in rows:
             if a.shape != self.lower.shape:
                 raise ValueError("halfspace normal dimension mismatch")
             if not np.all(np.isfinite(a)) or not np.isfinite(b):
                 raise ValueError("halfspace coefficients must be finite")
             if float(np.dot(a, a)) <= 0.0:
                 raise ValueError("halfspace normal must be nonzero")
-            cleaned.append((a, float(b)))
-        self.halfspaces = tuple(cleaned)
+        object.__setattr__(self, "normals", np.reshape([a for a, _ in rows], (-1, self.dim)))
+        object.__setattr__(self, "rhs", np.array([float(b) for _, b in rows]))
+        object.__setattr__(self, "halfspaces", tuple(zip(self.normals, self.rhs.tolist())))
         start = np.where(np.isfinite(self.lower), np.maximum(self.lower, 0.0), 0.0)
         run = dykstra(self.sets(), start, tol=1e-9, max_iters=REGION_PROJECTION_ITERS)
         if not run.converged:
@@ -180,8 +182,19 @@ class FeasibleSet:
             out.append(HalfspaceSet(a, b))
         return out
 
-    def violation(self, x) -> float:
-        return max_violation(self.sets(), np.asarray(x, dtype=float))
+    def violation(self, x):
+        """Distance from the lower bounds or the farthest halfspace, whichever
+        is larger: a float for a point (dim,), an array for rows (P, dim)."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
+            raise ValueError(f"point has shape {x.shape}, the region needs ({self.dim},) "
+                             f"or (P, {self.dim})")
+        # a row sum, not a matmul, so a row of (P, dim) gets the bits of the point alone
+        over = np.maximum(np.sum(x[..., None, :] * self.normals, axis=-1) - self.rhs, 0.0) \
+            / np.linalg.norm(self.normals, axis=1)
+        v = np.maximum(np.linalg.norm(np.maximum(self.lower - x, 0.0), axis=-1),
+                       np.max(over, axis=-1, initial=0.0))
+        return float(v) if x.ndim == 1 else v
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         return self.violation(x) <= tol

@@ -10,7 +10,7 @@ epigraph linear program instead.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,9 +81,8 @@ def _barrier(clips, caps, certify, start, region: FeasibleSet, config: SolveConf
         rate, lo, hi = (np.append(rate, 0.0), np.vstack([lo, np.full(dim, -np.inf)]),
                         np.vstack([hi, np.full(dim, np.inf)]))
     bounded = np.flatnonzero(np.isfinite(lower))
-    normals = np.reshape([a for a, _ in region.halfspaces], (-1, dim))
-    rhs = np.array([b for _, b in region.halfspaces], dtype=float) \
-        + config.feasibility_tolerance * np.linalg.norm(normals, axis=1)
+    normals = region.normals
+    rhs = region.rhs + config.feasibility_tolerance * np.linalg.norm(normals, axis=1)
     # region rows: slack = fixed . y + region_slack(0), with fixed's t column 0
     fixed = np.zeros((bounded.size + len(normals), dim + 1))
     fixed[np.arange(bounded.size), bounded] = 1.0
@@ -233,9 +232,8 @@ def _solve_caolf_lp(surrogate: ClippedNormSurrogate, region, config) -> Competit
         a_ub, b_ub = np.insert(a_ub, ends, sums, axis=0), np.insert(b_ub, ends, 0.0)
     else:
         a_ub[:, -1] = -1.0 / surrogate.rate[ref_i]
-    caps = np.reshape([a for a, _ in region.halfspaces], (-1, dim))
-    a_ub = np.vstack([a_ub, np.pad(caps, ((0, 0), (0, n_var - dim)))])
-    b_ub = np.concatenate([b_ub, [b for _, b in region.halfspaces]])
+    a_ub = np.vstack([a_ub, np.pad(region.normals, ((0, 0), (0, n_var - dim)))])
+    b_ub = np.concatenate([b_ub, region.rhs])
 
     lower = np.concatenate([region.lower, np.zeros(n_var - dim)])
     c = np.zeros(n_var)
@@ -353,7 +351,9 @@ def verify_competitiveness(x, gamma: float, metrics):
     return slacks, ok
 
 
-def _grid_axes(region: FeasibleSet, resolution: int, box):
+def _grid_points(region: FeasibleSet, resolution: int, box) -> np.ndarray:
+    """The points of a regular grid over ``box`` that lie in ``region``, as
+    rows (P, dim) in `itertools.product` order: the last coordinate fastest."""
     if region.dim > 3:
         raise ValueError("grid oracles are for dimensions up to 3")
     if resolution < 2:
@@ -366,7 +366,12 @@ def _grid_axes(region: FeasibleSet, resolution: int, box):
     for lo, hi in box:
         if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo):
             raise ValueError("bounding box must have finite, increasing endpoints")
-    return [np.linspace(lo, hi, resolution) for lo, hi in box]
+    mesh = np.meshgrid(*(np.linspace(lo, hi, resolution) for lo, hi in box), indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    pts = pts[region.violation(pts) <= GRID_MEMBERSHIP_TOL]
+    if len(pts) == 0:
+        raise ValueError("no grid point fell inside the region; enlarge the box or resolution")
+    return pts
 
 
 def grid_oracle_swcm(metrics, region: FeasibleSet, resolution: int, box):
@@ -379,22 +384,16 @@ def grid_oracle_swcm(metrics, region: FeasibleSet, resolution: int, box):
     metrics = _checked_metrics(metrics)
     if not metrics:
         raise ValueError("need at least one metric")
-    axes = _grid_axes(region, resolution, box)
-    best = np.inf
-    best_point = None
-    for coords in itertools.product(*axes):
-        p = np.asarray(coords)
-        if region.violation(p) > GRID_MEMBERSHIP_TOL:
-            continue
-        worst = 0.0
-        for evaluate, value, sense in metrics:
-            worst = max(worst, _relative_slack(float(evaluate(p)), value, sense))
-        if worst < best:
-            best = worst
-            best_point = p
-    if best_point is None:
-        raise ValueError("no grid point fell inside the region; enlarge the box or resolution")
-    return max(best, 0.0), best_point
+    pts = _grid_points(region, resolution, box)
+    worst = np.zeros(len(pts))
+    for k, p in enumerate(pts):
+        for i, (evaluate, value, sense) in enumerate(metrics):
+            slack = _relative_slack(float(evaluate(p)), value, sense)
+            if math.isnan(slack):
+                raise ValueError(f"metric {i} evaluates to NaN at {p.tolist()}")
+            worst[k] = max(worst[k], slack)
+    k = int(np.argmin(worst))
+    return float(worst[k]), pts[k]
 
 
 def grid_oracle_caolf(refs, region: FeasibleSet, resolution: int, box, norm: Norm = Norm.L2):
@@ -407,15 +406,7 @@ def grid_oracle_caolf(refs, region: FeasibleSet, resolution: int, box, norm: Nor
     refs = list(refs)
     _check_dims(refs, region.dim)
     surrogate = ClippedNormSurrogate(refs, norm)
-    axes = _grid_axes(region, resolution, box)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)  # (P, dim)
-    keep = np.ones(len(pts), dtype=bool)
-    for s in region.sets():
-        keep &= np.array([s.violation(p) <= GRID_MEMBERSHIP_TOL for p in pts])
-    pts = pts[keep]
-    if len(pts) == 0:
-        raise ValueError("no grid point fell inside the region; enlarge the box or resolution")
+    pts = _grid_points(region, resolution, box)
     worst = surrogate.on_grid(pts)
     i = int(np.argmin(worst))
     return float(worst[i]), pts[i]

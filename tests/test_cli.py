@@ -192,6 +192,7 @@ def test_malformed_instance_exits_with_error(tmp_path, capsys):
         (broken(lambda p: p["metrics"][0].pop("x_ref")), "'x_ref'", every),
         (broken(lambda p: p["metrics"][1]["models"][0].pop("bound")), "'bound'", every),
         (broken(lambda p: p["region"].update(halfspaces=[{"a": [1.0]}])), "'b'", every),
+        (broken(lambda p: p["metrics"][0]["models"][0].update(mono=[True])), "-1, 0 or +1", every),
         ([two_anchor_instance()], "JSON object", every),
         # entries of the wrong type: the message is numpy's or Python's own
         (broken(lambda p: p["metrics"][0].update(value=[1.0])), "", every),

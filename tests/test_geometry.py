@@ -270,6 +270,12 @@ def test_mono_spec_validation():
         RefGeometry([0.0, 1.0], [Mono.INCREASING])
     with pytest.raises(ValueError):
         RefGeometry([np.inf], [0])
+    # bools are ints to Python and numpy, but not monotonicity tags
+    for bools in ([True, False], np.array([True, False]), [np.True_, 0]):
+        with pytest.raises(ValueError, match=r"-1, 0 or \+1, got True"):
+            RefGeometry([0.0, 0.0], bools)
+        with pytest.raises(ValueError, match=r"-1, 0 or \+1, got True"):
+            LipschitzNorm(1.0, Norm.L2, bools)
     geom = RefGeometry([0.0, 0.0], ["inc", "dec"])
     assert list(geom.mono) == [1, -1]
 

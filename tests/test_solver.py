@@ -1,5 +1,6 @@
 """Solver checks: closed forms, path agreement, stability, grid oracles."""
 
+import itertools
 import json
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from caolf.geometry import (
     Sense,
     clip,
     dykstra,
+    max_violation,
     norm_value,
 )
 from caolf.model import (
@@ -24,6 +26,7 @@ from caolf.model import (
     MetricRef,
 )
 from caolf.solver import (
+    GRID_MEMBERSHIP_TOL,
     SolveConfig,
     SolveError,
     grid_oracle_caolf,
@@ -33,6 +36,7 @@ from caolf.solver import (
     solve_caolf,
     stability_probe,
     verify_competitiveness,
+    _grid_points,
 )
 
 
@@ -367,6 +371,78 @@ def test_grid_oracle_guards():
         grid_oracle_caolf(refs, region2, 11, box=None)
     with pytest.raises(ValueError):
         grid_oracle_swcm([], region2, 11, box=[(0, 1), (0, 1)])
+
+
+def test_grid_oracle_swcm_rejects_nan_evaluations():
+    region, box = FeasibleSet.unconstrained(1), [(0.0, 1.0)]
+    nowhere = (lambda x: 2.0, 1.0, Sense.MINIMIZE)
+    everywhere = (lambda x: np.nan, 1.0, Sense.MINIMIZE)
+    at_one = (lambda x: np.nan if x[0] == 1.0 else 2.0, 1.0, Sense.MINIMIZE)
+    with pytest.raises(ValueError, match=r"metric 0 evaluates to NaN at \[0\.0\]"):
+        grid_oracle_swcm([everywhere], region, 11, box)
+    with pytest.raises(ValueError, match=r"metric 1 evaluates to NaN at \[1\.0\]"):
+        grid_oracle_swcm([nowhere, at_one], region, 11, box)
+
+
+def test_region_violation_matches_the_set_reference():
+    # the vectorized violation against the largest violation of the region's
+    # sets, point by point and over rows
+    rng = np.random.default_rng(73)
+    regions = [
+        FeasibleSet.unconstrained(3),
+        FeasibleSet(lower=[0.0, -np.inf, 1.0]),
+        FeasibleSet(lower=[-1.0, -np.inf, 0.0],
+                    halfspaces=[(rng.normal(size=3), float(rng.uniform(0.5, 2.0))) for _ in range(5)]),
+    ]
+    for region in regions:
+        pts = rng.normal(size=(5000, 3)) * 3.0
+        rows = region.violation(pts)
+        single = [region.violation(p) for p in pts]
+        want = [max_violation(region.sets(), p) for p in pts]
+        assert all(type(v) is float for v in single)
+        assert rows.tobytes() == np.array(single).tobytes()
+        # a.x - b cancels near a boundary, so the rounding scales with |p|
+        assert np.all(np.abs(rows - want) <= 1e-14 * (np.asarray(want) + np.linalg.norm(pts, axis=1)))
+        assert 0 < np.count_nonzero(rows) < len(pts) or not region.sets()
+        assert region.contains(pts[0]) is bool(want[0] <= 1e-9)
+
+
+def test_region_holds_one_copy_of_its_halfspaces():
+    a = np.array([1.0, 1.0])
+    region = FeasibleSet.nonnegative(2, halfspaces=[(a, 1.0)])
+    a[0] = 5.0  # the caller's array is not the region's
+    assert region.normals.tolist() == [[1.0, 1.0]] and region.rhs.tolist() == [1.0]
+    (normal, bound), = region.halfspaces
+    assert np.shares_memory(normal, region.normals) and type(bound) is float
+    with pytest.raises(AttributeError):
+        region.halfspaces = ()
+
+
+def test_region_rejects_points_of_another_dimension():
+    for region in (FeasibleSet.unconstrained(2), FeasibleSet.nonnegative(2)):
+        for x in ([1.0], [-1.0], np.zeros(3), 0.5, np.zeros((4, 1)), np.zeros((4, 3)),
+                  np.zeros((2, 2, 2))):
+            for check in (region.violation, region.contains):
+                with pytest.raises(ValueError, match=r"has shape .*needs \(2,\) or \(P, 2\)"):
+                    check(x)
+        assert region.contains([1.0, 1.0]) is True
+        assert region.contains(np.ones((3, 2))).tolist() == [True] * 3
+
+
+def test_grid_points_keep_what_the_per_set_filter_kept():
+    # the grid in itertools.product order, filtered set by set
+    cases = [
+        (FeasibleSet.nonnegative(2, halfspaces=[(np.ones(2), 3.0)]), [(0.0, 3.0), (0.0, 3.0)], 101),
+        (FeasibleSet(lower=[0, -np.inf], halfspaces=[([0.3, 1.7], 2.1), ([-1, 0.2], 0.5)]),
+         [(-1.0, 3.0), (-3.0, 3.0)], 61),
+    ]
+    for region, box, resolution in cases:
+        grid = itertools.product(*(np.linspace(lo, hi, resolution) for lo, hi in box))
+        kept = [p for p in map(np.asarray, grid)
+                if all(s.violation(p) <= GRID_MEMBERSHIP_TOL for s in region.sets())]
+        pts = _grid_points(region, resolution, box)
+        assert 0 < len(pts) < resolution ** 2
+        assert pts.tobytes() == np.array(kept).tobytes()
 
 
 @pytest.mark.parametrize("value", [-1.0, np.nan, 0.0])
