@@ -9,9 +9,10 @@ import sys
 import numpy as np
 
 from .bench import CSV_HEADER, ExperimentConfig, emit_csv, format_row, run_sweep
-from .geometry import ClippedNormSurrogate, Norm, Sense
-from .model import ConcaveLinear, ConvexQuadratic, FeasibleSet, LipschitzNorm, MetricRef
-from .solver import SolveConfig, grid_oracle_caolf, model_entries, solve_approx, solve_caolf
+from .geometry import Norm, Sense
+from .model import (ClippedNormSurrogate, ConcaveLinear, ConvexQuadratic, FeasibleSet,
+                    LipschitzNorm, MetricRef)
+from .solver import SolveConfig, grid_oracle_caolf, solve_caolf
 
 
 class _Entries(dict):
@@ -90,18 +91,10 @@ def _emit(payload, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _lipschitz_only(metrics) -> bool:
-    """Whether `solve_caolf` takes the instance; otherwise `solve_approx` does."""
-    return all(isinstance(m, LipschitzNorm) for ref in metrics for m in ref.models)
-
-
 def _cmd_solve(args) -> int:
     _, metrics, region = load_instance(args.instance)
     config = SolveConfig(norm=Norm(args.norm), gamma_tolerance=args.tol)
-    if _lipschitz_only(metrics):
-        sol = solve_caolf(metrics, region, config)
-    else:
-        sol = solve_approx(metrics, region, config)
+    sol = solve_caolf(metrics, region, config)
     _emit({
         "gamma": sol.gamma,
         "x": [float(v) for v in sol.x],
@@ -144,14 +137,8 @@ def _cmd_verify(args) -> int:
         raise ValueError("'point' and 'gamma' must be finite")
     if x.shape != (region.dim,):
         raise ValueError(f"'point' has shape {x.shape}, the instance has dimension {region.dim}")
-    # the certificate of the solver `solve` would pick
-    if _lipschitz_only(metrics):
-        needed = ClippedNormSurrogate(metrics, Norm(args.norm)).needed(x)
-    elif Norm(args.norm) != Norm.L2:
-        raise ValueError("the mixed-model solver works in the l2 norm")
-    else:
-        needed = [max([0.0] + [need(x) for _, need in own])
-                  for own in model_entries(metrics, region.dim)]
+    # the certificate `solve` reports
+    needed = ClippedNormSurrogate(metrics, Norm(args.norm)).needed(x)
     report = [{"id": ref.id, "needed_gamma": float(need), "ok": bool(need <= gamma + args.tol)}
               for ref, need in zip(metrics, needed)]
     region_ok = region.violation(x) <= args.tol

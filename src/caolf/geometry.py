@@ -11,7 +11,6 @@ harmful movement is the displacement out of that box.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from typing import Sequence
@@ -58,11 +57,11 @@ class Mono(IntEnum):
 def as_mono_array(mono, dim: int | None = None) -> np.ndarray:
     """Coerce a monotonicity signature into an int8 array of -1/0/+1 entries.
 
-    Accepts Mono members, ints (not bools), or the strings "inc"/"dec"/"none".
-    A scalar is broadcast to ``dim``.
+    Accepts Mono members, ints and numpy integers (not bools), or the strings
+    "inc"/"dec"/"none".  A scalar is broadcast to ``dim``.
     """
     names = {"inc": 1, "dec": -1, "none": 0}
-    if isinstance(mono, (Mono, int, str)) and not isinstance(mono, bool):
+    if np.ndim(mono) == 0:
         if dim is None:
             raise ValueError("scalar monotonicity signature needs an explicit dimension")
         mono = [mono] * dim
@@ -124,7 +123,7 @@ class RefGeometry:
         return self.x_ref.size
 
 
-def _harm(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, eff: np.ndarray) -> np.ndarray:
+def harm(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, eff: np.ndarray) -> np.ndarray:
     """Per-coordinate distance of ``x`` out of the safe box [lo, hi], signed by ``eff``."""
     p = np.minimum(np.maximum(x, lo), hi)
     return np.where(eff < 0, p - x, x - p)
@@ -140,7 +139,7 @@ def clip(x, geom: RefGeometry) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != geom.x_ref.shape:
         raise ValueError(f"point has shape {x.shape}, reference has {geom.x_ref.shape}")
-    return _harm(x, geom.lo, geom.hi, geom.eff_mono)
+    return harm(x, geom.lo, geom.hi, geom.eff_mono)
 
 
 # ---------------------------------------------------------------------------
@@ -206,85 +205,6 @@ class ClippedBallSet:
     def violation(self, x: np.ndarray) -> float:
         d = x - np.minimum(np.maximum(x, self.geom.lo), self.geom.hi)
         return max(0.0, norm_value(d, Norm.L2) - self.radius)
-
-
-class ClippedNormSurrogate:
-    """The clipped-norm surrogate of m metric references in one norm.
-
-    Reference i admits a point x at tolerance gamma when
-    rate_i * ||clip_i(x)|| <= gamma, where clip_i folds in the metric's sense
-    and monotonicity and rate_i = bound_i / value_i.  Built once from metric
-    references (`MetricRef`), each through its Lipschitz model in ``norm``.
-    """
-
-    def __init__(self, refs, norm: Norm):
-        refs = list(refs)
-        if not refs:
-            raise ValueError("need at least one metric reference")
-        norm = Norm(norm)
-        models = [r.lipschitz_model(norm) for r in refs]
-        self.norm = norm
-        self.ids = tuple(r.id for r in refs)
-        self.geoms = tuple(r.geometry(m) for r, m in zip(refs, models))
-        self.x_ref = np.array([g.x_ref for g in self.geoms])        # (m, d)
-        self.eff_mono = np.array([g.eff_mono for g in self.geoms])  # (m, d)
-        self.lo = np.array([g.lo for g in self.geoms])              # (m, d)
-        self.hi = np.array([g.hi for g in self.geoms])              # (m, d)
-        self.rate = np.array([m.bound / r.value for r, m in zip(refs, models)])
-
-    def merged(self) -> "ClippedNormSurrogate":
-        """The same surrogate with one reference per distinct geometry.
-
-        References with equal ``x_ref`` and ``eff_mono`` have the same clipped
-        displacement at every x, so of each such group only the largest rate
-        can bind; it is kept (the first on a tie), in the original order.
-        Rounding is monotone in the rate, so `certify` and `on_grid` of the
-        result equal the full surrogate's bit for bit.
-        """
-        best: dict[tuple[bytes, bytes], int] = {}
-        for i, key in enumerate(zip(map(np.ndarray.tobytes, self.x_ref),
-                                    map(np.ndarray.tobytes, self.eff_mono))):
-            j = best.setdefault(key, i)
-            if self.rate[i] > self.rate[j]:
-                best[key] = i
-        keep = sorted(best.values())
-        out = copy.copy(self)
-        out.ids = tuple(self.ids[i] for i in keep)
-        out.geoms = tuple(self.geoms[i] for i in keep)
-        for name in ("x_ref", "eff_mono", "lo", "hi", "rate"):
-            setattr(out, name, getattr(self, name)[keep])
-        return out
-
-    def needed(self, x) -> np.ndarray:
-        """Smallest tolerance each reference admits ``x`` at, shape (m,)."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != self.x_ref.shape[1:]:
-            raise ValueError(f"point has shape {x.shape}, references have {self.x_ref.shape[1:]}")
-        harm = _harm(x, self.lo, self.hi, self.eff_mono)
-        # norm_value row by row: vectorised row norms differ in the last bit
-        return self.rate * np.array([norm_value(h, self.norm) for h in harm])
-
-    def certify(self, x) -> float:
-        """Smallest tolerance every reference admits ``x`` at."""
-        return max(0.0, float(np.max(self.needed(x))))
-
-    def on_grid(self, pts: np.ndarray) -> np.ndarray:
-        """`certify` for each row of ``pts`` (P, d), vectorised over the rows.
-
-        Row norms are taken with array reductions, so a value can differ
-        from `certify` in the last bit.
-        """
-        worst = np.zeros(len(pts))
-        for lo, hi, eff, rate in zip(self.lo, self.hi, self.eff_mono, self.rate):
-            harm = _harm(pts, lo, hi, eff)
-            if self.norm == Norm.L1:
-                g = np.sum(np.abs(harm), axis=1)
-            elif self.norm == Norm.L2:
-                g = np.sqrt(np.sum(harm * harm, axis=1))
-            else:
-                g = np.max(np.abs(harm), axis=1)
-            worst = np.maximum(worst, g * rate)
-        return worst
 
 
 class BallSet:

@@ -113,7 +113,7 @@ def _pivot(T, r, basis, row, col):
 
 def _refactor(T, basis, A0, b0) -> bool:
     try:
-        fresh = np.linalg.solve(A0[:, basis], np.column_stack([A0, b0]))
+        fresh = np.linalg.solve(A0[:, basis], np.c_[A0, b0])
     except np.linalg.LinAlgError:
         return False
     if not np.all(np.isfinite(fresh)):
@@ -336,7 +336,7 @@ def _two_phase(A_std, b_std, needs_art, nt, cost, max_iters):
     basis = nt + np.arange(m)
     A0[art_rows, art_off + np.arange(art_rows.size)] = 1.0
     basis[art_rows] = art_off + np.arange(art_rows.size)
-    T = np.column_stack([A0, b_std])
+    T = np.c_[A0, b_std]
 
     cost1 = np.zeros(A0.shape[1])
     cost1[art_off:] = 1.0

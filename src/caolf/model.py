@@ -1,7 +1,8 @@
-"""Problem data types: metric references, constraint models, feasible sets."""
+"""Problem data types: metric references, constraint models and their table, feasible sets."""
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
 from typing import Union
 
@@ -15,6 +16,8 @@ from .geometry import (
     Sense,
     as_mono_array,
     dykstra,
+    harm,
+    norm_value,
 )
 
 REGION_PROJECTION_ITERS = 10000  # cycle cap of the emptiness check and find_point
@@ -123,6 +126,124 @@ class MetricRef:
             replace(m, bound=m.bound * kappa) if isinstance(m, LipschitzNorm) else m
             for m in self.models)
         return replace(self, models=models)
+
+
+class ClippedNormSurrogate:
+    """The surrogate constraints of m metric references in one norm, as rows.
+
+    A clip row (rate, lo, hi) stands for a Lipschitz model stated in
+    ``norm``: rate * ||clip(x)|| <= gamma, where clip folds in the metric's
+    sense and monotonicity and rate = bound / value.  Lipschitz models in
+    other norms give no row.  A cap row (curvature, center, grad, value)
+    stands for a hyperplane (curvature 0) or quadratic model, l2 only:
+    (curvature ||u||^2 + grad . u) / value <= gamma with u = x - center.  A
+    hyperplane model with a zero gradient holds everywhere and gives no row.
+    ``owner`` names each row's metric, clip rows first, then cap rows.
+    """
+
+    def __init__(self, refs, norm: Norm):
+        refs = list(refs)
+        if not refs:
+            raise ValueError("need at least one metric reference")
+        norm, dim = Norm(norm), refs[0].dim
+        clips, caps = [], []
+        for i, r in enumerate(refs):
+            if r.dim != dim:
+                raise ValueError(f"metric {r.id!r} has dimension {r.dim}, "
+                                 f"metric {refs[0].id!r} has {dim}")
+            if all(isinstance(m, LipschitzNorm) and m.norm != norm for m in r.models):
+                r.lipschitz_model(norm)  # raises, naming the norms the metric has
+            for m in r.models:
+                if isinstance(m, LipschitzNorm):
+                    if m.norm == norm:
+                        clips.append((i, r.geometry(m), m.bound / r.value))
+                elif not isinstance(m, (ConcaveLinear, ConvexQuadratic)):
+                    raise TypeError(f"unknown constraint model {type(m).__name__}")
+                elif norm != Norm.L2:
+                    raise ValueError(f"metric {r.id!r}: hyperplane and quadratic models work "
+                                     f"in the l2 norm only, not {norm.value}")
+                elif isinstance(m, ConvexQuadratic):
+                    caps.append((i, m.curvature, m.grad, r))
+                elif float(np.dot(m.grad, m.grad)) != 0.0:
+                    caps.append((i, 0.0, m.grad, r))
+        self.norm = norm
+        self.ids = tuple(r.id for r in refs)
+        self.owner = np.array([row[0] for row in clips + caps], dtype=int)
+        self.geoms = tuple(g for _, g, _ in clips)
+        self.x_ref = np.reshape([g.x_ref for g in self.geoms], (-1, dim))      # (m, d)
+        self.eff_mono = np.reshape([g.eff_mono for g in self.geoms], (-1, dim))  # (m, d)
+        self.lo = np.reshape([g.lo for g in self.geoms], (-1, dim))            # (m, d)
+        self.hi = np.reshape([g.hi for g in self.geoms], (-1, dim))            # (m, d)
+        self.rate = np.array([rate for _, _, rate in clips])
+        self.curvature = np.array([c for _, c, _, _ in caps])                  # (k,)
+        self.center = np.reshape([r.x_ref for _, _, _, r in caps], (-1, dim))  # (k, d)
+        self.grad = np.reshape([g for _, _, g, _ in caps], (-1, dim))          # (k, d)
+        self.value = np.array([r.value for _, _, _, r in caps])                # (k,)
+
+    def merged(self) -> "ClippedNormSurrogate":
+        """The same surrogate with one clip row per distinct geometry.
+
+        Clip rows with equal ``x_ref`` and ``eff_mono`` have the same clipped
+        displacement at every x, so of each such group only the largest rate
+        can bind; it is kept (the first on a tie), in the original order.
+        Cap rows are all kept, and metrics left without a row are dropped.
+        Rounding is monotone in the rate, so `certify` and `on_grid` of the
+        result equal the full surrogate's bit for bit.
+        """
+        best: dict[tuple[bytes, bytes], int] = {}
+        for i, key in enumerate(zip(map(np.ndarray.tobytes, self.x_ref),
+                                    map(np.ndarray.tobytes, self.eff_mono))):
+            j = best.setdefault(key, i)
+            if self.rate[i] > self.rate[j]:
+                best[key] = i
+        keep = sorted(best.values())
+        out = copy.copy(self)
+        out.geoms = tuple(self.geoms[i] for i in keep)
+        for name in ("x_ref", "eff_mono", "lo", "hi", "rate"):
+            setattr(out, name, getattr(self, name)[keep])
+        kept, out.owner = np.unique(np.concatenate([self.owner[keep], self.owner[self.rate.size:]]),
+                                    return_inverse=True)
+        out.ids = tuple(self.ids[i] for i in kept)
+        return out
+
+    def needed(self, x) -> np.ndarray:
+        """Smallest tolerance each metric admits ``x`` at, shape (len(ids),):
+        its largest row need, and 0 for a metric without a row."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != self.x_ref.shape[1:]:
+            raise ValueError(f"point has shape {x.shape}, references have {self.x_ref.shape[1:]}")
+        # row by row: vectorised row norms and dot products differ in the last bit
+        clips = [norm_value(h, self.norm) for h in harm(x, self.lo, self.hi, self.eff_mono)]
+        caps = [(c * float(np.dot(u, u)) + float(np.dot(g, u))) / v
+                for c, u, g, v in zip(self.curvature, x - self.center, self.grad, self.value)]
+        out = np.zeros(len(self.ids))
+        np.maximum.at(out, self.owner, np.concatenate([self.rate * clips, caps]))
+        return out
+
+    def certify(self, x) -> float:
+        """Smallest tolerance every metric admits ``x`` at."""
+        return max(0.0, float(np.max(self.needed(x))))
+
+    def on_grid(self, pts: np.ndarray) -> np.ndarray:
+        """`certify` for each row of ``pts`` (P, d), vectorised over the points.
+
+        Row norms and dot products are taken with array reductions, so a
+        value can differ from `certify` in the last bit.
+        """
+        worst = np.zeros(len(pts))
+        for lo, hi, eff, rate in zip(self.lo, self.hi, self.eff_mono, self.rate):
+            h = harm(pts, lo, hi, eff)
+            if self.norm == Norm.L1:
+                g = np.sum(np.abs(h), axis=1)
+            elif self.norm == Norm.L2:
+                g = np.sqrt(np.sum(h * h, axis=1))
+            else:
+                g = np.max(np.abs(h), axis=1)
+            worst = np.maximum(worst, g * rate)
+        for c, center, grad, v in zip(self.curvature, self.center, self.grad, self.value):
+            u = pts - center
+            worst = np.maximum(worst, (c * np.sum(u * u, axis=1) + u @ grad) / v)
+        return worst
 
 
 @dataclass(frozen=True, eq=False)

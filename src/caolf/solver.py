@@ -15,16 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ClippedNormSurrogate, Norm, Sense, clip, norm_value
+from .geometry import Norm, Sense
 from .lp import LpProblem, LpStatus, solve_lp
-from .model import (
-    CompetitiveSolution,
-    ConcaveLinear,
-    ConvexQuadratic,
-    FeasibleSet,
-    LipschitzNorm,
-    SolveDiagnostics,
-)
+from .model import ClippedNormSurrogate, CompetitiveSolution, FeasibleSet, SolveDiagnostics
 
 
 class SolveError(RuntimeError):
@@ -51,20 +44,14 @@ ARMIJO = 0.01  # share of the predicted decrease a step must achieve
 MIN_STEP = 1e-4  # a centering ends, without the step, once backtracking falls below this
 
 
-def _stack(rows, dim: int):
-    """(scalar, vector, vector) rows as arrays of shapes (k,), (k, dim), (k, dim)."""
-    return (np.array([c for c, _, _ in rows], dtype=float),
-            np.reshape([v for _, v, _ in rows], (-1, dim)),
-            np.reshape([w for _, _, w in rows], (-1, dim)))
-
-
-def _barrier(clips, caps, certify, start, region: FeasibleSet, config: SolveConfig,
-             method: str) -> CompetitiveSolution:
+def _barrier(table: ClippedNormSurrogate, start, region: FeasibleSet,
+             config: SolveConfig) -> CompetitiveSolution:
     """Minimize gamma by the log-barrier method over y = (x, t), t = gamma^2.
 
-    The rows, each stacked by `_stack`: ``clips`` = (rate, lo, hi) gives
-    ||rate_i (x - clamp(x, lo_i, hi_i))||^2 < t, ``caps`` = (curv, center, grad)
-    gives sum_j curv_k u_j^2 + grad_kj u_j < sqrt(t) with u = x - center_k.
+    The rows of the l2 ``table``: a clip row (rate, lo, hi) gives
+    ||rate_i (x - clamp(x, lo_i, hi_i))||^2 < t, a cap row gives
+    sum_j curv_k u_j^2 + grad_kj u_j < sqrt(t) with u = x - center_k, where
+    curv and grad are the row's curvature and gradient over its value.
     The region adds x_j > lower_j and a.x < b + feasibility_tolerance * ||a||
     per halfspace; the widening gives a region without interior one.  A
     centering is damped Newton on tau*t - sum log(slack) + sum slack/slack0
@@ -73,9 +60,10 @@ def _barrier(clips, caps, certify, start, region: FeasibleSet, config: SolveConf
     and the term keeps the iterates from running off along directions no
     other row bounds.  The search starts at ``start``, or midway between its
     projection into the region and the point of deepest region slack.  The
-    reported gamma is ``certify`` at the returned point.
+    reported gamma is the table's certificate at the returned point.
     """
-    (rate, lo, hi), (curv, center, grad) = clips, caps
+    rate, lo, hi, center = table.rate, table.lo, table.hi, table.center
+    curv, grad = table.curvature / table.value, table.grad / table.value[:, None]
     dim, lower = region.dim, region.lower
     if curv.size:  # caps need the row t > 0: a clip row of rate 0
         rate, lo, hi = (np.append(rate, 0.0), np.vstack([lo, np.full(dim, -np.inf)]),
@@ -104,14 +92,14 @@ def _barrier(clips, caps, certify, start, region: FeasibleSet, config: SolveConf
     x = np.asarray(start, dtype=float)
     if not np.all(region_slack(x) > 0):
         deep = solve_lp(LpProblem(
-            c=-np.eye(dim + 1)[dim], a_ub=np.column_stack([-fixed[:, :dim], np.ones(len(fixed))]),
+            c=-np.eye(dim + 1)[dim], a_ub=np.c_[-fixed[:, :dim], np.ones(len(fixed))],
             b_ub=region_slack(np.zeros(dim)), lower=np.full(dim + 1, -np.inf),
             upper=np.append(np.full(dim, np.inf), 1.0)))
         if deep.status != LpStatus.OPTIMAL:
             raise SolveError(f"interior-point LP ended with status {deep.status.value}")
         near = region.find_point(x, tol=min(1e-9, config.feasibility_tolerance))
         x = 0.5 * (near + deep.x[:dim])
-    t = (1.0 + certify(x)) ** 2
+    t = (1.0 + table.certify(x)) ** 2
     s, h, u = slacks(x, t)
     if not np.all(s > 0):
         raise SolveError("the region has no interior point")
@@ -172,8 +160,9 @@ def _barrier(clips, caps, certify, start, region: FeasibleSet, config: SolveConf
     # hard lower bounds hold exactly so downstream metric evaluation never
     # sees a tolerance-scale negative capacity
     x = np.maximum(x, lower)
-    diag = SolveDiagnostics(iterations=steps, residual=region.violation(x), method=method)
-    return CompetitiveSolution(x=x, gamma=certify(x), diagnostics=diag)
+    diag = SolveDiagnostics(iterations=steps, residual=region.violation(x),
+                            method="barrier-mixed" if curv.size else "barrier-l2")
+    return CompetitiveSolution(x=x, gamma=table.certify(x), diagnostics=diag)
 
 
 def _check_dims(refs, dim: int) -> None:
@@ -182,40 +171,46 @@ def _check_dims(refs, dim: int) -> None:
             raise ValueError(f"metric {r.id!r} has dimension {r.dim}, region has {dim}")
 
 
-def solve_caolf(refs, region: FeasibleSet, config: SolveConfig | None = None) -> CompetitiveSolution:
-    """Minimize the tolerance gamma subject to one clipped-norm radius per metric.
-
-    Each metric contributes the constraint that the clipped displacement from
-    its reference, measured in the configured norm, stays within
-    gamma * value / bound.  Metrics that share a reference point and effective
-    monotonicity are solved as one, at the largest rate of the group, which
-    certifies every one of them.  The reported gamma is certified at the
-    returned point, so it never understates what the point achieves.
-    """
-    config = config or SolveConfig()
+def _solve(refs, region: FeasibleSet, config: SolveConfig) -> CompetitiveSolution:
+    """Minimize gamma over the merged constraint table of ``refs`` in ``config.norm``."""
     refs = list(refs)
     _check_dims(refs, region.dim)
-    surrogate = ClippedNormSurrogate(refs, config.norm).merged()
+    table = ClippedNormSurrogate(refs, config.norm).merged()
+    if not table.owner.size:
+        raise ValueError("no usable constraint models")
     if config.norm != Norm.L2:
-        return _solve_caolf_lp(surrogate, region, config)
-    return _barrier((surrogate.rate, surrogate.lo, surrogate.hi), _stack([], region.dim),
-                    surrogate.certify, np.mean([r.x_ref for r in refs], axis=0), region, config,
-                    method="barrier-l2")
+        return _solve_caolf_lp(table, region, config)
+    return _barrier(table, np.mean([r.x_ref for r in refs], axis=0), region, config)
+
+
+def solve_caolf(refs, region: FeasibleSet, config: SolveConfig | None = None) -> CompetitiveSolution:
+    """Minimize the tolerance gamma subject to one clipped-norm radius per model.
+
+    Each Lipschitz model stated in the configured norm contributes the
+    constraint that the clipped displacement from its metric's reference
+    stays within gamma * value / bound; in the l2 norm, hyperplane and
+    quadratic models add their caps as in `solve_approx`.  Models that share
+    a reference point and effective monotonicity are solved as one, at the
+    largest rate of the group, which certifies every one of them.  The
+    reported gamma is certified at the returned point, so it never
+    understates what the point achieves.
+    """
+    return _solve(refs, region, config or SolveConfig())
 
 
 def _solve_caolf_lp(surrogate: ClippedNormSurrogate, region, config) -> CompetitiveSolution:
     """Epigraph linear program for the L1 and LINF radius constraints.
 
     Layout: decision coordinates, then (L1 only) one magnitude variable per
-    coordinate of each metric, then gamma last.  Coordinate by coordinate, a
-    metric bounds +x_j where it is increasing or non-monotone and -x_j where
+    coordinate of each clip row, then gamma last.  Coordinate by coordinate, a
+    row bounds +x_j where it is increasing or non-monotone and -x_j where
     it is decreasing or non-monotone.  Under L1 the bound is the coordinate's
-    magnitude variable, and one row per metric caps their sum at gamma/rate;
-    under LINF each bound is gamma/rate itself.
+    magnitude variable, and one sum row per clip row caps their sum at
+    gamma/rate; under LINF each bound is gamma/rate itself.
     """
-    dim, count = region.dim, len(surrogate.ids)
+    dim, count = region.dim, surrogate.rate.size
     n_var = dim + (count * dim if config.norm == Norm.L1 else 0) + 1
-    # one row per (metric, coordinate, direction) in that order, + before -
+    # one row per (clip row, coordinate, direction) in that order, + before -
     ref_i, coord, side = np.nonzero(np.stack([surrogate.eff_mono >= 0,
                                               surrogate.eff_mono <= 0], axis=2))
     sign = 1.0 - 2.0 * side
@@ -227,7 +222,7 @@ def _solve_caolf_lp(surrogate: ClippedNormSurrogate, region, config) -> Competit
         a_ub[rows, dim + ref_i * dim + coord] = -1.0
         sums = np.hstack([np.zeros((count, dim)), np.kron(np.eye(count), np.ones(dim)),
                           -1.0 / surrogate.rate[:, None]])
-        # each metric's sum row follows its last coordinate row
+        # each clip row's sum row follows its last coordinate row
         ends = np.searchsorted(ref_i, np.arange(count), side="right")
         a_ub, b_ub = np.insert(a_ub, ends, sums, axis=0), np.insert(b_ub, ends, 0.0)
     else:
@@ -249,37 +244,6 @@ def _solve_caolf_lp(surrogate: ClippedNormSurrogate, region, config) -> Competit
     return CompetitiveSolution(x=x, gamma=gamma, diagnostics=diag)
 
 
-def _model_entry(r, m):
-    """Model ``m`` of metric ``r`` as (barrier row, gamma needed at x); None
-    for a hyperplane model with a zero gradient, which holds everywhere.  A
-    row is ("clip", rate, lo, hi) or ("cap", curvature, center, gradient) in
-    the terms of `_barrier`, already divided by the reference value."""
-    ref, v = r.x_ref, r.value
-    if isinstance(m, LipschitzNorm):
-        if m.norm != Norm.L2:
-            raise ValueError(f"metric {r.id!r}: only l2 Lipschitz models are usable here, got {m.norm.value}")
-        geom, rate = r.geometry(m), m.bound / v
-        return (("clip", rate, geom.lo, geom.hi),
-                lambda x: rate * norm_value(clip(x, geom), Norm.L2))
-    if isinstance(m, ConcaveLinear):
-        if float(np.dot(m.grad, m.grad)) == 0.0:
-            return None
-        return (("cap", 0.0, ref, m.grad / v),
-                lambda x: float(np.dot(m.grad, x - ref)) / v)
-    if isinstance(m, ConvexQuadratic):
-        a, lip = m.grad, m.curvature
-        return (("cap", lip / v, ref, a / v),
-                lambda x: (lip * float(np.dot(x - ref, x - ref)) + float(np.dot(a, x - ref))) / v)
-    raise TypeError(f"unknown constraint model {type(m).__name__}")
-
-
-def model_entries(refs, dim: int) -> list[list[tuple]]:
-    """Per metric, the (barrier row, gamma needed at x) pair of each usable
-    model, in model order: the constraints `solve_approx` solves with."""
-    _check_dims(refs, dim)
-    return [[e for e in (_model_entry(r, m) for m in r.models) if e is not None] for r in refs]
-
-
 def solve_approx(refs, region: FeasibleSet, config: SolveConfig | None = None) -> CompetitiveSolution:
     """Mixed-model variant: metrics may carry clipped-norm radii (Euclidean),
     supporting-hyperplane caps, or curvature-augmented tangent caps, in any
@@ -288,20 +252,7 @@ def solve_approx(refs, region: FeasibleSet, config: SolveConfig | None = None) -
     config = config or SolveConfig()
     if config.norm != Norm.L2:
         raise ValueError("the mixed-model solver works in the l2 norm")
-    refs = list(refs)
-    entries = [e for own in model_entries(refs, region.dim) for e in own]
-    if not entries:
-        raise ValueError("no usable constraint models")
-    rows = {"clip": [], "cap": []}
-    for (kind, *row), _ in entries:
-        rows[kind].append(row)
-
-    def certify(x):
-        return max([0.0] + [need(x) for _, need in entries])
-
-    return _barrier(_stack(rows["clip"], region.dim), _stack(rows["cap"], region.dim), certify,
-                    np.mean([r.x_ref for r in refs], axis=0), region, config,
-                    method="barrier-mixed")
+    return _solve(refs, region, config)
 
 
 def stability_probe(refs, region: FeasibleSet, config: SolveConfig, kappas) -> CompetitiveSolution:
@@ -397,16 +348,15 @@ def grid_oracle_swcm(metrics, region: FeasibleSet, resolution: int, box):
 
 
 def grid_oracle_caolf(refs, region: FeasibleSet, resolution: int, box, norm: Norm = Norm.L2):
-    """Brute-force the smallest radius-scaled clipped norm on a dense grid.
+    """Brute-force the smallest surrogate gamma on a dense grid.
 
-    Same search as `grid_oracle_swcm` but over the surrogate objective
-    max_i bound_i * ||clip(x, ref_i)|| / value_i, vectorized over the grid.
-    Returns (gamma, point).
+    Same search as `grid_oracle_swcm` but over the largest row need of the
+    constraint table, every clip and cap row of the solvers, vectorized over
+    the grid.  Returns (gamma, point).
     """
     refs = list(refs)
     _check_dims(refs, region.dim)
-    surrogate = ClippedNormSurrogate(refs, norm)
     pts = _grid_points(region, resolution, box)
-    worst = surrogate.on_grid(pts)
+    worst = ClippedNormSurrogate(refs, norm).on_grid(pts)
     i = int(np.argmin(worst))
     return float(worst[i]), pts[i]

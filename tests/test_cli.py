@@ -146,6 +146,30 @@ def test_oracle_matches_solver(tmp_path, capsys):
     assert out["gamma"] == pytest.approx(2.0 / 3.0, abs=5e-3)
 
 
+def test_oracle_solve_and_verify_share_every_model(tmp_path, capsys):
+    # oracle used to drop the linear model and answer 0 at x = 1; solve and
+    # verify used to exit 2 on the l1 model beside the linear one
+    payload = {"region": {"lower": [None]}, "box": [[-0.5, 1.5]], "metrics": [
+        {"id": "both", "x_ref": [0.0], "value": 1.0, "models": [
+            {"kind": "lipschitz", "bound": 1.0, "norm": "l2", "mono": [-1]},
+            {"kind": "lipschitz", "bound": 1.0, "norm": "l1", "mono": [-1]},
+            {"kind": "linear", "grad": [1.0]}]},
+        {"id": "far", "x_ref": [1.0], "value": 1.0, "models": [
+            {"kind": "lipschitz", "bound": 1.0, "norm": "l2", "mono": [0]}]}]}
+    inst = write_instance(tmp_path / "inst.json", payload)
+    assert main(["oracle", inst, "--resolution", "201"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["gamma"] == pytest.approx(0.5, abs=1e-9)
+    assert out["x"][0] == pytest.approx(0.5, abs=1e-9)
+    assert main(["solve", inst]) == 0
+    sol = json.loads(capsys.readouterr().out)
+    assert sol["gamma"] == pytest.approx(0.5, abs=1e-5) and "mixed" in sol["method"]
+    payload.update(point=sol["x"], gamma=sol["gamma"])
+    inst = write_instance(tmp_path / "inst.json", payload)
+    assert main(["verify", inst]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"]
+
+
 def test_oracle_needs_a_box(tmp_path, capsys):
     payload = two_anchor_instance()
     del payload["box"]
@@ -193,6 +217,9 @@ def test_malformed_instance_exits_with_error(tmp_path, capsys):
         (broken(lambda p: p["metrics"][1]["models"][0].pop("bound")), "'bound'", every),
         (broken(lambda p: p["region"].update(halfspaces=[{"a": [1.0]}])), "'b'", every),
         (broken(lambda p: p["metrics"][0]["models"][0].update(mono=[True])), "-1, 0 or +1", every),
+        (broken(lambda p: p["metrics"][1].update(
+            x_ref=[1.0, 2.0], models=[{"bound": 1.0, "mono": [0, 0]}])),
+         "metric 'right' has dimension 2", every),
         ([two_anchor_instance()], "JSON object", every),
         # entries of the wrong type: the message is numpy's or Python's own
         (broken(lambda p: p["metrics"][0].update(value=[1.0])), "", every),

@@ -1,6 +1,7 @@
 """Units and property checks for norms, clipping, and projections."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,19 +9,25 @@ import pytest
 from caolf.geometry import (
     BallSet,
     ClippedBallSet,
-    ClippedNormSurrogate,
     HalfspaceSet,
     LowerBoundSet,
     Mono,
     Norm,
     RefGeometry,
     Sense,
+    as_mono_array,
     clip,
     dual_norm_value,
     dykstra,
     norm_value,
 )
-from caolf.model import LipschitzNorm, MetricRef
+from caolf.model import (
+    ClippedNormSurrogate,
+    ConcaveLinear,
+    ConvexQuadratic,
+    LipschitzNorm,
+    MetricRef,
+)
 
 
 def test_norm_values_on_fixed_vector():
@@ -280,6 +287,19 @@ def test_mono_spec_validation():
     assert list(geom.mono) == [1, -1]
 
 
+@pytest.mark.parametrize("scalar, want", [
+    (1, [1, 1]), (np.int64(1), [1, 1]), (np.int8(-1), [-1, -1]),
+    (Mono.NON_MONOTONE, [0, 0]), ("dec", [-1, -1]), (True, None), (np.True_, None),
+])
+def test_scalar_monotonicity_broadcasts_like_an_int(scalar, want):
+    # numpy integer scalars used to raise a TypeError from len(), and so did bools
+    if want is None:
+        with pytest.raises(ValueError, match=r"-1, 0 or \+1, got True"):
+            as_mono_array(scalar, dim=2)
+    else:
+        assert as_mono_array(scalar, dim=2).tolist() == want
+
+
 def test_surrogate_needed_matches_clip_bit_for_bit():
     rng = np.random.default_rng(61)
     for norm in Norm:
@@ -388,3 +408,22 @@ def test_merged_without_duplicates_is_unchanged():
         assert merged.ids == full.ids
         for name in ("x_ref", "eff_mono", "lo", "hi", "rate"):
             np.testing.assert_array_equal(getattr(merged, name), getattr(full, name))
+
+
+def test_merged_keeps_every_cap_row_and_the_metrics_that_own_one():
+    rng = np.random.default_rng(79)
+    refs = [replace(r, models=r.models + (ConcaveLinear(rng.normal(size=5)),))
+            if r.id == "g0m3" else r for r in _grouped_refs(rng, Norm.L2)]
+    refs.append(MetricRef(id="bowl", x_ref=rng.uniform(-2.0, 2.0, 5), value=2.0,
+                          models=(ConvexQuadratic(rng.normal(size=5), 0.1),)))
+    full = ClippedNormSurrogate(refs, Norm.L2)
+    merged = full.merged()
+    # g0m3's clip row ties with g0m1's and goes; its cap row keeps the metric
+    assert len(merged.ids) == 6 and "g0m3" in merged.ids and merged.ids[-1] == "bowl"
+    for name in ("curvature", "center", "grad", "value"):
+        np.testing.assert_array_equal(getattr(merged, name), getattr(full, name))
+    pts = rng.uniform(-3.0, 3.0, (200, 5))
+    for x in pts:
+        assert merged.certify(x).hex() == full.certify(x).hex()
+        assert merged.needed(x)[-1].hex() == full.needed(x)[-1].hex()
+    assert [v.hex() for v in merged.on_grid(pts)] == [v.hex() for v in full.on_grid(pts)]

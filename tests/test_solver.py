@@ -9,7 +9,6 @@ import pytest
 
 from caolf.geometry import (
     ClippedBallSet,
-    ClippedNormSurrogate,
     Mono,
     Norm,
     Sense,
@@ -19,6 +18,7 @@ from caolf.geometry import (
     norm_value,
 )
 from caolf.model import (
+    ClippedNormSurrogate,
     ConcaveLinear,
     ConvexQuadratic,
     FeasibleSet,
@@ -31,7 +31,6 @@ from caolf.solver import (
     SolveError,
     grid_oracle_caolf,
     grid_oracle_swcm,
-    model_entries,
     solve_approx,
     solve_caolf,
     stability_probe,
@@ -112,9 +111,9 @@ def test_l2_search_starts_at_the_mean_of_every_reference(monkeypatch):
     starts = []
     barrier = solver._barrier
 
-    def recording_barrier(clips, caps, certify, start, *rest, **kw):
+    def recording_barrier(table, start, *rest, **kw):
         starts.append(np.array(start))
-        return barrier(clips, caps, certify, start, *rest, **kw)
+        return barrier(table, start, *rest, **kw)
 
     monkeypatch.setattr(solver, "_barrier", recording_barrier)
     model = (LipschitzNorm(1.0, Norm.L2, [0, 0]),)
@@ -360,6 +359,32 @@ def test_grid_oracle_caolf_matches_solver_in_2d():
         assert abs(sol.gamma - gamma) <= err
 
 
+def test_grid_oracle_counts_a_hyperplane_model_next_to_a_lipschitz_one():
+    # the oracle used to keep only the Lipschitz model and answer 0 at x = 1,
+    # where the hyperplane model x / 1 needs gamma 1
+    both = MetricRef(id="both", x_ref=[0.0], value=1.0,
+                     models=(LipschitzNorm(1.0, Norm.L2, [-1]), ConcaveLinear([1.0])))
+    far = MetricRef(id="far", x_ref=[1.0], value=1.0,
+                    models=(LipschitzNorm(1.0, Norm.L2, [0]),))
+    region = FeasibleSet.unconstrained(1)
+    gamma, x = grid_oracle_caolf([both, far], region, 201, box=[(-0.5, 1.5)])
+    assert gamma == pytest.approx(0.5, abs=1e-9) and x[0] == pytest.approx(0.5, abs=1e-9)
+    sol = solve_caolf([both, far], region, SolveConfig())
+    assert sol.gamma == pytest.approx(0.5, abs=2e-6)
+
+
+def test_every_lipschitz_model_of_a_metric_constrains_both_solvers():
+    # solve_caolf used to keep only the first l2 model (bound 1, gamma 0.5);
+    # all of a metric's models constrain together, so bound 3 binds: 3 / (3 + 1)
+    twice = [MetricRef(id="left", x_ref=[0.0], value=1.0,
+                       models=(LipschitzNorm(1.0, Norm.L2, [0]), LipschitzNorm(3.0, Norm.L2, [0]))),
+             MetricRef(id="right", x_ref=[1.0], value=1.0,
+                       models=(LipschitzNorm(1.0, Norm.L2, [0]),))]
+    region = FeasibleSet.unconstrained(1)
+    for solve in (solve_caolf, solve_approx):
+        assert solve(twice, region, SolveConfig()).gamma == pytest.approx(0.75, abs=2e-6)
+
+
 def test_grid_oracle_guards():
     region = FeasibleSet.nonnegative(4)
     with pytest.raises(ValueError):
@@ -545,18 +570,30 @@ def test_solvers_match_their_bitwise_recording():
     assert [pinned_record(seed) for seed in range(3)] == want["records"]
 
 
-def test_model_entries_give_the_certificate_solve_approx_reports():
-    # `caolf verify` reads each metric's need from these entries
+def test_surrogate_needed_gives_the_certificate_solve_approx_reports():
+    # `caolf verify` reads each metric's need from the table
     refs, mixed, region = pinned_instance(0)
     sol = solve_approx(mixed, region, SolveConfig())
-    entries = model_entries(mixed, region.dim)
-    assert [len(own) for own in entries] == [1, 2, 1, 2, 1]  # the zero gradient has none
-    assert max(need(sol.x) for own in entries for _, need in own) == sol.gamma
-    # a Lipschitz entry's need is the surrogate's row, bit for bit
+    table = ClippedNormSurrogate(mixed, Norm.L2)
+    # the zero gradient has no row
+    assert np.bincount(table.owner).tolist() == [1, 2, 1, 2, 1]
+    assert max(table.needed(sol.x)) == sol.gamma
+    # a metric's need is the largest of its Lipschitz row, bit for bit the
+    # Lipschitz-only surrogate's, and its caps, each computed from the model
     surrogate = ClippedNormSurrogate([refs[i] for i in (0, 1, 3)], Norm.L2)
     for x in np.random.default_rng(3).uniform(0.0, 5.0, (50, region.dim)):
-        rows = surrogate.needed(x)
-        assert [float(entries[i][0][1](x)).hex() for i in (0, 1, 3)] == [float(v).hex() for v in rows]
+        want = dict(zip((0, 1, 3), surrogate.needed(x)))
+        for i, r in enumerate(mixed):
+            u = x - r.x_ref
+            for m in r.models:
+                if isinstance(m, ConvexQuadratic):
+                    cap = (m.curvature * float(np.dot(u, u)) + float(np.dot(m.grad, u))) / r.value
+                elif isinstance(m, ConcaveLinear):
+                    cap = float(np.dot(m.grad, u)) / r.value
+                else:
+                    continue
+                want[i] = max(want.get(i, 0.0), cap)
+        assert [float(v).hex() for v in table.needed(x)] == [float(want[i]).hex() for i in range(5)]
 
 
 def test_every_entry_point_names_the_metric_with_the_wrong_dimension():
@@ -571,47 +608,46 @@ def test_every_entry_point_names_the_metric_with_the_wrong_dimension():
         for refs in ([bad], [good, bad]):
             for call in (lambda: grid_oracle_caolf(refs, region, 11, box=[(0, 1), (0, 1)]),
                          lambda: solve_caolf(refs, region, SolveConfig()),
-                         lambda: solve_approx(refs, region, SolveConfig()),
-                         lambda: model_entries(refs, region.dim)):
+                         lambda: solve_approx(refs, region, SolveConfig())):
                 with pytest.raises(ValueError, match=f"metric 'bad' has dimension {len(x_ref)}"):
                     call()
 
 
-def _slsqp_gamma(entries, certify, region, start):
+def _slsqp_gamma(table, region, start):
     """gamma that scipy's SLSQP reaches over (x, gamma), certified at its point.
 
-    ``entries`` are barrier rows as `model_entries` gives them; clip rows are
-    squared, rate^2 ||x - clamp(x)||^2 <= gamma^2, so every row is C^1.
+    The constraints are the rows of the l2 ``table``; clip rows are squared,
+    rate^2 ||x - clamp(x)||^2 <= gamma^2, so every row is C^1.
     """
     from scipy.optimize import minimize
     d = region.dim
     cons = []
-    for kind, c, v, w in entries:
-        if kind == "clip":
-            def fun(z, rate=c, lo=v, hi=w):
-                h = z[:d] - np.clip(z[:d], lo, hi)
-                return z[d] ** 2 - rate ** 2 * float(h @ h)
+    for rate, lo, hi in zip(table.rate, table.lo, table.hi):
+        def fun(z, rate=rate, lo=lo, hi=hi):
+            h = z[:d] - np.clip(z[:d], lo, hi)
+            return z[d] ** 2 - rate ** 2 * float(h @ h)
 
-            def jac(z, rate=c, lo=v, hi=w):
-                h = z[:d] - np.clip(z[:d], lo, hi)
-                return np.append(-2.0 * rate ** 2 * h, 2.0 * z[d])
-        else:
-            def fun(z, curv=c, center=v, grad=w):
-                u = z[:d] - center
-                return z[d] - curv * float(u @ u) - float(grad @ u)
+        def jac(z, rate=rate, lo=lo, hi=hi):
+            h = z[:d] - np.clip(z[:d], lo, hi)
+            return np.append(-2.0 * rate ** 2 * h, 2.0 * z[d])
+        cons.append({"type": "ineq", "fun": fun, "jac": jac})
+    for c, center, g, value in zip(table.curvature, table.center, table.grad, table.value):
+        def fun(z, curv=c / value, center=center, grad=g / value):
+            u = z[:d] - center
+            return z[d] - curv * float(u @ u) - float(grad @ u)
 
-            def jac(z, curv=c, center=v, grad=w):
-                return np.append(-(2.0 * curv * (z[:d] - center) + grad), 1.0)
+        def jac(z, curv=c / value, center=center, grad=g / value):
+            return np.append(-(2.0 * curv * (z[:d] - center) + grad), 1.0)
         cons.append({"type": "ineq", "fun": fun, "jac": jac})
     for a, b in region.halfspaces:
         cons.append({"type": "ineq", "fun": lambda z, a=a, b=b: b - float(a @ z[:d]),
                      "jac": lambda z, a=a: np.append(-a, 0.0)})
     bounds = [(lo if np.isfinite(lo) else None, None) for lo in region.lower] + [(0.0, None)]
     x0 = np.maximum(start, region.lower)
-    res = minimize(lambda z: z[d], np.append(x0, certify(x0)), jac=lambda z: np.eye(d + 1)[d],
+    res = minimize(lambda z: z[d], np.append(x0, table.certify(x0)), jac=lambda z: np.eye(d + 1)[d],
                    bounds=bounds, constraints=cons, method="SLSQP",
                    options={"ftol": 1e-14, "maxiter": 1000})
-    return certify(np.maximum(res.x[:d], region.lower))
+    return table.certify(np.maximum(res.x[:d], region.lower))
 
 
 def test_l2_and_mixed_gammas_are_near_the_independent_optimum():
@@ -630,22 +666,14 @@ def test_l2_and_mixed_gammas_are_near_the_independent_optimum():
     cases += [(pinned_instance(seed)[0], pinned_instance(seed)[2]) for seed in range(3)]
     config = SolveConfig()
     for lipschitz, region in cases:
-        l2 = [r.lipschitz_model(Norm.L2) for r in lipschitz]
-        entries = [("clip", m.bound / r.value, r.geometry(m).lo, r.geometry(m).hi)
-                   for r, m in zip(lipschitz, l2)]
-        surrogate = ClippedNormSurrogate(lipschitz, Norm.L2)
+        table = ClippedNormSurrogate(lipschitz, Norm.L2)
         start = np.mean([r.x_ref for r in lipschitz], axis=0)
-        want = _slsqp_gamma(entries, surrogate.certify, region, start)
+        want = _slsqp_gamma(table, region, start)
         got = solve_caolf(lipschitz, region, config).gamma
         assert got <= want + config.gamma_tolerance * max(1.0, want), (got, want)
     for seed in range(3):
         _, mixed, region = pinned_instance(seed)
-        own = [e for row in model_entries(mixed, region.dim) for e in row]
-
-        def certify(x):
-            return max([0.0] + [need(x) for _, need in own])
-
-        want = _slsqp_gamma([row for row, _ in own], certify, region,
+        want = _slsqp_gamma(ClippedNormSurrogate(mixed, Norm.L2), region,
                             np.mean([r.x_ref for r in mixed], axis=0))
         got = solve_approx(mixed, region, config).gamma
         assert got <= want + config.gamma_tolerance * max(1.0, want), (seed, got, want)
