@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field, replace
 from typing import Union
 
@@ -19,8 +18,10 @@ from .geometry import (
     harm,
     norm_value,
 )
+from .lp import LpProblem, LpStatus, solve_lp
 
-REGION_PROJECTION_ITERS = 10000  # cycle cap of the emptiness check and find_point
+REGION_PROJECTION_ITERS = 10000  # cycle cap of find_point
+REGION_TOL = 1e-9  # distance up to which the emptiness check takes a point as inside
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,6 +35,8 @@ class LipschitzNorm:
     def __post_init__(self):
         if not (self.bound > 0 and np.isfinite(self.bound)):
             raise ValueError("Lipschitz bound must be positive and finite")
+        # isinstance first: built in bulk, and an enum call costs ten times as much
+        object.__setattr__(self, "norm", self.norm if isinstance(self.norm, Norm) else Norm(self.norm))
         object.__setattr__(self, "mono", as_mono_array(self.mono))
 
 
@@ -87,6 +90,7 @@ class MetricRef:
 
     def __post_init__(self):
         object.__setattr__(self, "x_ref", np.asarray(self.x_ref, dtype=float))
+        object.__setattr__(self, "sense", self.sense if isinstance(self.sense, Sense) else Sense(self.sense))
         object.__setattr__(self, "models", tuple(self.models))
         if self.x_ref.ndim != 1 or self.x_ref.size == 0:
             raise ValueError(f"metric {self.id!r}: reference point must be a 1-D vector")
@@ -131,14 +135,16 @@ class MetricRef:
 class ClippedNormSurrogate:
     """The surrogate constraints of m metric references in one norm, as rows.
 
-    A clip row (rate, lo, hi) stands for a Lipschitz model stated in
-    ``norm``: rate * ||clip(x)|| <= gamma, where clip folds in the metric's
-    sense and monotonicity and rate = bound / value.  Lipschitz models in
-    other norms give no row.  A cap row (curvature, center, grad, value)
-    stands for a hyperplane (curvature 0) or quadratic model, l2 only:
-    (curvature ||u||^2 + grad . u) / value <= gamma with u = x - center.  A
-    hyperplane model with a zero gradient holds everywhere and gives no row.
-    ``owner`` names each row's metric, clip rows first, then cap rows.
+    A Lipschitz model in ``norm`` needs rate * ||clip(x)|| <= gamma, rate =
+    bound / value, where clip folds in the metric's sense and monotonicity.
+    Models with one reference point and effective monotonicity share a clip
+    row (rate, lo, hi) at the group's largest rate (the first model's on a
+    tie), in the order of those models; ``model_row`` and ``model_rate`` hold
+    each model's row and own rate.  Other norms give no row.  A cap row
+    (curvature, center, grad, value) is a hyperplane (curvature 0) or quadratic
+    model, l2 only: (curvature ||u||^2 + grad . u) / value <= gamma with
+    u = x - center; a zero gradient holds everywhere and gives no row.
+    ``owner`` names the metric of each clip model, then of each cap row.
     """
 
     def __init__(self, refs, norm: Norm):
@@ -166,49 +172,28 @@ class ClippedNormSurrogate:
                     caps.append((i, m.curvature, m.grad, r))
                 elif float(np.dot(m.grad, m.grad)) != 0.0:
                     caps.append((i, 0.0, m.grad, r))
+        keys = [(g.x_ref.tobytes(), g.eff_mono.tobytes()) for _, g, _ in clips]
+        best: dict[tuple[bytes, bytes], int] = {}  # group -> its largest-rate model
+        for j, (key, (_, _, rate)) in enumerate(zip(keys, clips)):
+            if rate > clips[best.setdefault(key, j)][2]:
+                best[key] = j
+        rows = sorted(best.values())
         self.norm = norm
         self.ids = tuple(r.id for r in refs)
         self.owner = np.array([row[0] for row in clips + caps], dtype=int)
-        self.geoms = tuple(g for _, g, _ in clips)
-        self.x_ref = np.reshape([g.x_ref for g in self.geoms], (-1, dim))      # (m, d)
-        self.eff_mono = np.reshape([g.eff_mono for g in self.geoms], (-1, dim))  # (m, d)
-        self.lo = np.reshape([g.lo for g in self.geoms], (-1, dim))            # (m, d)
-        self.hi = np.reshape([g.hi for g in self.geoms], (-1, dim))            # (m, d)
-        self.rate = np.array([rate for _, _, rate in clips])
-        self.curvature = np.array([c for _, c, _, _ in caps])                  # (k,)
+        self.model_row = np.searchsorted(rows, [best[key] for key in keys])
+        self.model_rate = np.array([rate for _, _, rate in clips])
+        for name in ("x_ref", "eff_mono", "lo", "hi"):  # (m, d) each
+            setattr(self, name, np.reshape([getattr(clips[j][1], name) for j in rows], (-1, dim)))
+        self.rate = self.model_rate[rows]                                 # (m,)
+        self.curvature = np.array([c for _, c, _, _ in caps])             # (k,)
         self.center = np.reshape([r.x_ref for _, _, _, r in caps], (-1, dim))  # (k, d)
         self.grad = np.reshape([g for _, _, g, _ in caps], (-1, dim))          # (k, d)
         self.value = np.array([r.value for _, _, _, r in caps])                # (k,)
 
-    def merged(self) -> "ClippedNormSurrogate":
-        """The same surrogate with one clip row per distinct geometry.
-
-        Clip rows with equal ``x_ref`` and ``eff_mono`` have the same clipped
-        displacement at every x, so of each such group only the largest rate
-        can bind; it is kept (the first on a tie), in the original order.
-        Cap rows are all kept, and metrics left without a row are dropped.
-        Rounding is monotone in the rate, so `certify` and `on_grid` of the
-        result equal the full surrogate's bit for bit.
-        """
-        best: dict[tuple[bytes, bytes], int] = {}
-        for i, key in enumerate(zip(map(np.ndarray.tobytes, self.x_ref),
-                                    map(np.ndarray.tobytes, self.eff_mono))):
-            j = best.setdefault(key, i)
-            if self.rate[i] > self.rate[j]:
-                best[key] = i
-        keep = sorted(best.values())
-        out = copy.copy(self)
-        out.geoms = tuple(self.geoms[i] for i in keep)
-        for name in ("x_ref", "eff_mono", "lo", "hi", "rate"):
-            setattr(out, name, getattr(self, name)[keep])
-        kept, out.owner = np.unique(np.concatenate([self.owner[keep], self.owner[self.rate.size:]]),
-                                    return_inverse=True)
-        out.ids = tuple(self.ids[i] for i in kept)
-        return out
-
     def needed(self, x) -> np.ndarray:
-        """Smallest tolerance each metric admits ``x`` at, shape (len(ids),):
-        its largest row need, and 0 for a metric without a row."""
+        """Smallest tolerance each metric admits ``x`` at, shape (len(ids),): the
+        largest need of its models (0 without a row), each at its own rate."""
         x = np.asarray(x, dtype=float)
         if x.shape != self.x_ref.shape[1:]:
             raise ValueError(f"point has shape {x.shape}, references have {self.x_ref.shape[1:]}")
@@ -217,7 +202,8 @@ class ClippedNormSurrogate:
         caps = [(c * float(np.dot(u, u)) + float(np.dot(g, u))) / v
                 for c, u, g, v in zip(self.curvature, x - self.center, self.grad, self.value)]
         out = np.zeros(len(self.ids))
-        np.maximum.at(out, self.owner, np.concatenate([self.rate * clips, caps]))
+        np.maximum.at(out, self.owner,
+                      np.concatenate([self.model_rate * np.take(clips, self.model_row), caps]))
         return out
 
     def certify(self, x) -> float:
@@ -250,8 +236,8 @@ class ClippedNormSurrogate:
 class FeasibleSet:
     """Convex decision region: coordinate lower bounds plus linear caps.
 
-    Emptiness is checked at construction by projecting the origin-clamped
-    lower-bound point onto the intersection; an unreachable tolerance raises.
+    Construction raises on an empty region: unless the origin-clamped lower
+    bounds are within ``REGION_TOL`` of it, `slack_lp(REGION_TOL)` must reach 0.
     Halfspace i is normals[i] . x <= rhs[i]; ``halfspaces`` holds views of the rows.
     """
 
@@ -277,11 +263,12 @@ class FeasibleSet:
         object.__setattr__(self, "normals", np.reshape([a for a, _ in rows], (-1, self.dim)))
         object.__setattr__(self, "rhs", np.array([float(b) for _, b in rows]))
         object.__setattr__(self, "halfspaces", tuple(zip(self.normals, self.rhs.tolist())))
-        start = np.where(np.isfinite(self.lower), np.maximum(self.lower, 0.0), 0.0)
-        run = dykstra(self.sets(), start, tol=1e-9, max_iters=REGION_PROJECTION_ITERS)
-        if not run.converged:
-            raise ValueError(
-                f"feasible set appears empty: projection residual {run.residual:.3e}")
+        if self.violation(np.maximum(self.lower, 0.0)) > REGION_TOL:
+            deep = solve_lp(self.slack_lp(REGION_TOL))
+            if deep.status != LpStatus.OPTIMAL:
+                raise ValueError(f"emptiness check LP ended with status {deep.status.value}")
+            if deep.x[-1] < 0.0:
+                raise ValueError(f"feasible set is empty: deepest slack {deep.x[-1]:.3e}")
 
     @property
     def dim(self) -> int:
@@ -294,6 +281,17 @@ class FeasibleSet:
     @classmethod
     def unconstrained(cls, dim: int) -> "FeasibleSet":
         return cls(lower=np.full(dim, -np.inf))
+
+    def slack_lp(self, widening: float) -> LpProblem:
+        """The LP over (x, s) that maximizes s up to 1 subject to x_j - lower_j >= s
+        and a . x + s <= b + widening * ||a||: the region widened by ``widening``
+        has a point iff the optimal s is at least 0."""
+        dim, bounded = self.dim, np.flatnonzero(np.isfinite(self.lower))
+        a_ub = np.vstack([-np.eye(dim)[bounded], self.normals])
+        b_ub = np.concatenate([0.0 - self.lower[bounded],
+                               self.rhs + widening * np.linalg.norm(self.normals, axis=1)])
+        return LpProblem(c=-np.eye(dim + 1)[dim], a_ub=np.c_[a_ub, np.ones(len(a_ub))], b_ub=b_ub,
+                         lower=np.full(dim + 1, -np.inf), upper=np.append(np.full(dim, np.inf), 1.0))
 
     def sets(self) -> list:
         out = []

@@ -31,6 +31,7 @@ class SolveConfig:
     feasibility_tolerance: float = 1e-7
 
     def __post_init__(self):
+        self.norm = Norm(self.norm)
         if self.gamma_tolerance <= 0 or self.feasibility_tolerance <= 0:
             raise ValueError("tolerances must be positive")
 
@@ -59,8 +60,9 @@ def _barrier(table: ClippedNormSurrogate, start, region: FeasibleSet,
     rows whose slack can grow without bound; slack0 is the slack at the start,
     and the term keeps the iterates from running off along directions no
     other row bounds.  The search starts at ``start``, or midway between its
-    projection into the region and the point of deepest region slack.  The
-    reported gamma is the table's certificate at the returned point.
+    projection into the region and the point of deepest region slack; a
+    projection that stalls raises `SolveError`.  The reported gamma is the
+    table's certificate at the returned point.
     """
     rate, lo, hi, center = table.rate, table.lo, table.hi, table.center
     curv, grad = table.curvature / table.value, table.grad / table.value[:, None]
@@ -68,13 +70,11 @@ def _barrier(table: ClippedNormSurrogate, start, region: FeasibleSet,
     if curv.size:  # caps need the row t > 0: a clip row of rate 0
         rate, lo, hi = (np.append(rate, 0.0), np.vstack([lo, np.full(dim, -np.inf)]),
                         np.vstack([hi, np.full(dim, np.inf)]))
-    bounded = np.flatnonzero(np.isfinite(lower))
-    normals = region.normals
-    rhs = region.rhs + config.feasibility_tolerance * np.linalg.norm(normals, axis=1)
+    bounded, deepest = np.flatnonzero(np.isfinite(lower)), region.slack_lp(config.feasibility_tolerance)
+    normals, rhs = region.normals, deepest.b_ub[bounded.size:]  # rhs of the widened halfspaces
     # region rows: slack = fixed . y + region_slack(0), with fixed's t column 0
-    fixed = np.zeros((bounded.size + len(normals), dim + 1))
-    fixed[np.arange(bounded.size), bounded] = 1.0
-    fixed[bounded.size:, :dim] = -normals
+    fixed = -deepest.a_ub
+    fixed[:, dim] = 0.0
 
     def region_slack(x):
         return np.concatenate([x[bounded] - lower[bounded], rhs - normals @ x])
@@ -91,13 +91,13 @@ def _barrier(table: ClippedNormSurrogate, start, region: FeasibleSet,
 
     x = np.asarray(start, dtype=float)
     if not np.all(region_slack(x) > 0):
-        deep = solve_lp(LpProblem(
-            c=-np.eye(dim + 1)[dim], a_ub=np.c_[-fixed[:, :dim], np.ones(len(fixed))],
-            b_ub=region_slack(np.zeros(dim)), lower=np.full(dim + 1, -np.inf),
-            upper=np.append(np.full(dim, np.inf), 1.0)))
+        deep = solve_lp(deepest)
         if deep.status != LpStatus.OPTIMAL:
             raise SolveError(f"interior-point LP ended with status {deep.status.value}")
-        near = region.find_point(x, tol=min(1e-9, config.feasibility_tolerance))
+        try:
+            near = region.find_point(x, tol=min(1e-9, config.feasibility_tolerance))
+        except ValueError as err:
+            raise SolveError(str(err)) from err
         x = 0.5 * (near + deep.x[:dim])
     t = (1.0 + table.certify(x)) ** 2
     s, h, u = slacks(x, t)
@@ -172,10 +172,11 @@ def _check_dims(refs, dim: int) -> None:
 
 
 def _solve(refs, region: FeasibleSet, config: SolveConfig) -> CompetitiveSolution:
-    """Minimize gamma over the merged constraint table of ``refs`` in ``config.norm``."""
+    """Minimize gamma over the constraint table of ``refs`` in ``config.norm``, the
+    one `caolf verify` and `grid_oracle_caolf` read: one clip row per safe box."""
     refs = list(refs)
     _check_dims(refs, region.dim)
-    table = ClippedNormSurrogate(refs, config.norm).merged()
+    table = ClippedNormSurrogate(refs, config.norm)
     if not table.owner.size:
         raise ValueError("no usable constraint models")
     if config.norm != Norm.L2:

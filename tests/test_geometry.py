@@ -19,6 +19,7 @@ from caolf.geometry import (
     clip,
     dual_norm_value,
     dykstra,
+    harm,
     norm_value,
 )
 from caolf.model import (
@@ -283,6 +284,16 @@ def test_mono_spec_validation():
             RefGeometry([0.0, 0.0], bools)
         with pytest.raises(ValueError, match=r"-1, 0 or \+1, got True"):
             LipschitzNorm(1.0, Norm.L2, bools)
+    # norms and senses may be given by value; anything else raises
+    ref = MetricRef(id="m", x_ref=[1.0], value=1.0, sense="max",
+                    models=(LipschitzNorm(1.0, "l2", [1]),))
+    assert ref.sense is Sense.MAXIMIZE and ref.models[0].norm is Norm.L2
+    assert ClippedNormSurrogate([ref], Norm.L2).needed([2.0]).tolist() == [0.0]
+    with pytest.raises(ValueError, match="'l7' is not a valid Norm"):
+        LipschitzNorm(1.0, "l7", [1])
+    with pytest.raises(ValueError, match="'maximize' is not a valid Sense"):
+        MetricRef(id="m", x_ref=[1.0], value=1.0, sense="maximize",
+                  models=(LipschitzNorm(1.0, Norm.L2, [1]),))
     geom = RefGeometry([0.0, 0.0], ["inc", "dec"])
     assert list(geom.mono) == [1, -1]
 
@@ -300,6 +311,16 @@ def test_scalar_monotonicity_broadcasts_like_an_int(scalar, want):
         assert as_mono_array(scalar, dim=2).tolist() == want
 
 
+def _assert_surrogate_matches_models(surrogate, refs, norm, pts):
+    for x in pts:
+        want = _model_needs(refs, norm, x)
+        assert [v.hex() for v in surrogate.needed(x)] == [w.hex() for w in want]
+        assert surrogate.certify(x).hex() == max(want).hex()
+        np.testing.assert_allclose(surrogate.on_grid(x[None, :]), [max(want)], rtol=1e-14)
+    assert [v.hex() for v in surrogate.on_grid(pts)] == \
+        [v.hex() for v in _model_grid(refs, norm, pts)]
+
+
 def test_surrogate_needed_matches_clip_bit_for_bit():
     rng = np.random.default_rng(61)
     for norm in Norm:
@@ -311,14 +332,7 @@ def test_surrogate_needed_matches_clip_bit_for_bit():
                 for i in range(6)]
         assert any(0 in r.models[0].mono for r in refs)
         surrogate = ClippedNormSurrogate(refs, norm)
-        for _ in range(50):
-            x = rng.uniform(-3.0, 3.0, 7)
-            want = [r.models[0].bound / r.value
-                    * norm_value(clip(x, r.geometry(r.models[0])), norm) for r in refs]
-            got = surrogate.needed(x)
-            assert [v.hex() for v in got] == [w.hex() for w in want]
-            assert surrogate.certify(x) == max(want)
-            np.testing.assert_allclose(surrogate.on_grid(x[None, :]), [max(want)], rtol=1e-14)
+        _assert_surrogate_matches_models(surrogate, refs, norm, rng.uniform(-3.0, 3.0, (50, 7)))
 
 
 def test_surrogate_point_shape_and_empty_guards():
@@ -355,44 +369,87 @@ def _grouped_refs(rng, norm, dim=5, groups=4, per_group=4):
     return [refs[i] for i in order]
 
 
+def _model_needs(refs, norm, x) -> list:
+    """Each metric's need at ``x``, model by model from the written-out formulas."""
+    out = []
+    for r in refs:
+        need, u = 0.0, x - r.x_ref
+        for m in r.models:
+            if isinstance(m, LipschitzNorm):
+                if m.norm == norm:
+                    need = max(need, m.bound / r.value * norm_value(clip(x, r.geometry(m)), norm))
+            else:
+                c = m.curvature if isinstance(m, ConvexQuadratic) else 0.0
+                need = max(need, (c * float(np.dot(u, u)) + float(np.dot(m.grad, u))) / r.value)
+        out.append(need)
+    return out
+
+
+def _model_grid(refs, norm, pts) -> np.ndarray:
+    """The largest need at each row of ``pts``, model by model with array reductions."""
+    reduce = {Norm.L1: lambda h: np.sum(np.abs(h), axis=1),
+              Norm.L2: lambda h: np.sqrt(np.sum(h * h, axis=1)),
+              Norm.LINF: lambda h: np.max(np.abs(h), axis=1)}[norm]
+    worst = np.zeros(len(pts))
+    for r in refs:
+        u = pts - r.x_ref
+        for m in r.models:
+            if isinstance(m, LipschitzNorm):
+                if m.norm == norm:
+                    g = r.geometry(m)
+                    worst = np.maximum(worst, reduce(harm(pts, g.lo, g.hi, g.eff_mono))
+                                       * (m.bound / r.value))
+            else:
+                c = m.curvature if isinstance(m, ConvexQuadratic) else 0.0
+                worst = np.maximum(worst, (c * np.sum(u * u, axis=1) + u @ m.grad) / r.value)
+    return worst
+
+
 def test_merged_surrogate_certifies_bit_for_bit():
+    # grouped references share one clip row at the group's largest rate, yet
+    # each metric's need is still its own rate's, model by model
     rng = np.random.default_rng(67)
     for norm in Norm:
         for _ in range(5):
             refs = _grouped_refs(rng, norm)
-            full = ClippedNormSurrogate(refs, norm)
-            merged = full.merged()
-            assert len(merged.ids) == 4
-            pts = rng.uniform(-3.0, 3.0, (200, 5))
-            for x in pts:
-                assert merged.certify(x).hex() == full.certify(x).hex()
-            assert [v.hex() for v in merged.on_grid(pts)] == \
-                [v.hex() for v in full.on_grid(pts)]
+            surrogate = ClippedNormSurrogate(refs, norm)
+            assert len(surrogate.rate) == 4 and len(surrogate.ids) == len(refs)
+            _assert_surrogate_matches_models(surrogate, refs, norm,
+                                             rng.uniform(-3.0, 3.0, (200, 5)))
 
 
 def test_merged_keeps_the_largest_rate_first_on_ties_in_order():
+    # one clip row per group, at the group's largest rate, in the order of
+    # the models that carry it; every model keeps its own rate
     rng = np.random.default_rng(71)
     for norm in Norm:
         refs = _grouped_refs(rng, norm)
-        full = ClippedNormSurrogate(refs, norm)
+        table = ClippedNormSurrogate(refs, norm)
+        rates = np.array([r.models[0].bound / r.value for r in refs])
+        group = [r.id.split("m")[0] for r in refs]
         keep = {}
-        for i, r in enumerate(refs):
-            group = r.id.split("m")[0]
-            if group not in keep or full.rate[i] > full.rate[keep[group]]:
-                keep[group] = i
+        for i, g in enumerate(group):
+            if g not in keep or rates[i] > rates[keep[g]]:
+                keep[g] = i
         want = sorted(keep.values())
-        merged = full.merged()
-        assert merged.ids == tuple(full.ids[i] for i in want)
-        np.testing.assert_array_equal(merged.rate, full.rate[want])
-        np.testing.assert_array_equal(merged.x_ref, full.x_ref[want])
-        assert merged.geoms == tuple(full.geoms[i] for i in want)
-    # an exact tie keeps the first of the two
-    tied = [MetricRef(id=name, x_ref=[1.0, 2.0], value=2.0,
-                      models=(LipschitzNorm(3.0, Norm.L2, [1, -1]),)) for name in "ab"]
-    assert ClippedNormSurrogate(tied, Norm.L2).merged().ids == ("a",)
+        assert len(want) == 4 and table.ids == tuple(r.id for r in refs)
+        np.testing.assert_array_equal(table.rate, rates[want])
+        np.testing.assert_array_equal(table.x_ref, [refs[i].x_ref for i in want])
+        np.testing.assert_array_equal(table.eff_mono,
+                                      [refs[i].geometry(refs[i].models[0]).eff_mono for i in want])
+        np.testing.assert_array_equal(table.model_rate, rates)
+        assert table.model_row.tolist() == [want.index(keep[g]) for g in group]
+    # an exact tie goes to the first model, whose place orders the rows
+    a, b = [1.0, 2.0], [3.0, 0.0]
+    tied = [MetricRef(id=name, x_ref=x, value=2.0, models=(LipschitzNorm(3.0, Norm.L2, [1, -1]),))
+            for name, x in (("a0", a), ("b", b), ("a1", a))]
+    table = ClippedNormSurrogate(tied, Norm.L2)
+    np.testing.assert_array_equal(table.x_ref, [a, b])
+    assert table.rate.tolist() == [1.5, 1.5] and table.model_row.tolist() == [0, 1, 0]
 
 
 def test_merged_without_duplicates_is_unchanged():
+    # without a shared safe box, each model has a row of its own, in order
     rng = np.random.default_rng(73)
     for norm in Norm:
         monos = rng.integers(-1, 2, (6, 4))
@@ -403,27 +460,37 @@ def test_merged_without_duplicates_is_unchanged():
         # same point, other effective monotonicity: not a duplicate either
         refs.append(MetricRef(id="twin", x_ref=refs[0].x_ref, value=1.0, sense=Sense.MAXIMIZE,
                               models=(LipschitzNorm(1.0, norm, monos[0]),)))
-        full = ClippedNormSurrogate(refs, norm)
-        merged = full.merged()
-        assert merged.ids == full.ids
-        for name in ("x_ref", "eff_mono", "lo", "hi", "rate"):
-            np.testing.assert_array_equal(getattr(merged, name), getattr(full, name))
+        table = ClippedNormSurrogate(refs, norm)
+        assert table.model_row.tolist() == list(range(len(refs)))
+        np.testing.assert_array_equal(table.rate, table.model_rate)
+        geoms = [r.geometry(r.models[0]) for r in refs]
+        for name in ("x_ref", "eff_mono", "lo", "hi"):
+            np.testing.assert_array_equal(getattr(table, name), [getattr(g, name) for g in geoms])
 
 
 def test_merged_keeps_every_cap_row_and_the_metrics_that_own_one():
+    # g0m3's clip model shares its group's row and its cap row stays its own;
+    # "flat" has no row at all, and every metric keeps its place in ids
     rng = np.random.default_rng(79)
     refs = [replace(r, models=r.models + (ConcaveLinear(rng.normal(size=5)),))
             if r.id == "g0m3" else r for r in _grouped_refs(rng, Norm.L2)]
     refs.append(MetricRef(id="bowl", x_ref=rng.uniform(-2.0, 2.0, 5), value=2.0,
                           models=(ConvexQuadratic(rng.normal(size=5), 0.1),)))
-    full = ClippedNormSurrogate(refs, Norm.L2)
-    merged = full.merged()
-    # g0m3's clip row ties with g0m1's and goes; its cap row keeps the metric
-    assert len(merged.ids) == 6 and "g0m3" in merged.ids and merged.ids[-1] == "bowl"
-    for name in ("curvature", "center", "grad", "value"):
-        np.testing.assert_array_equal(getattr(merged, name), getattr(full, name))
+    refs.append(MetricRef(id="flat", x_ref=np.zeros(5), value=1.0,
+                          models=(ConcaveLinear(np.zeros(5)),)))
+    table = ClippedNormSurrogate(refs, Norm.L2)
+    assert table.ids == tuple(r.id for r in refs)
+    assert table.rate.size == 4 and table.curvature.tolist() == [0.0, 0.1]
+    capped = [refs[i] for i in table.owner[table.model_rate.size:]]
+    assert [r.id for r in capped] == ["g0m3", "bowl"]
+    np.testing.assert_array_equal(table.center, [r.x_ref for r in capped])
+    np.testing.assert_array_equal(table.grad, [r.models[-1].grad for r in capped])
+    np.testing.assert_array_equal(table.value, [r.value for r in capped])
     pts = rng.uniform(-3.0, 3.0, (200, 5))
     for x in pts:
-        assert merged.certify(x).hex() == full.certify(x).hex()
-        assert merged.needed(x)[-1].hex() == full.needed(x)[-1].hex()
-    assert [v.hex() for v in merged.on_grid(pts)] == [v.hex() for v in full.on_grid(pts)]
+        want = _model_needs(refs, Norm.L2, x)
+        got = table.needed(x)
+        assert [v.hex() for v in got] == [w.hex() for w in want] and got[-1] == 0.0
+        assert table.certify(x) == max(want)
+    assert [v.hex() for v in table.on_grid(pts)] == \
+        [v.hex() for v in _model_grid(refs, Norm.L2, pts)]

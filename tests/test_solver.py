@@ -454,6 +454,36 @@ def test_region_rejects_points_of_another_dimension():
         assert region.contains(np.ones((3, 2))).tolist() == [True] * 3
 
 
+def _wedge(e):
+    """x >= 0 between two lines of slope +-e that meet at the apex (100, 1)."""
+    return FeasibleSet(lower=[0.0, 0.0], halfspaces=[([-e, 1.0], 1.0 - 100.0 * e),
+                                                     ([-e, -1.0], -1.0 - 100.0 * e)])
+
+
+def test_region_emptiness_is_decided_exactly():
+    # the projection check stalled on thin wedges far from the origin and
+    # called them empty
+    for e in (0.02, 0.01):
+        assert _wedge(e).contains([200.0, 1.0])
+    for lower, halfspaces in (([0.0, 0.0], [([1.0, 1.0], -1.0)]),
+                              ([-np.inf], [([1.0], 1.0), ([-1.0], -1.0 - 1e-6)])):
+        with pytest.raises(ValueError, match="feasible set is empty"):
+            FeasibleSet(lower=lower, halfspaces=halfspaces)
+
+
+def test_thin_wedge_solves_at_its_apex_on_the_lp_path():
+    # the L2 start still projects into the region, which does not reach this
+    # wedge; that is a SolveError, not a ValueError from inside the solve
+    ref = MetricRef(id="far", x_ref=[0.0, 5.0], value=1.0,
+                    models=tuple(LipschitzNorm(1.0, norm, [0, 0]) for norm in Norm))
+    for norm, gamma in ((Norm.L1, 104.0), (Norm.LINF, 100.0)):
+        sol = solve_caolf([ref], _wedge(0.01), SolveConfig(norm=norm))
+        np.testing.assert_allclose(sol.x, [100.0, 1.0], rtol=1e-12)
+        assert sol.gamma == pytest.approx(gamma, rel=1e-12)
+    with pytest.raises(SolveError, match="could not reach the feasible set"):
+        solve_caolf([ref], _wedge(0.01), SolveConfig())
+
+
 def test_grid_points_keep_what_the_per_set_filter_kept():
     # the grid in itertools.product order, filtered set by set
     cases = [
@@ -500,6 +530,11 @@ def test_missing_norm_model_raises():
                       models=(LipschitzNorm(1.0, Norm.L2, [0]),))]
     with pytest.raises(ValueError):
         solve_caolf(refs, region, SolveConfig(norm=Norm.L1))
+    # the norm may be given by value; anything else raises
+    l1 = [MetricRef(id="m", x_ref=[0.5], value=1.0, models=(LipschitzNorm(1.0, "l1", [0]),))]
+    assert solve_caolf(l1, region, SolveConfig(norm="l1")).diagnostics.method == "epigraph-lp-l1"
+    with pytest.raises(ValueError, match="'l9' is not a valid Norm"):
+        SolveConfig(norm="l9")
 
 
 def test_stability_probe_validates_kappas():
