@@ -2,9 +2,9 @@
 
 Self-contained on purpose: the rest of the package needs exact, inspectable
 control over pivoting, statuses, and determinism, and the problems it feeds
-in are desk-scale (hundreds to low thousands of variables).  Bland's rule is
-used for both the entering and the leaving choice, so the method cannot
-cycle; the tableau is refactorized from the original data every
+in are desk-scale (hundreds to low thousands of variables).  The primal
+simplex uses Bland's rule for both the entering and the leaving choice, so
+it cannot cycle; the tableau is refactorized from the original data every
 ``REFACTOR_EVERY`` pivots to keep drift bounded.
 
 A solve can start from any dual-feasible basis of its problem
@@ -12,7 +12,12 @@ A solve can start from any dual-feasible basis of its problem
 only in the right-hand side (`LpSolution.basis`), or one a caller builds
 from the problem's structure.  A dual simplex (Chvatal, *Linear
 Programming*, ch. 10) then restores primal feasibility in a few pivots
-instead of a cold phase one.
+instead of a cold phase one.  Without a start, a problem with no equality
+rows and no negative working cost starts from its all-slack basis, which is
+then dual feasible.  The dual simplex lets the row with the most negative
+basic value leave (Dantzig's rule); that rule can cycle, so after
+``DEGENERATE_RUN_LIMIT`` dual pivots in a row with a zero dual ratio it
+switches to Bland's dual rule for the rest of the phase.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from functools import partial
 import numpy as np
 
 REFACTOR_EVERY = 50
+DEGENERATE_RUN_LIMIT = 100  # zero-ratio dual pivots in a row before Bland's dual rule takes over
 REDUCED_COST_TOL = 1e-9  # a column may enter once its reduced cost is below minus this
 PRIMAL_TOL = 1e-9  # a basic value below minus this times (1 + max |b|) must leave in the dual simplex
 
@@ -144,20 +150,28 @@ def _primal_pivot(T, r, basis):
     return int(tied[np.argmin(basis[tied])]), j
 
 
-def _dual_pivot(T, r, basis, tol):
-    """Dual Bland rule: the infeasible row with the lowest basic index leaves,
-    the lowest column index among the minimum ratios enters."""
+def _dual_pivot(T, r, basis, tol, run):
+    """Dantzig's dual rule: the row with the most negative basic value leaves,
+    the lowest column index among the minimum ratios enters.
+
+    ``run[0]`` counts the phase's zero-ratio (degenerate) pivots in a row;
+    once it reaches ``DEGENERATE_RUN_LIMIT`` it stays there, and the
+    infeasible row with the lowest basic index leaves instead (Bland's dual
+    rule, which cannot cycle)."""
     if np.any(r < -REDUCED_COST_TOL):
         return "not dual feasible"
     short = np.nonzero(T[:, -1] < -tol)[0]
     if short.size == 0:
         return "feasible"
-    row = int(short[np.argmin(basis[short])])
+    bland = run[0] >= DEGENERATE_RUN_LIMIT
+    row = int(short[np.argmin(basis[short] if bland else T[short, -1])])
     cols = np.nonzero(T[row, :-1] < -1e-9)[0]
     if cols.size == 0:
         return "infeasible"
     ratios = np.maximum(r[cols], 0.0) / -T[row, cols]
     rmin = float(ratios.min())
+    if not bland:
+        run[0] = run[0] + 1 if rmin == 0.0 else 0
     return row, int(cols[np.argmax(ratios <= rmin + 1e-9 * (1.0 + rmin))])
 
 
@@ -199,7 +213,7 @@ def _from_basis(A, b, rows, cols, cost, max_iters, iters, dual_tol=None):
     status = "feasible"
     if dual_tol is not None:
         status, iters = _run_phase(T, basis, A0, b0, cost, max_iters, iters,
-                                   partial(_dual_pivot, tol=dual_tol))
+                                   partial(_dual_pivot, tol=dual_tol, run=[0]))
     if status == "feasible":
         status, iters = _run_phase(T, basis, A0, b0, cost, max_iters, iters)
     if status == "optimal" and not _refactor(T, basis, A0, b0):
@@ -223,13 +237,17 @@ def solve_lp(problem: LpProblem, max_iters: int | None = None,
 
     ``start`` may be any dual-feasible basis of this problem: the basis of
     an earlier OPTIMAL solve of a problem with the same constraint matrix
-    and costs, or one built by the caller in `LpBasis`'s layout.  The solve
-    then begins with dual simplex pivots from it and ends with the same
-    optimality test and re-verification.  A start that does not fit, is
-    singular or not dual feasible, stalls, or ends anywhere but at a
-    verified optimum falls back to the cold two-phase solve, so INFEASIBLE
-    and UNBOUNDED are always decided cold; ``iterations`` then counts the
-    pivots of both.
+    and costs, or one built by the caller in `LpBasis`'s layout.  Without
+    one, a problem with no equality rows whose working costs are all >= 0
+    (as in an epigraph LP: shifted variables, free ones split into two
+    columns of cost 0) starts from its all-slack basis.  The solve then
+    begins with dual simplex pivots from the start, the row with the most
+    negative basic value leaving until a long run of degenerate pivots hands
+    over to Bland's dual rule, and ends with the same optimality test and
+    re-verification.  A start that does not fit, is singular or not dual
+    feasible, stalls, or ends anywhere but at a verified optimum falls back
+    to the cold two-phase solve, so INFEASIBLE and UNBOUNDED are always
+    decided cold; ``iterations`` then counts the pivots of both.
     """
     c = np.asarray(problem.c, dtype=float)
     if c.ndim != 1 or c.size == 0:
@@ -305,6 +323,10 @@ def solve_lp(problem: LpProblem, max_iters: int | None = None,
         max_iters = 2000 + 10 * (m + A_std.shape[1] + int(needs_art.sum()))
     cost = np.concatenate([c_t, np.zeros(m_ub)])
 
+    if start is None and m == m_ub and np.all(c_t >= 0.0):
+        # every slack basic prices every row at 0, so the reduced costs are
+        # the working costs: dual feasible
+        start = LpBasis(A_std.shape, np.arange(m), nt + np.arange(m))
     spent = 0
     if (isinstance(start, LpBasis) and start.shape == A_std.shape
             and start.rows.shape == start.cols.shape

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from caolf import lp
 from caolf.lp import LpBasis, LpProblem, LpStatus, _pivot, solve_lp
 
 
@@ -323,6 +324,61 @@ def test_status_triple_holds_with_a_start():
     assert unbounded.status == LpStatus.UNBOUNDED
     no_rows = solve_lp(LpProblem(c=[-1.0], a_ub=np.zeros((0, 1)), b_ub=[]), start=start)
     assert no_rows.status == LpStatus.UNBOUNDED
+
+
+def no_cold_solve(*args):
+    raise AssertionError("fell back to the cold solve")
+
+
+def test_without_equalities_nonnegative_costs_start_from_the_slacks(monkeypatch):
+    # x1 + x2 >= 1 and x1 - x2 <= 2 with costs >= 0: the all-slack basis is
+    # dual feasible, so the dual simplex solves it and the cold solve never runs
+    problem = LpProblem(c=[1.0, 2.0], a_ub=[[-1.0, -1.0], [1.0, -1.0]], b_ub=[-1.0, 2.0])
+    cold = solve_lp(problem)
+    monkeypatch.setattr(lp, "_two_phase", no_cold_solve)
+    sol = solve_lp(problem)
+    assert sol.status == LpStatus.OPTIMAL and sol.iterations == 1
+    assert sol.value == cold.value == 1.0
+    # a negative working cost (the - part of a free variable, or an upper-only
+    # variable) or an equality row leaves the slack start out
+    for other in (replace(problem, lower=np.array([0.0, -np.inf])),
+                  replace(problem, lower=np.array([-np.inf, 0.0]), upper=np.array([3.0, np.inf])),
+                  replace(problem, a_eq=[[1.0, 1.0]], b_eq=[1.0])):
+        with pytest.raises(AssertionError, match="cold solve"):
+            solve_lp(other)
+
+
+def test_a_long_degenerate_run_hands_over_to_blands_dual_rule(monkeypatch):
+    # covering rows -A x <= -1 from the all-slack start, where all but one
+    # column cost 0, so nearly every dual ratio is 0; with a limit of 3 the
+    # guard fires, and Bland's dual rule must still end at the optimum
+    # without the cold solve
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    monkeypatch.setattr(lp, "DEGENERATE_RUN_LIMIT", 3)
+    runs = []
+    dantzig = lp._dual_pivot
+
+    def spy(T, r, basis, tol, run):
+        runs.append(run)
+        return dantzig(T, r, basis, tol, run)
+
+    monkeypatch.setattr(lp, "_dual_pivot", spy)
+    monkeypatch.setattr(lp, "_two_phase", no_cold_solve)
+    fired = 0
+    for seed in range(5):
+        rng = np.random.default_rng([17, seed])
+        a = rng.uniform(0.0, 1.0, (15, 30)) * (rng.random((15, 30)) < 0.4)
+        a[np.arange(15), rng.integers(0, 30, 15)] += 0.5  # every row can be covered
+        c = np.zeros(30)
+        c[int(rng.integers(0, 30))] = 1.0
+        runs.clear()
+        sol = solve_lp(LpProblem(c=c, a_ub=-a, b_ub=-np.ones(15)))
+        want = scipy_optimize.linprog(c, A_ub=-a, b_ub=-np.ones(15), method="highs")
+        assert sol.status == LpStatus.OPTIMAL and want.status == 0
+        assert sol.value == pytest.approx(want.fun, rel=1e-9, abs=1e-12)
+        assert np.all(-a @ sol.x <= -1.0 + 1e-9)
+        fired += any(run[0] >= 3 for run in runs)
+    assert fired == 5
 
 
 # ---------------------------------------------------------------------------

@@ -597,12 +597,52 @@ def pinned_record(seed):
 
 
 def test_solvers_match_their_bitwise_recording():
-    # the L1/LINF entries were recorded before the epigraph rows and the LP's
-    # working columns were rewritten, the approx entries from the barrier
+    # the L1/LINF entries were recorded with the all-slack start and the
+    # most-infeasible leaving row, the approx entries from the barrier
     # solve; a rewrite may not move a single bit, so gamma, the point and the
     # pivot / Newton-step counts must match
     want = json.loads(PINNED_SOLVES.read_text())
     assert [pinned_record(seed) for seed in range(3)] == want["records"]
+
+
+def test_the_epigraph_lp_always_starts_from_the_slacks(monkeypatch):
+    # the epigraph LP has no equality rows, costs e_gamma, and splits a free
+    # coordinate into two columns of cost 0, so its all-slack basis is dual
+    # feasible; a silent fallback to the cold solve would keep every answer
+    # and lose the speed, so the cold solve must never run
+    from caolf import lp
+    from caolf.bench import ExperimentConfig, build_experiment, reference_budget
+    from caolf.network import build_metric_refs
+    cfg = ExperimentConfig()
+    net, _, history = build_experiment(cfg)
+    budget = reference_budget(net, history)
+    rng = np.random.default_rng(1601)
+    cases = []
+    for norm in (Norm.L1, Norm.LINF):
+        sweep_refs = build_metric_refs(net, history, norm)
+        cases += [(norm, sweep_refs,
+                   FeasibleSet.nonnegative(net.edge_count, [(net.price_pre, mult * budget)]))
+                  for mult in cfg.budget_multipliers]
+        for seed in range(3):
+            refs, _, region = pinned_instance(seed)
+            cases.append((norm, refs, region))
+        for _ in range(10):
+            refs = [MetricRef(id=f"m{i}", x_ref=rng.uniform(0.0, 1.0, 2),
+                              value=float(rng.uniform(0.5, 2.0)),
+                              models=(LipschitzNorm(float(rng.uniform(0.5, 3.0)), norm,
+                                                    rng.integers(-1, 2, 2)),))
+                    for i in range(int(rng.integers(2, 5)))]
+            cases.append((norm, refs, FeasibleSet.nonnegative(2, [(rng.uniform(0.5, 1.5, 2), 1.0)])))
+
+    def no_cold_solve(*args):
+        raise AssertionError("the epigraph LP fell back to the cold solve")
+
+    monkeypatch.setattr(lp, "_two_phase", no_cold_solve)
+    assert len(cases) == 46
+    for norm, refs, region in cases:
+        sol = solve_caolf(refs, region, SolveConfig(norm=norm))
+        assert sol.diagnostics.method == f"epigraph-lp-{norm.value}"
+        assert region.violation(sol.x) <= SolveConfig().feasibility_tolerance
 
 
 def test_surrogate_needed_gives_the_certificate_solve_approx_reports():
