@@ -5,7 +5,10 @@ control over pivoting, statuses, and determinism, and the problems it feeds
 in are desk-scale (hundreds to low thousands of variables).  The primal
 simplex uses Bland's rule for both the entering and the leaving choice, so
 it cannot cycle; the tableau is refactorized from the original data every
-``REFACTOR_EVERY`` pivots to keep drift bounded.
+``REFACTOR_EVERY`` pivots to keep drift bounded.  A refactorization
+factorizes only the basic columns that are not column singletons (most are
+slacks), so the all-slack basis costs no factorization, and the last one of
+a solve computes only the basic values, B⁻¹b.
 
 A solve can start from any dual-feasible basis of its problem
 (`LpBasis`), for example the optimal basis of an earlier solve that differs
@@ -118,14 +121,37 @@ def _pivot(T, r, basis, row, col):
 
 
 def _refactor(T, basis, A0, b0) -> bool:
-    try:
-        fresh = np.linalg.solve(A0[:, basis], np.c_[A0, b0])
-    except np.linalg.LinAlgError:
+    """Write B⁻¹[A0 | b0] into ``T``, for B = A0[:, basis], or B⁻¹b0 alone
+    when ``T`` has one column; False when B is singular or the result is
+    not finite.
+
+    A basic column s with a single nonzero (every slack, and the odd
+    structural column) is absent from every row but its own.  So only the
+    block B[R, J] of the rows R no such singleton covers and the other basic
+    columns J is factorized, and each singleton's row of the result follows
+    from its own row of B by one substitution, (M_s - B[s, J] X_J) / B[s, s]
+    for M = [A0 | b0] (Suhl & Suhl, *ORSA J. Computing* 2(4), 1990).  The
+    all-slack basis factorizes nothing.
+    """
+    B = A0[:, basis]
+    nonzero = B != 0.0
+    single = np.count_nonzero(nonzero, axis=0) == 1
+    S, J = np.nonzero(single)[0], np.nonzero(~single)[0]
+    s_rows = np.argmax(nonzero[:, S], axis=0)
+    R = np.setdiff1d(np.arange(B.shape[0]), s_rows)
+    if R.size != J.size:  # two singletons share a row, so B is singular
         return False
-    if not np.all(np.isfinite(fresh)):
-        return False
-    T[:, :] = fresh
-    return True
+    T[J, -1], T[S, -1] = b0[R], b0[s_rows]
+    if T.shape[1] > 1:
+        T[J, :-1], T[S, :-1] = A0[R], A0[s_rows]
+    if J.size:
+        try:
+            T[J] = np.linalg.solve(B[np.ix_(R, J)], T[J])
+        except np.linalg.LinAlgError:
+            return False
+        T[S] -= B[np.ix_(s_rows, J)] @ T[J]
+    T[S] /= B[s_rows, S][:, None]
+    return bool(np.all(np.isfinite(T)))
 
 
 def _reduced_costs(cost, basis, T):
@@ -216,7 +242,7 @@ def _from_basis(A, b, rows, cols, cost, max_iters, iters, dual_tol=None):
                                    partial(_dual_pivot, tol=dual_tol, run=[0]))
     if status == "feasible":
         status, iters = _run_phase(T, basis, A0, b0, cost, max_iters, iters)
-    if status == "optimal" and not _refactor(T, basis, A0, b0):
+    if status == "optimal" and not _refactor(T[:, -1:], basis, A0, b0):  # B⁻¹b alone
         status = "stalled"
     if status != "optimal":
         return status, iters, None, None
@@ -329,6 +355,8 @@ def solve_lp(problem: LpProblem, max_iters: int | None = None,
         start = LpBasis(A_std.shape, np.arange(m), nt + np.arange(m))
     spent = 0
     if (isinstance(start, LpBasis) and start.shape == A_std.shape
+            and all(isinstance(v, np.ndarray) and v.ndim == 1 and v.dtype.kind in "iu"
+                    for v in (start.rows, start.cols))
             and start.rows.shape == start.cols.shape
             and np.all((start.rows >= 0) & (start.rows < m))
             and np.all((start.cols >= 0) & (start.cols < A_std.shape[1]))):

@@ -1,0 +1,69 @@
+"""The pair summary of ``tools/bench_pairs.py`` on fabricated runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+METRICS = [{"name": "wall_s", "better": "lower", "bound": 0.2},
+           {"name": "ok_frac", "better": "higher", "bound": 0.01}]
+
+
+def run(wall_s, ok_frac=1.0, digest="a"):
+    return {"metrics": {"wall_s": {"value": wall_s}, "ok_frac": {"value": ok_frac}},
+            "output_sha256": digest, "exit_code": 0}
+
+
+def pairs(parent, change, **change_kw):
+    return [{"parent": run(p), "change": run(c, **change_kw)} for p, c in zip(parent, change)]
+
+
+PARENT = [1.00, 1.10, 0.90, 1.05, 0.95, 1.02, 0.98, 1.08, 0.92, 1.00]  # median 1.0, quartiles 0.9575 and 1.0425
+
+
+def test_a_clear_gain_on_ten_pairs():
+    change = [0.80, 0.85, 0.75, 0.82, 0.78, 0.81, 0.79, 0.84, 0.76, 0.80]
+    wall = bench_pairs.summarize(pairs(PARENT, change), METRICS)["wall_s"]
+    assert wall["change_wins"] == "10 of 10"
+    assert wall["worse_by"] == pytest.approx(-0.2)
+    assert wall["within_bound"] and wall["gain"]
+
+
+def test_a_gain_needs_nine_tenths_of_the_pairs_and_more_than_the_spread():
+    # 8 of 10 wins, though the medians are far apart
+    change = [0.80, 0.85, 0.75, 0.82, 0.78, 0.81, 0.79, 0.84, 1.20, 1.30]
+    assert not bench_pairs.summarize(pairs(PARENT, change), METRICS)["wall_s"]["gain"]
+    # every pair won, by less than the parent's interquartile distance
+    change = [p - 0.01 for p in PARENT]
+    wall = bench_pairs.summarize(pairs(PARENT, change), METRICS)["wall_s"]
+    assert wall["change_wins"] == "10 of 10" and not wall["gain"]
+    # every pair won by far, but fewer than ten pairs ran
+    change = [0.5 * p for p in PARENT[:9]]
+    assert not bench_pairs.summarize(pairs(PARENT[:9], change), METRICS)["wall_s"]["gain"]
+
+
+def test_worse_by_is_signed_by_the_better_direction():
+    change = [1.25 * p for p in PARENT]
+    summary = bench_pairs.summarize(pairs(PARENT, change, ok_frac=0.98), METRICS)
+    assert summary["wall_s"]["worse_by"] == pytest.approx(0.25)
+    assert not summary["wall_s"]["within_bound"] and not summary["wall_s"]["gain"]
+    # ok_frac is better higher: 1.0 -> 0.98 is 2% worse, beyond its 1% bound
+    assert summary["ok_frac"]["worse_by"] == pytest.approx(0.02)
+    assert not summary["ok_frac"]["within_bound"]
+    assert summary["ok_frac"]["change_wins"] == "0 of 10"
+    # an unmoved metric is within any bound
+    same = bench_pairs.summarize(pairs(PARENT, PARENT), METRICS)
+    assert same["wall_s"]["worse_by"] == 0.0 and same["wall_s"]["within_bound"]
+    assert same["wall_s"]["change_wins"] == "0 of 10"
+
+
+def test_a_move_from_zero_is_infinite():
+    summary = bench_pairs.summarize([{"parent": run(1.0, ok_frac=0.0), "change": run(1.0)}], METRICS)
+    assert summary["ok_frac"]["worse_by"] == float("-inf") and summary["ok_frac"]["within_bound"]
+    assert summary["output_sha256"] == {"parent": ["a"], "change": ["a"]}
+    assert summary["nonzero_exit"] == {"parent": 0, "change": 0}

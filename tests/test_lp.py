@@ -193,6 +193,89 @@ def test_pivot_matches_the_dense_rank_one_update():
         assert basis[row] == col
 
 
+def sparse_standard_form(rng, m=30, n=40, density=0.08):
+    """A0 = [structural | slacks] with every third slack negated, as a row
+    flipped for its negative right-hand side leaves it, and b0 >= 0."""
+    A = rng.normal(size=(m, n)) * (rng.random((m, n)) < density)
+    return np.hstack([A, np.diag(np.where(np.arange(m) % 3 == 0, -1.0, 1.0))]), rng.uniform(0.0, 2.0, m)
+
+
+def dominant_basis(rng, A0, structural, m):
+    """``structural`` random structural columns and the slacks of all rows
+    but as many others, on which each of those columns gets a dominant entry
+    so that the basis is well conditioned."""
+    n = A0.shape[1] - m
+    cols, rows = rng.choice(n, structural, replace=False), rng.permutation(m)
+    A0[rows[:structural], cols] = rng.choice([-4.0, 4.0], structural)
+    basis = rng.permutation(np.concatenate([cols, n + rows[structural:]]))
+    assert np.linalg.cond(A0[:, basis]) < 1e6
+    return basis
+
+
+def singletons(A0, basis):
+    return int(np.sum(np.count_nonzero(A0[:, basis], axis=0) == 1))
+
+
+def refactored(A0, b0, basis, columns=None):
+    T = np.full((basis.size, columns or A0.shape[1] + 1), np.nan)
+    assert lp._refactor(T, basis, A0, b0)
+    return T
+
+
+def test_refactor_matches_the_dense_solve():
+    # only the block of the basis that is not a column singleton is
+    # factorized; the result must still be the full B⁻¹[A0 | b0], and a
+    # one-column T must hold its last column, B⁻¹b0
+    rng = np.random.default_rng(23)
+    seen = set()
+    for trial in range(40):
+        structural, density = [(0, 0.08), (5, 0.08), (15, 0.08), (25, 0.08), (30, 0.4)][trial % 5]
+        A0, b0 = sparse_standard_form(rng, density=density)
+        basis = dominant_basis(rng, A0, structural, 30)
+        k = singletons(A0, basis)
+        seen.add("all slack" if k == 30 and structural == 0 else "none" if k == 0 else "mixed")
+        want = np.linalg.solve(A0[:, basis], np.c_[A0, b0])
+        T = refactored(A0, b0, basis)
+        np.testing.assert_allclose(T, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        np.testing.assert_allclose(refactored(A0, b0, basis, 1)[:, 0], T[:, -1], rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+    assert seen == {"all slack", "mixed", "none"}
+
+
+def test_refactor_substitutes_a_structural_singleton():
+    rng = np.random.default_rng(29)
+    A0, b0 = sparse_standard_form(rng)
+    basis = dominant_basis(rng, A0, 10, 30)
+    # a structural column whose one nonzero sits on a row whose slack it
+    # replaces in the basis
+    col = np.setdiff1d(np.arange(40), basis)[0]
+    pos = np.nonzero(basis >= 40)[0][0]
+    A0[:, col] = 0.0
+    A0[basis[pos] - 40, col] = -2.5
+    basis[pos] = col
+    assert np.count_nonzero(A0[:, col]) == 1 and 20 <= singletons(A0, basis) < 30
+    want = np.linalg.solve(A0[:, basis], np.c_[A0, b0])
+    np.testing.assert_allclose(refactored(A0, b0, basis), want, rtol=1e-12,
+                               atol=1e-12 * np.abs(want).max())
+
+
+def test_refactor_reports_a_singular_basis():
+    A0, b0 = sparse_standard_form(np.random.default_rng(31))
+    T = np.empty((30, A0.shape[1] + 1))
+    # two singletons on one row: a structural column whose one nonzero is on
+    # row 4, whose slack is basic too
+    A0[:, 0] = 0.0
+    A0[4, 0] = 3.0
+    basis = 40 + np.arange(30)
+    basis[7] = 0
+    assert not lp._refactor(T, basis, A0, b0)
+    # a singular block left after the singletons: the one structural column
+    # has its nonzeros only on rows the slacks cover, so it is 0 on row 7
+    A0[[2, 9], 0] = [1.0, -1.0]
+    assert np.count_nonzero(A0[:, 0]) == 3
+    assert not lp._refactor(T, basis, A0, b0)
+
+
 # ---------------------------------------------------------------------------
 # warm re-solves from a recorded basis
 
@@ -274,6 +357,12 @@ def test_unusable_starts_fall_back_to_the_cold_solve():
     same_solution(solve_lp(problem, start=LpBasis((2, 5), np.array([0, 1]), np.array([0, 1]))), cold)
     # indices outside the problem
     same_solution(solve_lp(problem, start=LpBasis((2, 5), np.array([0, 7]), np.array([0, 9]))), cold)
+    # indices that are not a 1-D integer array
+    usable = solve_lp(problem, start=cold.basis)
+    assert usable.status == LpStatus.OPTIMAL and usable.iterations == 0
+    for rows, cols in ((cold.basis.rows.astype(float), cold.basis.cols.astype(float)),
+                       (cold.basis.rows[None], cold.basis.cols[None])):
+        same_solution(solve_lp(problem, start=LpBasis((2, 5), rows, cols)), cold)
     # optimal for other costs, so not dual feasible for these; a primal
     # simplex from it would need 1 pivot where the cold solve needs 11
     moved = flow_like_problem(np.random.default_rng(0), np.ones(4))

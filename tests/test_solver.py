@@ -597,10 +597,12 @@ def pinned_record(seed):
 
 
 def test_solvers_match_their_bitwise_recording():
-    # the L1/LINF entries were recorded with the all-slack start and the
-    # most-infeasible leaving row, the approx entries from the barrier
-    # solve; a rewrite may not move a single bit, so gamma, the point and the
-    # pivot / Newton-step counts must match
+    # the L1/LINF entries were recorded with the all-slack start, the
+    # most-infeasible leaving row and refactors that factorize only the
+    # basis columns that are not singletons, the final one for B⁻¹b alone;
+    # the approx entries come from the barrier solve; a rewrite may not move
+    # a single bit, so gamma, the point and the pivot / Newton-step counts
+    # must match
     want = json.loads(PINNED_SOLVES.read_text())
     assert [pinned_record(seed) for seed in range(3)] == want["records"]
 
@@ -643,6 +645,41 @@ def test_the_epigraph_lp_always_starts_from_the_slacks(monkeypatch):
         sol = solve_caolf(refs, region, SolveConfig(norm=norm))
         assert sol.diagnostics.method == f"epigraph-lp-{norm.value}"
         assert region.violation(sol.x) <= SolveConfig().feasibility_tolerance
+
+
+def test_the_epigraph_lp_factorizes_only_what_it_reads(monkeypatch):
+    # the all-slack start is B = ±I, so its refactor factorizes nothing, and
+    # the final refactor reads only the basic values, so it solves for B⁻¹b
+    # alone; a silent return to the full dense solve would keep every answer
+    # and lose the speed
+    from caolf import lp
+    from caolf.bench import ExperimentConfig, build_experiment, reference_budget
+    from caolf.network import build_metric_refs
+    cfg = ExperimentConfig()
+    net, _, history = build_experiment(cfg)
+    budget = reference_budget(net, history)
+    refactors = []  # per refactor: its T's column count, the widths of the rhs it solved for
+    real_refactor, real_solve = lp._refactor, np.linalg.solve
+
+    def refactor(T, basis, A0, b0):
+        refactors.append((T.shape[1], []))
+        return real_refactor(T, basis, A0, b0)
+
+    def solve(a, b):
+        refactors[-1][1].append(b.shape[1])
+        return real_solve(a, b)
+
+    monkeypatch.setattr(lp, "_refactor", refactor)
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    for norm in (Norm.L1, Norm.LINF):
+        refs = build_metric_refs(net, history, norm)
+        for mult in cfg.budget_multipliers:
+            refactors.clear()
+            region = FeasibleSet.nonnegative(net.edge_count, [(net.price_pre, mult * budget)])
+            solve_caolf(refs, region, SolveConfig(norm=norm))
+            (start_cols, start_solves), *_, (final_cols, final_solves) = refactors
+            assert start_cols > 1 and start_solves == []
+            assert final_cols == 1 and set(final_solves) <= {1}
 
 
 def test_surrogate_needed_gives_the_certificate_solve_approx_reports():

@@ -14,15 +14,25 @@ that goes first alternates from pair to pair.  T is ``run_seconds`` from
 
 The output file holds every run's final JSON line, ``output_sha256`` and exit
 code.  Each workload's summary lists each side's distinct ``output_sha256``
-values and counts its runs with a nonzero exit code; per end-to-end metric it
-gives the median and quartiles of each side and the number of pairs this
-checkout won, with the better direction taken from ``BENCHMARK.json``.
+values and counts its runs with a nonzero exit code.  Per end-to-end metric,
+with the better direction and the bound taken from ``BENCHMARK.json``, it
+gives:
+
+- the median and quartiles of each side, and the number of pairs this
+  checkout won (ties count for neither side);
+- ``worse_by``: the change median's move against the parent median, relative
+  to the parent median and positive when worse;
+- ``within_bound``: whether ``worse_by`` is at most the metric's bound;
+- ``gain``: whether a gain may be claimed, that is, at least ten pairs ran,
+  the change won at least nine tenths of them, and its median is better than
+  the parent's by more than the parent's interquartile distance.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -88,25 +98,43 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+def relative(move: float, base: float) -> float:
+    """``move`` relative to ``base``; any move away from a base of 0 is infinite."""
+    if base:
+        return move / abs(base)
+    return math.copysign(math.inf, move) if move else 0.0
+
+
+def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
+    """The summary of one workload's pairs for ``metrics``, the
+    ``end_to_end`` entries of ``BENCHMARK.json``."""
     out = {
         "output_sha256": {side: list(dict.fromkeys(p[side]["output_sha256"] for p in pairs))
                           for side in SIDES},
         "nonzero_exit": {side: sum(p[side]["exit_code"] != 0 for p in pairs) for side in SIDES},
     }
-    for name, direction in better.items():
+    for metric in metrics:
+        name = metric["name"]
         sides = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
-        sign = 1.0 if direction == "lower" else -1.0
+        sign = 1.0 if metric["better"] == "lower" else -1.0
         wins = sum(sign * (c - p) < 0 for p, c in zip(sides["parent"], sides["change"]))
         out[name] = {side: quartiles(sides[side]) for side in SIDES}
-        out[name]["change_wins"] = f"{wins} of {len(pairs)}"
+        parent, change = out[name]["parent"], out[name]["change"]
+        worse = sign * (change["median"] - parent["median"])
+        worse_by = relative(worse, parent["median"])
+        out[name].update({
+            "change_wins": f"{wins} of {len(pairs)}",
+            "worse_by": worse_by,
+            "within_bound": worse_by <= metric["bound"],
+            "gain": (len(pairs) >= 10 and 10 * wins >= 9 * len(pairs)
+                     and -worse > parent["q3"] - parent["q1"]),
+        })
     return out
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     known = {w["name"] for w in spec["workloads"]}
     for name, _ in args.pairs:
         if name not in known:
@@ -136,7 +164,7 @@ def main(argv=None) -> int:
                     print(f"{workload} pair {i + 1}/{count} {side}: wall_s {wall}", flush=True)
                 pairs.append(pair)
             report["workloads"][workload] = {"pairs": pairs,
-                                             "summary": summarize(pairs, better)}
+                                             "summary": summarize(pairs, spec["end_to_end"])}
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
