@@ -61,6 +61,8 @@ class ExperimentConfig:
             raise ValueError("more edges than ordered node pairs")
         if self.scenario_count < 1:
             raise ValueError("need at least one scenario")
+        if not 0 < self.gamma_tolerance < np.inf:
+            raise ValueError("gamma tolerance must be positive and finite")
         mults = tuple(float(m) for m in self.budget_multipliers)
         if not mults or not all(0 < m < np.inf for m in mults):
             raise ValueError("budget multipliers must be positive and finite")

@@ -129,6 +129,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if not 0 <= args.tol < np.inf:
+        raise ValueError("--tol must be finite and at least 0")
     payload, metrics, region = load_instance(args.instance)
     x = np.asarray(payload["point"], dtype=float)
     gamma = float(payload["gamma"])

@@ -32,8 +32,9 @@ class SolveConfig:
 
     def __post_init__(self):
         self.norm = Norm(self.norm)
-        if self.gamma_tolerance <= 0 or self.feasibility_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
+        # NaN fails every comparison, so this form rejects it too
+        if not (0 < self.gamma_tolerance < np.inf and 0 < self.feasibility_tolerance < np.inf):
+            raise ValueError("tolerances must be positive and finite")
 
 
 # The log-barrier method of `_barrier` (Boyd & Vandenberghe, *Convex
@@ -59,10 +60,11 @@ def _barrier(table: ClippedNormSurrogate, start, region: FeasibleSet,
     over the region rows and the x part of the hyperplane rows (curv 0), the
     rows whose slack can grow without bound; slack0 is the slack at the start,
     and the term keeps the iterates from running off along directions no
-    other row bounds.  The search starts at ``start``, or midway between its
-    projection into the region and the point of deepest region slack; a
-    projection that stalls raises `SolveError`.  The reported gamma is the
-    table's certificate at the returned point.
+    other row bounds.  The search starts at ``start`` when it is strictly
+    inside the widened region; otherwise it starts halfway from the point of
+    deepest region slack to where the segment from that point toward
+    ``start`` leaves the region, so no projection is needed.  The reported
+    gamma is the table's certificate at the returned point.
     """
     rate, lo, hi, center = table.rate, table.lo, table.hi, table.center
     curv, grad = table.curvature / table.value, table.grad / table.value[:, None]
@@ -94,11 +96,10 @@ def _barrier(table: ClippedNormSurrogate, start, region: FeasibleSet,
         deep = solve_lp(deepest)
         if deep.status != LpStatus.OPTIMAL:
             raise SolveError(f"interior-point LP ended with status {deep.status.value}")
-        try:
-            near = region.find_point(x, tol=min(1e-9, config.feasibility_tolerance))
-        except ValueError as err:
-            raise SolveError(str(err)) from err
-        x = 0.5 * (near + deep.x[:dim])
+        d, sd, sx = deep.x[:dim], region_slack(deep.x[:dim]), region_slack(x)
+        shrink = sx < sd
+        theta = min(1.0, np.min(sd[shrink] / (sd[shrink] - sx[shrink]), initial=1.0))
+        x = d + 0.5 * theta * (x - d)
     t = (1.0 + table.certify(x)) ** 2
     s, h, u = slacks(x, t)
     if not np.all(s > 0):

@@ -278,6 +278,10 @@ def test_config_validation_rejects_bad_values():
     for mults in ((np.nan,), (np.inf,), (0.5, np.nan, 0.2)):
         with pytest.raises(ValueError, match="positive and finite"):
             tiny_config(budget_multipliers=mults)
+    # a NaN tolerance passed `<= 0` and hung the sweep's first L2 solve
+    for tol in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="positive and finite"):
+            tiny_config(gamma_tolerance=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -452,14 +456,16 @@ def test_benchmark_tracer_installs_and_uninstalls():
                           models=(LipschitzNorm(2.0, Norm.L2, [0]),)),
                 MetricRef(id="b", x_ref=[1.0], value=1.0,
                           models=(LipschitzNorm(1.0, Norm.L2, [0]),))]
-        # the cap cuts off the mean of the references, so the solve starts
-        # from the region's `find_point`, which projects
         region = FeasibleSet(lower=[-np.inf], halfspaces=[([1.0], 0.25)])
         sol = solver.solve_caolf(refs, region, solver.SolveConfig())
+        # the solve never projects, so project explicitly: the class-method
+        # patches must take effect
+        region.find_point([1.0])
     finally:
         tracer.uninstall()
     assert sol.gamma == pytest.approx(0.75, abs=1e-5)
     assert tracer.counts["solver.solves"] == 1
+    assert tracer.counts["model.find_point.calls"] == 1
     assert tracer.counts["geometry.project.calls"] > 0
     assert (geometry.clip, geometry.ClippedBallSet.project, solver.solve_lp,
             network.solve_lp, bench.solve_caolf) == originals

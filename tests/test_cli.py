@@ -198,6 +198,21 @@ def test_sweep_edge_count_scales_with_the_node_count(capsys):
     assert "more edges than ordered node pairs" in capsys.readouterr().err
 
 
+def test_a_tolerance_that_is_not_a_finite_number_exits_with_error(tmp_path, capsys):
+    # a NaN --tol hung solve and sweep, and made verify report a violation
+    inst = write_instance(tmp_path / "inst.json",
+                          two_anchor_instance(gamma=2.0 / 3.0 + 1e-6, point=[1.0 / 3.0]))
+    for tol in ("nan", "inf", "0", "-1"):
+        assert main(["solve", inst, "--tol", tol]) == 2
+        assert main(["sweep", "--nodes", "4", "--norm", "l2", "--tol", tol]) == 2
+        assert "positive and finite" in capsys.readouterr().err
+    for tol in ("nan", "inf", "-1"):
+        assert main(["verify", inst, "--tol", tol]) == 2
+        assert "--tol must be finite" in capsys.readouterr().err
+    # verify allows an exact check
+    assert main(["verify", inst, "--tol", "0"]) == 0
+
+
 def test_missing_instance_file_exits_with_error(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "nope.json")]) == 2
     assert "error:" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,6 @@ from caolf.model import (
 from caolf.solver import (
     GRID_MEMBERSHIP_TOL,
     SolveConfig,
-    SolveError,
     grid_oracle_caolf,
     grid_oracle_swcm,
     solve_approx,
@@ -471,17 +471,60 @@ def test_region_emptiness_is_decided_exactly():
             FeasibleSet(lower=lower, halfspaces=halfspaces)
 
 
-def test_thin_wedge_solves_at_its_apex_on_the_lp_path():
-    # the L2 start still projects into the region, which does not reach this
-    # wedge; that is a SolveError, not a ValueError from inside the solve
+def test_thin_wedge_solves_at_its_apex_in_every_norm():
+    # a projection into this wedge stalled, so the L2 solve raised while the
+    # LPs solved it; the L2 start now comes from the deepest-slack point
     ref = MetricRef(id="far", x_ref=[0.0, 5.0], value=1.0,
                     models=tuple(LipschitzNorm(1.0, norm, [0, 0]) for norm in Norm))
     for norm, gamma in ((Norm.L1, 104.0), (Norm.LINF, 100.0)):
         sol = solve_caolf([ref], _wedge(0.01), SolveConfig(norm=norm))
         np.testing.assert_allclose(sol.x, [100.0, 1.0], rtol=1e-12)
         assert sol.gamma == pytest.approx(gamma, rel=1e-12)
-    with pytest.raises(SolveError, match="could not reach the feasible set"):
-        solve_caolf([ref], _wedge(0.01), SolveConfig())
+    # the point may sit up to the widening along the wedge, inside the widened
+    # region, so gamma stays within 1e-6 of the apex's sqrt(100^2 + 4^2)
+    for e in (0.01, 0.02):
+        region = _wedge(e)
+        sol = solve_caolf([ref], region, SolveConfig())
+        np.testing.assert_allclose(sol.x, [100.0, 1.0], atol=1e-4)
+        assert region.violation(sol.x) <= SolveConfig().feasibility_tolerance
+        assert sol.gamma == pytest.approx(math.sqrt(10016.0), rel=1e-6)
+
+
+def test_the_l2_solve_never_projects(monkeypatch):
+    # every start below that the region cuts off projected before; the start
+    # now lies on the segment from the deepest-slack point toward it
+    from caolf import model, solver
+    from caolf.bench import ExperimentConfig, build_experiment, reference_budget
+    from caolf.network import build_metric_refs
+    cfg = ExperimentConfig()
+    net, _, history = build_experiment(cfg)
+    budget = reference_budget(net, history)
+    sweep_refs = build_metric_refs(net, history, Norm.L2)
+    far = MetricRef(id="far", x_ref=[0.0, 5.0], value=1.0,
+                    models=(LipschitzNorm(1.0, Norm.L2, [0, 0]),))
+    pair = [MetricRef(id="a", x_ref=[0.0], value=1.0, models=(LipschitzNorm(2.0, Norm.L2, [0]),)),
+            MetricRef(id="b", x_ref=[1.0], value=1.0, models=(LipschitzNorm(1.0, Norm.L2, [0]),))]
+    cases = [(solve_caolf, sweep_refs,
+              FeasibleSet.nonnegative(net.edge_count, [(net.price_pre, mult * budget)]))
+             for mult in cfg.budget_multipliers]
+    cases += [(solve_caolf, [far], _wedge(e)) for e in (0.01, 0.02)]
+    cases.append((solve_caolf, pair, FeasibleSet(lower=[-np.inf], halfspaces=[([1.0], 0.25)])))
+    cases += [(solve_approx, *pinned_instance(seed)[1:]) for seed in range(3)]
+
+    def no_projection(*args, **kwargs):
+        raise AssertionError("the L2 solve projected")
+
+    monkeypatch.setattr(FeasibleSet, "find_point", no_projection)
+    monkeypatch.setattr(model, "dykstra", no_projection)
+    cut_off, real_solve_lp = [], solver.solve_lp
+    monkeypatch.setattr(solver, "solve_lp", lambda problem: cut_off.append(1) or real_solve_lp(problem))
+    for solve, refs, region in cases:
+        sol = solve(refs, region, SolveConfig())
+        assert sol.diagnostics.method.startswith("barrier-")
+        assert region.violation(sol.x) <= SolveConfig().feasibility_tolerance
+    # the deepest-slack LP runs only for a start the region cuts off: six
+    # sweep cells, both wedges, the pair and seed 1's mixed instance
+    assert len(cut_off) == 10
 
 
 def test_grid_points_keep_what_the_per_set_filter_kept():
@@ -514,6 +557,14 @@ def test_bad_reference_values_raise_before_any_evaluation(value):
     with pytest.raises(ValueError, match="reference value must be positive"):
         grid_oracle_swcm(metrics, FeasibleSet.unconstrained(1), 11, box=[(0.0, 1.0)])
     assert calls == []
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+def test_tolerances_must_be_positive_and_finite(tol):
+    # a NaN tolerance passed `<= 0` and the barrier solve never stopped
+    for field in ("gamma_tolerance", "feasibility_tolerance"):
+        with pytest.raises(ValueError, match="positive and finite"):
+            SolveConfig(**{field: tol})
 
 
 def test_dimension_mismatch_raises():
