@@ -178,7 +178,9 @@ def _primal_pivot(T, r, basis):
 
 def _dual_pivot(T, r, basis, tol, run):
     """Dantzig's dual rule: the row with the most negative basic value leaves,
-    the lowest column index among the minimum ratios enters.
+    the lowest basic index among values within rounding of that minimum (so
+    that values equal in exact arithmetic do not choose by their last bits),
+    and the lowest column index among the minimum ratios enters.
 
     ``run[0]`` counts the phase's zero-ratio (degenerate) pivots in a row;
     once it reaches ``DEGENERATE_RUN_LIMIT`` it stays there, and the
@@ -190,7 +192,11 @@ def _dual_pivot(T, r, basis, tol, run):
     if short.size == 0:
         return "feasible"
     bland = run[0] >= DEGENERATE_RUN_LIMIT
-    row = int(short[np.argmin(basis[short] if bland else T[short, -1])])
+    if not bland:
+        values = T[short, -1]
+        vmin = float(values.min())
+        short = short[values <= vmin + 1e-9 * (1.0 + abs(vmin))]
+    row = int(short[np.argmin(basis[short])])
     cols = np.nonzero(T[row, :-1] < -1e-9)[0]
     if cols.size == 0:
         return "infeasible"

@@ -437,6 +437,22 @@ def test_without_equalities_nonnegative_costs_start_from_the_slacks(monkeypatch)
             solve_lp(other)
 
 
+def test_the_dual_rule_breaks_rounding_ties_by_the_lowest_basic_index():
+    # rows 0 and 1 hold basic values equal in exact arithmetic but 2 ulps
+    # apart, as two routes of the same cost come out of a refactor: the lower
+    # basic index leaves, not the one rounding made more negative, and row 2,
+    # clearly less negative, stays although its basic index is lowest
+    value = -5.089141011569011
+    T = np.zeros((3, 9))
+    T[:, 0] = -1.0  # nonbasic column 0 can enter on every row
+    T[:, -1] = [np.nextafter(np.nextafter(value, -np.inf), -np.inf), value, value / 2]
+    assert T[0, -1] < T[1, -1]
+    basis, r = np.array([7, 4, 1]), np.zeros(8)
+    assert lp._dual_pivot(T, r, basis, 1e-9, [0]) == (1, 0)
+    # Bland's dual rule takes the lowest basic index among all infeasible rows
+    assert lp._dual_pivot(T, r, basis, 1e-9, [lp.DEGENERATE_RUN_LIMIT]) == (2, 0)
+
+
 def test_a_long_degenerate_run_hands_over_to_blands_dual_rule(monkeypatch):
     # covering rows -A x <= -1 from the all-slack start, where all but one
     # column cost 0, so nearly every dual ratio is 0; with a limit of 3 the
