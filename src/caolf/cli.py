@@ -165,11 +165,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tolerance-minimizing scalarization against historical metric references.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_norm_default=True):
+    def common(p, with_norm_default=True, with_tol=True):
         p.add_argument("--norm", choices=[n.value for n in Norm],
                        default="l2" if with_norm_default else None,
                        help="norm the Lipschitz models are stated in")
-        p.add_argument("--tol", type=float, default=1e-6, help="tolerance parameter")
+        if with_tol:
+            p.add_argument("--tol", type=float, default=1e-6, help="tolerance parameter")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     p_solve = sub.add_parser("solve", help="solve one instance file")
@@ -198,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="brute-force small instances on a grid")
     p_oracle.add_argument("instance", help="instance JSON with a 'box' entry")
     p_oracle.add_argument("--resolution", type=int, default=101)
-    common(p_oracle)
+    common(p_oracle, with_tol=False)  # the grid has no tolerance to set
     p_oracle.set_defaults(func=_cmd_oracle)
     return parser
 

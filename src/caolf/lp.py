@@ -7,25 +7,31 @@ simplex uses Bland's rule for both the entering and the leaving choice, so
 it cannot cycle; the tableau is refactorized from the original data every
 ``REFACTOR_EVERY`` pivots to keep drift bounded.  A refactorization
 factorizes only the basic columns that are not column singletons (most are
-slacks), so the all-slack basis costs no factorization, and the last one of
-a solve computes only the basic values, B⁻¹b.
+slacks), so the all-slack basis costs no factorization.  It inverts that
+block explicitly and applies the inverse to every column by one matrix
+product; the last refactorization of a solve computes only the basic
+values, B⁻¹b, by an LU solve.
 
 A solve can start from any dual-feasible basis of its problem
 (`LpBasis`), for example the optimal basis of an earlier solve that differs
 only in the right-hand side (`LpSolution.basis`), or one a caller builds
 from the problem's structure.  A dual simplex (Chvatal, *Linear
 Programming*, ch. 10) then restores primal feasibility in a few pivots
-instead of a cold phase one.  Without a start, a problem with no equality
+instead of a cold phase one.  A start basis keeps the block inverse of its
+first start refactor, so later starts from the same object (as the warm
+routing LPs from a recorded scenario basis) invert nothing while their B is
+exactly the same.  Without a start, a problem with no equality
 rows and no negative working cost starts from its all-slack basis, which is
 then dual feasible.  The dual simplex lets the row with the most negative
-basic value leave (Dantzig's rule); that rule can cycle, so after
+basic value leave (Dantzig's rule, ties within rounding going to the lowest
+basic index); that rule can cycle, so after
 ``DEGENERATE_RUN_LIMIT`` dual pivots in a row with a zero dual ratio it
 switches to Bland's dual rule for the rest of the phase.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 
@@ -73,11 +79,19 @@ class LpBasis:
     bound, then the ``a_eq`` rows.  The columns are the working columns (one
     per variable, two per free one: its + then its - part), then one slack
     per inequality row, in row order.
+
+    The first solve that starts from a basis keeps what its start refactor
+    computed in a private field: B's nonzero positions and values, its
+    singleton split and the inverse of its non-singleton block
+    (`_refactor`).  A later start from the same object whose B is exactly
+    equal reuses them, so its start costs one matrix product; any other B
+    replaces them.
     """
 
     shape: tuple[int, int]
     rows: np.ndarray
     cols: np.ndarray
+    _inverse: list = field(default_factory=list, init=False, repr=False)
 
 
 @dataclass(eq=False)
@@ -120,7 +134,19 @@ def _pivot(T, r, basis, row, col):
     basis[row] = col
 
 
-def _refactor(T, basis, A0, b0) -> bool:
+def _split(B):
+    """B's column singletons S, each on its row of ``s_rows``, and the other
+    columns J with the rows R no singleton covers; None when two singletons
+    share a row, so B is singular."""
+    nonzero = B != 0.0
+    single = np.count_nonzero(nonzero, axis=0) == 1
+    S, J = np.nonzero(single)[0], np.nonzero(~single)[0]
+    s_rows = np.argmax(nonzero[:, S], axis=0)
+    R = np.setdiff1d(np.arange(B.shape[0]), s_rows)
+    return (S, J, s_rows, R) if R.size == J.size else None
+
+
+def _refactor(T, basis, A0, b0, memo=None) -> bool:
     """Write B⁻¹[A0 | b0] into ``T``, for B = A0[:, basis], or B⁻¹b0 alone
     when ``T`` has one column; False when B is singular or the result is
     not finite.
@@ -131,26 +157,47 @@ def _refactor(T, basis, A0, b0) -> bool:
     columns J is factorized, and each singleton's row of the result follows
     from its own row of B by one substitution, (M_s - B[s, J] X_J) / B[s, s]
     for M = [A0 | b0] (Suhl & Suhl, *ORSA J. Computing* 2(4), 1990).  The
-    all-slack basis factorizes nothing.
+    all-slack basis factorizes nothing.  The wide refactor inverts the block
+    once and applies the inverse to all of M[R] by one matrix product; B⁻¹b0
+    alone is one LU solve.
+
+    ``memo`` is a start basis's private list (`LpBasis`).  It holds at most
+    one entry: B's nonzero positions and values, its singleton split and the
+    block's inverse.  When B equals the stored one exactly, the split and
+    the inverse are reused; otherwise they are computed and replace it.
     """
     B = A0[:, basis]
-    nonzero = B != 0.0
-    single = np.count_nonzero(nonzero, axis=0) == 1
-    S, J = np.nonzero(single)[0], np.nonzero(~single)[0]
-    s_rows = np.argmax(nonzero[:, S], axis=0)
-    R = np.setdiff1d(np.arange(B.shape[0]), s_rows)
-    if R.size != J.size:  # two singletons share a row, so B is singular
-        return False
+    wide = T.shape[1] > 1
+    entry = inverse = None
+    if memo is not None:
+        positions = np.flatnonzero(B)
+        values = B.ravel()[positions]
+        if memo and memo[0][0] == B.shape and np.array_equal(memo[0][1], positions) \
+                and np.array_equal(memo[0][2], values):
+            entry = memo[0]
+            split, inverse = entry[3], entry[4]
+    if entry is None:
+        split = _split(B)
+        if split is None:
+            return False
+    S, J, s_rows, R = split
     T[J, -1], T[S, -1] = b0[R], b0[s_rows]
-    if T.shape[1] > 1:
+    if wide:
         T[J, :-1], T[S, :-1] = A0[R], A0[s_rows]
     if J.size:
         try:
-            T[J] = np.linalg.solve(B[np.ix_(R, J)], T[J])
+            if not wide:
+                T[J] = np.linalg.solve(B[np.ix_(R, J)], T[J])
+            else:
+                if inverse is None:
+                    inverse = np.linalg.inv(B[np.ix_(R, J)])
+                T[J] = inverse @ T[J]
         except np.linalg.LinAlgError:
             return False
         T[S] -= B[np.ix_(s_rows, J)] @ T[J]
     T[S] /= B[s_rows, S][:, None]
+    if memo is not None and entry is None:
+        memo[:] = [(B.shape, positions, values, split, inverse)]
     return bool(np.all(np.isfinite(T)))
 
 
@@ -231,16 +278,17 @@ def _run_phase(T, basis, A0, b0, cost, max_iters, counter, choose=_primal_pivot)
             since_refactor = 0
 
 
-def _from_basis(A, b, rows, cols, cost, max_iters, iters, dual_tol=None):
+def _from_basis(A, b, rows, cols, cost, max_iters, iters, dual_tol=None, memo=None):
     """Phase two of ``A[rows] t = b[rows], t >= 0`` from the basic columns ``cols``.
 
     With a ``dual_tol``, dual pivots first restore primal feasibility and must
-    end "feasible".  Returns (status, pivots, working values, basis); the last
-    two are None unless the status is "optimal".
+    end "feasible".  ``memo`` is passed to the start refactor.  Returns
+    (status, pivots, working values, basis); the last two are None unless the
+    status is "optimal".
     """
     A0, b0, basis = A[rows], b[rows], cols.copy()
     T = np.empty((basis.size, A.shape[1] + 1))
-    if not _refactor(T, basis, A0, b0):
+    if not _refactor(T, basis, A0, b0, memo):
         return "stalled", iters, None, None
     status = "feasible"
     if dual_tol is not None:
@@ -355,9 +403,11 @@ def solve_lp(problem: LpProblem, max_iters: int | None = None,
         max_iters = 2000 + 10 * (m + A_std.shape[1] + int(needs_art.sum()))
     cost = np.concatenate([c_t, np.zeros(m_ub)])
 
+    memo = start._inverse if isinstance(start, LpBasis) else None
     if start is None and m == m_ub and np.all(c_t >= 0.0):
         # every slack basic prices every row at 0, so the reduced costs are
-        # the working costs: dual feasible
+        # the working costs: dual feasible; B = ±I has nothing to invert, so
+        # it keeps no memo
         start = LpBasis(A_std.shape, np.arange(m), nt + np.arange(m))
     spent = 0
     if (isinstance(start, LpBasis) and start.shape == A_std.shape
@@ -368,7 +418,7 @@ def solve_lp(problem: LpProblem, max_iters: int | None = None,
             and np.all((start.cols >= 0) & (start.cols < A_std.shape[1]))):
         tol = PRIMAL_TOL * (1.0 + float(np.max(np.abs(b_std[start.rows]), initial=0.0)))
         status, spent, t_vals, basis = _from_basis(A_std, b_std, start.rows, start.cols, cost,
-                                                   max_iters, 0, tol)
+                                                   max_iters, 0, tol, memo)
         if status == "optimal":
             sol = finish(t_vals, spent, basis)
             if sol.status == LpStatus.OPTIMAL:

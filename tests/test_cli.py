@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from caolf.bench import CSV_HEADER
-from caolf.cli import main
+from caolf.cli import build_parser, main
 
 
 def write_instance(path, payload):
@@ -168,6 +168,17 @@ def test_oracle_solve_and_verify_share_every_model(tmp_path, capsys):
     inst = write_instance(tmp_path / "inst.json", payload)
     assert main(["verify", inst]) == 0
     assert json.loads(capsys.readouterr().out)["ok"]
+
+
+def test_only_the_oracle_takes_no_tolerance(tmp_path, capsys):
+    # the grid oracle never read --tol, so it accepted any value, NaN too
+    inst = write_instance(tmp_path / "inst.json", two_anchor_instance())
+    with pytest.raises(SystemExit) as usage:
+        main(["oracle", inst, "--tol", "1"])
+    assert usage.value.code == 2
+    assert "unrecognized arguments: --tol 1" in capsys.readouterr().err
+    for argv in (["solve", inst], ["sweep"], ["verify", inst]):
+        assert build_parser().parse_args([*argv, "--tol", "1"]).tol == 1.0
 
 
 def test_oracle_needs_a_box(tmp_path, capsys):

@@ -320,6 +320,64 @@ def test_warm_start_reaches_the_cold_optimum_for_another_rhs():
             assert warm.basis is not None
 
 
+def spy_refactors(monkeypatch):
+    """Per `_refactor` call: whether it got a memo, and how many blocks it inverted."""
+    calls = []
+    real_refactor, real_inv = lp._refactor, np.linalg.inv
+
+    def refactor(T, basis, A0, b0, memo=None):
+        calls.append([memo is not None, 0])
+        return real_refactor(T, basis, A0, b0, memo)
+
+    def inv(a):
+        calls[-1][1] += 1
+        return real_inv(a)
+
+    monkeypatch.setattr(lp, "_refactor", refactor)
+    monkeypatch.setattr(np.linalg, "inv", inv)
+    return calls
+
+
+def test_a_start_basis_keeps_its_inverse_for_the_next_start(monkeypatch):
+    # the first start from a basis inverts its block; later starts from the
+    # same object, on other right-hand sides, invert nothing and answer bit
+    # for bit as a start from a fresh basis with the same rows and columns
+    calls = spy_refactors(monkeypatch)
+    for seed in range(5):
+        start = solve_lp(flow_like_problem(np.random.default_rng([19, seed]), np.full(4, 1.5))).basis
+        for k, b_ub in enumerate(np.random.default_rng(seed).uniform(0.0, 3.0, (3, 4))):
+            problem = flow_like_problem(np.random.default_rng([19, seed]), b_ub)
+            calls.clear()
+            warm = solve_lp(problem, start=start)
+            assert warm.status == LpStatus.OPTIMAL
+            assert calls[0] == [True, 1 if k == 0 else 0]
+            same_solution(warm, solve_lp(problem, start=LpBasis(start.shape, start.rows, start.cols)))
+        assert len(start._inverse) == 1
+
+
+def test_a_start_basis_on_another_matrix_inverts_again(monkeypatch):
+    # one coefficient of a basic column changes: the stored inverse is not
+    # reused but replaced, and the optimum is the cold one
+    calls = spy_refactors(monkeypatch)
+    problem = flow_like_problem(np.random.default_rng([19, 0]), np.full(4, 1.5))
+    start = solve_lp(problem).basis
+    solve_lp(problem, start=start)
+    first = start._inverse[0]
+    changed = replace(problem, a_eq=problem.a_eq.copy())
+    j = start.cols[start.cols < 8][0]  # a basic flow column: dense on the equality rows
+    changed.a_eq[2, j] += 0.01  # row 2 is kept; rows 0 and 1 make up the dependent row 3
+    for other in (changed, problem):
+        cold = solve_lp(other)
+        calls.clear()
+        warm = solve_lp(other, start=start)
+        assert cold.status == warm.status == LpStatus.OPTIMAL
+        assert calls[0] == [True, 1]
+        assert warm.value == pytest.approx(cold.value, rel=1e-9, abs=1e-12)
+        np.testing.assert_allclose(other.a_eq @ warm.x, other.b_eq, atol=1e-9)
+        assert len(start._inverse) == 1 and start._inverse[0] is not first
+        first = start._inverse[0]
+
+
 def test_a_hand_built_dual_feasible_start_beats_the_cold_solve():
     # Standard form: rows 0-3 are a_ub, 4-7 a_eq (7 is dependent and left
     # out); columns 0-11 are the variables, 12-15 the a_ub slacks.  With every

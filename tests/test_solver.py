@@ -699,38 +699,45 @@ def test_the_epigraph_lp_always_starts_from_the_slacks(monkeypatch):
 
 
 def test_the_epigraph_lp_factorizes_only_what_it_reads(monkeypatch):
-    # the all-slack start is B = ±I, so its refactor factorizes nothing, and
-    # the final refactor reads only the basic values, so it solves for B⁻¹b
-    # alone; a silent return to the full dense solve would keep every answer
-    # and lose the speed
+    # the all-slack start is B = ±I, so its refactor inverts and solves
+    # nothing and keeps no memo, and the final refactor reads only the basic
+    # values, so it solves for B⁻¹b alone; a silent return to the full dense
+    # solve would keep every answer and lose the speed
     from caolf import lp
     from caolf.bench import ExperimentConfig, build_experiment, reference_budget
     from caolf.network import build_metric_refs
     cfg = ExperimentConfig()
     net, _, history = build_experiment(cfg)
     budget = reference_budget(net, history)
-    refactors = []  # per refactor: its T's column count, the widths of the rhs it solved for
-    real_refactor, real_solve = lp._refactor, np.linalg.solve
+    # per refactor: its T's column count, whether it had a memo, the widths
+    # of the rhs it solved for and the orders of the blocks it inverted
+    refactors = []
+    real_refactor, real_solve, real_inv = lp._refactor, np.linalg.solve, np.linalg.inv
 
-    def refactor(T, basis, A0, b0):
-        refactors.append((T.shape[1], []))
-        return real_refactor(T, basis, A0, b0)
+    def refactor(T, basis, A0, b0, memo=None):
+        refactors.append((T.shape[1], memo is not None, [], []))
+        return real_refactor(T, basis, A0, b0, memo)
 
     def solve(a, b):
-        refactors[-1][1].append(b.shape[1])
+        refactors[-1][2].append(b.shape[1])
         return real_solve(a, b)
+
+    def inv(a):
+        refactors[-1][3].append(a.shape[0])
+        return real_inv(a)
 
     monkeypatch.setattr(lp, "_refactor", refactor)
     monkeypatch.setattr(np.linalg, "solve", solve)
+    monkeypatch.setattr(np.linalg, "inv", inv)
     for norm in (Norm.L1, Norm.LINF):
         refs = build_metric_refs(net, history, norm)
         for mult in cfg.budget_multipliers:
             refactors.clear()
             region = FeasibleSet.nonnegative(net.edge_count, [(net.price_pre, mult * budget)])
             solve_caolf(refs, region, SolveConfig(norm=norm))
-            (start_cols, start_solves), *_, (final_cols, final_solves) = refactors
-            assert start_cols > 1 and start_solves == []
-            assert final_cols == 1 and set(final_solves) <= {1}
+            start, *_, final = refactors
+            assert start[0] > 1 and start[1:] == (False, [], [])
+            assert final[0] == 1 and final[1:] == (False, [1], [])
 
 
 def test_surrogate_needed_gives_the_certificate_solve_approx_reports():
