@@ -168,35 +168,32 @@ def _refactor(T, basis, A0, b0, memo=None) -> bool:
     """
     B = A0[:, basis]
     wide = T.shape[1] > 1
-    entry = inverse = None
+    reuse = False
     if memo is not None:
         positions = np.flatnonzero(B)
         values = B.ravel()[positions]
-        if memo and memo[0][0] == B.shape and np.array_equal(memo[0][1], positions) \
-                and np.array_equal(memo[0][2], values):
-            entry = memo[0]
-            split, inverse = entry[3], entry[4]
-    if entry is None:
-        split = _split(B)
-        if split is None:
-            return False
+        reuse = (bool(memo) and memo[0][0] == B.shape and np.array_equal(memo[0][1], positions)
+                 and np.array_equal(memo[0][2], values))
+    split, inverse = memo[0][3:] if reuse else (_split(B), None)
+    if split is None:
+        return False
     S, J, s_rows, R = split
     T[J, -1], T[S, -1] = b0[R], b0[s_rows]
     if wide:
         T[J, :-1], T[S, :-1] = A0[R], A0[s_rows]
     if J.size:
         try:
-            if not wide:
-                T[J] = np.linalg.solve(B[np.ix_(R, J)], T[J])
-            else:
+            if wide:
                 if inverse is None:
                     inverse = np.linalg.inv(B[np.ix_(R, J)])
                 T[J] = inverse @ T[J]
+            else:
+                T[J] = np.linalg.solve(B[np.ix_(R, J)], T[J])
         except np.linalg.LinAlgError:
             return False
         T[S] -= B[np.ix_(s_rows, J)] @ T[J]
     T[S] /= B[s_rows, S][:, None]
-    if memo is not None and entry is None:
+    if memo is not None and not reuse:
         memo[:] = [(B.shape, positions, values, split, inverse)]
     return bool(np.all(np.isfinite(T)))
 
