@@ -9,6 +9,7 @@ how the bought point compares to the recorded value.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
 
@@ -229,17 +230,15 @@ def run_sweep(cfg: ExperimentConfig | None = None) -> list[SweepRow]:
             try:
                 sol = solve_caolf(refs, region, solve_cfg)
             except SolveError:
-                wall = (time.perf_counter() - started) * 1000.0
-                for ref in refs:
-                    rows.append(SweepRow(mult, norm, float("nan"), ref.id,
-                                         float("nan"), wall, 0))
-                continue
+                sol = None
             wall = (time.perf_counter() - started) * 1000.0
             for ref in refs:
-                realized = evaluators[ref.id](sol.x)
-                rows.append(SweepRow(mult, norm, sol.gamma, ref.id,
-                                     realized / ref.value, wall,
-                                     sol.diagnostics.iterations))
+                if sol is None:
+                    rows.append(SweepRow(mult, norm, float("nan"), ref.id, float("nan"), wall, 0))
+                else:
+                    rows.append(SweepRow(mult, norm, sol.gamma, ref.id,
+                                         evaluators[ref.id](sol.x) / ref.value, wall,
+                                         sol.diagnostics.iterations))
     return rows
 
 
@@ -249,12 +248,15 @@ def format_row(row: SweepRow, include_timing: bool = True) -> str:
             f"{row.metric_id},{row.ratio:.12g},{wall:.3f},{row.iterations}")
 
 
-def emit_csv(rows, path, include_timing: bool = True) -> None:
-    """Write sweep rows; with timing off the output is byte-reproducible."""
-    lines = [CSV_HEADER]
-    lines.extend(format_row(r, include_timing) for r in rows)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+def emit_csv(rows, path=None, include_timing: bool = True) -> None:
+    """Write sweep rows to ``path``, or to stdout when ``path`` is empty or None;
+    with timing off the output is byte-reproducible."""
+    text = "\n".join([CSV_HEADER, *(format_row(r, include_timing) for r in rows)]) + "\n"
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------

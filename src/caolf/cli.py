@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 
-from .bench import CSV_HEADER, ExperimentConfig, emit_csv, format_row, run_sweep
+from .bench import ExperimentConfig, emit_csv, run_sweep
 from .geometry import Norm, Sense
 from .model import (ClippedNormSurrogate, ConcaveLinear, ConvexQuadratic, FeasibleSet,
                     LipschitzNorm, MetricRef)
@@ -118,13 +118,7 @@ def _cmd_sweep(args) -> int:
                            scenario_count=args.scenarios,
                            demand_pairs=pairs,
                            gamma_tolerance=args.tol)
-    rows = run_sweep(cfg)
-    if args.out:
-        emit_csv(rows, args.out, include_timing=not args.no_timing)
-    else:
-        print(CSV_HEADER)
-        for r in rows:
-            print(format_row(r, include_timing=not args.no_timing))
+    emit_csv(run_sweep(cfg), args.out, include_timing=not args.no_timing)
     return 0
 
 

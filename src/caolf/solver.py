@@ -46,9 +46,9 @@ ARMIJO = 0.01  # share of the predicted decrease a step must achieve
 MIN_STEP = 1e-4  # a centering ends, without the step, once backtracking falls below this
 
 
-def _barrier(table: ClippedNormSurrogate, start, region: FeasibleSet,
-             config: SolveConfig) -> CompetitiveSolution:
-    """Minimize gamma by the log-barrier method over y = (x, t), t = gamma^2.
+def _barrier(table: ClippedNormSurrogate, start, region: FeasibleSet, config: SolveConfig):
+    """Minimize gamma by the log-barrier method over y = (x, t), t = gamma^2;
+    returns (x, Newton steps, method).
 
     The rows of the l2 ``table``: a clip row (rate, lo, hi) gives
     ||rate_i (x - clamp(x, lo_i, hi_i))||^2 < t, a cap row gives
@@ -63,8 +63,7 @@ def _barrier(table: ClippedNormSurrogate, start, region: FeasibleSet,
     other row bounds.  The search starts at ``start`` when it is strictly
     inside the widened region; otherwise it starts halfway from the point of
     deepest region slack to where the segment from that point toward
-    ``start`` leaves the region, so no projection is needed.  The reported
-    gamma is the table's certificate at the returned point.
+    ``start`` leaves the region, so no projection is needed.
     """
     rate, lo, hi, center = table.rate, table.lo, table.hi, table.center
     curv, grad = table.curvature / table.value, table.grad / table.value[:, None]
@@ -158,12 +157,7 @@ def _barrier(table: ClippedNormSurrogate, start, region: FeasibleSet,
         if np.sqrt(t) - np.sqrt(max(t - n / tau, 0.0)) <= config.gamma_tolerance:
             break
         tau *= BARRIER_GROWTH
-    # hard lower bounds hold exactly so downstream metric evaluation never
-    # sees a tolerance-scale negative capacity
-    x = np.maximum(x, lower)
-    diag = SolveDiagnostics(iterations=steps, residual=region.violation(x),
-                            method="barrier-mixed" if curv.size else "barrier-l2")
-    return CompetitiveSolution(x=x, gamma=table.certify(x), diagnostics=diag)
+    return x, steps, "barrier-mixed" if curv.size else "barrier-l2"
 
 
 def _check_dims(refs, dim: int) -> None:
@@ -174,15 +168,25 @@ def _check_dims(refs, dim: int) -> None:
 
 def _solve(refs, region: FeasibleSet, config: SolveConfig) -> CompetitiveSolution:
     """Minimize gamma over the constraint table of ``refs`` in ``config.norm``, the
-    one `caolf verify` and `grid_oracle_caolf` read: one clip row per safe box."""
+    one `caolf verify` and `grid_oracle_caolf` read: one clip row per safe box.
+    Every solution is built here: the reported gamma is the table's certificate
+    at the returned point, and the residual is the point's region violation."""
     refs = list(refs)
     _check_dims(refs, region.dim)
     table = ClippedNormSurrogate(refs, config.norm)
     if not table.owner.size:
         raise ValueError("no usable constraint models")
     if config.norm != Norm.L2:
-        return _solve_caolf_lp(table, region, config)
-    return _barrier(table, np.mean([r.x_ref for r in refs], axis=0), region, config)
+        x, iterations, method = _solve_caolf_lp(table, region, config)
+    else:
+        x, iterations, method = _barrier(table, np.mean([r.x_ref for r in refs], axis=0),
+                                         region, config)
+    # hard lower bounds hold exactly so downstream metric evaluation never
+    # sees a tolerance-scale negative capacity
+    x = np.maximum(x, region.lower)
+    gamma = table.certify(x)
+    diag = SolveDiagnostics(iterations=iterations, residual=region.violation(x), method=method)
+    return CompetitiveSolution(x=x, gamma=gamma, diagnostics=diag)
 
 
 def solve_caolf(refs, region: FeasibleSet, config: SolveConfig | None = None) -> CompetitiveSolution:
@@ -200,8 +204,9 @@ def solve_caolf(refs, region: FeasibleSet, config: SolveConfig | None = None) ->
     return _solve(refs, region, config or SolveConfig())
 
 
-def _solve_caolf_lp(surrogate: ClippedNormSurrogate, region, config) -> CompetitiveSolution:
-    """Epigraph linear program for the L1 and LINF radius constraints.
+def _solve_caolf_lp(surrogate: ClippedNormSurrogate, region, config):
+    """Epigraph linear program for the L1 and LINF radius constraints;
+    returns (x, pivots, method).
 
     Layout: decision coordinates, then (L1 only) one magnitude variable per
     coordinate of each clip row, then gamma last.  Coordinate by coordinate, a
@@ -239,11 +244,7 @@ def _solve_caolf_lp(surrogate: ClippedNormSurrogate, region, config) -> Competit
     sol = solve_lp(problem)
     if sol.status != LpStatus.OPTIMAL:
         raise SolveError(f"epigraph LP ended with status {sol.status.value}")
-    x = sol.x[:dim]
-    gamma = surrogate.certify(x)
-    diag = SolveDiagnostics(iterations=sol.iterations, residual=region.violation(x),
-                            method=f"epigraph-lp-{config.norm.value}")
-    return CompetitiveSolution(x=x, gamma=gamma, diagnostics=diag)
+    return sol.x[:dim], sol.iterations, f"epigraph-lp-{config.norm.value}"
 
 
 def solve_approx(refs, region: FeasibleSet, config: SolveConfig | None = None) -> CompetitiveSolution:

@@ -343,6 +343,33 @@ def test_run_sweep_rows_meet_their_envelope():
             assert r.ratio >= 1.0 - r.gamma - 1e-6, r
 
 
+def test_a_failed_cell_gets_nan_rows_and_leaves_the_others_as_they_were(monkeypatch):
+    # the second cell, (0.5, l2), raises; cells run multiplier by multiplier
+    cfg = tiny_config(norms=(Norm.L1, Norm.L2))
+    failed = (cfg.budget_multipliers[0], Norm.L2)
+    clean = run_sweep(cfg)
+    solve, calls = bench.solve_caolf, []
+
+    def fail_the_second_cell(refs, region, config):
+        calls.append(config.norm)
+        if len(calls) == 2:
+            raise solver.SolveError("injected")
+        return solve(refs, region, config)
+
+    monkeypatch.setattr(bench, "solve_caolf", fail_the_second_cell)
+    rows = run_sweep(cfg)
+    assert calls == [Norm.L1, Norm.L2] * len(cfg.budget_multipliers)
+    net, _, history = build_experiment(cfg)
+    nan_rows = [r for r in rows if (r.budget_mult, r.norm) == failed]
+    assert [r.metric_id for r in nan_rows] == \
+        [ref.id for ref in network.build_metric_refs(net, history, Norm.L2)]
+    for r in nan_rows:
+        assert math.isnan(r.gamma) and math.isnan(r.ratio)
+        assert r.iterations == 0 and r.wall_ms >= 0
+    assert [format_row(r, include_timing=False) for r in rows if (r.budget_mult, r.norm) != failed] \
+        == [format_row(r, include_timing=False) for r in clean if (r.budget_mult, r.norm) != failed]
+
+
 # ---------------------------------------------------------------------------
 # CSV
 

@@ -62,6 +62,34 @@ def test_worse_by_is_signed_by_the_better_direction():
     assert same["wall_s"]["change_wins"] == "0 of 10"
 
 
+WIDE = [0.60, 1.40, 0.70, 1.30, 1.00, 0.80, 1.20, 0.90, 1.10, 1.00]  # median 1.0, quartiles 0.825 and 1.175
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved():
+    # the parent's quartiles are 35% of its median apart, beyond the 20% bound
+    wall = bench_pairs.summarize(pairs(WIDE, WIDE[::-1]), METRICS)["wall_s"]
+    assert wall["within_bound"] and wall["unresolved"]
+    # a change that reads better in some pairs but not in all is still noise
+    change = [p - 0.3 for p in WIDE]
+    assert bench_pairs.summarize(pairs(WIDE, change), METRICS)["wall_s"]["unresolved"]
+
+
+def test_a_wide_spread_with_a_clean_separation_is_resolved():
+    # every change run reads better than every parent run
+    change = [0.3 * p for p in WIDE]
+    assert max(change) < min(WIDE)
+    wall = bench_pairs.summarize(pairs(WIDE, change), METRICS)["wall_s"]
+    assert not wall["unresolved"]
+
+
+def test_a_tight_parent_is_resolved():
+    # the parent's quartiles are 8.5% of its median apart, within the 20% bound,
+    # so a change 25% worse is a resolved regression
+    summary = bench_pairs.summarize(pairs(PARENT, [1.25 * p for p in PARENT]), METRICS)
+    assert not summary["wall_s"]["unresolved"] and not summary["wall_s"]["within_bound"]
+    assert not summary["ok_frac"]["unresolved"]
+
+
 def test_a_move_from_zero_is_infinite():
     summary = bench_pairs.summarize([{"parent": run(1.0, ok_frac=0.0), "change": run(1.0)}], METRICS)
     assert summary["ok_frac"]["worse_by"] == float("-inf") and summary["ok_frac"]["within_bound"]

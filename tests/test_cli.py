@@ -201,6 +201,16 @@ def test_sweep_smoke_writes_csv(tmp_path):
     assert all(",0.000," in ln for ln in lines[1:])
 
 
+def test_sweep_prints_the_bytes_it_writes_with_out(tmp_path, capsys):
+    argv = ["sweep", "--nodes", "4", "--norm", "l1", "--no-timing"]
+    out_path = tmp_path / "sweep.csv"
+    assert main(argv + ["--out", str(out_path)]) == 0
+    assert capsys.readouterr().out == ""
+    for extra in ([], ["--out", ""]):  # an empty path writes to stdout too
+        assert main(argv + extra) == 0
+        assert capsys.readouterr().out.encode() == out_path.read_bytes()
+
+
 def test_sweep_edge_count_scales_with_the_node_count(capsys):
     # 4 nodes have 12 ordered pairs, fewer than the default 30 edges
     assert main(["sweep", "--nodes", "4", "--norm", "l1", "--no-timing"]) == 0

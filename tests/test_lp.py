@@ -300,10 +300,20 @@ def same_solution(a, b):
         np.testing.assert_array_equal(a.x, b.x)
 
 
-def test_warm_start_reaches_the_cold_optimum_for_another_rhs():
+def test_warm_start_reaches_the_cold_optimum_for_another_rhs(monkeypatch):
+    # the base and the warm-started problems share a_eq, b_eq and c, so every
+    # warm solve stays on the dual simplex and never falls back to the cold solve
+    cold_solves = []
+    two_phase = lp._two_phase
+
+    def counted_two_phase(*args):
+        cold_solves.append(1)
+        return two_phase(*args)
+
+    monkeypatch.setattr(lp, "_two_phase", counted_two_phase)
     for seed in range(10):
         rng = np.random.default_rng([11, seed])
-        base = flow_like_problem(rng, rng.uniform(1.0, 2.0, 4))
+        base = flow_like_problem(np.random.default_rng([11, seed]), rng.uniform(1.0, 2.0, 4))
         first = solve_lp(base)
         assert first.status == LpStatus.OPTIMAL
         assert first.basis.rows.size == 7  # the dependent equality row was dropped
@@ -313,7 +323,9 @@ def test_warm_start_reaches_the_cold_optimum_for_another_rhs():
         for _ in range(5):
             problem = flow_like_problem(np.random.default_rng([11, seed]), rng.uniform(0.0, 3.0, 4))
             cold = solve_lp(problem)
+            before = len(cold_solves)
             warm = solve_lp(problem, start=first.basis)
+            assert len(cold_solves) == before
             assert cold.status == warm.status == LpStatus.OPTIMAL
             assert warm.value == pytest.approx(cold.value, rel=1e-9, abs=1e-12)
             assert np.all(problem.a_ub @ warm.x <= problem.b_ub + 1e-9)

@@ -15,7 +15,6 @@ from caolf.geometry import (
     Sense,
     clip,
     dykstra,
-    max_violation,
     norm_value,
 )
 from caolf.model import (
@@ -409,9 +408,18 @@ def test_grid_oracle_swcm_rejects_nan_evaluations():
         grid_oracle_swcm([nowhere, at_one], region, 11, box)
 
 
+def violation_by_formula(region, p):
+    """The region's violation at ``p`` written out: the distance below the lower
+    bounds or the farthest halfspace's distance, whichever is larger."""
+    below = np.maximum(region.lower - p, 0.0)
+    return max([float(np.sqrt(np.dot(below, below)))]
+               + [max(0.0, float(np.dot(a, p)) - b) / float(np.sqrt(np.dot(a, a)))
+                  for a, b in region.halfspaces])
+
+
 def test_region_violation_matches_the_set_reference():
-    # the vectorized violation against the largest violation of the region's
-    # sets, point by point and over rows
+    # the vectorized violation against the lower-bound and halfspace formulas,
+    # point by point and over rows
     rng = np.random.default_rng(73)
     regions = [
         FeasibleSet.unconstrained(3),
@@ -423,12 +431,13 @@ def test_region_violation_matches_the_set_reference():
         pts = rng.normal(size=(5000, 3)) * 3.0
         rows = region.violation(pts)
         single = [region.violation(p) for p in pts]
-        want = [max_violation(region.sets(), p) for p in pts]
+        want = [violation_by_formula(region, p) for p in pts]
         assert all(type(v) is float for v in single)
         assert rows.tobytes() == np.array(single).tobytes()
         # a.x - b cancels near a boundary, so the rounding scales with |p|
         assert np.all(np.abs(rows - want) <= 1e-14 * (np.asarray(want) + np.linalg.norm(pts, axis=1)))
-        assert 0 < np.count_nonzero(rows) < len(pts) or not region.sets()
+        unconstrained = np.all(region.lower == -np.inf) and not region.halfspaces
+        assert 0 < np.count_nonzero(rows) < len(pts) or unconstrained
         assert region.contains(pts[0]) is bool(want[0] <= 1e-9)
 
 
@@ -528,7 +537,7 @@ def test_the_l2_solve_never_projects(monkeypatch):
 
 
 def test_grid_points_keep_what_the_per_set_filter_kept():
-    # the grid in itertools.product order, filtered set by set
+    # the grid in itertools.product order, filtered point by point
     cases = [
         (FeasibleSet.nonnegative(2, halfspaces=[(np.ones(2), 3.0)]), [(0.0, 3.0), (0.0, 3.0)], 101),
         (FeasibleSet(lower=[0, -np.inf], halfspaces=[([0.3, 1.7], 2.1), ([-1, 0.2], 0.5)]),
@@ -537,7 +546,7 @@ def test_grid_points_keep_what_the_per_set_filter_kept():
     for region, box, resolution in cases:
         grid = itertools.product(*(np.linspace(lo, hi, resolution) for lo, hi in box))
         kept = [p for p in map(np.asarray, grid)
-                if all(s.violation(p) <= GRID_MEMBERSHIP_TOL for s in region.sets())]
+                if violation_by_formula(region, p) <= GRID_MEMBERSHIP_TOL]
         pts = _grid_points(region, resolution, box)
         assert 0 < len(pts) < resolution ** 2
         assert pts.tobytes() == np.array(kept).tobytes()

@@ -23,6 +23,10 @@ gives:
 - ``worse_by``: the change median's move against the parent median, relative
   to the parent median and positive when worse;
 - ``within_bound``: whether ``worse_by`` is at most the metric's bound;
+- ``unresolved``: whether the runs spread too widely to tell, that is, the
+  parent's interquartile distance relative to its median exceeds the bound,
+  and not every change run reads better than every parent run; such a
+  metric is reported as noise, neither as unchanged nor as moved;
 - ``gain``: whether a gain may be claimed, that is, at least ten pairs ran,
   the change won at least nine tenths of them, and its median is better than
   the parent's by more than the parent's interquartile distance.
@@ -122,10 +126,13 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
         parent, change = out[name]["parent"], out[name]["change"]
         worse = sign * (change["median"] - parent["median"])
         worse_by = relative(worse, parent["median"])
+        spread = relative(parent["q3"] - parent["q1"], parent["median"])
+        separated = max(sign * c for c in sides["change"]) < min(sign * p for p in sides["parent"])
         out[name].update({
             "change_wins": f"{wins} of {len(pairs)}",
             "worse_by": worse_by,
             "within_bound": worse_by <= metric["bound"],
+            "unresolved": spread > metric["bound"] and not separated,
             "gain": (len(pairs) >= 10 and 10 * wins >= 9 * len(pairs)
                      and -worse > parent["q3"] - parent["q1"]),
         })
