@@ -10,17 +10,22 @@ factorizes only the basic columns that are not column singletons (most are
 slacks), so the all-slack basis costs no factorization.  It inverts that
 block explicitly and applies the inverse to every column by one matrix
 product; the last refactorization of a solve computes only the basic
-values, B⁻¹b, by an LU solve.
+values, B⁻¹b, by an LU solve, and the row prices y = c_B B⁻¹ by one solve
+with the transposed block.  An optimal solution reports them as its row
+duals (`LpSolution.duals`).
 
 A solve can start from any dual-feasible basis of its problem
 (`LpBasis`), for example the optimal basis of an earlier solve that differs
 only in the right-hand side (`LpSolution.basis`), or one a caller builds
 from the problem's structure.  A dual simplex (Chvatal, *Linear
 Programming*, ch. 10) then restores primal feasibility in a few pivots
-instead of a cold phase one.  A start basis keeps the block inverse of its
-first start refactor, so later starts from the same object (as the warm
-routing LPs from a recorded scenario basis) invert nothing while their B is
-exactly the same.  Without a start, a problem with no equality
+instead of a cold phase one.  A start that is primal feasible needs no dual
+pivots, so it may also be one that is not dual feasible, for example an
+optimal basis after new columns joined the problem: the primal simplex
+goes on from it.  A start basis keeps the block inverse of its first start
+refactor, so later starts from the same object (as the routing evaluations
+from a recorded scenario basis) invert nothing while their B is exactly the
+same.  Without a start, a problem with no equality
 rows and no negative working cost starts from its all-slack basis, which is
 then dual feasible.  The dual simplex lets the row with the most negative
 basic value leave (Dantzig's rule, ties within rounding going to the lowest
@@ -96,11 +101,23 @@ class LpBasis:
 
 @dataclass(eq=False)
 class LpSolution:
+    """A solve's outcome.  ``basis`` and ``duals`` are set when OPTIMAL with
+    at least one constraint row.
+
+    ``duals`` holds u >= 0 for each ``a_ub`` row, then v for each ``a_eq``
+    row, in the problem's row order, such that the reduced costs are
+    d = c + a_ubᵀu - a_eqᵀv: at the optimum d >= 0 where x sits at its lower
+    bound only, d <= 0 at its upper bound only and d = 0 in between (to
+    rounding), and c.x = d.x - u.b_ub + v.b_eq.  A row that phase one
+    dropped as dependent gets 0.
+    """
+
     status: LpStatus
     x: np.ndarray | None
     value: float
     iterations: int
-    basis: LpBasis | None = None  # set when OPTIMAL with at least one constraint row
+    basis: LpBasis | None = None
+    duals: np.ndarray | None = None
 
 
 def _as_matrix(a, b, n, label):
@@ -142,14 +159,16 @@ def _split(B):
     single = np.count_nonzero(nonzero, axis=0) == 1
     S, J = np.nonzero(single)[0], np.nonzero(~single)[0]
     s_rows = np.argmax(nonzero[:, S], axis=0)
-    R = np.setdiff1d(np.arange(B.shape[0]), s_rows)
+    uncovered = np.ones(B.shape[0], dtype=bool)
+    uncovered[s_rows] = False
+    R = np.flatnonzero(uncovered)
     return (S, J, s_rows, R) if R.size == J.size else None
 
 
-def _refactor(T, basis, A0, b0, memo=None) -> bool:
+def _refactor(T, basis, A0, b0, memo=None):
     """Write B⁻¹[A0 | b0] into ``T``, for B = A0[:, basis], or B⁻¹b0 alone
-    when ``T`` has one column; False when B is singular or the result is
-    not finite.
+    when ``T`` has one column; returns B's singleton split (`_split`), or
+    None when B is singular or the result is not finite.
 
     A basic column s with a single nonzero (every slack, and the odd
     structural column) is absent from every row but its own.  So only the
@@ -176,7 +195,7 @@ def _refactor(T, basis, A0, b0, memo=None) -> bool:
                  and np.array_equal(memo[0][2], values))
     split, inverse = memo[0][3:] if reuse else (_split(B), None)
     if split is None:
-        return False
+        return None
     S, J, s_rows, R = split
     T[J, -1], T[S, -1] = b0[R], b0[s_rows]
     if wide:
@@ -190,12 +209,33 @@ def _refactor(T, basis, A0, b0, memo=None) -> bool:
             else:
                 T[J] = np.linalg.solve(B[np.ix_(R, J)], T[J])
         except np.linalg.LinAlgError:
-            return False
+            return None
         T[S] -= B[np.ix_(s_rows, J)] @ T[J]
     T[S] /= B[s_rows, S][:, None]
     if memo is not None and not reuse:
         memo[:] = [(B.shape, positions, values, split, inverse)]
-    return bool(np.all(np.isfinite(T)))
+    return split if np.all(np.isfinite(T)) else None
+
+
+def _row_prices(A0, basis, split, cost_b):
+    """The row prices y with yB = ``cost_b``, for B = A0[:, basis] and its
+    singleton split from `_refactor`; None when they are not finite.
+
+    The split carries over to the transpose: each singleton column s fixes
+    its row's price, y[s_row] = c_s / B[s_row, s], and the other basic
+    columns J then give y[R] by one solve with the block B[R, J]ᵀ.
+    """
+    S, J, s_rows, R = split
+    B = A0[:, basis]
+    y = np.zeros(basis.size)
+    y[s_rows] = cost_b[S] / B[s_rows, S]
+    if J.size:
+        rhs = cost_b[J] - B[np.ix_(s_rows, J)].T @ y[s_rows]
+        try:
+            y[R] = np.linalg.solve(B[np.ix_(R, J)].T, rhs)
+        except np.linalg.LinAlgError:
+            return None
+    return y if np.all(np.isfinite(y)) else None
 
 
 def _reduced_costs(cost, basis, T):
@@ -230,11 +270,11 @@ def _dual_pivot(T, r, basis, tol, run):
     once it reaches ``DEGENERATE_RUN_LIMIT`` it stays there, and the
     infeasible row with the lowest basic index leaves instead (Bland's dual
     rule, which cannot cycle)."""
-    if np.any(r < -REDUCED_COST_TOL):
-        return "not dual feasible"
     short = np.nonzero(T[:, -1] < -tol)[0]
     if short.size == 0:
         return "feasible"
+    if np.any(r < -REDUCED_COST_TOL):
+        return "not dual feasible"
     bland = run[0] >= DEGENERATE_RUN_LIMIT
     if not bland:
         values = T[short, -1]
@@ -269,7 +309,7 @@ def _run_phase(T, basis, A0, b0, cost, max_iters, counter, choose=_primal_pivot)
         if counter >= max_iters:
             return "stalled", counter
         if since_refactor >= REFACTOR_EVERY:
-            if not _refactor(T, basis, A0, b0):
+            if _refactor(T, basis, A0, b0) is None:
                 return "stalled", counter
             r = _reduced_costs(cost, basis, T)
             since_refactor = 0
@@ -279,49 +319,60 @@ def _from_basis(A, b, rows, cols, cost, max_iters, iters, dual_tol=None, memo=No
     """Phase two of ``A[rows] t = b[rows], t >= 0`` from the basic columns ``cols``.
 
     With a ``dual_tol``, dual pivots first restore primal feasibility and must
-    end "feasible".  ``memo`` is passed to the start refactor.  Returns
-    (status, pivots, working values, basis); the last two are None unless the
-    status is "optimal".
+    end "feasible"; a start that is primal feasible already goes straight to
+    the primal pivots, dual feasible or not.  ``memo`` is passed to the start
+    refactor.  Returns (status, pivots, working values, basis, row prices),
+    the row prices y = c_B B⁻¹ over ``rows``; the last three are None unless
+    the status is "optimal".
     """
     A0, b0, basis = A[rows], b[rows], cols.copy()
     T = np.empty((basis.size, A.shape[1] + 1))
-    if not _refactor(T, basis, A0, b0, memo):
-        return "stalled", iters, None, None
+    if _refactor(T, basis, A0, b0, memo) is None:
+        return "stalled", iters, None, None, None
     status = "feasible"
     if dual_tol is not None:
         status, iters = _run_phase(T, basis, A0, b0, cost, max_iters, iters,
                                    partial(_dual_pivot, tol=dual_tol, run=[0]))
     if status == "feasible":
         status, iters = _run_phase(T, basis, A0, b0, cost, max_iters, iters)
-    if status == "optimal" and not _refactor(T[:, -1:], basis, A0, b0):  # B⁻¹b alone
-        status = "stalled"
+    y = None
+    if status == "optimal":
+        split = _refactor(T[:, -1:], basis, A0, b0)  # B⁻¹b alone
+        if split is not None:
+            y = _row_prices(A0, basis, split, cost[basis])
+        if y is None:
+            status = "stalled"
     if status != "optimal":
-        return status, iters, None, None
+        return status, iters, None, None, None
     t_vals = np.zeros(A.shape[1])
     t_vals[basis] = np.maximum(T[:, -1], 0.0)
-    return status, iters, t_vals, LpBasis(A.shape, rows, basis)
+    return status, iters, t_vals, LpBasis(A.shape, rows, basis), y
 
 
 def solve_lp(problem: LpProblem, max_iters: int | None = None,
              start: LpBasis | None = None) -> LpSolution:
     """Solve ``problem`` with the two-phase dense simplex method.
 
-    Returns OPTIMAL with the minimizer and its basis, INFEASIBLE / UNBOUNDED
-    when phase one or two proves it, and STALLED when the iteration or
-    accuracy budget is exhausted.  An OPTIMAL answer is re-verified against
-    the original data before being reported; a failed check demotes the
-    status to STALLED rather than ever reporting a wrong optimum.
+    Returns OPTIMAL with the minimizer, its basis and its row duals,
+    INFEASIBLE / UNBOUNDED when phase one or two proves it, and STALLED when
+    the iteration or accuracy budget is exhausted.  An OPTIMAL answer is
+    re-verified against the original data before being reported; a failed
+    check demotes the status to STALLED rather than ever reporting a wrong
+    optimum.
 
-    ``start`` may be any dual-feasible basis of this problem: the basis of
-    an earlier OPTIMAL solve of a problem with the same constraint matrix
-    and costs, or one built by the caller in `LpBasis`'s layout.  Without
+    ``start`` may be any dual-feasible basis of this problem, such as the
+    basis of an earlier OPTIMAL solve of a problem with the same constraint
+    matrix and costs, or one built by the caller in `LpBasis`'s layout; or
+    any primal-feasible one, such as an earlier optimal basis after columns
+    were added (their indices shifted into `LpBasis`'s layout).  Without
     one, a problem with no equality rows whose working costs are all >= 0
     (as in an epigraph LP: shifted variables, free ones split into two
     columns of cost 0) starts from its all-slack basis.  The solve then
     begins with dual simplex pivots from the start, the row with the most
     negative basic value leaving until a long run of degenerate pivots hands
-    over to Bland's dual rule, and ends with the same optimality test and
-    re-verification.  A start that does not fit, is singular or not dual
+    over to Bland's dual rule; once the basis is primal feasible, primal
+    pivots end it with the same optimality test and re-verification.  A
+    start that does not fit, is singular, is neither primal nor dual
     feasible, stalls, or ends anywhere but at a verified optimum falls back
     to the cold two-phase solve, so INFEASIBLE and UNBOUNDED are always
     decided cold; ``iterations`` then counts the pivots of both.
@@ -361,8 +412,10 @@ def solve_lp(problem: LpProblem, max_iters: int | None = None,
     m_ub = a_ub.shape[0] + boxed.size
     m = m_ub + a_eq.shape[0]
 
-    def finish(t_vals: np.ndarray, iterations: int, basis: LpBasis | None = None) -> LpSolution:
-        # t_vals may carry slack columns after the nt working variables
+    def finish(t_vals: np.ndarray, iterations: int, basis: LpBasis | None = None,
+               y: np.ndarray | None = None) -> LpSolution:
+        # t_vals may carry slack columns after the nt working variables; y
+        # prices the kept rows of the flipped standard form
         x = shift + np.bincount(var, weights=sign * t_vals[:nt], minlength=n)
         value = float(np.dot(c, x))
         viol = max(float(np.max(a_ub @ x - b_ub, initial=0.0)),
@@ -375,7 +428,13 @@ def solve_lp(problem: LpProblem, max_iters: int | None = None,
             float(np.max(np.abs(x), initial=0.0)))
         if viol > 1e-6 * scale:
             return LpSolution(LpStatus.STALLED, None, np.nan, iterations)
-        return LpSolution(LpStatus.OPTIMAL, x, value, iterations, basis)
+        duals = None
+        if basis is not None:
+            prices = np.zeros(m)
+            prices[basis.rows] = np.where(negate[basis.rows], -y, y)
+            # a slack's reduced cost is -price, so an a_ub row's price is <= 0
+            duals = np.concatenate([-prices[:a_ub.shape[0]], prices[m_ub:]])
+        return LpSolution(LpStatus.OPTIMAL, x, value, iterations, basis, duals)
 
     if m == 0:
         if np.any(c_t < -REDUCED_COST_TOL):
@@ -414,16 +473,16 @@ def solve_lp(problem: LpProblem, max_iters: int | None = None,
             and np.all((start.rows >= 0) & (start.rows < m))
             and np.all((start.cols >= 0) & (start.cols < A_std.shape[1]))):
         tol = PRIMAL_TOL * (1.0 + float(np.max(np.abs(b_std[start.rows]), initial=0.0)))
-        status, spent, t_vals, basis = _from_basis(A_std, b_std, start.rows, start.cols, cost,
-                                                   max_iters, 0, tol, memo)
+        status, spent, t_vals, basis, y = _from_basis(A_std, b_std, start.rows, start.cols, cost,
+                                                      max_iters, 0, tol, memo)
         if status == "optimal":
-            sol = finish(t_vals, spent, basis)
+            sol = finish(t_vals, spent, basis, y)
             if sol.status == LpStatus.OPTIMAL:
                 return sol
-    status, iters, t_vals, basis = _two_phase(A_std, b_std, needs_art, nt, cost, max_iters)
+    status, iters, t_vals, basis, y = _two_phase(A_std, b_std, needs_art, nt, cost, max_iters)
     if status != "optimal":
         return LpSolution(LpStatus(status), None, np.nan, iters + spent)
-    return finish(t_vals, iters + spent, basis)
+    return finish(t_vals, iters + spent, basis, y)
 
 
 def _two_phase(A_std, b_std, needs_art, nt, cost, max_iters):
@@ -445,10 +504,10 @@ def _two_phase(A_std, b_std, needs_art, nt, cost, max_iters):
     cost1[art_off:] = 1.0
     status, iters = _run_phase(T, basis, A0, b_std, cost1, max_iters, 0)
     if status == "stalled" or status == "unbounded":
-        return "stalled", iters, None, None
+        return "stalled", iters, None, None, None
     art_total = float(np.sum(T[basis >= art_off, -1], initial=0.0))
     if art_total > 1e-7 * (1.0 + float(np.max(b_std, initial=0.0))):
-        return "infeasible", iters, None, None
+        return "infeasible", iters, None, None, None
 
     # Drive leftover artificials out of the basis; a row with no eligible
     # pivot is linearly dependent on the others and is dropped.

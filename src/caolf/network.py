@@ -6,11 +6,20 @@ exceeding the installed capacity can be covered by renting extra capacity at
 a premium.  Throughput is a single-pair maximum flow.  Connectivity is the
 second-smallest eigenvalue of the weighted graph Laplacian, with capacities
 as weights.
+
+`routing_cost` solves the arc-flow LP cold, with one conservation row per
+(source, node).  A recorded scenario evaluates the same optimum by path
+flows instead: a master LP with one row per edge and one per demand pair,
+whose path columns are priced by the LP's row duals and one Dijkstra per
+source (column generation; Ford & Fulkerson, *Management Science* 5(1),
+1958; Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 17).  Each
+evaluation starts from the scenario's fixed record of columns and basis.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -144,35 +153,31 @@ def _checked_capacity(net: NetworkInstance, capacity) -> np.ndarray:
     return capacity
 
 
-def routing_cost(net: NetworkInstance, demand: DemandMatrix, capacity) -> float:
-    """Cheapest way to route all demand, renting capacity beyond ``capacity``.
-
-    One commodity per demand-bearing source node; flow on an edge beyond the
-    installed capacity is paid for at the rental price.  Raises when the
-    instance has no rental prices or the LP cannot be certified optimal.
-    Always a cold solve; `scenario_evaluator` re-solves warm.
-    """
-    return _route(net, demand, capacity, None)[0]
-
-
-def _route(net: NetworkInstance, demand: DemandMatrix, capacity,
-           start: LpBasis | str | None) -> tuple[float, LpBasis | None]:
-    """Routing cost and the LP's optimal basis (None when nothing is routed).
-
-    The solve starts from ``start`` when it is a basis, from the
-    shortest-path trees of `_tree_basis` when it is ``"trees"``, and cold
-    when it is None.  The inputs are checked before any start is built.
-    """
+def _checked_routing(net: NetworkInstance, demand: DemandMatrix, capacity) -> np.ndarray:
+    """``capacity`` as floats, once the instance has rental prices, the demand
+    is for its node count and `_checked_capacity` passes; raises otherwise."""
     if net.price_in is None:
         raise ValueError("routing cost needs rental prices on the instance")
     if demand.node_count != net.node_count:
         raise ValueError(f"demand is for {demand.node_count} nodes, the network has {net.node_count}")
-    capacity = _checked_capacity(net, capacity)
+    return _checked_capacity(net, capacity)
+
+
+def routing_cost(net: NetworkInstance, demand: DemandMatrix, capacity) -> float:
+    """Cheapest way to route all demand, renting capacity beyond ``capacity``.
+
+    One commodity per demand-bearing source node, with one conservation row
+    per (source, node); flow on an edge beyond the installed capacity is paid
+    for at the rental price.  Raises when the instance has no rental prices or
+    the LP cannot be certified optimal.  Always a cold solve of this arc-flow
+    LP: the independent check of `scenario_evaluator`'s path-flow evaluation.
+    """
+    capacity = _checked_routing(net, demand, capacity)
     n = net.edge_count
     supply = demand_to_supply(demand)
     sources = [s for s in range(net.node_count) if supply[s, s] > 0]
     if not sources:
-        return 0.0, None
+        return 0.0
     k = net.node_count
     a = incidence(net)
     n_commod = len(sources)
@@ -187,54 +192,125 @@ def _route(net: NetworkInstance, demand: DemandMatrix, capacity,
         a_ub[:, ci * n:(ci + 1) * n] = np.eye(n)
     a_ub[:, n_commod * n:] = -np.eye(n)
     c = np.concatenate([np.tile(net.flow_cost, n_commod), net.price_in])
-    if start == "trees":
-        start = _tree_basis(net, sources)
-    sol = solve_lp(LpProblem(c=c, a_ub=a_ub, b_ub=capacity.copy(), a_eq=a_eq, b_eq=b_eq),
-                   start=start)
+    sol = solve_lp(LpProblem(c=c, a_ub=a_ub, b_ub=capacity.copy(), a_eq=a_eq, b_eq=b_eq))
     if sol.status != LpStatus.OPTIMAL:
         raise RuntimeError(f"routing LP ended with status {sol.status.value}")
-    return sol.value, sol.basis
+    return sol.value
 
 
-def _tree_basis(net: NetworkInstance, sources: Sequence[int]) -> LpBasis | None:
-    """A dual-feasible start for the routing LP that `_route` poses.
+def _shortest_paths(out: list[list[tuple[int, int]]], length: list[float], source: int):
+    """Dijkstra from ``source`` under the edge lengths ``length`` (>= 0), with
+    ``out[u]`` the (head, edge) pairs leaving node u: per node its distance
+    (inf when unreachable) and the edge it is reached by (ties go to the node
+    popped first, by distance then id)."""
+    dist = [math.inf] * len(out)
+    via = [-1] * len(out)
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for v, e in out[u]:
+            if d + length[e] < dist[v]:
+                dist[v], via[v] = d + length[e], e
+                heapq.heappush(heap, (dist[v], v))
+    return dist, via
 
-    Every capacity row keeps its slack basic.  Each commodity keeps its
-    conservation rows except the source's, each on the flow column of the
-    arc that enters that node in a shortest-path tree from the source under
-    ``flow_cost`` (Dijkstra, ties broken by node id).  With the distances d
-    as node prices a tree arc has reduced cost 0, any other arc
-    c_e + d(u) - d(v) >= 0, and a rent column its rental price, so only the
-    capacity rows of overloaded edges start primal infeasible.  None when
-    some node cannot be reached from a source: the trees do not span.
-    """
-    n, k = net.edge_count, net.node_count
-    cost = net.flow_cost.tolist()
-    out: list[list[tuple[int, int]]] = [[] for _ in range(k)]
+
+def _cheapest_paths(net: NetworkInstance, pairs, length: np.ndarray):
+    """Per (source, target) pair, its shortest path under ``length`` as a
+    tuple of edge ids and that path's length; (inf, None) when the target
+    cannot be reached.  One Dijkstra per distinct source."""
+    out: list[list[tuple[int, int]]] = [[] for _ in range(net.node_count)]
     for e, (u, v) in enumerate(net.edges):
         out[u].append((v, e))
-    n_var = len(sources) * n + n
-    rows, cols = list(range(n)), list(range(n_var, n_var + n))
-    for ci, s in enumerate(sources):
-        dist = [np.inf] * k
-        via = [-1] * k
-        dist[s] = 0.0
-        heap = [(0.0, s)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u]:
-                continue
-            for v, e in out[u]:
-                if d + cost[e] < dist[v]:
-                    dist[v], via[v] = d + cost[e], e
-                    heapq.heappush(heap, (dist[v], v))
-        if np.inf in dist:
-            return None
-        for v in range(k):
-            if v != s:
-                rows.append(n + ci * k + v)
-                cols.append(ci * n + via[v])
-    return LpBasis((n + len(sources) * k, n_var + n), np.array(rows), np.array(cols))
+    length = length.tolist()
+    trees = {}
+    found = []
+    for s, t in pairs:
+        if s not in trees:
+            trees[s] = _shortest_paths(out, length, s)
+        dist, via = trees[s]
+        if dist[t] == math.inf:
+            found.append((math.inf, None))
+            continue
+        path, v = [], t
+        while v != s:
+            path.append(via[v])
+            v = net.edges[via[v]][0]
+        found.append((dist[t], tuple(reversed(path))))
+    return found
+
+
+def _path_columns(net: NetworkInstance, pair_row: dict, paths) -> np.ndarray:
+    """The master's columns of ``paths``: 1 on each edge's row and on the row
+    ``pair_row`` gives the path's (first tail, last head)."""
+    columns = np.zeros((net.edge_count + len(pair_row), len(paths)))
+    for j, path in enumerate(paths):
+        columns[list(path), j] = 1.0
+        columns[pair_row[net.edges[path[0]][0], net.edges[path[-1]][1]], j] = 1.0
+    return columns
+
+
+def _route_by_paths(net: NetworkInstance, demand: DemandMatrix, capacity, record):
+    """Routing cost by column generation on the path-flow master LP, and the
+    master's last (paths, basis), None when nothing is routed.
+
+    The master has one flow per path column, then one rent per edge at its
+    rental price; one row per edge, its paths' flows minus its rent at most
+    its capacity, then one row per demand pair, its paths' flows equal to the
+    demand.  By flow decomposition its optimum is `routing_cost`'s (Ford &
+    Fulkerson, *Management Science* 5(1), 1958; Ahuja, Magnanti & Orlin,
+    *Network Flows*, 1993, ch. 17).
+
+    The solve starts from ``record``, a (paths, basis) this function
+    returned; without one, from each pair's shortest path under
+    ``flow_cost``, with every capacity slack basic, which is dual feasible.
+    After each solve, the edge rows' duals u >= 0 and the pair rows' duals
+    sigma price the paths: one Dijkstra per source under flow_cost + u, and
+    each pair's shortest path shorter than its sigma by more than rounding
+    joins the master.  The next solve starts from the last basis, still
+    primal feasible, by primal pivots.  It stops when no path joins.
+    """
+    capacity = _checked_routing(net, demand, capacity)
+    if not demand.triples:
+        return 0.0, None
+    pairs = [(s, t) for s, t, _ in demand.triples]
+    n, k = net.edge_count, len(pairs)
+    if record is None:
+        start = _cheapest_paths(net, pairs, net.flow_cost)
+        if any(path is None for _, path in start):
+            raise RuntimeError("routing LP ended with status infeasible")
+        paths = tuple(path for _, path in start)
+        basis = LpBasis((n + k, k + 2 * n), np.arange(n + k),
+                        np.concatenate([k + n + np.arange(n), np.arange(k)]))
+    else:
+        paths, basis = record
+    pair_row = {pair: n + i for i, pair in enumerate(pairs)}
+    rent = np.vstack([-np.eye(n), np.zeros((k, n))])
+    b_eq = np.array([f for _, _, f in demand.triples])
+    columns = _path_columns(net, pair_row, paths)
+    known = set(paths)
+    while True:
+        a = np.hstack([columns, rent])
+        c = np.concatenate([net.flow_cost @ columns[:n], net.price_in])
+        sol = solve_lp(LpProblem(c=c, a_ub=a[:n], b_ub=capacity, a_eq=a[n:], b_eq=b_eq),
+                       start=basis)
+        if sol.status != LpStatus.OPTIMAL:
+            raise RuntimeError(f"routing LP ended with status {sol.status.value}")
+        u, sigma = sol.duals[:n], sol.duals[n:]
+        priced = _cheapest_paths(net, pairs, net.flow_cost + np.maximum(u, 0.0))
+        new = tuple(path for (length, path), v in zip(priced, sigma)
+                    if length < v - 1e-9 * (1.0 + abs(v)) and path not in known)
+        if not new:
+            return sol.value, (paths, sol.basis)
+        # the new columns go after the old paths, so rents and slacks shift
+        cols = sol.basis.cols + len(new) * (sol.basis.cols >= len(paths))
+        paths += new
+        known.update(new)
+        columns = np.hstack([columns, _path_columns(net, pair_row, new)])
+        basis = LpBasis((n + k, len(paths) + 2 * n), sol.basis.rows, cols)
 
 
 def routing_cost_lipschitz(net: NetworkInstance, norm: Norm) -> float:
@@ -375,14 +451,16 @@ class Scenario:
     """One historical operating point: installed capacities, the demand they
     served, and the realized metric values keyed by metric id.
 
-    ``routing_basis`` is the optimal basis of the routing LP at
-    ``capacity``; `scenario_evaluator` starts every routing solve from it.
+    ``routing_record`` is the path-flow master LP solved at ``capacity``:
+    its path columns, each a tuple of edge ids, and its optimal basis
+    (`_route_by_paths`).  `scenario_evaluator` starts every routing
+    evaluation from it and never changes it.
     """
 
     capacity: np.ndarray
     demand: DemandMatrix
     values: dict[str, float]
-    routing_basis: LpBasis | None = None
+    routing_record: tuple[tuple[tuple[int, ...], ...], LpBasis] | None = None
 
     def __post_init__(self):
         self.capacity = np.asarray(self.capacity, dtype=float)
@@ -420,17 +498,18 @@ def parse_throughput_id(metric_id: str) -> tuple[int, int]:
 def record_scenario(net: NetworkInstance, capacity, demand: DemandMatrix,
                     metrics: Sequence[str], flow_pairs=()) -> Scenario:
     """The scenario at one operating point: its realized metric values, and
-    the basis of the routing LP solved for them.
+    the record of the routing cost's path-flow master LP.
 
-    The routing LP starts from the shortest-path-tree basis of `_tree_basis`,
-    from which dual simplex pivots repair the overloaded edges; it is solved
-    cold when the trees do not span.  `routing_cost` stays cold.
+    The master starts from each pair's shortest path under ``flow_cost``;
+    dual simplex pivots repair the overloaded edges, and pricing adds the
+    paths that lower the cost (`_route_by_paths`).  `routing_cost` stays the
+    cold arc-flow LP.
     """
     values: dict[str, float] = {}
-    basis = None
+    record = None
     for metric in metrics:
         if metric == METRIC_ROUTING:
-            values[METRIC_ROUTING], basis = _route(net, demand, capacity, "trees")
+            values[METRIC_ROUTING], record = _route_by_paths(net, demand, capacity, None)
         elif metric == METRIC_THROUGHPUT:
             for s, t in flow_pairs:
                 values[throughput_metric_id(s, t)] = max_flow(net, capacity, s, t)
@@ -438,18 +517,20 @@ def record_scenario(net: NetworkInstance, capacity, demand: DemandMatrix,
             values[METRIC_CONNECTIVITY] = algebraic_connectivity(capacity_weights(net, capacity))
         else:
             raise ValueError(f"unknown metric {metric!r}")
-    return Scenario(capacity=capacity, demand=demand, values=values, routing_basis=basis)
+    return Scenario(capacity=capacity, demand=demand, values=values, routing_record=record)
 
 
 def scenario_evaluator(net: NetworkInstance, scenario: Scenario, metric_id: str):
     """Callable mapping a capacity vector to the named realized metric.
 
-    Routing cost is re-solved from the scenario's own routing basis, the same
-    start for every capacity, so a value never depends on earlier calls.
+    Routing cost is evaluated by path flows from the scenario's own routing
+    record (from the shortest paths when it has none), the same start for
+    every capacity: the paths one call adds are its own, so a value never
+    depends on earlier calls.
     """
     if metric_id == METRIC_ROUTING:
-        demand, start = scenario.demand, scenario.routing_basis
-        return lambda b: _route(net, demand, b, start)[0]
+        demand, record = scenario.demand, scenario.routing_record
+        return lambda b: _route_by_paths(net, demand, b, record)[0]
     if metric_id.startswith(METRIC_THROUGHPUT + ":"):
         s, t = parse_throughput_id(metric_id)
         return lambda b: max_flow(net, b, s, t)

@@ -159,8 +159,8 @@ def test_default_experiment_draws_are_pinned():
 
 
 def test_warm_routing_equals_cold_routing_cost(monkeypatch):
-    # every scenario's routing evaluator re-solves from the scenario's own
-    # basis; its values must equal the cold routing_cost and must not depend
+    # every scenario's routing evaluator starts from the scenario's own
+    # record; its values must equal the cold routing_cost and must not depend
     # on the order in which capacities are evaluated
     net, _, history = build_experiment(ExperimentConfig())
     rng = np.random.default_rng(2027)
@@ -176,48 +176,76 @@ def test_warm_routing_equals_cold_routing_cost(monkeypatch):
     monkeypatch.setattr(network, "solve_lp", recording)
     warm_pivots = cold_pivots = 0
     for sc in history:
-        assert sc.routing_basis is not None
+        paths, basis = sc.routing_record
         evaluate = network.scenario_evaluator(net, sc, METRIC_ROUTING)
         capacities = [sc.capacity, np.zeros(net.edge_count), 100.0 * sc.capacity]
         capacities += [sc.capacity * scale * rng.uniform(0.9, 1.1, net.edge_count)
                        for scale in (0.5, 0.75, 1.0, 1.25, 1.5)]
-        starts.clear()
         pivots.clear()
-        forward = [evaluate(b) for b in capacities]
-        assert all(start is sc.routing_basis for start in starts)
+        forward = []
+        for b in capacities:
+            starts.clear()
+            forward.append(evaluate(b))
+            assert starts[0] is basis  # then one start per pricing round
         warm_pivots += sum(pivots)
         backward = [evaluate(b) for b in reversed(capacities)][::-1]
         assert [v.hex() for v in forward] == [v.hex() for v in backward]
+        assert sc.routing_record[0] is paths and sc.routing_record[1] is basis
         pivots.clear()
         for b, value in zip(capacities, forward):
             cold = network.routing_cost(net, sc.demand, b)
             assert abs(value - cold) <= 1e-9 * max(1.0, abs(cold)), (value, cold)
         assert starts[-1] is None
         cold_pivots += sum(pivots)
-    assert warm_pivots < cold_pivots / 4
+    assert warm_pivots < cold_pivots / 10  # 774 against 17646
 
 
 def recorded_build(monkeypatch, cfg):
-    """build_experiment(cfg), with each routing solve's problem, start and
-    pivots, and the number of those solves that fell back to phase one."""
-    solve_lp, two_phase = network.solve_lp, lp._two_phase
+    """build_experiment(cfg), with the routing solves of each scenario's
+    record, as (problem, start, pivots), and the number of routing solves
+    that fell back to phase one."""
+    solve_lp, two_phase, route = network.solve_lp, lp._two_phase, network._route_by_paths
     solves, phase_ones = [], []
+
+    def routing(*args):
+        solves.append([])
+        return route(*args)
 
     def recording(problem, max_iters=None, start=None):
         sol = solve_lp(problem, max_iters, start)
-        solves.append((problem, start, sol.iterations))
+        solves[-1].append((problem, start, sol.iterations))
         return sol
 
     def counting(*args):
         phase_ones.append(args)
         return two_phase(*args)
 
+    monkeypatch.setattr(network, "_route_by_paths", routing)
     monkeypatch.setattr(network, "solve_lp", recording)
     monkeypatch.setattr(lp, "_two_phase", counting)
     net, _, history = build_experiment(cfg)
     monkeypatch.undo()
-    assert len(solves) == len(history)  # one routing LP per scenario
+    assert len(solves) == len(history)  # one record per scenario
     return net, history, solves, len(phase_ones)
+
+
+def highs_routing_cost(monkeypatch, net, demand, capacity):
+    """`network.routing_cost` with its arc-flow LP solved by scipy's HiGHS
+    dual simplex: the kernel's cold solves take about 80 s per 20-node
+    experiment, so HiGHS is the reference value there."""
+    optimize = pytest.importorskip("scipy.optimize")
+
+    def highs(problem):
+        ref = optimize.linprog(problem.c, A_ub=problem.a_ub, b_ub=problem.b_ub,
+                               A_eq=problem.a_eq, b_eq=problem.b_eq, method="highs-ds",
+                               options={"primal_feasibility_tolerance": 1e-10,
+                                        "dual_feasibility_tolerance": 1e-10})
+        assert ref.status == 0
+        return lp.LpSolution(lp.LpStatus.OPTIMAL, ref.x, ref.fun, ref.nit)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(network, "solve_lp", highs)
+        return network.routing_cost(net, demand, capacity)
 
 
 @pytest.mark.parametrize("cfg", [pytest.param(ExperimentConfig(seed=s), id=f"default-{s}")
@@ -225,37 +253,61 @@ def recorded_build(monkeypatch, cfg):
                          + [pytest.param(tiny_config(edge_count=n, seed=s), id=f"tiny{n}-{s}")
                             for n in (7, 6) for s in range(10)])
 def test_tree_start_records_the_cold_routing_cost(monkeypatch, cfg):
+    # the path record starts from each pair's shortest path, a start that is
+    # dual feasible, so no solve of any pricing round falls back to phase one
     net, history, solves, fallbacks = recorded_build(monkeypatch, cfg)
     assert fallbacks == 0
-    for sc, (_, start, _) in zip(history, solves):
-        assert start is not None
+    for sc, rounds in zip(history, solves):
+        assert all(start is not None for _, start, _ in rounds)
         cold = network.routing_cost(net, sc.demand, sc.capacity)
         assert abs(sc.values[METRIC_ROUTING] - cold) <= 1e-12 * cold, (sc.values, cold)
 
 
 def test_tree_start_needs_a_quarter_of_the_cold_pivots(monkeypatch):
-    _, _, solves, _ = recorded_build(monkeypatch, ExperimentConfig())
-    tree_pivots = sum(pivots for _, _, pivots in solves)
-    cold_pivots = sum(lp.solve_lp(problem).iterations for problem, _, _ in solves)
-    assert 4 * tree_pivots <= cold_pivots, (tree_pivots, cold_pivots)  # 343 against 2081
+    net, history, solves, _ = recorded_build(monkeypatch, ExperimentConfig())
+    path_pivots = sum(pivots for rounds in solves for _, _, pivots in rounds)
+    cold_pivots = []
+
+    def counting(problem):
+        sol = lp.solve_lp(problem)
+        cold_pivots.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(network, "solve_lp", counting)
+    for sc in history:
+        network.routing_cost(net, sc.demand, sc.capacity)
+    assert 4 * path_pivots <= sum(cold_pivots), (path_pivots, cold_pivots)  # 219 against 2081
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_tree_start_on_a_larger_network_matches_highs(monkeypatch, seed):
-    # the kernel's cold solves take about 80 s per experiment of this size,
-    # so scipy's HiGHS dual simplex is the reference value here
-    optimize = pytest.importorskip("scipy.optimize")
     cfg = ExperimentConfig(node_count=20, edge_count=60, demand_pairs=80, seed=seed)
-    _, history, solves, fallbacks = recorded_build(monkeypatch, cfg)
+    net, history, solves, fallbacks = recorded_build(monkeypatch, cfg)
     assert fallbacks == 0
-    for sc, (problem, start, _) in zip(history, solves):
-        assert start is not None
-        ref = optimize.linprog(problem.c, A_ub=problem.a_ub, b_ub=problem.b_ub,
-                               A_eq=problem.a_eq, b_eq=problem.b_eq, method="highs-ds",
-                               options={"primal_feasibility_tolerance": 1e-10,
-                                        "dual_feasibility_tolerance": 1e-10})
-        assert ref.status == 0
-        assert abs(sc.values[METRIC_ROUTING] - ref.fun) <= 1e-12 * ref.fun, (sc.values, ref.fun)
+    for sc, rounds in zip(history, solves):
+        assert all(start is not None for _, start, _ in rounds)
+        ref = highs_routing_cost(monkeypatch, net, sc.demand, sc.capacity)
+        assert abs(sc.values[METRIC_ROUTING] - ref) <= 1e-12 * ref, (sc.values, ref)
+
+
+def test_path_evaluation_on_a_larger_network_matches_highs(monkeypatch):
+    # above the default 12 nodes: evaluations at jittered capacities from
+    # half to one and a half times a scenario's equal the HiGHS arc-flow
+    # value, and leave the scenario's record as it was
+    net, _, history = build_experiment(ExperimentConfig(node_count=20, edge_count=60,
+                                                        demand_pairs=80))
+    rng = np.random.default_rng(2031)
+    for sc in history:
+        paths, basis = sc.routing_record
+        rows, cols = basis.rows.copy(), basis.cols.copy()
+        evaluate = network.scenario_evaluator(net, sc, METRIC_ROUTING)
+        for scale in (0.5, 0.75, 1.0, 1.25, 1.5):
+            b = sc.capacity * scale * rng.uniform(0.9, 1.1, net.edge_count)
+            value, want = evaluate(b), highs_routing_cost(monkeypatch, net, sc.demand, b)
+            assert abs(value - want) <= 1e-9 * want, (value, want)
+        assert sc.routing_record[0] is paths and sc.routing_record[1] is basis
+        assert basis.shape == (net.edge_count + len(sc.demand), len(paths) + 2 * net.edge_count)
+        assert np.array_equal(basis.rows, rows) and np.array_equal(basis.cols, cols)
 
 
 def test_reference_budget_matches_manual_mean():

@@ -433,14 +433,29 @@ def test_unusable_starts_fall_back_to_the_cold_solve():
     for rows, cols in ((cold.basis.rows.astype(float), cold.basis.cols.astype(float)),
                        (cold.basis.rows[None], cold.basis.cols[None])):
         same_solution(solve_lp(problem, start=LpBasis((2, 5), rows, cols)), cold)
-    # optimal for other costs, so not dual feasible for these; a primal
-    # simplex from it would need 1 pivot where the cold solve needs 11
+
+
+def test_a_primal_feasible_start_runs_the_primal_simplex(monkeypatch):
+    # a basis optimal for other costs on the same constraints is primal
+    # feasible but not dual feasible: primal pivots from it reach the cold
+    # optimum and the cold two-phase solve never runs
     moved = flow_like_problem(np.random.default_rng(0), np.ones(4))
     start = solve_lp(moved).basis
     moved.c = moved.c[::-1].copy()
     cold = solve_lp(moved)
-    assert cold.status == LpStatus.OPTIMAL
-    same_solution(solve_lp(moved, start=start), cold)
+    assert cold.status == LpStatus.OPTIMAL and cold.iterations == 11
+    cases = [(moved, start, cold)]
+    for seed in range(10):
+        rng = np.random.default_rng([23, seed])
+        problem = flow_like_problem(rng, rng.uniform(0.5, 2.0, 4))
+        recosted = replace(problem, c=problem.c * rng.uniform(0.2, 5.0, problem.c.size))
+        cases.append((recosted, solve_lp(problem).basis, solve_lp(recosted)))
+    monkeypatch.setattr(lp, "_two_phase", no_cold_solve)
+    for problem, start, cold in cases:
+        warm = solve_lp(problem, start=start)
+        assert cold.status == warm.status == LpStatus.OPTIMAL
+        assert warm.value == pytest.approx(cold.value, rel=1e-9)
+    assert solve_lp(moved, start=cases[0][1]).iterations == 1
 
 
 def test_warm_start_on_an_infeasible_rhs_reports_infeasible():
@@ -627,6 +642,42 @@ def pinned_lp_records(seed):
         recosted = replace(problem, c=problem.c + rng.normal(0.0, 2.0, problem.c.size))
         recs["recosted"] = lp_record(solve_lp(recosted, start=cold.basis))
     return recs
+
+
+def test_duals_certify_every_pinned_optimum():
+    # the duals of every optimal solve of the pinned LPs, cold and warm:
+    # u >= 0, each reduced cost d = c + a_ubᵀu - a_eqᵀv has the sign its
+    # variable's position between its bounds asks for, complementary
+    # slackness holds at the returned x, and the dual value equals c.x
+    checked = 0
+    for seed in range(200):
+        problem, rng = pinned_lp(seed)
+        cold = solve_lp(problem)
+        if cold.status != LpStatus.OPTIMAL:
+            assert cold.duals is None
+            continue
+        moved = replace(problem, b_ub=problem.b_ub + rng.normal(0.0, 0.5, problem.b_ub.size))
+        recosted = replace(problem, c=problem.c + rng.normal(0.0, 2.0, problem.c.size))
+        for lp_, sol in ((problem, cold), (moved, solve_lp(moved, start=cold.basis)),
+                         (recosted, solve_lp(recosted, start=cold.basis))):
+            if sol.status != LpStatus.OPTIMAL:
+                continue
+            checked += 1
+            m_ub = lp_.a_ub.shape[0]
+            assert sol.duals.shape == (m_ub + lp_.a_eq.shape[0],)
+            u, v = sol.duals[:m_ub], sol.duals[m_ub:]
+            assert np.all(u >= -1e-12)
+            d = lp_.c + lp_.a_ub.T @ u - lp_.a_eq.T @ v
+            x, tol = sol.x, 1e-9 * (1.0 + np.abs(lp_.c).max())
+            at_lower = np.isclose(x, lp_.lower, rtol=0.0, atol=1e-9)
+            at_upper = np.isclose(x, lp_.upper, rtol=0.0, atol=1e-9)
+            assert np.all(d[at_lower & ~at_upper] >= -tol)
+            assert np.all(d[at_upper & ~at_lower] <= tol)
+            assert np.all(np.abs(d[~at_lower & ~at_upper]) <= tol)
+            np.testing.assert_allclose(u * (lp_.b_ub - lp_.a_ub @ x), 0.0, atol=1e-9)
+            dual_value = d @ x - u @ lp_.b_ub + v @ lp_.b_eq
+            assert dual_value == pytest.approx(sol.value, rel=1e-9, abs=1e-9)
+    assert checked > 300
 
 
 def test_kernel_matches_its_bitwise_recording():

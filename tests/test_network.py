@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from caolf import network
+from caolf import lp
 from caolf.geometry import Norm, Sense, dual_norm_value
 from caolf.network import (
     METRIC_CONNECTIVITY,
@@ -196,7 +196,7 @@ CAPACITY_EVALUATORS = {
 @pytest.mark.parametrize("name", sorted(CAPACITY_EVALUATORS))
 def test_evaluators_reject_a_bad_capacity(name):
     net, demand, scenario = one_edge_routing()
-    assert scenario.routing_basis is not None
+    assert scenario.routing_record is not None
     evaluate = CAPACITY_EVALUATORS[name](net, demand, scenario)
     evaluate([2.0])
     for bad in ([-4.0], [np.nan], [np.inf], [-np.inf], [1.0, 1.0], [[1.0]]):
@@ -207,10 +207,13 @@ def test_evaluators_reject_a_bad_capacity(name):
 def test_record_scenario_keeps_the_routing_basis():
     net, demand, scenario = one_edge_routing()
     assert scenario.values == {METRIC_ROUTING: pytest.approx(5.0 + 3.0 * 3.0)}
+    paths, basis = scenario.routing_record
+    assert paths == ((0,),)
     warm = scenario_evaluator(net, scenario, METRIC_ROUTING)
     for cap in (0.0, 2.0, 5.0, 9.0):
         assert warm([cap]) == pytest.approx(routing_cost(net, demand, [cap]), abs=1e-12)
-    assert record_scenario(net, [2.0], demand, (METRIC_CONNECTIVITY,)).routing_basis is None
+    assert scenario.routing_record == (paths, basis)
+    assert record_scenario(net, [2.0], demand, (METRIC_CONNECTIVITY,)).routing_record is None
 
 
 @pytest.mark.parametrize("evaluate", [
@@ -226,16 +229,19 @@ def test_routing_rejects_a_demand_for_another_node_count(evaluate, nodes):
         evaluate(net, DemandMatrix(nodes, ((0, 1, 1.0),)))
 
 
-def test_routing_falls_back_to_the_cold_solve_when_the_trees_do_not_span():
-    # node 3 only sends: no shortest-path tree from 0 or 1 reaches it
+def test_routing_records_the_reachable_pairs_when_the_network_does_not_span(monkeypatch):
+    # node 3 only sends, so nothing reaches it; the path master needs a path
+    # per demand pair only, so these pairs record without the cold solve
     net = NetworkInstance(node_count=4, edges=((0, 1), (1, 2), (2, 0), (3, 0)),
                           flow_cost=np.ones(4), base_capacity=np.ones(4),
                           price_in=np.full(4, 2.0))
-    assert network._tree_basis(net, [0, 1]) is None
     demand = DemandMatrix(4, ((0, 2, 3.0), (1, 0, 1.0)))
+    want = routing_cost(net, demand, np.zeros(4))
+    monkeypatch.setattr(lp, "_two_phase", lambda *args: pytest.fail("fell back to the cold solve"))
     # flows 3, 4, 1 on the cycle's arcs, all rented at 2
     scenario = record_scenario(net, np.zeros(4), demand, (METRIC_ROUTING,))
-    assert scenario.values[METRIC_ROUTING] == 24.0 == routing_cost(net, demand, np.zeros(4))
+    assert scenario.values[METRIC_ROUTING] == 24.0 == want
+    assert scenario.routing_record[0] == ((0, 1), (1, 2))
     with pytest.raises(RuntimeError, match="routing LP ended with status infeasible"):
         record_scenario(net, np.ones(4), DemandMatrix(4, ((0, 3, 3.0),)), (METRIC_ROUTING,))
 

@@ -710,7 +710,8 @@ def test_the_epigraph_lp_always_starts_from_the_slacks(monkeypatch):
 def test_the_epigraph_lp_factorizes_only_what_it_reads(monkeypatch):
     # the all-slack start is B = ±I, so its refactor inverts and solves
     # nothing and keeps no memo, and the final refactor reads only the basic
-    # values, so it solves for B⁻¹b alone; a silent return to the full dense
+    # values, so it solves for B⁻¹b alone, and then for the row prices by one
+    # solve with the block's transpose; a silent return to the full dense
     # solve would keep every answer and lose the speed
     from caolf import lp
     from caolf.bench import ExperimentConfig, build_experiment, reference_budget
@@ -728,7 +729,7 @@ def test_the_epigraph_lp_factorizes_only_what_it_reads(monkeypatch):
         return real_refactor(T, basis, A0, b0, memo)
 
     def solve(a, b):
-        refactors[-1][2].append(b.shape[1])
+        refactors[-1][2].append(b.shape[1] if b.ndim == 2 else 1)
         return real_solve(a, b)
 
     def inv(a):
@@ -746,7 +747,7 @@ def test_the_epigraph_lp_factorizes_only_what_it_reads(monkeypatch):
             solve_caolf(refs, region, SolveConfig(norm=norm))
             start, *_, final = refactors
             assert start[0] > 1 and start[1:] == (False, [], [])
-            assert final[0] == 1 and final[1:] == (False, [1], [])
+            assert final[0] == 1 and final[1:] == (False, [1, 1], [])
 
 
 def test_surrogate_needed_gives_the_certificate_solve_approx_reports():
