@@ -247,9 +247,9 @@ def _path_columns(net: NetworkInstance, pair_row: dict, paths) -> np.ndarray:
     """The master's columns of ``paths``: 1 on each edge's row and on the row
     ``pair_row`` gives the path's (first tail, last head)."""
     columns = np.zeros((net.edge_count + len(pair_row), len(paths)))
-    for j, path in enumerate(paths):
-        columns[list(path), j] = 1.0
-        columns[pair_row[net.edges[path[0]][0], net.edges[path[-1]][1]], j] = 1.0
+    index = np.arange(len(paths))
+    columns[[e for path in paths for e in path], np.repeat(index, [len(p) for p in paths])] = 1.0
+    columns[[pair_row[net.edges[p[0]][0], net.edges[p[-1]][1]] for p in paths], index] = 1.0
     return columns
 
 
