@@ -136,6 +136,10 @@ def test_routing_cost_parallel_edges_prefers_cheap_plus_rental():
 def test_routing_cost_zero_demand_is_free():
     net = single_edge_net()
     assert routing_cost(net, DemandMatrix(2, ()), [1.0]) == 0.0
+    # the path form has no pair to route and keeps no record
+    scenario = record_scenario(net, [1.0], DemandMatrix(2, ()), (METRIC_ROUTING,))
+    assert scenario.values == {METRIC_ROUTING: 0.0} and scenario.routing_record is None
+    assert scenario_evaluator(net, scenario, METRIC_ROUTING)([3.0]) == 0.0
 
 
 def test_routing_cost_monotone_in_capacity():
