@@ -22,21 +22,18 @@ Programming*, ch. 10) then restores primal feasibility in a few pivots
 instead of a cold phase one.  A start that is primal feasible needs no dual
 pivots, so it may also be one that is not dual feasible, for example an
 optimal basis after new columns joined the problem: the primal simplex
-goes on from it.  A start basis keeps the block inverse of its first start
-refactor, so later starts from the same object (as the routing evaluations
-from a recorded scenario basis) invert nothing while their B is exactly the
-same.  Without a start, a problem with no equality
-rows and no negative working cost starts from its all-slack basis, which is
-then dual feasible.  The dual simplex lets the row with the most negative
-basic value leave (Dantzig's rule, ties within rounding going to the lowest
-basic index); that rule can cycle, so after
-``DEGENERATE_RUN_LIMIT`` dual pivots in a row with a zero dual ratio it
-switches to Bland's dual rule for the rest of the phase.
+goes on from it.  Without a start, a problem with no equality rows and no
+negative working cost starts from its all-slack basis, which is then dual
+feasible.  The dual simplex lets the row with the most negative basic value
+leave (Dantzig's rule, ties within rounding going to the lowest basic
+index); that rule can cycle, so after ``DEGENERATE_RUN_LIMIT`` dual pivots
+in a row with a zero dual ratio it switches to Bland's dual rule for the
+rest of the phase.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 
@@ -83,20 +80,12 @@ class LpBasis:
     row per boxed variable (finite lower and upper bound) for its upper
     bound, then the ``a_eq`` rows.  The columns are the working columns (one
     per variable, two per free one: its + then its - part), then one slack
-    per inequality row, in row order.
-
-    The first solve that starts from a basis keeps what its start refactor
-    computed in a private field: B's nonzero positions and values, its
-    singleton split and the inverse of its non-singleton block
-    (`_refactor`).  A later start from the same object whose B is exactly
-    equal reuses them, so its start costs one matrix product; any other B
-    replaces them.
+    per inequality row, in row order.  A solve only reads its start basis.
     """
 
     shape: tuple[int, int]
     rows: np.ndarray
     cols: np.ndarray
-    _inverse: list = field(default_factory=list, init=False, repr=False)
 
 
 @dataclass(eq=False)
@@ -165,7 +154,7 @@ def _split(B):
     return (S, J, s_rows, R) if R.size == J.size else None
 
 
-def _refactor(T, basis, A0, b0, memo=None):
+def _refactor(T, basis, A0, b0):
     """Write B⁻¹[A0 | b0] into ``T``, for B = A0[:, basis], or B⁻¹b0 alone
     when ``T`` has one column; returns B's singleton split (`_split`), or
     None when B is singular or the result is not finite.
@@ -179,21 +168,10 @@ def _refactor(T, basis, A0, b0, memo=None):
     all-slack basis factorizes nothing.  The wide refactor inverts the block
     once and applies the inverse to all of M[R] by one matrix product; B⁻¹b0
     alone is one LU solve.
-
-    ``memo`` is a start basis's private list (`LpBasis`).  It holds at most
-    one entry: B's nonzero positions and values, its singleton split and the
-    block's inverse.  When B equals the stored one exactly, the split and
-    the inverse are reused; otherwise they are computed and replace it.
     """
     B = A0[:, basis]
     wide = T.shape[1] > 1
-    reuse = False
-    if memo is not None:
-        positions = np.flatnonzero(B)
-        values = B.ravel()[positions]
-        reuse = (bool(memo) and memo[0][0] == B.shape and np.array_equal(memo[0][1], positions)
-                 and np.array_equal(memo[0][2], values))
-    split, inverse = memo[0][3:] if reuse else (_split(B), None)
+    split = _split(B)
     if split is None:
         return None
     S, J, s_rows, R = split
@@ -203,17 +181,13 @@ def _refactor(T, basis, A0, b0, memo=None):
     if J.size:
         try:
             if wide:
-                if inverse is None:
-                    inverse = np.linalg.inv(B[np.ix_(R, J)])
-                T[J] = inverse @ T[J]
+                T[J] = np.linalg.inv(B[np.ix_(R, J)]) @ T[J]
             else:
                 T[J] = np.linalg.solve(B[np.ix_(R, J)], T[J])
         except np.linalg.LinAlgError:
             return None
         T[S] -= B[np.ix_(s_rows, J)] @ T[J]
     T[S] /= B[s_rows, S][:, None]
-    if memo is not None and not reuse:
-        memo[:] = [(B.shape, positions, values, split, inverse)]
     return split if np.all(np.isfinite(T)) else None
 
 
@@ -315,19 +289,18 @@ def _run_phase(T, basis, A0, b0, cost, max_iters, counter, choose=_primal_pivot)
             since_refactor = 0
 
 
-def _from_basis(A, b, rows, cols, cost, max_iters, iters, dual_tol=None, memo=None):
+def _from_basis(A, b, rows, cols, cost, max_iters, iters, dual_tol=None):
     """Phase two of ``A[rows] t = b[rows], t >= 0`` from the basic columns ``cols``.
 
     With a ``dual_tol``, dual pivots first restore primal feasibility and must
     end "feasible"; a start that is primal feasible already goes straight to
-    the primal pivots, dual feasible or not.  ``memo`` is passed to the start
-    refactor.  Returns (status, pivots, working values, basis, row prices),
-    the row prices y = c_B B⁻¹ over ``rows``; the last three are None unless
-    the status is "optimal".
+    the primal pivots, dual feasible or not.  Returns (status, pivots,
+    working values, basis, row prices), the row prices y = c_B B⁻¹ over
+    ``rows``; the last three are None unless the status is "optimal".
     """
     A0, b0, basis = A[rows], b[rows], cols.copy()
     T = np.empty((basis.size, A.shape[1] + 1))
-    if _refactor(T, basis, A0, b0, memo) is None:
+    if _refactor(T, basis, A0, b0) is None:
         return "stalled", iters, None, None, None
     status = "feasible"
     if dual_tol is not None:
@@ -459,11 +432,9 @@ def solve_lp(problem: LpProblem, max_iters: int | None = None,
         max_iters = 2000 + 10 * (m + A_std.shape[1] + int(needs_art.sum()))
     cost = np.concatenate([c_t, np.zeros(m_ub)])
 
-    memo = start._inverse if isinstance(start, LpBasis) else None
     if start is None and m == m_ub and np.all(c_t >= 0.0):
         # every slack basic prices every row at 0, so the reduced costs are
-        # the working costs: dual feasible; B = ±I has nothing to invert, so
-        # it keeps no memo
+        # the working costs: dual feasible
         start = LpBasis(A_std.shape, np.arange(m), nt + np.arange(m))
     spent = 0
     if (isinstance(start, LpBasis) and start.shape == A_std.shape
@@ -474,7 +445,7 @@ def solve_lp(problem: LpProblem, max_iters: int | None = None,
             and np.all((start.cols >= 0) & (start.cols < A_std.shape[1]))):
         tol = PRIMAL_TOL * (1.0 + float(np.max(np.abs(b_std[start.rows]), initial=0.0)))
         status, spent, t_vals, basis, y = _from_basis(A_std, b_std, start.rows, start.cols, cost,
-                                                      max_iters, 0, tol, memo)
+                                                      max_iters, 0, tol)
         if status == "optimal":
             sol = finish(t_vals, spent, basis, y)
             if sol.status == LpStatus.OPTIMAL:

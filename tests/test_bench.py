@@ -1,5 +1,6 @@
 """Generator, sweep, and file-format checks for the benchmark harness."""
 
+import dataclasses
 import importlib.util
 import json
 import math
@@ -161,7 +162,9 @@ def test_default_experiment_draws_are_pinned():
 def test_warm_routing_equals_cold_routing_cost(monkeypatch):
     # every scenario's routing evaluator starts from the scenario's own
     # record; its values must equal the cold routing_cost and must not depend
-    # on the order in which capacities are evaluated
+    # on the order in which capacities are evaluated, and evaluating leaves
+    # the record as it was: the basis is a plain value, its arrays read-only
+    assert [f.name for f in dataclasses.fields(lp.LpBasis)] == ["shape", "rows", "cols"]
     net, _, history = build_experiment(ExperimentConfig())
     rng = np.random.default_rng(2027)
     solve_lp = network.solve_lp
@@ -177,6 +180,9 @@ def test_warm_routing_equals_cold_routing_cost(monkeypatch):
     warm_pivots = cold_pivots = 0
     for sc in history:
         paths, basis = sc.routing_record
+        basis.rows.setflags(write=False)
+        basis.cols.setflags(write=False)
+        before = (basis.shape, basis.rows.copy(), basis.cols.copy())
         evaluate = network.scenario_evaluator(net, sc, METRIC_ROUTING)
         capacities = [sc.capacity, np.zeros(net.edge_count), 100.0 * sc.capacity]
         capacities += [sc.capacity * scale * rng.uniform(0.9, 1.1, net.edge_count)
@@ -191,6 +197,9 @@ def test_warm_routing_equals_cold_routing_cost(monkeypatch):
         backward = [evaluate(b) for b in reversed(capacities)][::-1]
         assert [v.hex() for v in forward] == [v.hex() for v in backward]
         assert sc.routing_record[0] is paths and sc.routing_record[1] is basis
+        assert basis.shape == before[0]
+        np.testing.assert_array_equal(basis.rows, before[1])
+        np.testing.assert_array_equal(basis.cols, before[2])
         pivots.clear()
         for b, value in zip(capacities, forward):
             cold = network.routing_cost(net, sc.demand, b)

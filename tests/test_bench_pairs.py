@@ -95,3 +95,18 @@ def test_a_move_from_zero_is_infinite():
     assert summary["ok_frac"]["worse_by"] == float("-inf") and summary["ok_frac"]["within_bound"]
     assert summary["output_sha256"] == {"parent": ["a"], "change": ["a"]}
     assert summary["nonzero_exit"] == {"parent": 0, "change": 0}
+
+
+def test_same_outputs_needs_one_shared_digest_on_both_sides():
+    same = pairs(PARENT[:3], PARENT[:3])
+    assert bench_pairs.summarize(same, METRICS)["same_outputs"]
+    # the change's outputs differ from the parent's
+    assert not bench_pairs.summarize(pairs(PARENT[:3], PARENT[:3], digest="b"), METRICS)["same_outputs"]
+    # both sides agree on the first digest, but one run of each wrote another
+    runs = same + [{"parent": run(1.0, digest="b"), "change": run(1.0, digest="b")}]
+    summary = bench_pairs.summarize(runs, METRICS)
+    assert summary["output_sha256"] == {"parent": ["a", "b"], "change": ["a", "b"]}
+    assert not summary["same_outputs"]
+    # runs without a digest show nothing
+    runs = [{"parent": run(1.0, digest=None), "change": run(1.0, digest=None)}]
+    assert not bench_pairs.summarize(runs, METRICS)["same_outputs"]

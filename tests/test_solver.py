@@ -709,31 +709,31 @@ def test_the_epigraph_lp_always_starts_from_the_slacks(monkeypatch):
 
 def test_the_epigraph_lp_factorizes_only_what_it_reads(monkeypatch):
     # the all-slack start is B = ±I, so its refactor inverts and solves
-    # nothing and keeps no memo, and the final refactor reads only the basic
-    # values, so it solves for B⁻¹b alone, and then for the row prices by one
-    # solve with the block's transpose; a silent return to the full dense
-    # solve would keep every answer and lose the speed
+    # nothing, and the final refactor reads only the basic values, so it
+    # solves for B⁻¹b alone, and then for the row prices by one solve with
+    # the block's transpose; a silent return to the full dense solve would
+    # keep every answer and lose the speed
     from caolf import lp
     from caolf.bench import ExperimentConfig, build_experiment, reference_budget
     from caolf.network import build_metric_refs
     cfg = ExperimentConfig()
     net, _, history = build_experiment(cfg)
     budget = reference_budget(net, history)
-    # per refactor: its T's column count, whether it had a memo, the widths
-    # of the rhs it solved for and the orders of the blocks it inverted
+    # per refactor: its T's column count, the widths of the rhs it solved
+    # for and the orders of the blocks it inverted
     refactors = []
     real_refactor, real_solve, real_inv = lp._refactor, np.linalg.solve, np.linalg.inv
 
-    def refactor(T, basis, A0, b0, memo=None):
-        refactors.append((T.shape[1], memo is not None, [], []))
-        return real_refactor(T, basis, A0, b0, memo)
+    def refactor(T, basis, A0, b0):
+        refactors.append((T.shape[1], [], []))
+        return real_refactor(T, basis, A0, b0)
 
     def solve(a, b):
-        refactors[-1][2].append(b.shape[1] if b.ndim == 2 else 1)
+        refactors[-1][1].append(b.shape[1] if b.ndim == 2 else 1)
         return real_solve(a, b)
 
     def inv(a):
-        refactors[-1][3].append(a.shape[0])
+        refactors[-1][2].append(a.shape[0])
         return real_inv(a)
 
     monkeypatch.setattr(lp, "_refactor", refactor)
@@ -746,8 +746,8 @@ def test_the_epigraph_lp_factorizes_only_what_it_reads(monkeypatch):
             region = FeasibleSet.nonnegative(net.edge_count, [(net.price_pre, mult * budget)])
             solve_caolf(refs, region, SolveConfig(norm=norm))
             start, *_, final = refactors
-            assert start[0] > 1 and start[1:] == (False, [], [])
-            assert final[0] == 1 and final[1:] == (False, [1, 1], [])
+            assert start[0] > 1 and start[1:] == ([], [])
+            assert final[0] == 1 and final[1:] == ([1, 1], [])
 
 
 def test_surrogate_needed_gives_the_certificate_solve_approx_reports():

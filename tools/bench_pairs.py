@@ -14,9 +14,10 @@ that goes first alternates from pair to pair.  T is ``run_seconds`` from
 
 The output file holds every run's final JSON line, ``output_sha256`` and exit
 code.  Each workload's summary lists each side's distinct ``output_sha256``
-values and counts its runs with a nonzero exit code.  Per end-to-end metric,
-with the better direction and the bound taken from ``BENCHMARK.json``, it
-gives:
+values, sets ``same_outputs`` when both sides list exactly one and it is the
+same (a run without a digest never counts), and counts each side's runs with
+a nonzero exit code.  Per end-to-end metric, with the better direction and
+the bound taken from ``BENCHMARK.json``, it gives:
 
 - the median and quartiles of each side, and the number of pairs this
   checkout won (ties count for neither side);
@@ -112,9 +113,12 @@ def relative(move: float, base: float) -> float:
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     """The summary of one workload's pairs for ``metrics``, the
     ``end_to_end`` entries of ``BENCHMARK.json``."""
+    digests = {side: list(dict.fromkeys(p[side]["output_sha256"] for p in pairs))
+               for side in SIDES}
     out = {
-        "output_sha256": {side: list(dict.fromkeys(p[side]["output_sha256"] for p in pairs))
-                          for side in SIDES},
+        "output_sha256": digests,
+        "same_outputs": digests["parent"] == digests["change"] and len(digests["parent"]) == 1
+                        and digests["parent"][0] is not None,
         "nonzero_exit": {side: sum(p[side]["exit_code"] != 0 for p in pairs) for side in SIDES},
     }
     for metric in metrics:
