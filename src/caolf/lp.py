@@ -2,14 +2,20 @@
 
 Self-contained on purpose: the rest of the package needs exact, inspectable
 control over pivoting, statuses, and determinism, and the problems it feeds
-in are desk-scale (hundreds to low thousands of variables).  The primal
+in are desk-scale (hundreds to low thousands of variables).  The tableau
+keeps only the nonbasic columns and the right-hand side, B⁻¹[N | b] (the
+condensed, or Tucker, tableau; Chvatal, *Linear Programming*, 1983): a
+basic column is a unit vector by definition, and in an epigraph LP more
+than half of the columns are basic.  A pivot swaps the entering and the
+leaving variable in place, so tableau order is not standard-form order, and
+every choice among equals goes by the standard-form index.  The primal
 simplex uses Bland's rule for both the entering and the leaving choice, so
 it cannot cycle; the tableau is refactorized from the original data every
 ``REFACTOR_EVERY`` pivots to keep drift bounded.  A refactorization
 factorizes only the basic columns that are not column singletons (most are
 slacks), so the all-slack basis costs no factorization.  It inverts that
-block explicitly and applies the inverse to every column by one matrix
-product; the last refactorization of a solve computes only the basic
+block explicitly and applies the inverse to the nonbasic columns by one
+matrix product; the last refactorization of a solve computes only the basic
 values, B⁻¹b, by an LU solve, and the row prices y = c_B B⁻¹ by one solve
 with the transposed block.  An optimal solution reports them as its row
 duals (`LpSolution.duals`).
@@ -121,23 +127,35 @@ def _as_matrix(a, b, n, label):
     return a, b
 
 
-def _pivot(T, r, basis, row, col):
-    T[row] /= T[row, col]
+def _pivot(T, r, basis, nonbasic, row, k):
+    """Swap tableau column ``k``'s variable into the basis on ``row``.
+
+    The leaving variable takes over column ``k``: its column before the
+    update is the unit vector of ``row``, so after it the column reads
+    -factor/p, with 1/p on ``row``, for the pivot column ``factor`` and its
+    pivot ``p``.  The reduced costs ``r``, unless None, are updated the
+    same way.
+    """
+    factor = T[:, k].copy()
+    p = factor[row]
+    T[:, k] = 0.0
+    T[row, k] = 1.0
+    T[row] /= p
     # Only rows with a nonzero in the pivot column change.  Updating just
     # those pays off when they are few (a cold routing LP's pivot columns are
     # about 23% nonzero, a warm one's 8%); on denser columns, as in the
     # L-infinity epigraph LP, gathering the rows costs more than it saves.
-    rows = np.nonzero(T[:, col])[0]
+    rows = np.nonzero(factor)[0]
     if 2 * rows.size < T.shape[0]:
         rows = rows[rows != row]
-        T[rows] -= np.outer(T[rows, col], T[row])
+        T[rows] -= np.outer(factor[rows], T[row])
     else:
-        factor = T[:, col].copy()
         factor[row] = 0.0
         T -= np.outer(factor, T[row])
     if r is not None:
-        r -= r[col] * T[row, :-1]
-    basis[row] = col
+        rk, r[k] = r[k], 0.0
+        r -= rk * T[row, :-1]
+    basis[row], nonbasic[k] = nonbasic[k], basis[row]
 
 
 def _split(B):
@@ -154,20 +172,21 @@ def _split(B):
     return (S, J, s_rows, R) if R.size == J.size else None
 
 
-def _refactor(T, basis, A0, b0):
-    """Write B⁻¹[A0 | b0] into ``T``, for B = A0[:, basis], or B⁻¹b0 alone
-    when ``T`` has one column; returns B's singleton split (`_split`), or
-    None when B is singular or the result is not finite.
+def _refactor(T, basis, nonbasic, A0, b0):
+    """Write B⁻¹[A0[:, nonbasic] | b0] into ``T``, for B = A0[:, basis], or
+    B⁻¹b0 alone when ``T`` has one column; returns B's singleton split
+    (`_split`), or None when B is singular or the result is not finite.
 
     A basic column s with a single nonzero (every slack, and the odd
     structural column) is absent from every row but its own.  So only the
     block B[R, J] of the rows R no such singleton covers and the other basic
     columns J is factorized, and each singleton's row of the result follows
     from its own row of B by one substitution, (M_s - B[s, J] X_J) / B[s, s]
-    for M = [A0 | b0] (Suhl & Suhl, *ORSA J. Computing* 2(4), 1990).  The
-    all-slack basis factorizes nothing.  The wide refactor inverts the block
-    once and applies the inverse to all of M[R] by one matrix product; B⁻¹b0
-    alone is one LU solve.
+    for M = [A0[:, nonbasic] | b0] (Suhl & Suhl, *ORSA J. Computing* 2(4),
+    1990).  The all-slack basis factorizes nothing.  The wide refactor
+    inverts the block once and applies the inverse to all of M[R] by one
+    matrix product; B⁻¹b0 alone is one LU solve.  The basic columns are
+    not written: B⁻¹B is the identity.
     """
     B = A0[:, basis]
     wide = T.shape[1] > 1
@@ -177,7 +196,7 @@ def _refactor(T, basis, A0, b0):
     S, J, s_rows, R = split
     T[J, -1], T[S, -1] = b0[R], b0[s_rows]
     if wide:
-        T[J, :-1], T[S, :-1] = A0[R], A0[s_rows]
+        T[J, :-1], T[S, :-1] = A0[np.ix_(R, nonbasic)], A0[np.ix_(s_rows, nonbasic)]
     if J.size:
         try:
             if wide:
@@ -212,33 +231,34 @@ def _row_prices(A0, basis, split, cost_b):
     return y if np.all(np.isfinite(y)) else None
 
 
-def _reduced_costs(cost, basis, T):
-    r = cost - cost[basis] @ T[:, :-1]
-    r[basis] = 0.0
-    return r
+def _reduced_costs(cost, basis, nonbasic, T):
+    """The reduced costs of the tableau's columns, in tableau order: those
+    of the variables ``nonbasic`` names (every basic variable's is 0)."""
+    return cost[nonbasic] - cost[basis] @ T[:, :-1]
 
 
-def _primal_pivot(T, r, basis):
-    """Bland's rule: the first improving column, the lowest basic index on ratio ties."""
+def _primal_pivot(T, r, basis, nonbasic):
+    """Bland's rule: the improving column of lowest standard-form index, the
+    lowest basic index on ratio ties."""
     negative = np.nonzero(r < -REDUCED_COST_TOL)[0]
     if negative.size == 0:
         return "optimal"
-    j = int(negative[0])
-    col = T[:, j]
+    k = int(negative[np.argmin(nonbasic[negative])])
+    col = T[:, k]
     rows = np.nonzero(col > 1e-9)[0]
     if rows.size == 0:
         return "unbounded"
     ratios = np.maximum(T[rows, -1], 0.0) / col[rows]
     rmin = float(ratios.min())
     tied = rows[ratios <= rmin + 1e-9 * (1.0 + rmin)]
-    return int(tied[np.argmin(basis[tied])]), j
+    return int(tied[np.argmin(basis[tied])]), k
 
 
-def _dual_pivot(T, r, basis, tol, run):
+def _dual_pivot(T, r, basis, nonbasic, tol, run):
     """Dantzig's dual rule: the row with the most negative basic value leaves,
     the lowest basic index among values within rounding of that minimum (so
     that values equal in exact arithmetic do not choose by their last bits),
-    and the lowest column index among the minimum ratios enters.
+    and the lowest standard-form index among the minimum ratios enters.
 
     ``run[0]`` counts the phase's zero-ratio (degenerate) pivots in a row;
     once it reaches ``DEGENERATE_RUN_LIMIT`` it stays there, and the
@@ -262,55 +282,66 @@ def _dual_pivot(T, r, basis, tol, run):
     rmin = float(ratios.min())
     if not bland:
         run[0] = run[0] + 1 if rmin == 0.0 else 0
-    return row, int(cols[np.argmax(ratios <= rmin + 1e-9 * (1.0 + rmin))])
+    tied = cols[ratios <= rmin + 1e-9 * (1.0 + rmin)]
+    return row, int(tied[np.argmin(nonbasic[tied])])
 
 
-def _run_phase(T, basis, A0, b0, cost, max_iters, counter, choose=_primal_pivot):
+def _complement(basis, n):
+    """The columns of ``range(n)`` not in ``basis``, ascending."""
+    nonbasic = np.ones(n, dtype=bool)
+    nonbasic[basis] = False
+    return np.flatnonzero(nonbasic)
+
+
+def _run_phase(T, basis, nonbasic, A0, b0, cost, max_iters, counter, choose=_primal_pivot):
     """Simplex iterations on tableau ``T`` with the pivot rule ``choose``.
 
-    ``choose`` returns a (row, column) pivot or a final status; returns
-    (status, counter), "stalled" once ``max_iters`` pivots are counted.
+    ``choose`` returns a (row, tableau column) pivot or a final status;
+    returns (status, counter), "stalled" once ``max_iters`` pivots are
+    counted.
     """
-    r = _reduced_costs(cost, basis, T)
+    r = _reduced_costs(cost, basis, nonbasic, T)
     since_refactor = 0
     while True:
-        step = choose(T, r, basis)
+        step = choose(T, r, basis, nonbasic)
         if isinstance(step, str):
             return step, counter
-        _pivot(T, r, basis, *step)
+        _pivot(T, r, basis, nonbasic, *step)
         counter += 1
         since_refactor += 1
         if counter >= max_iters:
             return "stalled", counter
         if since_refactor >= REFACTOR_EVERY:
-            if _refactor(T, basis, A0, b0) is None:
+            if _refactor(T, basis, nonbasic, A0, b0) is None:
                 return "stalled", counter
-            r = _reduced_costs(cost, basis, T)
+            r = _reduced_costs(cost, basis, nonbasic, T)
             since_refactor = 0
 
 
 def _from_basis(A, b, rows, cols, cost, max_iters, iters, dual_tol=None):
     """Phase two of ``A[rows] t = b[rows], t >= 0`` from the basic columns ``cols``.
 
-    With a ``dual_tol``, dual pivots first restore primal feasibility and must
+    The tableau holds B⁻¹ times the other columns, ascending at the start,
+    and b.  With a ``dual_tol``, dual pivots first restore primal feasibility and must
     end "feasible"; a start that is primal feasible already goes straight to
     the primal pivots, dual feasible or not.  Returns (status, pivots,
     working values, basis, row prices), the row prices y = c_B B⁻¹ over
     ``rows``; the last three are None unless the status is "optimal".
     """
     A0, b0, basis = A[rows], b[rows], cols.copy()
-    T = np.empty((basis.size, A.shape[1] + 1))
-    if _refactor(T, basis, A0, b0) is None:
+    nonbasic = _complement(basis, A.shape[1])
+    T = np.empty((basis.size, nonbasic.size + 1))
+    if _refactor(T, basis, nonbasic, A0, b0) is None:
         return "stalled", iters, None, None, None
     status = "feasible"
     if dual_tol is not None:
-        status, iters = _run_phase(T, basis, A0, b0, cost, max_iters, iters,
+        status, iters = _run_phase(T, basis, nonbasic, A0, b0, cost, max_iters, iters,
                                    partial(_dual_pivot, tol=dual_tol, run=[0]))
     if status == "feasible":
-        status, iters = _run_phase(T, basis, A0, b0, cost, max_iters, iters)
+        status, iters = _run_phase(T, basis, nonbasic, A0, b0, cost, max_iters, iters)
     y = None
     if status == "optimal":
-        split = _refactor(T[:, -1:], basis, A0, b0)  # B⁻¹b alone
+        split = _refactor(T[:, -1:], basis, nonbasic, A0, b0)  # B⁻¹b alone
         if split is not None:
             y = _row_prices(A0, basis, split, cost[basis])
         if y is None:
@@ -469,23 +500,27 @@ def _two_phase(A_std, b_std, needs_art, nt, cost, max_iters):
     basis = nt + np.arange(m)
     A0[art_rows, art_off + np.arange(art_rows.size)] = 1.0
     basis[art_rows] = art_off + np.arange(art_rows.size)
-    T = np.c_[A0, b_std]
+    nonbasic = _complement(basis, A0.shape[1])
+    T = np.c_[A0[:, nonbasic], b_std]  # B = I
 
     cost1 = np.zeros(A0.shape[1])
     cost1[art_off:] = 1.0
-    status, iters = _run_phase(T, basis, A0, b_std, cost1, max_iters, 0)
+    status, iters = _run_phase(T, basis, nonbasic, A0, b_std, cost1, max_iters, 0)
     if status == "stalled" or status == "unbounded":
         return "stalled", iters, None, None, None
     art_total = float(np.sum(T[basis >= art_off, -1], initial=0.0))
     if art_total > 1e-7 * (1.0 + float(np.max(b_std, initial=0.0))):
         return "infeasible", iters, None, None, None
 
-    # Drive leftover artificials out of the basis; a row with no eligible
+    # Drive leftover artificials out of the basis by the column of largest
+    # |entry|, the lowest standard-form index on ties; a row with no eligible
     # pivot is linearly dependent on the others and is dropped.
     for i in np.nonzero(basis >= art_off)[0]:
-        j = int(np.argmax(np.abs(T[i, :art_off])))
-        if abs(T[i, j]) > 1e-8:
-            _pivot(T, None, basis, i, j)
+        size = np.where(nonbasic < art_off, np.abs(T[i, :-1]), 0.0)
+        tied = np.nonzero(size == size.max())[0]
+        k = int(tied[np.argmin(nonbasic[tied])])
+        if size[k] > 1e-8:
+            _pivot(T, None, basis, nonbasic, i, k)
     keep = np.nonzero(basis < art_off)[0]
     del T, A0  # phase two builds its own tableau; free this one first
     return _from_basis(A_std, b_std, keep, basis[keep], cost, max_iters, iters)

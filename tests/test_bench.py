@@ -390,6 +390,29 @@ def test_run_sweep_gamma_shrinks_with_budget():
     assert gammas[1] <= gammas[0] + 1e-5
 
 
+def test_default_sweep_gamma_is_convex_and_nonincreasing_in_the_budget():
+    # a larger budget only widens the region, and (x, gamma, budget) range
+    # over one convex set, so each norm's optimal gamma is a nonincreasing
+    # convex function of the budget: in ascending budget its secant slopes
+    # never fall, to the solve's tolerance
+    cfg = ExperimentConfig()
+    gammas = {}
+    for r in run_sweep(cfg):
+        gammas.setdefault(r.norm, {})[r.budget_mult] = r.gamma
+    mults = sorted(cfg.budget_multipliers)
+    assert set(gammas) == set(cfg.norms)
+    for norm, by_mult in gammas.items():
+        g = np.array([by_mult[m] for m in mults])
+        assert not np.any(np.isnan(g)), norm
+        tol = cfg.gamma_tolerance * np.maximum(1.0, g)
+        assert np.all(np.diff(g) <= tol[:-1]), norm
+        # g[i] at most the chord of its neighbours, that is, the slope from
+        # i - 1 to i at most the slope from i to i + 1
+        m = np.array(mults)
+        chord = ((m[2:] - m[1:-1]) * g[:-2] + (m[1:-1] - m[:-2]) * g[2:]) / (m[2:] - m[:-2])
+        assert np.all(g[1:-1] <= chord + tol[1:-1]), norm
+
+
 def test_run_sweep_rows_meet_their_envelope():
     # every cell solves, and each realized metric keeps to its cell's gamma:
     # routing cost at most (1 + gamma) times the recorded value, the maximized

@@ -173,24 +173,38 @@ def test_input_validation():
 
 
 def test_pivot_matches_the_dense_rank_one_update():
-    # _pivot updates only the rows with a nonzero in the pivot column when
-    # they are few; either way the tableau must equal the dense update
+    # _pivot keeps only the nonbasic columns and updates only the rows with a
+    # nonzero in the pivot column when they are few; either way its tableau
+    # must equal the nonbasic columns of the dense update of the full
+    # tableau, whose basic columns are unit vectors, and the leaving
+    # variable's column must read -factor/p with 1/p on the pivot row
     rng = np.random.default_rng(19)
     for density in (0.1, 0.3, 0.6, 1.0):
-        T = rng.normal(size=(40, 61)) * (rng.random((40, 61)) < density)
+        basis = rng.permutation(100)[:40]
+        nonbasic = rng.permutation(np.setdiff1d(np.arange(100), basis))
+        full = np.zeros((40, 101))
+        full[:, basis] = np.eye(40)
+        full[:, nonbasic] = rng.normal(size=(40, 60)) * (rng.random((40, 60)) < density)
+        full[:, -1] = rng.uniform(0.0, 2.0, 40)
+        r_full = rng.normal(size=100)
+        r_full[basis] = 0.0
+        T, r = full[:, np.append(nonbasic, 100)], r_full[nonbasic]
         row = 3
-        col = int(np.argmax(np.abs(T[row, :-1]) > 0))
-        r = rng.normal(size=60)
-        want = T.copy()
+        k = int(np.argmax(np.abs(T[row, :-1]) > 0))
+        col, leaving, factor = nonbasic[k], basis[row], T[:, k].copy()
+        want = full.copy()
         want[row] /= want[row, col]
-        factor = want[:, col].copy()
-        factor[row] = 0.0
-        want -= np.outer(factor, want[row])
-        want_r = r - r[col] * want[row, :-1]
-        basis = np.arange(40)
-        _pivot(T, r, basis, row, col)
-        assert np.array_equal(T, want) and np.array_equal(r, want_r)
-        assert basis[row] == col
+        dense = want[:, col].copy()
+        dense[row] = 0.0
+        want -= np.outer(dense, want[row])
+        want_r = r_full - r_full[col] * want[row, :-1]
+        _pivot(T, r, basis, nonbasic, row, k)
+        assert basis[row] == col and nonbasic[k] == leaving
+        assert np.array_equal(T, want[:, np.append(nonbasic, 100)])
+        assert np.array_equal(r, want_r[nonbasic])
+        leaving_col = -factor * (1.0 / factor[row])
+        leaving_col[row] = 1.0 / factor[row]
+        assert np.array_equal(T[:, k], leaving_col)
 
 
 def sparse_standard_form(rng, m=30, n=40, density=0.08):
@@ -216,16 +230,21 @@ def singletons(A0, basis):
     return int(np.sum(np.count_nonzero(A0[:, basis], axis=0) == 1))
 
 
-def refactored(A0, b0, basis, columns=None):
-    T = np.full((basis.size, columns or A0.shape[1] + 1), np.nan)
-    assert lp._refactor(T, basis, A0, b0)
+def refactored(A0, b0, basis, nonbasic, columns=None):
+    T = np.full((basis.size, columns or nonbasic.size + 1), np.nan)
+    assert lp._refactor(T, basis, nonbasic, A0, b0)
     return T
+
+
+def shuffled_nonbasic(rng, A0, basis):
+    return rng.permutation(np.setdiff1d(np.arange(A0.shape[1]), basis))
 
 
 def test_refactor_matches_the_dense_solve():
     # only the block of the basis that is not a column singleton is
-    # factorized; the result must still be the full B⁻¹[A0 | b0], and a
-    # one-column T must hold its last column, B⁻¹b0
+    # factorized; the result must still be B⁻¹[A0[:, nonbasic] | b0], in
+    # the order of ``nonbasic``, and a one-column T must hold its last
+    # column, B⁻¹b0
     rng = np.random.default_rng(23)
     seen = set()
     for trial in range(40):
@@ -234,11 +253,12 @@ def test_refactor_matches_the_dense_solve():
         basis = dominant_basis(rng, A0, structural, 30)
         k = singletons(A0, basis)
         seen.add("all slack" if k == 30 and structural == 0 else "none" if k == 0 else "mixed")
-        want = np.linalg.solve(A0[:, basis], np.c_[A0, b0])
-        T = refactored(A0, b0, basis)
+        nonbasic = shuffled_nonbasic(rng, A0, basis)
+        want = np.linalg.solve(A0[:, basis], np.c_[A0[:, nonbasic], b0])
+        T = refactored(A0, b0, basis, nonbasic)
         np.testing.assert_allclose(T, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
-        np.testing.assert_allclose(refactored(A0, b0, basis, 1)[:, 0], T[:, -1], rtol=1e-12,
-                                   atol=1e-12 * np.abs(want).max())
+        np.testing.assert_allclose(refactored(A0, b0, basis, nonbasic, 1)[:, 0], T[:, -1],
+                                   rtol=1e-12, atol=1e-12 * np.abs(want).max())
     assert seen == {"all slack", "mixed", "none"}
 
 
@@ -254,26 +274,28 @@ def test_refactor_substitutes_a_structural_singleton():
     A0[basis[pos] - 40, col] = -2.5
     basis[pos] = col
     assert np.count_nonzero(A0[:, col]) == 1 and 20 <= singletons(A0, basis) < 30
-    want = np.linalg.solve(A0[:, basis], np.c_[A0, b0])
-    np.testing.assert_allclose(refactored(A0, b0, basis), want, rtol=1e-12,
+    nonbasic = shuffled_nonbasic(rng, A0, basis)
+    want = np.linalg.solve(A0[:, basis], np.c_[A0[:, nonbasic], b0])
+    np.testing.assert_allclose(refactored(A0, b0, basis, nonbasic), want, rtol=1e-12,
                                atol=1e-12 * np.abs(want).max())
 
 
 def test_refactor_reports_a_singular_basis():
     A0, b0 = sparse_standard_form(np.random.default_rng(31))
-    T = np.empty((30, A0.shape[1] + 1))
     # two singletons on one row: a structural column whose one nonzero is on
     # row 4, whose slack is basic too
     A0[:, 0] = 0.0
     A0[4, 0] = 3.0
     basis = 40 + np.arange(30)
     basis[7] = 0
-    assert not lp._refactor(T, basis, A0, b0)
+    nonbasic = np.setdiff1d(np.arange(A0.shape[1]), basis)
+    T = np.empty((30, nonbasic.size + 1))
+    assert not lp._refactor(T, basis, nonbasic, A0, b0)
     # a singular block left after the singletons: the one structural column
     # has its nonzeros only on rows the slacks cover, so it is 0 on row 7
     A0[[2, 9], 0] = [1.0, -1.0]
     assert np.count_nonzero(A0[:, 0]) == 3
-    assert not lp._refactor(T, basis, A0, b0)
+    assert not lp._refactor(T, basis, nonbasic, A0, b0)
 
 
 # ---------------------------------------------------------------------------
@@ -487,13 +509,21 @@ def test_the_dual_rule_breaks_rounding_ties_by_the_lowest_basic_index():
     # clearly less negative, stays although its basic index is lowest
     value = -5.089141011569011
     T = np.zeros((3, 9))
-    T[:, 0] = -1.0  # nonbasic column 0 can enter on every row
+    T[:, 0] = -1.0  # tableau column 0 can enter on every row
     T[:, -1] = [np.nextafter(np.nextafter(value, -np.inf), -np.inf), value, value / 2]
     assert T[0, -1] < T[1, -1]
     basis, r = np.array([7, 4, 1]), np.zeros(8)
-    assert lp._dual_pivot(T, r, basis, 1e-9, [0]) == (1, 0)
+    nonbasic = np.array([0, 2, 3, 5, 6, 8, 9, 10])
+    assert lp._dual_pivot(T, r, basis, nonbasic, 1e-9, [0]) == (1, 0)
     # Bland's dual rule takes the lowest basic index among all infeasible rows
-    assert lp._dual_pivot(T, r, basis, 1e-9, [lp.DEGENERATE_RUN_LIMIT]) == (2, 0)
+    assert lp._dual_pivot(T, r, basis, nonbasic, 1e-9, [lp.DEGENERATE_RUN_LIMIT]) == (2, 0)
+    # tableau columns 0 and 3 tie at ratio 0; after earlier pivots tableau
+    # order need not be standard-form order, and the lower standard-form
+    # index enters, here tableau column 3's
+    T[:, 3] = -1.0
+    assert lp._dual_pivot(T, r, basis, nonbasic, 1e-9, [0]) == (1, 0)
+    nonbasic = np.array([10, 0, 2, 3, 5, 6, 8, 9])
+    assert lp._dual_pivot(T, r, basis, nonbasic, 1e-9, [0]) == (1, 3)
 
 
 def test_a_long_degenerate_run_hands_over_to_blands_dual_rule(monkeypatch):
@@ -506,9 +536,9 @@ def test_a_long_degenerate_run_hands_over_to_blands_dual_rule(monkeypatch):
     runs = []
     dantzig = lp._dual_pivot
 
-    def spy(T, r, basis, tol, run):
+    def spy(T, r, basis, nonbasic, tol, run):
         runs.append(run)
-        return dantzig(T, r, basis, tol, run)
+        return dantzig(T, r, basis, nonbasic, tol, run)
 
     monkeypatch.setattr(lp, "_dual_pivot", spy)
     monkeypatch.setattr(lp, "_two_phase", no_cold_solve)

@@ -709,31 +709,33 @@ def test_the_epigraph_lp_always_starts_from_the_slacks(monkeypatch):
 
 def test_the_epigraph_lp_factorizes_only_what_it_reads(monkeypatch):
     # the all-slack start is B = ±I, so its refactor inverts and solves
-    # nothing, and the final refactor reads only the basic values, so it
+    # nothing and writes only the working columns, which are its nonbasic
+    # ones, and b; the final refactor reads only the basic values, so it
     # solves for B⁻¹b alone, and then for the row prices by one solve with
-    # the block's transpose; a silent return to the full dense solve would
-    # keep every answer and lose the speed
+    # the block's transpose; a silent return to the full tableau or the full
+    # dense solve would keep every answer and lose the speed
     from caolf import lp
     from caolf.bench import ExperimentConfig, build_experiment, reference_budget
     from caolf.network import build_metric_refs
     cfg = ExperimentConfig()
     net, _, history = build_experiment(cfg)
     budget = reference_budget(net, history)
-    # per refactor: its T's column count, the widths of the rhs it solved
-    # for and the orders of the blocks it inverted
+    # per refactor: its T's column count, the standard form's working column
+    # count (the epigraph LP has inequality rows only, one slack each), the
+    # widths of the rhs it solved for and the orders of the blocks it inverted
     refactors = []
     real_refactor, real_solve, real_inv = lp._refactor, np.linalg.solve, np.linalg.inv
 
-    def refactor(T, basis, A0, b0):
-        refactors.append((T.shape[1], [], []))
-        return real_refactor(T, basis, A0, b0)
+    def refactor(T, basis, nonbasic, A0, b0):
+        refactors.append((T.shape[1], A0.shape[1] - A0.shape[0], [], []))
+        return real_refactor(T, basis, nonbasic, A0, b0)
 
     def solve(a, b):
-        refactors[-1][1].append(b.shape[1] if b.ndim == 2 else 1)
+        refactors[-1][2].append(b.shape[1] if b.ndim == 2 else 1)
         return real_solve(a, b)
 
     def inv(a):
-        refactors[-1][2].append(a.shape[0])
+        refactors[-1][3].append(a.shape[0])
         return real_inv(a)
 
     monkeypatch.setattr(lp, "_refactor", refactor)
@@ -746,8 +748,43 @@ def test_the_epigraph_lp_factorizes_only_what_it_reads(monkeypatch):
             region = FeasibleSet.nonnegative(net.edge_count, [(net.price_pre, mult * budget)])
             solve_caolf(refs, region, SolveConfig(norm=norm))
             start, *_, final = refactors
-            assert start[0] > 1 and start[1:] == ([], [])
-            assert final[0] == 1 and final[1:] == ([1, 1], [])
+            assert start[0] == start[1] + 1 and start[2:] == ([], [])
+            assert final[0] == 1 and final[2:] == ([1, 1], [])
+
+
+def test_the_epigraph_lp_optimum_carries_a_dual_certificate(monkeypatch):
+    # every L1 and LINF epigraph LP of the default sweep and of the pinned
+    # instances: its duals u >= 0 and reduced costs d = c + a_ubᵀu have the
+    # signs an optimum asks for (d >= 0 on a coordinate with a lower bound,
+    # d = 0 on a free one), complementary slackness holds, and the dual
+    # value -u.b_ub + d.lower equals the LP value
+    from caolf import solver
+    from caolf.bench import ExperimentConfig, run_sweep
+    solves = []
+    real_solve_lp = solver.solve_lp
+
+    def spy(problem):
+        sol = real_solve_lp(problem)
+        solves.append((problem, sol))
+        return sol
+
+    monkeypatch.setattr(solver, "solve_lp", spy)
+    run_sweep(ExperimentConfig(norms=(Norm.L1, Norm.LINF)))
+    for seed in range(3):
+        refs, _, region = pinned_instance(seed)
+        for norm in (Norm.L1, Norm.LINF):
+            solve_caolf(refs, region, SolveConfig(norm=norm))
+    assert len(solves) == 2 * len(ExperimentConfig().budget_multipliers) + 6
+    for problem, sol in solves:
+        u, x, lower = sol.duals, sol.x, problem.lower
+        assert u.shape == problem.b_ub.shape and np.all(u >= -1e-12)
+        d = problem.c + problem.a_ub.T @ u
+        bounded = np.isfinite(lower)
+        assert np.all(d[bounded] >= -1e-9) and np.all(np.abs(d[~bounded]) <= 1e-9)
+        np.testing.assert_allclose(u * (problem.b_ub - problem.a_ub @ x), 0.0, atol=1e-9)
+        np.testing.assert_allclose(d[bounded] * (x - lower)[bounded], 0.0, atol=1e-9)
+        dual_value = -u @ problem.b_ub + d[bounded] @ lower[bounded]
+        assert abs(dual_value - sol.value) <= 1e-9 * max(1.0, abs(sol.value))
 
 
 def test_surrogate_needed_gives_the_certificate_solve_approx_reports():
