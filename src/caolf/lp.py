@@ -130,11 +130,10 @@ def _as_matrix(a, b, n, label):
 def _pivot(T, r, basis, nonbasic, row, k):
     """Swap tableau column ``k``'s variable into the basis on ``row``.
 
-    The leaving variable takes over column ``k``: its column before the
-    update is the unit vector of ``row``, so after it the column reads
-    -factor/p, with 1/p on ``row``, for the pivot column ``factor`` and its
-    pivot ``p``.  The reduced costs ``r``, unless None, are updated the
-    same way.
+    The leaving variable takes over column ``k`` as the unit vector of
+    ``row``, so after the update it reads -factor/p, with 1/p on ``row``,
+    for the pivot column ``factor`` and pivot ``p``; ``r``, unless None,
+    follows the same way.
     """
     factor = T[:, k].copy()
     p = factor[row]
@@ -196,7 +195,8 @@ def _refactor(T, basis, nonbasic, A0, b0):
     S, J, s_rows, R = split
     T[J, -1], T[S, -1] = b0[R], b0[s_rows]
     if wide:
-        T[J, :-1], T[S, :-1] = A0[np.ix_(R, nonbasic)], A0[np.ix_(s_rows, nonbasic)]
+        N = A0[:, nonbasic]
+        T[J, :-1], T[S, :-1] = N[R], N[s_rows]
     if J.size:
         try:
             if wide:
@@ -321,12 +321,13 @@ def _run_phase(T, basis, nonbasic, A0, b0, cost, max_iters, counter, choose=_pri
 def _from_basis(A, b, rows, cols, cost, max_iters, iters, dual_tol=None):
     """Phase two of ``A[rows] t = b[rows], t >= 0`` from the basic columns ``cols``.
 
-    The tableau holds B⁻¹ times the other columns, ascending at the start,
-    and b.  With a ``dual_tol``, dual pivots first restore primal feasibility and must
-    end "feasible"; a start that is primal feasible already goes straight to
-    the primal pivots, dual feasible or not.  Returns (status, pivots,
-    working values, basis, row prices), the row prices y = c_B B⁻¹ over
-    ``rows``; the last three are None unless the status is "optimal".
+    The tableau holds B⁻¹ times the other columns, in ascending order at the
+    start, and B⁻¹b.  With a ``dual_tol``, dual pivots first restore primal
+    feasibility and must end "feasible"; a start that is primal feasible
+    already goes straight to the primal pivots, dual feasible or not.
+    Returns (status, pivots, working values, basis, row prices), the row
+    prices y = c_B B⁻¹ over ``rows``; the last three are None unless the
+    status is "optimal".
     """
     A0, b0, basis = A[rows], b[rows], cols.copy()
     nonbasic = _complement(basis, A.shape[1])
@@ -516,10 +517,10 @@ def _two_phase(A_std, b_std, needs_art, nt, cost, max_iters):
     # |entry|, the lowest standard-form index on ties; a row with no eligible
     # pivot is linearly dependent on the others and is dropped.
     for i in np.nonzero(basis >= art_off)[0]:
-        size = np.where(nonbasic < art_off, np.abs(T[i, :-1]), 0.0)
-        tied = np.nonzero(size == size.max())[0]
+        magnitude = np.where(nonbasic < art_off, np.abs(T[i, :-1]), 0.0)
+        tied = np.nonzero(magnitude == magnitude.max())[0]
         k = int(tied[np.argmin(nonbasic[tied])])
-        if size[k] > 1e-8:
+        if magnitude[k] > 1e-8:
             _pivot(T, None, basis, nonbasic, i, k)
     keep = np.nonzero(basis < art_off)[0]
     del T, A0  # phase two builds its own tableau; free this one first
