@@ -123,10 +123,9 @@ class RefGeometry:
         return self.x_ref.size
 
 
-def harm(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, eff: np.ndarray) -> np.ndarray:
-    """Per-coordinate distance of ``x`` out of the safe box [lo, hi], signed by ``eff``."""
-    p = np.minimum(np.maximum(x, lo), hi)
-    return np.where(eff < 0, p - x, x - p)
+def harm(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """x - clamp(x, lo, hi): the displacement out of the safe box, `clip` without its sign flip."""
+    return x - np.minimum(np.maximum(x, lo), hi)
 
 
 def clip(x, geom: RefGeometry) -> np.ndarray:
@@ -139,7 +138,8 @@ def clip(x, geom: RefGeometry) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != geom.x_ref.shape:
         raise ValueError(f"point has shape {x.shape}, reference has {geom.x_ref.shape}")
-    return harm(x, geom.lo, geom.hi, geom.eff_mono)
+    p = np.minimum(np.maximum(x, geom.lo), geom.hi)
+    return np.where(geom.eff_mono < 0, p - x, x - p)
 
 
 # ---------------------------------------------------------------------------

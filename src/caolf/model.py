@@ -137,13 +137,13 @@ class ClippedNormSurrogate:
 
     A Lipschitz model in ``norm`` needs rate * ||clip(x)|| <= gamma, rate =
     bound / value, where clip folds in the metric's sense and monotonicity.
-    Models with one reference point and effective monotonicity share a clip
-    row (rate, lo, hi) at the group's largest rate (the first model's on a
-    tie), in the order of those models; ``model_row`` and ``model_rate`` hold
-    each model's row and own rate.  Other norms give no row.  A cap row
-    (curvature, center, grad, value) is a hyperplane (curvature 0) or quadratic
-    model, l2 only: (curvature ||u||^2 + grad . u) / value <= gamma with
-    u = x - center; a zero gradient holds everywhere and gives no row.
+    Models with one safe box [lo, hi] share a clip row (rate, lo, hi) at the
+    group's largest rate (the first model's on a tie), in the order of those
+    models; ``model_row`` and ``model_rate`` hold each model's row and own
+    rate.  Other norms give no row.  A cap row (curvature, center, grad,
+    value) is a hyperplane (curvature 0) or quadratic model, l2 only:
+    (curvature ||u||^2 + grad . u) / value <= gamma with u = x - center; a
+    zero gradient holds everywhere and gives no row.
     ``owner`` names the metric of each clip model, then of each cap row.
     """
 
@@ -172,7 +172,7 @@ class ClippedNormSurrogate:
                     caps.append((i, m.curvature, m.grad, r))
                 elif float(np.dot(m.grad, m.grad)) != 0.0:
                     caps.append((i, 0.0, m.grad, r))
-        keys = [(g.x_ref.tobytes(), g.eff_mono.tobytes()) for _, g, _ in clips]
+        keys = [(g.lo.tobytes(), g.hi.tobytes()) for _, g, _ in clips]
         best: dict[tuple[bytes, bytes], int] = {}  # group -> its largest-rate model
         for j, (key, (_, _, rate)) in enumerate(zip(keys, clips)):
             if rate > clips[best.setdefault(key, j)][2]:
@@ -183,8 +183,8 @@ class ClippedNormSurrogate:
         self.owner = np.array([row[0] for row in clips + caps], dtype=int)
         self.model_row = np.searchsorted(rows, [best[key] for key in keys])
         self.model_rate = np.array([rate for _, _, rate in clips])
-        for name in ("x_ref", "eff_mono", "lo", "hi"):  # (m, d) each
-            setattr(self, name, np.reshape([getattr(clips[j][1], name) for j in rows], (-1, dim)))
+        self.lo = np.reshape([clips[j][1].lo for j in rows], (-1, dim))  # (m, d)
+        self.hi = np.reshape([clips[j][1].hi for j in rows], (-1, dim))  # (m, d)
         self.rate = self.model_rate[rows]                                 # (m,)
         self.curvature = np.array([c for _, c, _, _ in caps])             # (k,)
         self.center = np.reshape([r.x_ref for _, _, _, r in caps], (-1, dim))  # (k, d)
@@ -195,10 +195,10 @@ class ClippedNormSurrogate:
         """Smallest tolerance each metric admits ``x`` at, shape (len(ids),): the
         largest need of its models (0 without a row), each at its own rate."""
         x = np.asarray(x, dtype=float)
-        if x.shape != self.x_ref.shape[1:]:
-            raise ValueError(f"point has shape {x.shape}, references have {self.x_ref.shape[1:]}")
+        if x.shape != self.lo.shape[1:]:
+            raise ValueError(f"point has shape {x.shape}, references have {self.lo.shape[1:]}")
         # row by row: vectorised row norms and dot products differ in the last bit
-        clips = [norm_value(h, self.norm) for h in harm(x, self.lo, self.hi, self.eff_mono)]
+        clips = [norm_value(h, self.norm) for h in harm(x, self.lo, self.hi)]
         caps = [(c * float(np.dot(u, u)) + float(np.dot(g, u))) / v
                 for c, u, g, v in zip(self.curvature, x - self.center, self.grad, self.value)]
         out = np.zeros(len(self.ids))
@@ -217,8 +217,8 @@ class ClippedNormSurrogate:
         value can differ from `certify` in the last bit.
         """
         worst = np.zeros(len(pts))
-        for lo, hi, eff, rate in zip(self.lo, self.hi, self.eff_mono, self.rate):
-            h = harm(pts, lo, hi, eff)
+        for lo, hi, rate in zip(self.lo, self.hi, self.rate):
+            h = harm(pts, lo, hi)
             if self.norm == Norm.L1:
                 g = np.sum(np.abs(h), axis=1)
             elif self.norm == Norm.L2:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Norm, Sense
+from .geometry import Norm, Sense, harm
 from .lp import LpProblem, LpStatus, solve_lp
 from .model import ClippedNormSurrogate, CompetitiveSolution, FeasibleSet, SolveDiagnostics
 
@@ -84,7 +84,7 @@ def _barrier(table: ClippedNormSurrogate, start, region: FeasibleSet, config: So
     rate2, n = rate * rate, m + k + len(fixed)
 
     def slacks(x, t):
-        h, u = x - np.clip(x, lo, hi), x - center
+        h, u = harm(x, lo, hi), x - center
         s = np.concatenate([t - rate2 * np.einsum("ij,ij->i", h, h),
                             np.sqrt(max(t, 0.0)) - np.einsum("ij,ij->i", u, curv[:, None] * u + grad),
                             region_slack(x)])
@@ -209,22 +209,21 @@ def _solve_caolf_lp(surrogate: ClippedNormSurrogate, region, config):
     returns (x, pivots, method).
 
     Layout: decision coordinates, then (L1 only) one magnitude variable per
-    coordinate of each clip row, then gamma last.  Coordinate by coordinate, a
-    row bounds +x_j where it is increasing or non-monotone and -x_j where
-    it is decreasing or non-monotone.  Under L1 the bound is the coordinate's
-    magnitude variable, and one sum row per clip row caps their sum at
-    gamma/rate; under LINF each bound is gamma/rate itself.
+    coordinate of each clip row, then gamma last.  A clip row gives a row per
+    finite end of its box [lo, hi]: x_j - hi_j <= bound where hi_j is finite
+    and lo_j - x_j <= bound where lo_j is finite.  Under L1 the bound is the
+    coordinate's magnitude variable, and one sum row per clip row caps their
+    sum at gamma/rate; under LINF each bound is gamma/rate itself.
     """
     dim, count = region.dim, surrogate.rate.size
     n_var = dim + (count * dim if config.norm == Norm.L1 else 0) + 1
     # one row per (clip row, coordinate, direction) in that order, + before -
-    ref_i, coord, side = np.nonzero(np.stack([surrogate.eff_mono >= 0,
-                                              surrogate.eff_mono <= 0], axis=2))
-    sign = 1.0 - 2.0 * side
-    rows = np.arange(sign.size)
-    a_ub = np.zeros((sign.size, n_var))
-    a_ub[rows, coord] = sign
-    b_ub = sign * surrogate.x_ref[ref_i, coord]
+    ends = np.stack([surrogate.hi, -surrogate.lo], axis=2)
+    ref_i, coord, side = np.nonzero(np.isfinite(ends))
+    rows = np.arange(side.size)
+    a_ub = np.zeros((side.size, n_var))
+    a_ub[rows, coord] = 1.0 - 2.0 * side
+    b_ub = ends[ref_i, coord, side]
     if config.norm == Norm.L1:
         a_ub[rows, dim + ref_i * dim + coord] = -1.0
         sums = np.hstack([np.zeros((count, dim)), np.kron(np.eye(count), np.ones(dim)),

@@ -413,6 +413,39 @@ def test_default_sweep_gamma_is_convex_and_nonincreasing_in_the_budget():
         assert np.all(g[1:-1] <= chord + tol[1:-1]), norm
 
 
+def test_default_sweep_budget_price_is_a_subgradient_of_gamma(monkeypatch):
+    # the budget row's multiplier p in an L1 or LINF epigraph LP prices the
+    # budget B, and -p is a subgradient of the convex optimal gamma*(B): the
+    # secant slope between neighbouring cells lies between the negated
+    # prices at its two ends
+    cfg = ExperimentConfig(norms=(Norm.L1, Norm.LINF))
+    net, _, history = build_experiment(cfg)
+    budgets = np.array(cfg.budget_multipliers) * reference_budget(net, history)
+    real_solve_lp, prices = solver.solve_lp, {}
+
+    def spy(problem):
+        sol = real_solve_lp(problem)
+        # only the L1 LP has magnitude variables beyond (x, gamma); the budget
+        # row is the region's only halfspace, the last a_ub row
+        norm = Norm.LINF if problem.c.size == net.edge_count + 1 else Norm.L1
+        prices.setdefault(norm, []).append((problem.b_ub[-1], sol.duals[-1]))
+        return sol
+
+    monkeypatch.setattr(solver, "solve_lp", spy)
+    gammas = {}
+    for r in run_sweep(cfg):
+        gammas.setdefault(r.norm, {})[r.budget_mult] = r.gamma
+    for norm in cfg.norms:
+        b, p = np.array(prices[norm]).T
+        np.testing.assert_array_equal(b, budgets)
+        assert p[0] > 0.0 and np.all(p >= 0.0), norm
+        g = np.array([gammas[norm][m] for m in cfg.budget_multipliers])
+        secant = np.diff(g) / np.diff(budgets)
+        tol = 1e-9 * np.maximum(1.0, np.abs(p))
+        assert np.all(-p[:-1] <= secant + tol[:-1]), norm
+        assert np.all(secant <= -p[1:] + tol[1:]), norm
+
+
 def test_run_sweep_rows_meet_their_envelope():
     # every cell solves, and each realized metric keeps to its cell's gamma:
     # routing cost at most (1 + gamma) times the recorded value, the maximized

@@ -1,6 +1,9 @@
 """End-to-end checks of the command-line interface."""
 
+import ast
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,3 +281,22 @@ def test_malformed_instance_exits_with_error(tmp_path, capsys):
             assert main([command, inst]) == 2, (command, payload)
             err = capsys.readouterr().err
             assert err.startswith("error:") and reason in err, (command, err)
+
+
+def test_the_package_imports_only_the_standard_library_and_numpy():
+    # numpy is the only runtime dependency in pyproject.toml; scipy and
+    # pytest are for the tests alone
+    allowed = set(sys.stdlib_module_names) | {"numpy", "caolf"}
+    src = Path(__file__).resolve().parent.parent / "src" / "caolf"
+    files = sorted(src.glob("*.py"))
+    assert files
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:  # relative imports stay within the package
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, (path.name, name)

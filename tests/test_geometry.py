@@ -397,7 +397,7 @@ def _model_grid(refs, norm, pts) -> np.ndarray:
             if isinstance(m, LipschitzNorm):
                 if m.norm == norm:
                     g = r.geometry(m)
-                    worst = np.maximum(worst, reduce(harm(pts, g.lo, g.hi, g.eff_mono))
+                    worst = np.maximum(worst, reduce(harm(pts, g.lo, g.hi))
                                        * (m.bound / r.value))
             else:
                 c = m.curvature if isinstance(m, ConvexQuadratic) else 0.0
@@ -434,9 +434,9 @@ def test_merged_keeps_the_largest_rate_first_on_ties_in_order():
         want = sorted(keep.values())
         assert len(want) == 4 and table.ids == tuple(r.id for r in refs)
         np.testing.assert_array_equal(table.rate, rates[want])
-        np.testing.assert_array_equal(table.x_ref, [refs[i].x_ref for i in want])
-        np.testing.assert_array_equal(table.eff_mono,
-                                      [refs[i].geometry(refs[i].models[0]).eff_mono for i in want])
+        geoms = [refs[i].geometry(refs[i].models[0]) for i in want]
+        np.testing.assert_array_equal(table.lo, [g.lo for g in geoms])
+        np.testing.assert_array_equal(table.hi, [g.hi for g in geoms])
         np.testing.assert_array_equal(table.model_rate, rates)
         assert table.model_row.tolist() == [want.index(keep[g]) for g in group]
     # an exact tie goes to the first model, whose place orders the rows
@@ -444,7 +444,8 @@ def test_merged_keeps_the_largest_rate_first_on_ties_in_order():
     tied = [MetricRef(id=name, x_ref=x, value=2.0, models=(LipschitzNorm(3.0, Norm.L2, [1, -1]),))
             for name, x in (("a0", a), ("b", b), ("a1", a))]
     table = ClippedNormSurrogate(tied, Norm.L2)
-    np.testing.assert_array_equal(table.x_ref, [a, b])
+    np.testing.assert_array_equal(table.lo, [[-np.inf, 2.0], [-np.inf, 0.0]])
+    np.testing.assert_array_equal(table.hi, [[1.0, np.inf], [3.0, np.inf]])
     assert table.rate.tolist() == [1.5, 1.5] and table.model_row.tolist() == [0, 1, 0]
 
 
@@ -457,15 +458,17 @@ def test_merged_without_duplicates_is_unchanged():
         refs = [MetricRef(id=f"m{i}", x_ref=rng.uniform(-2.0, 2.0, 4), value=1.0,
                           models=(LipschitzNorm(1.0, norm, mono),))
                 for i, mono in enumerate(monos)]
-        # same point, other effective monotonicity: not a duplicate either
+        # same point, other effective monotonicity: another box, not a duplicate either
         refs.append(MetricRef(id="twin", x_ref=refs[0].x_ref, value=1.0, sense=Sense.MAXIMIZE,
                               models=(LipschitzNorm(1.0, norm, monos[0]),)))
         table = ClippedNormSurrogate(refs, norm)
         assert table.model_row.tolist() == list(range(len(refs)))
         np.testing.assert_array_equal(table.rate, table.model_rate)
         geoms = [r.geometry(r.models[0]) for r in refs]
-        for name in ("x_ref", "eff_mono", "lo", "hi"):
-            np.testing.assert_array_equal(getattr(table, name), [getattr(g, name) for g in geoms])
+        np.testing.assert_array_equal(table.lo, [g.lo for g in geoms])
+        np.testing.assert_array_equal(table.hi, [g.hi for g in geoms])
+        # the safe box is the only stored form of a clip row
+        assert not hasattr(table, "x_ref") and not hasattr(table, "eff_mono")
 
 
 def test_merged_keeps_every_cap_row_and_the_metrics_that_own_one():

@@ -526,6 +526,33 @@ def test_the_dual_rule_breaks_rounding_ties_by_the_lowest_basic_index():
     assert lp._dual_pivot(T, r, basis, nonbasic, 1e-9, [0]) == (1, 3)
 
 
+def test_a_driven_out_artificial_takes_the_lowest_index_among_equal_entries(monkeypatch):
+    # the last equality row is the sum of the other two, so phase one ends
+    # with an artificial basic at 0; its row has entries of equal magnitude
+    # under x_0 (standard-form column 0) and the inequality's slack (column 3),
+    # and after the phase-one pivots the slack comes first in the tableau:
+    # x_0 must enter, as the lowest standard-form index among the largest
+    driven = []
+
+    def spy(T, r, basis, nonbasic, row, k):
+        if r is None:  # only the drive-out pivots run without reduced costs
+            driven.append((np.abs(T[row, :-1]), nonbasic.copy(), k))
+        return _pivot(T, r, basis, nonbasic, row, k)
+
+    monkeypatch.setattr(lp, "_pivot", spy)
+    sol = solve_lp(LpProblem(c=[0.0, -2.0, 0.0], a_ub=[[2.0, -1.0, 2.0]], b_ub=[1.0],
+                             a_eq=[[1.0, -1.0, 2.0], [-1.0, 2.0, -2.0], [0.0, 1.0, 0.0]],
+                             b_eq=[1.0, 0.0, 1.0]))
+    assert len(driven) == 1
+    magnitude, nonbasic, k = driven[0]
+    eligible = nonbasic < 4  # 3 working columns and 1 slack; artificials after
+    tied = np.flatnonzero(eligible & (magnitude == np.max(magnitude[eligible])))
+    assert nonbasic[tied].tolist() == [3, 0] and nonbasic[k] == 0
+    assert sol.status == LpStatus.OPTIMAL and sol.basis.cols.tolist() == [2, 0, 1]
+    assert sol.value == pytest.approx(-2.0, abs=1e-9)
+    np.testing.assert_allclose(sol.x, [0.0, 1.0, 1.0], atol=1e-9)
+
+
 def test_a_long_degenerate_run_hands_over_to_blands_dual_rule(monkeypatch):
     # covering rows -A x <= -1 from the all-slack start, where all but one
     # column cost 0, so nearly every dual ratio is 0; with a limit of 3 the
