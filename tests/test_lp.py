@@ -640,6 +640,8 @@ def lp_record(sol):
         rec["shape"] = list(sol.basis.shape)
         rec["rows"] = sol.basis.rows.tolist()
         rec["cols"] = sol.basis.cols.tolist()
+    if sol.duals is not None:
+        rec["duals"] = [float(v).hex() for v in sol.duals]
     return rec
 
 
