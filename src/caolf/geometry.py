@@ -57,8 +57,8 @@ class Mono(IntEnum):
 def as_mono_array(mono, dim: int | None = None) -> np.ndarray:
     """Coerce a monotonicity signature into an int8 array of -1/0/+1 entries.
 
-    Accepts Mono members, ints and numpy integers (not bools), or the strings
-    "inc"/"dec"/"none".  A scalar is broadcast to ``dim``.
+    Accepts Mono members, integral numbers (not bools; 1.0 but not 0.5), or
+    the strings "inc"/"dec"/"none".  A scalar is broadcast to ``dim``.
     """
     names = {"inc": 1, "dec": -1, "none": 0}
     if np.ndim(mono) == 0:
@@ -73,7 +73,7 @@ def as_mono_array(mono, dim: int | None = None) -> np.ndarray:
             out[j] = names[m]
         else:
             val = int(m)
-            if isinstance(m, (bool, np.bool_)) or val not in (-1, 0, 1):
+            if isinstance(m, (bool, np.bool_)) or val != m or val not in (-1, 0, 1):
                 raise ValueError(f"monotonicity entries must be -1, 0 or +1, got {m}")
             out[j] = val
     if dim is not None and out.size != dim:

@@ -13,12 +13,13 @@ simplex uses Bland's rule for both the entering and the leaving choice, so
 it cannot cycle; the tableau is refactorized from the original data every
 ``REFACTOR_EVERY`` pivots to keep drift bounded.  A refactorization
 factorizes only the basic columns that are not column singletons (most are
-slacks), so the all-slack basis costs no factorization.  It inverts that
-block explicitly and applies the inverse to the nonbasic columns by one
-matrix product; the last refactorization of a solve computes only the basic
-values, B⁻¹b, by an LU solve, and the row prices y = c_B B⁻¹ by one solve
-with the transposed block.  An optimal solution reports them as its row
-duals (`LpSolution.duals`).
+slacks), so neither the all-slack basis nor the cold start's costs a
+factorization: rows keep their signs and an artificial takes its row's.  It
+inverts that block explicitly and applies the inverse to the nonbasic
+columns by one matrix product; the last refactorization of a solve computes
+only the basic values, B⁻¹b, by an LU solve, and the row prices y = c_B B⁻¹
+by one solve with the transposed block.  An optimal solution reports them
+as its row duals (`LpSolution.duals`).
 
 A solve can start from any dual-feasible basis of its problem
 (`LpBasis`), for example the optimal basis of an earlier solve that differs
@@ -383,8 +384,8 @@ def solve_lp(problem: LpProblem, max_iters: int | None = None,
     decided cold; ``iterations`` then counts the pivots of both.
     """
     c = np.asarray(problem.c, dtype=float)
-    if c.ndim != 1 or c.size == 0:
-        raise ValueError("objective must be a non-empty 1-D vector")
+    if c.ndim != 1 or c.size == 0 or not np.all(np.isfinite(c)):
+        raise ValueError("objective must be a non-empty, finite 1-D vector")
     n = c.size
     lower = np.zeros(n) if problem.lower is None else np.asarray(problem.lower, dtype=float)
     upper = np.full(n, np.inf) if problem.upper is None else np.asarray(problem.upper, dtype=float)
@@ -420,7 +421,7 @@ def solve_lp(problem: LpProblem, max_iters: int | None = None,
     def finish(t_vals: np.ndarray, iterations: int, basis: LpBasis | None = None,
                y: np.ndarray | None = None) -> LpSolution:
         # t_vals may carry slack columns after the nt working variables; y
-        # prices the kept rows of the flipped standard form
+        # prices the kept rows of the standard form
         x = shift + np.bincount(var, weights=sign * t_vals[:nt], minlength=n)
         value = float(np.dot(c, x))
         viol = max(float(np.max(a_ub @ x - b_ub, initial=0.0)),
@@ -436,7 +437,7 @@ def solve_lp(problem: LpProblem, max_iters: int | None = None,
         duals = None
         if basis is not None:
             prices = np.zeros(m)
-            prices[basis.rows] = np.where(negate[basis.rows], -y, y)
+            prices[basis.rows] = y
             # a slack's reduced cost is -price, so an a_ub row's price is <= 0
             duals = np.concatenate([-prices[:a_ub.shape[0]], prices[m_ub:]])
         return LpSolution(LpStatus.OPTIMAL, x, value, iterations, basis, duals)
@@ -446,19 +447,15 @@ def solve_lp(problem: LpProblem, max_iters: int | None = None,
             return LpSolution(LpStatus.UNBOUNDED, None, np.nan, 0)
         return finish(np.zeros(nt), 0)
 
-    # Standard form with one slack per inequality row, then flip rows so every
-    # right-hand side is nonnegative; rows whose slack got flipped, and all
-    # equality rows, receive an artificial variable for phase one.  Flipping
-    # rows changes no basic solution, so a warm start ignores it.
+    # Standard form with one slack per inequality row, each row as written;
+    # rows with a negative right-hand side, and all equality rows, receive an
+    # artificial variable for phase one.
     A_std = np.zeros((m, nt + m_ub))
     unit_rows = (boxed[:, None] == np.arange(n)).astype(float)
     A_std[:, :nt] = np.vstack([a_ub, unit_rows, a_eq])[:, var] * sign
     A_std[:m_ub, nt:] = np.eye(m_ub)
     b_std = np.concatenate([b_ub - a_ub @ shift, upper[boxed] - lower[boxed], b_eq - a_eq @ shift])
-    negate = b_std < 0
-    A_std[negate] *= -1.0
-    b_std = np.abs(b_std)
-    needs_art = negate.copy()
+    needs_art = b_std < 0
     needs_art[m_ub:] = True
     if max_iters is None:
         max_iters = 2000 + 10 * (m + A_std.shape[1] + int(needs_art.sum()))
@@ -489,20 +486,22 @@ def solve_lp(problem: LpProblem, max_iters: int | None = None,
 
 
 def _two_phase(A_std, b_std, needs_art, nt, cost, max_iters):
-    """The cold solve of ``A_std t = b_std, t >= 0`` (``b_std >= 0``).
+    """The cold solve of ``A_std t = b_std, t >= 0``.
 
-    Rows flagged in ``needs_art`` start on an artificial variable; every
-    other row is an inequality whose slack, column ``nt + row``, starts basic.
-    Returns what `_from_basis` returns.
+    Rows flagged in ``needs_art`` start on an artificial, the row's unit
+    vector times the sign of its b, so it starts at |b|; every other row is
+    an inequality whose slack, column ``nt + row``, starts basic.  Returns
+    what `_from_basis` returns.
     """
     m, art_off = A_std.shape
     art_rows = np.nonzero(needs_art)[0]
     A0 = np.hstack([A_std, np.zeros((m, art_rows.size))])
     basis = nt + np.arange(m)
-    A0[art_rows, art_off + np.arange(art_rows.size)] = 1.0
+    A0[art_rows, art_off + np.arange(art_rows.size)] = np.where(b_std[art_rows] < 0, -1.0, 1.0)
     basis[art_rows] = art_off + np.arange(art_rows.size)
     nonbasic = _complement(basis, A0.shape[1])
-    T = np.c_[A0[:, nonbasic], b_std]  # B = I
+    T = np.empty((m, nonbasic.size + 1))
+    _refactor(T, basis, nonbasic, A0, b_std)  # B is diagonal ±1: every column a singleton
 
     cost1 = np.zeros(A0.shape[1])
     cost1[art_off:] = 1.0
@@ -510,7 +509,7 @@ def _two_phase(A_std, b_std, needs_art, nt, cost, max_iters):
     if status == "stalled" or status == "unbounded":
         return "stalled", iters, None, None, None
     art_total = float(np.sum(T[basis >= art_off, -1], initial=0.0))
-    if art_total > 1e-7 * (1.0 + float(np.max(b_std, initial=0.0))):
+    if art_total > 1e-7 * (1.0 + float(np.max(np.abs(b_std), initial=0.0))):
         return "infeasible", iters, None, None, None
 
     # Drive leftover artificials out of the basis by the column of largest

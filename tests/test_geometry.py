@@ -284,6 +284,12 @@ def test_mono_spec_validation():
             RefGeometry([0.0, 0.0], bools)
         with pytest.raises(ValueError, match=r"-1, 0 or \+1, got True"):
             LipschitzNorm(1.0, Norm.L2, bools)
+    # a fraction is no tag (int() would read 0.5 as 0 and 1.9 as 1); an
+    # integral float is
+    for fractions in ([0.5, 1.0], [1.9, 0], np.array([-0.7, 1.0])):
+        with pytest.raises(ValueError, match=r"-1, 0 or \+1, got (0\.5|1\.9|-0\.7)"):
+            LipschitzNorm(1.0, Norm.L2, fractions)
+    assert as_mono_array([1.0, -1.0, 0.0]).tolist() == [1, -1, 0]
     # norms and senses may be given by value; anything else raises
     ref = MetricRef(id="m", x_ref=[1.0], value=1.0, sense="max",
                     models=(LipschitzNorm(1.0, "l2", [1]),))

@@ -170,6 +170,24 @@ def test_input_validation():
         solve_lp(LpProblem(c=[1.0], a_ub=[[np.inf]], b_ub=[1.0]))
     with pytest.raises(ValueError):
         solve_lp(LpProblem(c=[1.0], lower=np.array([np.nan])))
+    # a non-finite objective is rejected too, not solved to a NaN "optimum"
+    for c in ([np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf]):
+        with pytest.raises(ValueError, match="objective"):
+            solve_lp(LpProblem(c=c, a_ub=[[1.0, 1.0]], b_ub=[1.0]))
+
+
+def test_an_optimum_that_fails_its_check_is_reported_stalled(monkeypatch):
+    # finish re-verifies every optimum against the original data: a phase
+    # two that claimed t = (2, 0) for x1 + x2 <= 1 must not be reported
+    def wrong_two_phase(A_std, b_std, needs_art, nt, cost, max_iters):
+        basis = LpBasis(A_std.shape, np.array([0]), np.array([0]))
+        return "optimal", 3, np.array([2.0, 0.0, 0.0]), basis, np.array([-1.0])
+
+    monkeypatch.setattr(lp, "_two_phase", wrong_two_phase)
+    sol = solve_lp(LpProblem(c=[-1.0, -1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0]))
+    assert sol.status == LpStatus.STALLED
+    assert sol.x is None and sol.basis is None and sol.duals is None
+    assert sol.iterations == 3
 
 
 def test_pivot_matches_the_dense_rank_one_update():
@@ -413,6 +431,24 @@ def test_unusable_starts_fall_back_to_the_cold_solve():
     for rows, cols in ((cold.basis.rows.astype(float), cold.basis.cols.astype(float)),
                        (cold.basis.rows[None], cold.basis.cols[None])):
         same_solution(solve_lp(problem, start=LpBasis((2, 5), rows, cols)), cold)
+
+
+def test_a_start_neither_primal_nor_dual_feasible_falls_back_to_the_cold_solve(monkeypatch):
+    # from the all-slack basis the second slack is -0.5 and both reduced
+    # costs are -1: the dual simplex cannot start, and the cold solve decides
+    problem = LpProblem(c=[-1.0, -1.0], a_ub=[[1.0, 1.0], [-1.0, 0.0]], b_ub=[1.0, -0.5])
+    exits = []
+    dantzig = lp._dual_pivot
+
+    def spy(T, r, basis, nonbasic, tol, run):
+        exits.append(dantzig(T, r, basis, nonbasic, tol, run))
+        return exits[-1]
+
+    monkeypatch.setattr(lp, "_dual_pivot", spy)
+    sol = solve_lp(problem, start=LpBasis((2, 4), np.array([0, 1]), np.array([2, 3])))
+    assert exits == ["not dual feasible"]
+    same_solution(sol, solve_lp(problem))
+    assert sol.status == LpStatus.OPTIMAL and sol.value == -1.0
 
 
 def test_a_primal_feasible_start_runs_the_primal_simplex(monkeypatch):

@@ -536,6 +536,24 @@ def test_the_l2_solve_never_projects(monkeypatch):
     assert len(cut_off) == 10
 
 
+def test_the_barrier_steps_by_least_squares_when_the_newton_solve_fails(monkeypatch):
+    # two non-monotone L2 references at rates 1 and 0.75, sqrt(5) apart: the
+    # optimum lies between them at gamma = 0.75 * sqrt(5) / 1.75 = 3 sqrt(5) / 7
+    refs = [MetricRef(id="a", x_ref=[1.0, 2.0], value=1.0, models=(LipschitzNorm(1.0, Norm.L2, [0, 0]),)),
+            MetricRef(id="b", x_ref=[3.0, 1.0], value=2.0, models=(LipschitzNorm(1.5, Norm.L2, [0, 0]),))]
+    region = FeasibleSet.nonnegative(2, [([1.0, 1.0], 10.0)])
+    failed = []
+
+    def singular(*args, **kwargs):
+        failed.append(1)
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    sol = solve_caolf(refs, region, SolveConfig())
+    assert failed and sol.diagnostics.method == "barrier-l2"
+    assert sol.gamma == pytest.approx(3.0 * math.sqrt(5.0) / 7.0, abs=SolveConfig().gamma_tolerance)
+
+
 def test_grid_points_keep_what_the_per_set_filter_kept():
     # the grid in itertools.product order, filtered point by point
     cases = [
