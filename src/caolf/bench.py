@@ -52,8 +52,6 @@ class ExperimentConfig:
     norms: tuple = (Norm.L1, Norm.L2, Norm.LINF)
     seed: int = 0
     gamma_tolerance: float = 1e-6
-    network_path: str | None = None
-    demand_paths: tuple = ()
 
     def __post_init__(self):
         if self.node_count < 2 or self.edge_count < self.node_count:
@@ -161,40 +159,25 @@ def build_experiment(cfg: ExperimentConfig) -> tuple[NetworkInstance, DemandMatr
     comes up empty) followed by the capacity jitter.
     """
     rng = np.random.default_rng(cfg.seed)
-    if cfg.network_path is not None:
-        loaded = load_network(cfg.network_path)
-        edges, flow_cost, base_capacity = loaded.edges, loaded.flow_cost, loaded.base_capacity
-        k, n = loaded.node_count, loaded.edge_count
-    else:
-        k, n = cfg.node_count, cfg.edge_count
-        edges = _random_edges(k, n, rng)
-        flow_cost = rng.uniform(*COST_RANGE, n)
-        base_capacity = rng.uniform(*CAPACITY_RANGE, n)
-    if cfg.demand_paths:
-        scenario_demands = [load_demands(p, k) for p in cfg.demand_paths]
-        base_demand = scenario_demands[0]
-    else:
-        base_demand = _random_demand(k, cfg.demand_pairs, rng)
-        scenario_demands = None
+    k, n = cfg.node_count, cfg.edge_count
+    edges = _random_edges(k, n, rng)
+    flow_cost = rng.uniform(*COST_RANGE, n)
+    base_capacity = rng.uniform(*CAPACITY_RANGE, n)
+    base_demand = _random_demand(k, cfg.demand_pairs, rng)
     price_pre, price_in = generate_costs(flow_cost, PRICE_SCALE, rng)
     net = NetworkInstance(node_count=k, edges=edges, flow_cost=flow_cost,
                           base_capacity=base_capacity,
                           price_pre=price_pre, price_in=price_in)
     scenarios = []
-    count = len(scenario_demands) if scenario_demands is not None else cfg.scenario_count
-    for i in range(count):
-        if scenario_demands is not None:
-            demand_i = scenario_demands[i]
-            capacity_i = base_capacity.copy()
-        else:
+    for _ in range(cfg.scenario_count):
+        demand_i = sparsify(base_demand, SPARSIFY_PROBABILITY, rng)
+        for _ in range(100):
+            if len(demand_i):
+                break
             demand_i = sparsify(base_demand, SPARSIFY_PROBABILITY, rng)
-            for _ in range(100):
-                if len(demand_i):
-                    break
-                demand_i = sparsify(base_demand, SPARSIFY_PROBABILITY, rng)
-            else:
-                raise RuntimeError("could not draw a non-empty sparsified demand")
-            capacity_i = base_capacity * rng.uniform(*JITTER_RANGE, n)
+        else:
+            raise RuntimeError("could not draw a non-empty sparsified demand")
+        capacity_i = base_capacity * rng.uniform(*JITTER_RANGE, n)
         scenarios.append(record_scenario(net, capacity_i, demand_i, METRICS,
                                          select_flow_pairs(demand_i)))
     return net, base_demand, ScenarioHistory(tuple(scenarios))
@@ -257,81 +240,3 @@ def emit_csv(rows, path=None, include_timing: bool = True) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-# ---------------------------------------------------------------------------
-# Plain-text instance files
-
-
-def load_network(path) -> NetworkInstance:
-    """Read a network file: ``k n`` on line 1, then ``tail head cost capacity``."""
-    with open(path) as fh:
-        raw = fh.read().splitlines()
-    lines = [(i + 1, ln.strip()) for i, ln in enumerate(raw)
-             if ln.strip() and not ln.strip().startswith("#")]
-    if not lines:
-        raise ValueError(f"{path}: empty network file")
-    lineno, head = lines[0]
-    parts = head.split()
-    if len(parts) != 2:
-        raise ValueError(f"{path}:{lineno}: expected 'node_count edge_count'")
-    try:
-        k, n = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ValueError(f"{path}:{lineno}: node and edge counts must be integers") from None
-    if len(lines) - 1 != n:
-        raise ValueError(f"{path}: header promises {n} edges, file has {len(lines) - 1}")
-    edges, cost, cap = [], [], []
-    for lineno, ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 4:
-            raise ValueError(f"{path}:{lineno}: expected 'tail head cost capacity'")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-            c, b = float(parts[2]), float(parts[3])
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: malformed edge line") from None
-        edges.append((u, v))
-        cost.append(c)
-        cap.append(b)
-    try:
-        return NetworkInstance(node_count=k, edges=tuple(edges),
-                               flow_cost=np.array(cost), base_capacity=np.array(cap))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
-def save_network(net: NetworkInstance, path) -> None:
-    lines = [f"{net.node_count} {net.edge_count}"]
-    for e, (u, v) in enumerate(net.edges):
-        lines.append(f"{u} {v} {net.flow_cost[e]:.12g} {net.base_capacity[e]:.12g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_demands(path, node_count: int) -> DemandMatrix:
-    """Read a demand file: one ``source target amount`` triple per line."""
-    with open(path) as fh:
-        raw = fh.read().splitlines()
-    triples = []
-    for i, ln in enumerate(raw):
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        parts = ln.split()
-        if len(parts) != 3:
-            raise ValueError(f"{path}:{i + 1}: expected 'source target amount'")
-        try:
-            triples.append((int(parts[0]), int(parts[1]), float(parts[2])))
-        except ValueError:
-            raise ValueError(f"{path}:{i + 1}: malformed demand line") from None
-    try:
-        return DemandMatrix(node_count=node_count, triples=tuple(triples))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
-def save_demands(demand: DemandMatrix, path) -> None:
-    lines = [f"{s} {t} {f:.12g}" for s, t, f in demand.triples]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n" if lines else "")

@@ -72,10 +72,9 @@ def as_mono_array(mono, dim: int | None = None) -> np.ndarray:
                 raise ValueError(f"bad monotonicity tag {m!r}")
             out[j] = names[m]
         else:
-            val = int(m)
-            if isinstance(m, (bool, np.bool_)) or val != m or val not in (-1, 0, 1):
+            if isinstance(m, (bool, np.bool_)) or m not in (-1, 0, 1):
                 raise ValueError(f"monotonicity entries must be -1, 0 or +1, got {m}")
-            out[j] = val
+            out[j] = m
     if dim is not None and out.size != dim:
         raise ValueError(f"monotonicity signature has length {out.size}, expected {dim}")
     return out

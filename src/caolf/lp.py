@@ -165,7 +165,7 @@ def _split(B):
     nonzero = B != 0.0
     single = np.count_nonzero(nonzero, axis=0) == 1
     S, J = np.nonzero(single)[0], np.nonzero(~single)[0]
-    s_rows = np.argmax(nonzero[:, S], axis=0)
+    s_rows = np.nonzero(nonzero[:, S].T)[1]
     uncovered = np.ones(B.shape[0], dtype=bool)
     uncovered[s_rows] = False
     R = np.flatnonzero(uncovered)

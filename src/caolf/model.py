@@ -344,8 +344,5 @@ class CompetitiveSolution:
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
         if self.gamma < 0:
-            # tolerate roundoff-scale negatives from certification only
-            if self.gamma < -1e-12:
-                raise ValueError(f"tolerance parameter must be nonnegative, got {self.gamma}")
-            self.gamma = 0.0
+            raise ValueError(f"tolerance parameter must be nonnegative, got {self.gamma}")
 

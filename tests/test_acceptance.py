@@ -250,7 +250,6 @@ def test_criterion_5_metric_unit_suite():
         _line("5 metric-units", ok)
 
 
-@pytest.mark.slow
 def test_criterion_6_desk_scale_sweep():
     ok = False
     try:

@@ -1,4 +1,4 @@
-"""Generator, sweep, and file-format checks for the benchmark harness."""
+"""Generator, sweep, and CSV checks for the benchmark harness."""
 
 import dataclasses
 import importlib.util
@@ -20,18 +20,14 @@ from caolf.bench import (
     emit_csv,
     format_row,
     generate_costs,
-    load_demands,
-    load_network,
     reference_budget,
     run_sweep,
-    save_demands,
-    save_network,
     select_flow_pairs,
     sparsify,
 )
 from caolf.geometry import Norm
 from caolf.model import FeasibleSet, LipschitzNorm, MetricRef
-from caolf.network import METRIC_ROUTING, DemandMatrix, NetworkInstance
+from caolf.network import METRIC_ROUTING, DemandMatrix
 
 
 def tiny_config(**overrides):
@@ -508,80 +504,6 @@ def test_emit_csv_reproducible_without_timing(tmp_path):
     lines = p1.read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 1 + len(rows)
-
-
-# ---------------------------------------------------------------------------
-# instance files
-
-
-def test_network_file_round_trip(tmp_path):
-    net = NetworkInstance(node_count=3, edges=((0, 1), (1, 2), (2, 0)),
-                          flow_cost=[1.5, 2.0, 0.25], base_capacity=[3.0, 1.0, 7.5])
-    path = tmp_path / "net.txt"
-    save_network(net, path)
-    back = load_network(path)
-    assert back.node_count == 3 and back.edges == net.edges
-    np.testing.assert_allclose(back.flow_cost, net.flow_cost)
-    np.testing.assert_allclose(back.base_capacity, net.base_capacity)
-
-
-def test_network_file_comments_and_blank_lines(tmp_path):
-    path = tmp_path / "net.txt"
-    path.write_text("# capacity plan\n\n2 1\n# the only edge\n0 1 2.0 5.0\n")
-    net = load_network(path)
-    assert net.edges == ((0, 1),)
-    assert net.base_capacity[0] == 5.0
-
-
-def test_network_file_errors_carry_line_numbers(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("2 1\n0 1 2.0\n")
-    with pytest.raises(ValueError, match=r"bad\.txt:2"):
-        load_network(path)
-    path.write_text("2 3\n0 1 2.0 5.0\n")
-    with pytest.raises(ValueError, match="promises 3 edges"):
-        load_network(path)
-    path.write_text("two 1\n0 1 2.0 5.0\n")
-    with pytest.raises(ValueError, match=r"bad\.txt:1"):
-        load_network(path)
-
-
-def test_demand_file_round_trip(tmp_path):
-    demand = DemandMatrix(4, ((0, 1, 2.5), (2, 3, 0.75)))
-    path = tmp_path / "dem.txt"
-    save_demands(demand, path)
-    back = load_demands(path, 4)
-    assert back.triples == demand.triples
-
-
-def test_demand_file_errors_carry_line_numbers(tmp_path):
-    path = tmp_path / "dem.txt"
-    path.write_text("0 1 2.0\n0 2\n")
-    with pytest.raises(ValueError, match=r"dem\.txt:2"):
-        load_demands(path, 4)
-
-
-def test_experiment_from_files(tmp_path):
-    # a saved network plus explicit per-scenario demand files: no sparsify,
-    # no jitter, demands used exactly as written
-    net = NetworkInstance(node_count=3, edges=((0, 1), (1, 2), (2, 0), (0, 2)),
-                          flow_cost=[1.0, 2.0, 1.0, 3.0],
-                          base_capacity=[4.0, 4.0, 4.0, 4.0])
-    net_path = tmp_path / "net.txt"
-    save_network(net, net_path)
-    d1, d2 = tmp_path / "d1.txt", tmp_path / "d2.txt"
-    save_demands(DemandMatrix(3, ((0, 2, 1.0),)), d1)
-    save_demands(DemandMatrix(3, ((1, 0, 2.0),)), d2)
-    cfg = ExperimentConfig(node_count=3, edge_count=4, scenario_count=2,
-                           demand_pairs=1, budget_multipliers=(1.0,),
-                           norms=(Norm.L2,), network_path=str(net_path),
-                           demand_paths=(str(d1), str(d2)), seed=0)
-    built_net, _, history = build_experiment(cfg)
-    assert built_net.edges == net.edges
-    assert len(history) == 2
-    assert history.scenarios[0].demand.triples == ((0, 2, 1.0),)
-    assert history.scenarios[1].demand.triples == ((1, 0, 2.0),)
-    np.testing.assert_array_equal(history.scenarios[0].capacity, net.base_capacity)
 
 
 def test_benchmark_tracer_installs_and_uninstalls():

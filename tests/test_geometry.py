@@ -289,6 +289,10 @@ def test_mono_spec_validation():
     for fractions in ([0.5, 1.0], [1.9, 0], np.array([-0.7, 1.0])):
         with pytest.raises(ValueError, match=r"-1, 0 or \+1, got (0\.5|1\.9|-0\.7)"):
             LipschitzNorm(1.0, Norm.L2, fractions)
+    # nor is an infinity
+    for infinite in (np.inf, -np.inf):
+        with pytest.raises(ValueError, match=r"-1, 0 or \+1, got -?inf"):
+            LipschitzNorm(1.0, "l2", [infinite])
     assert as_mono_array([1.0, -1.0, 0.0]).tolist() == [1, -1, 0]
     # norms and senses may be given by value; anything else raises
     ref = MetricRef(id="m", x_ref=[1.0], value=1.0, sense="max",

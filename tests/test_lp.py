@@ -106,6 +106,18 @@ def test_redundant_equality_rows_are_dropped():
     assert sol.value == pytest.approx(1.0, abs=1e-9)
 
 
+def test_phase_one_may_drop_every_row():
+    # the only row is 0 = 0, so phase one leaves a basis with no rows
+    problem = LpProblem(c=[1.0], a_eq=[[0.0]], b_eq=[0.0])
+    sol = solve_lp(problem)
+    assert sol.status == LpStatus.OPTIMAL
+    assert sol.x.tolist() == [0.0] and sol.value == 0.0
+    assert sol.duals.tolist() == [0.0]
+    assert sol.basis.rows.size == 0
+    same_solution(solve_lp(problem, start=sol.basis), sol)
+    assert solve_lp(replace(problem, c=[-1.0])).status == LpStatus.UNBOUNDED
+
+
 def test_weak_duality_spot_checks():
     # build primal-feasible x0 and dual-feasible y0 <= 0, then
     # b.y0 <= optimum <= c.x0 brackets the reported value

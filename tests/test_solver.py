@@ -19,11 +19,13 @@ from caolf.geometry import (
 )
 from caolf.model import (
     ClippedNormSurrogate,
+    CompetitiveSolution,
     ConcaveLinear,
     ConvexQuadratic,
     FeasibleSet,
     LipschitzNorm,
     MetricRef,
+    SolveDiagnostics,
 )
 from caolf.solver import (
     GRID_MEMBERSHIP_TOL,
@@ -613,6 +615,23 @@ def test_missing_norm_model_raises():
     assert solve_caolf(l1, region, SolveConfig(norm="l1")).diagnostics.method == "epigraph-lp-l1"
     with pytest.raises(ValueError, match="'l9' is not a valid Norm"):
         SolveConfig(norm="l9")
+
+
+def test_a_metric_without_a_usable_model_raises():
+    # a zero gradient gives the hyperplane model no row, so the table is empty
+    region = FeasibleSet.nonnegative(2)
+    refs = [MetricRef(id="flat", x_ref=[1.0, 2.0], value=1.0,
+                      models=(ConcaveLinear([0.0, 0.0]),))]
+    for solve in (solve_caolf, solve_approx):
+        with pytest.raises(ValueError, match="no usable constraint models"):
+            solve(refs, region, SolveConfig())
+
+
+def test_a_negative_gamma_is_rejected():
+    diag = SolveDiagnostics(iterations=0, residual=0.0, method="none")
+    assert CompetitiveSolution(x=[0.0], gamma=0.0, diagnostics=diag).gamma == 0.0
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        CompetitiveSolution(x=[0.0], gamma=-1e-13, diagnostics=diag)
 
 
 def test_stability_probe_validates_kappas():
