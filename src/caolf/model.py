@@ -207,8 +207,8 @@ class ClippedNormSurrogate:
         return out
 
     def certify(self, x) -> float:
-        """Smallest tolerance every metric admits ``x`` at."""
-        return max(0.0, float(np.max(self.needed(x))))
+        """Smallest tolerance every metric admits ``x`` at; NaN when a need is NaN."""
+        return float(np.max(self.needed(x)))
 
     def on_grid(self, pts: np.ndarray) -> np.ndarray:
         """`certify` for each row of ``pts`` (P, d), vectorised over the points.
@@ -343,6 +343,7 @@ class CompetitiveSolution:
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
-        if self.gamma < 0:
-            raise ValueError(f"tolerance parameter must be nonnegative, got {self.gamma}")
+        # NaN fails every comparison, so this form rejects it too
+        if not 0 <= self.gamma < np.inf:
+            raise ValueError(f"tolerance parameter must be nonnegative and finite, got {self.gamma}")
 

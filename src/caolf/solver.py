@@ -5,7 +5,9 @@ region while keeping each metric's clipped displacement norm within a radius
 proportional to gamma.  Euclidean instances, and mixed models, are solved by
 the log-barrier method over (x, gamma^2); L1 and LINF instances have
 polyhedral radius constraints and go through the simplex kernel as one
-epigraph linear program instead.
+epigraph linear program instead.  A Euclidean table without cap rows first
+asks one feasibility LP whether some point of the region lies in every safe
+box: then the optimal gamma is exactly 0, and that point is the answer.
 """
 
 from __future__ import annotations
@@ -40,7 +42,9 @@ class SolveConfig:
 # The log-barrier method of `_barrier` (Boyd & Vandenberghe, *Convex
 # Optimization*, 11.3).
 BARRIER_GROWTH = 20.0  # factor on the barrier weight tau between centerings
-CENTERED = 1e-8  # a centering ends once half the squared Newton decrement is at most this
+# a centering ends once half the squared Newton decrement is at most this, or
+# at most the rounding of the barrier objective where that is larger
+CENTERED = 1e-8
 BACKTRACK = 0.25  # step factor of the backtracking line search
 ARMIJO = 0.01  # share of the predicted decrease a step must achieve
 MIN_STEP = 1e-4  # a centering ends, without the step, once backtracking falls below this
@@ -60,10 +64,15 @@ def _barrier(table: ClippedNormSurrogate, start, region: FeasibleSet, config: So
     over the region rows and the x part of the hyperplane rows (curv 0), the
     rows whose slack can grow without bound; slack0 is the slack at the start,
     and the term keeps the iterates from running off along directions no
-    other row bounds.  The search starts at ``start`` when it is strictly
-    inside the widened region; otherwise it starts halfway from the point of
-    deepest region slack to where the segment from that point toward
-    ``start`` leaves the region, so no projection is needed.
+    other row bounds.  A centering ends when half the squared Newton
+    decrement, the decrease a full step predicts, is at most ``CENTERED`` or
+    at most 4 eps tau t: the line search sees a decrease only through
+    tau * (t1 - t), which rounds at about eps tau t, so below that floor it
+    cannot tell a step from noise and would crawl (Boyd & Vandenberghe 9.5).
+    The search starts at ``start`` when it is strictly inside the widened
+    region; otherwise it starts halfway from the point of deepest region slack
+    to where the segment from that point toward ``start`` leaves the region,
+    so no projection is needed.
     """
     rate, lo, hi, center = table.rate, table.lo, table.hi, table.center
     curv, grad = table.curvature / table.value, table.grad / table.value[:, None]
@@ -114,7 +123,7 @@ def _barrier(table: ClippedNormSurrogate, start, region: FeasibleSet, config: So
     planes /= np.linalg.norm(planes, axis=1)[:, None]
     G = np.zeros((n, dim + 1))
     G[m + k:], G[:m, dim] = fixed, 1.0
-    tau, steps = n / t, 0
+    tau, steps, eps = n / t, 0, np.finfo(float).eps
     while True:
         while True:  # centering
             G[:m, :dim] = -2.0 * rate2[:, None] * h
@@ -140,7 +149,10 @@ def _barrier(table: ClippedNormSurrogate, start, region: FeasibleSet, config: So
             except np.linalg.LinAlgError:
                 dy = np.linalg.lstsq(H, -g, rcond=None)[0]
             slope = float(g @ dy)  # minus the squared Newton decrement
-            if not -0.5 * slope > CENTERED:
+            # the Armijo test sees the predicted decrease -slope/2 through
+            # tau * (t1 - t), whose rounding is about eps * tau * t; four such
+            # units leave room for the rounding of the log and linear terms
+            if not -0.5 * slope > max(CENTERED, 4.0 * eps * tau * t):
                 break
             step = 1.0
             while step >= MIN_STEP:
@@ -158,6 +170,31 @@ def _barrier(table: ClippedNormSurrogate, start, region: FeasibleSet, config: So
             break
         tau *= BARRIER_GROWTH
     return x, steps, "barrier-mixed" if curv.size else "barrier-l2"
+
+
+def _zero_lp(table: ClippedNormSurrogate, region: FeasibleSet):
+    """A point where every clip row of ``table`` needs gamma 0, by one LP;
+    returns (x, pivots, method), or None when gamma must be positive or the
+    table has a cap row.
+
+    Such a point lies in the region and in every clip row's safe box, that is
+    in the box intersection [max lo, min hi].  An empty intersection needs no
+    LP; otherwise a feasibility LP over the true region, with the intersection
+    as variable bounds, decides it.  The point is clipped into the box, so
+    its certificate is exactly 0.
+    """
+    if table.curvature.size:
+        return None
+    lo, hi = np.maximum(table.lo.max(axis=0), region.lower), table.hi.min(axis=0)
+    if np.any(lo > hi):
+        return None
+    sol = solve_lp(LpProblem(c=np.zeros(region.dim), a_ub=region.normals, b_ub=region.rhs,
+                             lower=lo, upper=hi))
+    if sol.status == LpStatus.INFEASIBLE:
+        return None
+    if sol.status != LpStatus.OPTIMAL:
+        raise SolveError(f"zero-gamma LP ended with status {sol.status.value}")
+    return np.clip(sol.x, lo, hi), sol.iterations, "zero-lp"
 
 
 def _check_dims(refs, dim: int) -> None:
@@ -179,8 +216,10 @@ def _solve(refs, region: FeasibleSet, config: SolveConfig) -> CompetitiveSolutio
     if config.norm != Norm.L2:
         x, iterations, method = _solve_caolf_lp(table, region, config)
     else:
-        x, iterations, method = _barrier(table, np.mean([r.x_ref for r in refs], axis=0),
-                                         region, config)
+        x, iterations, method = _zero_lp(table, region) or _barrier(
+            table, np.mean([r.x_ref for r in refs], axis=0), region, config)
+    if not np.all(np.isfinite(x)):
+        raise SolveError(f"the {method} solve returned a non-finite point")
     # hard lower bounds hold exactly so downstream metric evaluation never
     # sees a tolerance-scale negative capacity
     x = np.maximum(x, region.lower)

@@ -87,6 +87,26 @@ def test_solve_dispatches_mixed_models(tmp_path, capsys):
     assert "mixed" in out["method"]
 
 
+def test_solve_settles_boxes_that_meet_with_gamma_zero(tmp_path, capsys):
+    # two decreasing metrics: their safe boxes [1, inf) x [0, inf) and
+    # [0, inf) x [2, inf) meet in [1, inf) x [2, inf), inside x1 + x2 <= 4
+    def lipschitz(bound):
+        return [{"kind": "lipschitz", "bound": bound, "norm": norm, "mono": [-1, -1]}
+                for norm in ("l2", "l1")]
+    payload = {"region": {"lower": [0.0, 0.0], "halfspaces": [{"a": [1.0, 1.0], "b": 4.0}]},
+               "metrics": [{"id": "a", "x_ref": [1.0, 0.0], "value": 1.0, "models": lipschitz(1.0)},
+                           {"id": "b", "x_ref": [0.0, 2.0], "value": 2.0, "models": lipschitz(3.0)}]}
+    inst = write_instance(tmp_path / "inst.json", payload)
+    assert main(["solve", inst]) == 0
+    sol = json.loads(capsys.readouterr().out)
+    assert (sol["gamma"], sol["method"]) == (0.0, "zero-lp")
+    payload.update(point=sol["x"], gamma=sol["gamma"])
+    assert main(["verify", write_instance(tmp_path / "checked.json", payload)]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"]
+    assert main(["solve", inst, "--norm", "l1"]) == 0
+    assert json.loads(capsys.readouterr().out)["gamma"] == 0.0
+
+
 def test_verify_accepts_the_optimum(tmp_path, capsys):
     inst = write_instance(tmp_path / "inst.json",
                           two_anchor_instance(gamma=2.0 / 3.0 + 1e-6, point=[1.0 / 3.0]))

@@ -503,7 +503,8 @@ def test_thin_wedge_solves_at_its_apex_in_every_norm():
 
 def test_the_l2_solve_never_projects(monkeypatch):
     # every start below that the region cuts off projected before; the start
-    # now lies on the segment from the deepest-slack point toward it
+    # now lies on the segment from the deepest-slack point toward it.  The
+    # three largest budgets are zero-gamma cells, which one LP settles
     from caolf import model, solver
     from caolf.bench import ExperimentConfig, build_experiment, reference_budget
     from caolf.network import build_metric_refs
@@ -515,27 +516,132 @@ def test_the_l2_solve_never_projects(monkeypatch):
                     models=(LipschitzNorm(1.0, Norm.L2, [0, 0]),))
     pair = [MetricRef(id="a", x_ref=[0.0], value=1.0, models=(LipschitzNorm(2.0, Norm.L2, [0]),)),
             MetricRef(id="b", x_ref=[1.0], value=1.0, models=(LipschitzNorm(1.0, Norm.L2, [0]),))]
-    cases = [(solve_caolf, sweep_refs,
+    mults = cfg.budget_multipliers
+    cases = [("zero-lp" if mult in mults[-3:] else "barrier-", solve_caolf, sweep_refs,
               FeasibleSet.nonnegative(net.edge_count, [(net.price_pre, mult * budget)]))
-             for mult in cfg.budget_multipliers]
-    cases += [(solve_caolf, [far], _wedge(e)) for e in (0.01, 0.02)]
-    cases.append((solve_caolf, pair, FeasibleSet(lower=[-np.inf], halfspaces=[([1.0], 0.25)])))
-    cases += [(solve_approx, *pinned_instance(seed)[1:]) for seed in range(3)]
+             for mult in mults]
+    cases += [("barrier-", solve_caolf, [far], _wedge(e)) for e in (0.01, 0.02)]
+    cases.append(("barrier-", solve_caolf, pair,
+                  FeasibleSet(lower=[-np.inf], halfspaces=[([1.0], 0.25)])))
+    cases += [("barrier-", solve_approx, *pinned_instance(seed)[1:]) for seed in range(3)]
 
     def no_projection(*args, **kwargs):
         raise AssertionError("the L2 solve projected")
 
     monkeypatch.setattr(FeasibleSet, "find_point", no_projection)
     monkeypatch.setattr(model, "dykstra", no_projection)
-    cut_off, real_solve_lp = [], solver.solve_lp
-    monkeypatch.setattr(solver, "solve_lp", lambda problem: cut_off.append(1) or real_solve_lp(problem))
-    for solve, refs, region in cases:
+    # the zero-gamma LP has a zero objective, the deepest-slack LP does not
+    lps, real_solve_lp = {"zero": 0, "deepest": 0}, solver.solve_lp
+
+    def counted(problem):
+        lps["deepest" if np.any(problem.c) else "zero"] += 1
+        return real_solve_lp(problem)
+
+    monkeypatch.setattr(solver, "solve_lp", counted)
+    for method, solve, refs, region in cases:
         sol = solve(refs, region, SolveConfig())
-        assert sol.diagnostics.method.startswith("barrier-")
+        assert sol.diagnostics.method.startswith(method), (method, sol.diagnostics.method)
         assert region.violation(sol.x) <= SolveConfig().feasibility_tolerance
-    # the deepest-slack LP runs only for a start the region cuts off: six
-    # sweep cells, both wedges, the pair and seed 1's mixed instance
-    assert len(cut_off) == 10
+    # the zero-gamma LP runs on every sweep cell and both wedges, where the
+    # boxes meet; the pair's boxes do not, and the mixed tables have caps.
+    # The deepest-slack LP runs only for a start the region cuts off: six
+    # nonzero sweep cells, both wedges, the pair and seed 1's mixed instance
+    assert lps == {"zero": 12, "deepest": 10}
+
+
+@pytest.mark.parametrize("size", [(12, 30, 36), (20, 60, 80)])
+def test_sweep_centerings_end_and_zero_cells_are_exact(size):
+    # at 20 nodes the last centerings once crawled below the rounding of the
+    # barrier objective, 558 and 2,015 Newton steps at budgets 0.933 and 1.1;
+    # the three largest budgets are zero-gamma cells in every norm, where the
+    # barrier stopped near 1e-14
+    from caolf.bench import ExperimentConfig, build_experiment, reference_budget
+    from caolf.network import build_metric_refs
+    nodes, edges, pairs = size
+    cfg = ExperimentConfig(node_count=nodes, edge_count=edges, demand_pairs=pairs)
+    net, _, history = build_experiment(cfg)
+    budget = reference_budget(net, history)
+    tol = SolveConfig().feasibility_tolerance
+    zero_cells = cfg.budget_multipliers[-3:]
+    for norm in Norm:
+        refs = build_metric_refs(net, history, norm)
+        for mult in cfg.budget_multipliers:
+            region = FeasibleSet.nonnegative(net.edge_count, [(net.price_pre, mult * budget)])
+            sol = solve_caolf(refs, region, SolveConfig(norm=norm))
+            assert (sol.gamma == 0.0) == (mult in zero_cells), (norm, mult, sol.gamma)
+            if norm != Norm.L2:
+                continue
+            if mult in zero_cells:
+                assert sol.diagnostics.method == "zero-lp"
+                for r in refs:
+                    assert np.max(clip(sol.x, r.geometry(r.lipschitz_model(norm)))) <= tol, r.id
+                assert region.violation(sol.x) <= tol
+            else:
+                assert sol.diagnostics.method == "barrier-l2"
+                assert sol.diagnostics.iterations <= 150, (mult, sol.diagnostics.iterations)
+
+
+def _zero_lps(monkeypatch):
+    """Patch the solver's LP calls; returns the list the zero-objective ones land in."""
+    from caolf import solver
+    zero, real_solve_lp = [], solver.solve_lp
+
+    def counted(problem):
+        if not np.any(problem.c):
+            zero.append(problem)
+        return real_solve_lp(problem)
+
+    monkeypatch.setattr(solver, "solve_lp", counted)
+    return zero
+
+
+def test_a_table_with_a_cap_row_goes_through_the_barrier(monkeypatch):
+    # the clip box [0, inf)^2 meets the region x1 + x2 >= 1, but the plane
+    # needs x1 + 2 x2 <= gamma, so gamma is 1 at (1, 0), not 0
+    zero = _zero_lps(monkeypatch)
+    refs = [MetricRef(id="ball", x_ref=[0.0, 0.0], value=1.0,
+                      models=(LipschitzNorm(1.0, Norm.L2, [-1, -1]),)),
+            MetricRef(id="plane", x_ref=[0.0, 0.0], value=1.0, models=(ConcaveLinear([1.0, 2.0]),))]
+    region = FeasibleSet.nonnegative(2, [([-1.0, -1.0], -1.0)])
+    sol = solve_approx(refs, region, SolveConfig())
+    assert sol.diagnostics.method == "barrier-mixed"
+    assert sol.gamma == pytest.approx(1.0, abs=SolveConfig().gamma_tolerance)
+    for seed in range(3):
+        assert solve_approx(*pinned_instance(seed)[1:]).diagnostics.method == "barrier-mixed"
+    assert zero == []
+
+
+def test_disjoint_safe_boxes_skip_the_zero_gamma_lp(monkeypatch):
+    # boxes {0} and {1}: gamma is positive without an LP to say so
+    zero = _zero_lps(monkeypatch)
+    for region in (FeasibleSet.unconstrained(1), FeasibleSet(lower=[0.0], halfspaces=[([1.0], 0.5)])):
+        sol = solve_caolf(two_point_refs(2.0, 1.0), region, SolveConfig())
+        assert sol.diagnostics.method == "barrier-l2" and sol.gamma > 0.0
+    assert zero == []
+
+
+def test_boxes_that_meet_inside_the_region_give_gamma_zero_exactly(monkeypatch):
+    zero = _zero_lps(monkeypatch)
+    # two decreasing metrics: boxes [1, inf) x [0, inf) and [0, inf) x [2, inf)
+    # meet in [1, inf) x [2, inf), which the budget 4 reaches
+    mono = [Mono.DECREASING, Mono.DECREASING]
+    refs = [MetricRef(id="a", x_ref=[1.0, 0.0], value=1.0, models=(LipschitzNorm(1.0, Norm.L2, mono),)),
+            MetricRef(id="b", x_ref=[0.0, 2.0], value=2.0, models=(LipschitzNorm(3.0, Norm.L2, mono),))]
+    region = FeasibleSet.nonnegative(2, [([1.0, 1.0], 4.0)])
+    sol = solve_caolf(refs, region, SolveConfig())
+    assert (sol.gamma, sol.diagnostics.method) == (0.0, "zero-lp")
+    assert len(zero) == 1 and np.all(sol.x >= [1.0, 2.0]) and region.contains(sol.x)
+    # the budget 2.5 leaves no point of the box: the barrier reports gamma > 0
+    sol = solve_caolf(refs, FeasibleSet.nonnegative(2, [([1.0, 1.0], 2.5)]), SolveConfig())
+    assert sol.diagnostics.method == "barrier-l2" and sol.gamma > 0.0 and len(zero) == 2
+
+
+def test_a_non_finite_point_is_an_error(monkeypatch):
+    from caolf import solver
+    from caolf.solver import SolveError
+    monkeypatch.setattr(solver, "_barrier", lambda *args: (np.array([np.nan]), 1, "barrier-l2"))
+    with pytest.raises(SolveError, match="non-finite point"):
+        solve_caolf(two_point_refs(2.0, 1.0), FeasibleSet.unconstrained(1), SolveConfig())
 
 
 def test_the_barrier_steps_by_least_squares_when_the_newton_solve_fails(monkeypatch):
@@ -632,6 +738,22 @@ def test_a_negative_gamma_is_rejected():
     assert CompetitiveSolution(x=[0.0], gamma=0.0, diagnostics=diag).gamma == 0.0
     with pytest.raises(ValueError, match="must be nonnegative"):
         CompetitiveSolution(x=[0.0], gamma=-1e-13, diagnostics=diag)
+
+
+def test_a_non_finite_gamma_is_rejected():
+    diag = SolveDiagnostics(iterations=0, residual=0.0, method="none")
+    for gamma in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="must be nonnegative and finite"):
+            CompetitiveSolution(x=[0.0], gamma=gamma, diagnostics=diag)
+
+
+def test_a_nan_coordinate_is_not_certified_as_zero():
+    # max(0.0, nan) is 0.0, so a NaN need once read as gamma 0
+    ref = MetricRef(id="only", x_ref=[1.0], value=1.0, models=(LipschitzNorm(1.0, Norm.L2, [0]),))
+    table = ClippedNormSurrogate([ref], Norm.L2)
+    with np.errstate(invalid="ignore"):
+        assert math.isnan(table.certify([np.nan]))
+    assert table.certify([1.0]) == 0.0
 
 
 def test_stability_probe_validates_kappas():
