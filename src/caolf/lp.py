@@ -8,18 +8,18 @@ condensed, or Tucker, tableau; Chvatal, *Linear Programming*, 1983): a
 basic column is a unit vector by definition, and in an epigraph LP more
 than half of the columns are basic.  A pivot swaps the entering and the
 leaving variable in place, so tableau order is not standard-form order, and
-every choice among equals goes by the standard-form index.  The primal
-simplex uses Bland's rule for both the entering and the leaving choice, so
-it cannot cycle; the tableau is refactorized from the original data every
+every choice among equals takes the lowest standard-form index among the
+values within rounding of the least (`_lowest_tied`).  The primal simplex
+uses Bland's rule for both the entering and the leaving choice, so it
+cannot cycle; the tableau is refactorized from the original data every
 ``REFACTOR_EVERY`` pivots to keep drift bounded.  A refactorization
 factorizes only the basic columns that are not column singletons (most are
 slacks), so neither the all-slack basis nor the cold start's costs a
 factorization: rows keep their signs and an artificial takes its row's.  It
-inverts that block explicitly and applies the inverse to the nonbasic
-columns by one matrix product; the last refactorization of a solve computes
-only the basic values, B⁻¹b, by an LU solve, and the row prices y = c_B B⁻¹
-by one solve with the transposed block.  An optimal solution reports them
-as its row duals (`LpSolution.duals`).
+inverts that block and applies the inverse to the nonbasic columns by one
+matrix product.  The optimal basis closes with one solve (`_closing_solve`)
+for the basic values B⁻¹b and the row prices y = c_B B⁻¹, the row duals
+(`LpSolution.duals`); a problem without rows takes the same path.
 
 A solve can start from any dual-feasible basis of its problem
 (`LpBasis`), for example the optimal basis of an earlier solve that differs
@@ -97,8 +97,8 @@ class LpBasis:
 
 @dataclass(eq=False)
 class LpSolution:
-    """A solve's outcome.  ``basis`` and ``duals`` are set when OPTIMAL with
-    at least one constraint row.
+    """A solve's outcome.  ``basis`` and ``duals`` are set when OPTIMAL; a
+    problem without constraint rows gets a basis with no rows, and empty duals.
 
     ``duals`` holds u >= 0 for each ``a_ub`` row, then v for each ``a_eq``
     row, in the problem's row order, such that the reduced costs are
@@ -119,6 +119,8 @@ class LpSolution:
 def _as_matrix(a, b, n, label):
     if a is None and b is None:
         return np.zeros((0, n)), np.zeros(0)
+    if a is None or b is None:
+        raise ValueError(f"{label}: the {'matrix' if a is None else 'right-hand side'} is missing")
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     if a.shape != (b.size, n):
@@ -173,9 +175,8 @@ def _split(B):
 
 
 def _refactor(T, basis, nonbasic, A0, b0):
-    """Write B⁻¹[A0[:, nonbasic] | b0] into ``T``, for B = A0[:, basis], or
-    B⁻¹b0 alone when ``T`` has one column; returns B's singleton split
-    (`_split`), or None when B is singular or the result is not finite.
+    """Write B⁻¹[A0[:, nonbasic] | b0] into ``T``, for B = A0[:, basis];
+    returns False when B is singular or the result is not finite.
 
     A basic column s with a single nonzero (every slack, and the odd
     structural column) is absent from every row but its own.  So only the
@@ -183,59 +184,70 @@ def _refactor(T, basis, nonbasic, A0, b0):
     columns J is factorized, and each singleton's row of the result follows
     from its own row of B by one substitution, (M_s - B[s, J] X_J) / B[s, s]
     for M = [A0[:, nonbasic] | b0] (Suhl & Suhl, *ORSA J. Computing* 2(4),
-    1990).  The all-slack basis factorizes nothing.  The wide refactor
-    inverts the block once and applies the inverse to all of M[R] by one
-    matrix product; B⁻¹b0 alone is one LU solve.  The basic columns are
-    not written: B⁻¹B is the identity.
+    1990).  The all-slack basis factorizes nothing.  The block is inverted
+    once and the inverse applied to all of M[R] by one matrix product.  The
+    basic columns are not written: B⁻¹B is the identity.
     """
     B = A0[:, basis]
-    wide = T.shape[1] > 1
+    split = _split(B)
+    if split is None:
+        return False
+    S, J, s_rows, R = split
+    N = A0[:, nonbasic]
+    T[J, -1], T[S, -1] = b0[R], b0[s_rows]
+    T[J, :-1], T[S, :-1] = N[R], N[s_rows]
+    if J.size:
+        try:
+            T[J] = np.linalg.inv(B[np.ix_(R, J)]) @ T[J]
+        except np.linalg.LinAlgError:
+            return False
+        T[S] -= B[np.ix_(s_rows, J)] @ T[J]
+    T[S] /= B[s_rows, S][:, None]
+    return bool(np.all(np.isfinite(T)))
+
+
+def _closing_solve(A0, b0, basis, cost_b):
+    """B⁻¹b0 and the row prices y with yB = ``cost_b``, for B = A0[:, basis];
+    None when B is singular or either is not finite.
+
+    B⁻¹b0 is `_refactor`'s last column by one LU solve with the block.  The
+    singleton split carries over to the transpose: each singleton column s
+    fixes its row's price, y[s_row] = c_s / B[s_row, s], and the other basic
+    columns J then give y[R] by one solve with the block B[R, J]ᵀ.
+    """
+    B = A0[:, basis]
     split = _split(B)
     if split is None:
         return None
     S, J, s_rows, R = split
-    T[J, -1], T[S, -1] = b0[R], b0[s_rows]
-    if wide:
-        N = A0[:, nonbasic]
-        T[J, :-1], T[S, :-1] = N[R], N[s_rows]
-    if J.size:
-        try:
-            if wide:
-                T[J] = np.linalg.inv(B[np.ix_(R, J)]) @ T[J]
-            else:
-                T[J] = np.linalg.solve(B[np.ix_(R, J)], T[J])
-        except np.linalg.LinAlgError:
-            return None
-        T[S] -= B[np.ix_(s_rows, J)] @ T[J]
-    T[S] /= B[s_rows, S][:, None]
-    return split if np.all(np.isfinite(T)) else None
-
-
-def _row_prices(A0, basis, split, cost_b):
-    """The row prices y with yB = ``cost_b``, for B = A0[:, basis] and its
-    singleton split from `_refactor`; None when they are not finite.
-
-    The split carries over to the transpose: each singleton column s fixes
-    its row's price, y[s_row] = c_s / B[s_row, s], and the other basic
-    columns J then give y[R] by one solve with the block B[R, J]ᵀ.
-    """
-    S, J, s_rows, R = split
-    B = A0[:, basis]
+    x = np.empty((basis.size, 1))
+    x[J, 0], x[S, 0] = b0[R], b0[s_rows]
     y = np.zeros(basis.size)
     y[s_rows] = cost_b[S] / B[s_rows, S]
     if J.size:
-        rhs = cost_b[J] - B[np.ix_(s_rows, J)].T @ y[s_rows]
+        block = B[np.ix_(R, J)]
         try:
-            y[R] = np.linalg.solve(B[np.ix_(R, J)].T, rhs)
+            x[J] = np.linalg.solve(block, x[J])
+            y[R] = np.linalg.solve(block.T, cost_b[J] - B[np.ix_(s_rows, J)].T @ y[s_rows])
         except np.linalg.LinAlgError:
             return None
-    return y if np.all(np.isfinite(y)) else None
+        x[S] -= B[np.ix_(s_rows, J)] @ x[J]
+    x[S] /= B[s_rows, S][:, None]
+    return (x[:, 0], y) if np.all(np.isfinite(x)) and np.all(np.isfinite(y)) else None
 
 
 def _reduced_costs(cost, basis, nonbasic, T):
     """The reduced costs of the tableau's columns, in tableau order: those
     of the variables ``nonbasic`` names (every basic variable's is 0)."""
     return cost[nonbasic] - cost[basis] @ T[:, :-1]
+
+
+def _lowest_tied(values, candidates, index):
+    """The candidate of lowest ``index`` among those whose ``values`` lie within
+    1e-9·(1 + |least|) of the least, so that rounding cannot split a tie."""
+    least = float(values.min())
+    tied = candidates[values <= least + 1e-9 * (1.0 + abs(least))]
+    return int(tied[np.argmin(index[tied])])
 
 
 def _primal_pivot(T, r, basis, nonbasic):
@@ -250,16 +262,13 @@ def _primal_pivot(T, r, basis, nonbasic):
     if rows.size == 0:
         return "unbounded"
     ratios = np.maximum(T[rows, -1], 0.0) / col[rows]
-    rmin = float(ratios.min())
-    tied = rows[ratios <= rmin + 1e-9 * (1.0 + rmin)]
-    return int(tied[np.argmin(basis[tied])]), k
+    return _lowest_tied(ratios, rows, basis), k
 
 
 def _dual_pivot(T, r, basis, nonbasic, tol, run):
-    """Dantzig's dual rule: the row with the most negative basic value leaves,
-    the lowest basic index among values within rounding of that minimum (so
-    that values equal in exact arithmetic do not choose by their last bits),
-    and the lowest standard-form index among the minimum ratios enters.
+    """Dantzig's dual rule: the row with the most negative basic value leaves
+    and the column with the least ratio enters, each the lowest index among
+    the values within rounding of the least (`_lowest_tied`).
 
     ``run[0]`` counts the phase's zero-ratio (degenerate) pivots in a row;
     once it reaches ``DEGENERATE_RUN_LIMIT`` it stays there, and the
@@ -271,20 +280,17 @@ def _dual_pivot(T, r, basis, nonbasic, tol, run):
     if np.any(r < -REDUCED_COST_TOL):
         return "not dual feasible"
     bland = run[0] >= DEGENERATE_RUN_LIMIT
-    if not bland:
-        values = T[short, -1]
-        vmin = float(values.min())
-        short = short[values <= vmin + 1e-9 * (1.0 + abs(vmin))]
-    row = int(short[np.argmin(basis[short])])
+    if bland:
+        row = int(short[np.argmin(basis[short])])
+    else:
+        row = _lowest_tied(T[short, -1], short, basis)
     cols = np.nonzero(T[row, :-1] < -1e-9)[0]
     if cols.size == 0:
         return "infeasible"
     ratios = np.maximum(r[cols], 0.0) / -T[row, cols]
-    rmin = float(ratios.min())
     if not bland:
-        run[0] = run[0] + 1 if rmin == 0.0 else 0
-    tied = cols[ratios <= rmin + 1e-9 * (1.0 + rmin)]
-    return row, int(tied[np.argmin(nonbasic[tied])])
+        run[0] = run[0] + 1 if ratios.min() == 0.0 else 0
+    return row, _lowest_tied(ratios, cols, nonbasic)
 
 
 def _complement(basis, n):
@@ -313,7 +319,7 @@ def _run_phase(T, basis, nonbasic, A0, b0, cost, max_iters, counter, choose=_pri
         if counter >= max_iters:
             return "stalled", counter
         if since_refactor >= REFACTOR_EVERY:
-            if _refactor(T, basis, nonbasic, A0, b0) is None:
+            if not _refactor(T, basis, nonbasic, A0, b0):
                 return "stalled", counter
             r = _reduced_costs(cost, basis, nonbasic, T)
             since_refactor = 0
@@ -326,14 +332,15 @@ def _from_basis(A, b, rows, cols, cost, max_iters, iters, dual_tol=None):
     start, and B⁻¹b.  With a ``dual_tol``, dual pivots first restore primal
     feasibility and must end "feasible"; a start that is primal feasible
     already goes straight to the primal pivots, dual feasible or not.
-    Returns (status, pivots, working values, basis, row prices), the row
-    prices y = c_B B⁻¹ over ``rows``; the last three are None unless the
+    Returns (status, pivots, working values, basis, row prices), the
+    working values and the row prices y = c_B B⁻¹ over ``rows`` from
+    `_closing_solve` at the final basis; the last three are None unless the
     status is "optimal".
     """
     A0, b0, basis = A[rows], b[rows], cols.copy()
     nonbasic = _complement(basis, A.shape[1])
     T = np.empty((basis.size, nonbasic.size + 1))
-    if _refactor(T, basis, nonbasic, A0, b0) is None:
+    if not _refactor(T, basis, nonbasic, A0, b0):
         return "stalled", iters, None, None, None
     status = "feasible"
     if dual_tol is not None:
@@ -341,25 +348,20 @@ def _from_basis(A, b, rows, cols, cost, max_iters, iters, dual_tol=None):
                                    partial(_dual_pivot, tol=dual_tol, run=[0]))
     if status == "feasible":
         status, iters = _run_phase(T, basis, nonbasic, A0, b0, cost, max_iters, iters)
-    y = None
-    if status == "optimal":
-        split = _refactor(T[:, -1:], basis, nonbasic, A0, b0)  # B⁻¹b alone
-        if split is not None:
-            y = _row_prices(A0, basis, split, cost[basis])
-        if y is None:
-            status = "stalled"
-    if status != "optimal":
-        return status, iters, None, None, None
+    closed = _closing_solve(A0, b0, basis, cost[basis]) if status == "optimal" else None
+    if closed is None:
+        return ("stalled" if status == "optimal" else status), iters, None, None, None
     t_vals = np.zeros(A.shape[1])
-    t_vals[basis] = np.maximum(T[:, -1], 0.0)
-    return status, iters, t_vals, LpBasis(A.shape, rows, basis), y
+    t_vals[basis] = np.maximum(closed[0], 0.0)
+    return status, iters, t_vals, LpBasis(A.shape, rows, basis), closed[1]
 
 
 def solve_lp(problem: LpProblem, max_iters: int | None = None,
              start: LpBasis | None = None) -> LpSolution:
     """Solve ``problem`` with the two-phase dense simplex method.
 
-    Returns OPTIMAL with the minimizer, its basis and its row duals,
+    Returns OPTIMAL with the minimizer, its basis and its row duals (empty
+    for a problem without constraint rows, whose basis has no rows),
     INFEASIBLE / UNBOUNDED when phase one or two proves it, and STALLED when
     the iteration or accuracy budget is exhausted.  An OPTIMAL answer is
     re-verified against the original data before being reported; a failed
@@ -387,6 +389,8 @@ def solve_lp(problem: LpProblem, max_iters: int | None = None,
     if c.ndim != 1 or c.size == 0 or not np.all(np.isfinite(c)):
         raise ValueError("objective must be a non-empty, finite 1-D vector")
     n = c.size
+    a_ub, b_ub = _as_matrix(problem.a_ub, problem.b_ub, n, "a_ub")
+    a_eq, b_eq = _as_matrix(problem.a_eq, problem.b_eq, n, "a_eq")
     lower = np.zeros(n) if problem.lower is None else np.asarray(problem.lower, dtype=float)
     upper = np.full(n, np.inf) if problem.upper is None else np.asarray(problem.upper, dtype=float)
     if lower.shape != (n,) or upper.shape != (n,):
@@ -395,8 +399,6 @@ def solve_lp(problem: LpProblem, max_iters: int | None = None,
         raise ValueError("bounds must be finite, -inf (lower) or +inf (upper)")
     if np.any(lower > upper):
         return LpSolution(LpStatus.INFEASIBLE, None, np.nan, 0)
-    a_ub, b_ub = _as_matrix(problem.a_ub, problem.b_ub, n, "a_ub")
-    a_eq, b_eq = _as_matrix(problem.a_eq, problem.b_eq, n, "a_eq")
 
     # Working variables are all >= 0: a variable with a finite lower bound is
     # shifted by it, one with only an upper bound is mirrored at it, and a
@@ -418,8 +420,7 @@ def solve_lp(problem: LpProblem, max_iters: int | None = None,
     m_ub = a_ub.shape[0] + boxed.size
     m = m_ub + a_eq.shape[0]
 
-    def finish(t_vals: np.ndarray, iterations: int, basis: LpBasis | None = None,
-               y: np.ndarray | None = None) -> LpSolution:
+    def finish(t_vals: np.ndarray, iterations: int, basis: LpBasis, y: np.ndarray) -> LpSolution:
         # t_vals may carry slack columns after the nt working variables; y
         # prices the kept rows of the standard form
         x = shift + np.bincount(var, weights=sign * t_vals[:nt], minlength=n)
@@ -434,18 +435,11 @@ def solve_lp(problem: LpProblem, max_iters: int | None = None,
             float(np.max(np.abs(x), initial=0.0)))
         if viol > 1e-6 * scale:
             return LpSolution(LpStatus.STALLED, None, np.nan, iterations)
-        duals = None
-        if basis is not None:
-            prices = np.zeros(m)
-            prices[basis.rows] = y
-            # a slack's reduced cost is -price, so an a_ub row's price is <= 0
-            duals = np.concatenate([-prices[:a_ub.shape[0]], prices[m_ub:]])
+        prices = np.zeros(m)
+        prices[basis.rows] = y
+        # a slack's reduced cost is -price, so an a_ub row's price is <= 0
+        duals = np.concatenate([-prices[:a_ub.shape[0]], prices[m_ub:]])
         return LpSolution(LpStatus.OPTIMAL, x, value, iterations, basis, duals)
-
-    if m == 0:
-        if np.any(c_t < -REDUCED_COST_TOL):
-            return LpSolution(LpStatus.UNBOUNDED, None, np.nan, 0)
-        return finish(np.zeros(nt), 0)
 
     # Standard form with one slack per inequality row, each row as written;
     # rows with a negative right-hand side, and all equality rows, receive an
@@ -513,12 +507,11 @@ def _two_phase(A_std, b_std, needs_art, nt, cost, max_iters):
         return "infeasible", iters, None, None, None
 
     # Drive leftover artificials out of the basis by the column of largest
-    # |entry|, the lowest standard-form index on ties; a row with no eligible
-    # pivot is linearly dependent on the others and is dropped.
+    # |entry|, the lowest standard-form index on ties (`_lowest_tied`); a row
+    # with no eligible pivot is linearly dependent on the others and is dropped.
     for i in np.nonzero(basis >= art_off)[0]:
         magnitude = np.where(nonbasic < art_off, np.abs(T[i, :-1]), 0.0)
-        tied = np.nonzero(magnitude == magnitude.max())[0]
-        k = int(tied[np.argmin(nonbasic[tied])])
+        k = _lowest_tied(-magnitude, np.arange(nonbasic.size), nonbasic)
         if magnitude[k] > 1e-8:
             _pivot(T, None, basis, nonbasic, i, k)
     keep = np.nonzero(basis < art_off)[0]

@@ -61,6 +61,30 @@ def test_no_constraints_sits_at_lower_bounds():
     np.testing.assert_allclose(sol.x, [-1.0, 2.0], atol=1e-12)
 
 
+def test_a_row_less_optimum_carries_an_empty_basis_and_duals():
+    # a problem without rows takes the general path from its all-slack
+    # basis, which has no rows: it reports that basis and no duals, and a
+    # solve from it gives the same bits
+    problem = LpProblem(c=[3.0, 0.5], lower=np.array([-1.0, 2.0]))
+    sol = solve_lp(problem)
+    assert sol.status == LpStatus.OPTIMAL and sol.iterations == 0
+    assert sol.basis.shape == (0, 2) and sol.basis.rows.size == sol.basis.cols.size == 0
+    assert sol.duals.shape == (0,)
+    again = solve_lp(problem, start=sol.basis)
+    same_solution(again, sol)
+    assert np.array_equal(again.basis.cols, sol.basis.cols) and np.array_equal(again.duals, sol.duals)
+
+
+def test_a_row_less_unbounded_problem_takes_no_pivot():
+    # a negative working cost (a negative cost, a free variable's - part)
+    # with no row to stop it: the cold solve's phase two finds no leaving row
+    for problem in (LpProblem(c=[-1.0]),
+                    LpProblem(c=[1.0, 2.0], lower=np.array([-np.inf, 0.0]))):
+        sol = solve_lp(problem)
+        assert sol.status == LpStatus.UNBOUNDED and sol.iterations == 0
+        assert sol.x is None and sol.basis is None
+
+
 def test_variable_upper_bounds():
     # min -x1 - x2 with x <= (1, 2) elementwise
     sol = solve_lp(LpProblem(c=[-1.0, -1.0], upper=np.array([1.0, 2.0])))
@@ -188,6 +212,26 @@ def test_input_validation():
             solve_lp(LpProblem(c=c, a_ub=[[1.0, 1.0]], b_ub=[1.0]))
 
 
+def test_a_malformed_matrix_is_rejected_before_crossing_bounds_answer():
+    # crossing bounds make the problem INFEASIBLE, but a malformed matrix is
+    # a caller's error and is reported as one
+    crossing = dict(lower=np.array([1.0]), upper=np.array([0.0]))
+    with pytest.raises(ValueError, match="shape"):
+        solve_lp(LpProblem(c=[1.0], a_ub=[[1.0, 2.0]], b_ub=[1.0], **crossing))
+    with pytest.raises(ValueError, match="finite"):
+        solve_lp(LpProblem(c=[1.0], a_ub=[[np.nan]], b_ub=[1.0], **crossing))
+
+
+def test_a_matrix_without_its_right_hand_side_is_named():
+    # the message names the missing half, not a shape or finiteness fault
+    with pytest.raises(ValueError, match="a_ub: the right-hand side is missing"):
+        solve_lp(LpProblem(c=[1.0], a_ub=[[1.0]]))
+    with pytest.raises(ValueError, match="a_ub: the matrix is missing"):
+        solve_lp(LpProblem(c=[1.0], b_ub=[1.0]))
+    with pytest.raises(ValueError, match="a_eq: the right-hand side is missing"):
+        solve_lp(LpProblem(c=[1.0], a_eq=[[1.0]]))
+
+
 def test_an_optimum_that_fails_its_check_is_reported_stalled(monkeypatch):
     # finish re-verifies every optimum against the original data: a phase
     # two that claimed t = (2, 0) for x1 + x2 <= 1 must not be reported
@@ -260,10 +304,24 @@ def singletons(A0, basis):
     return int(np.sum(np.count_nonzero(A0[:, basis], axis=0) == 1))
 
 
-def refactored(A0, b0, basis, nonbasic, columns=None):
-    T = np.full((basis.size, columns or nonbasic.size + 1), np.nan)
+def refactored(A0, b0, basis, nonbasic):
+    T = np.full((basis.size, nonbasic.size + 1), np.nan)
     assert lp._refactor(T, basis, nonbasic, A0, b0)
     return T
+
+
+def random_bases(rng):
+    """40 (A0, b0, basis) triples, each kind of basis among them: all
+    slack, mixed singletons and others, and no singleton at all."""
+    seen = set()
+    for trial in range(40):
+        structural, density = [(0, 0.08), (5, 0.08), (15, 0.08), (25, 0.08), (30, 0.4)][trial % 5]
+        A0, b0 = sparse_standard_form(rng, density=density)
+        basis = dominant_basis(rng, A0, structural, 30)
+        k = singletons(A0, basis)
+        seen.add("all slack" if k == 30 and structural == 0 else "none" if k == 0 else "mixed")
+        yield A0, b0, basis
+    assert seen == {"all slack", "mixed", "none"}
 
 
 def shuffled_nonbasic(rng, A0, basis):
@@ -273,23 +331,38 @@ def shuffled_nonbasic(rng, A0, basis):
 def test_refactor_matches_the_dense_solve():
     # only the block of the basis that is not a column singleton is
     # factorized; the result must still be B⁻¹[A0[:, nonbasic] | b0], in
-    # the order of ``nonbasic``, and a one-column T must hold its last
-    # column, B⁻¹b0
+    # the order of ``nonbasic``, and the closing solve's basic values must
+    # match its last column, B⁻¹b0
     rng = np.random.default_rng(23)
-    seen = set()
-    for trial in range(40):
-        structural, density = [(0, 0.08), (5, 0.08), (15, 0.08), (25, 0.08), (30, 0.4)][trial % 5]
-        A0, b0 = sparse_standard_form(rng, density=density)
-        basis = dominant_basis(rng, A0, structural, 30)
-        k = singletons(A0, basis)
-        seen.add("all slack" if k == 30 and structural == 0 else "none" if k == 0 else "mixed")
+    for A0, b0, basis in random_bases(rng):
         nonbasic = shuffled_nonbasic(rng, A0, basis)
         want = np.linalg.solve(A0[:, basis], np.c_[A0[:, nonbasic], b0])
         T = refactored(A0, b0, basis, nonbasic)
         np.testing.assert_allclose(T, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
-        np.testing.assert_allclose(refactored(A0, b0, basis, nonbasic, 1)[:, 0], T[:, -1],
+        np.testing.assert_allclose(lp._closing_solve(A0, b0, basis, np.zeros(30))[0], T[:, -1],
                                    rtol=1e-12, atol=1e-12 * np.abs(want).max())
-    assert seen == {"all slack", "mixed", "none"}
+
+
+def test_the_closing_solve_matches_the_dense_solve():
+    # the basic values B⁻¹b0 and the row prices y with yB = c_B, from the
+    # singleton split and one block solve each, against the dense solves
+    rng = np.random.default_rng(37)
+    for A0, b0, basis in random_bases(rng):
+        cost_b = rng.normal(size=30)
+        x, y = lp._closing_solve(A0, b0, basis, cost_b)
+        B = A0[:, basis]
+        for got, want in ((x, np.linalg.solve(B, b0)), (y, np.linalg.solve(B.T, cost_b))):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    # singular bases as in the refactor's test below: two singletons on row
+    # 4, then a structural column that is 0 on the one row left to it
+    A0, b0 = sparse_standard_form(rng)
+    A0[:, 0] = 0.0
+    A0[4, 0] = 3.0
+    basis = 40 + np.arange(30)
+    basis[7] = 0
+    assert lp._closing_solve(A0, b0, basis, np.ones(30)) is None
+    A0[[2, 9], 0] = [1.0, -1.0]
+    assert lp._closing_solve(A0, b0, basis, np.ones(30)) is None
 
 
 def test_refactor_substitutes_a_structural_singleton():
@@ -598,6 +671,29 @@ def test_a_driven_out_artificial_takes_the_lowest_index_among_equal_entries(monk
     assert nonbasic[tied].tolist() == [3, 0] and nonbasic[k] == 0
     assert sol.status == LpStatus.OPTIMAL and sol.basis.cols.tolist() == [2, 0, 1]
     assert sol.value == pytest.approx(-2.0, abs=1e-9)
+    np.testing.assert_allclose(sol.x, [0.0, 1.0, 1.0], atol=1e-9)
+
+
+def test_a_driven_out_artificial_counts_entries_within_rounding_as_equal(monkeypatch):
+    # the LP above with x_0's coefficient in the inequality shrunk by 1e-12:
+    # its entry in the artificial's row falls 2e-12 short of the slack's,
+    # well within rounding, and x_0 still enters as the lower index
+    driven = []
+
+    def spy(T, r, basis, nonbasic, row, k):
+        if r is None:
+            driven.append((np.abs(T[row, :-1]), nonbasic.copy(), k))
+        return _pivot(T, r, basis, nonbasic, row, k)
+
+    monkeypatch.setattr(lp, "_pivot", spy)
+    sol = solve_lp(LpProblem(c=[0.0, -2.0, 0.0], a_ub=[[2.0 * (1.0 - 1e-12), -1.0, 2.0]], b_ub=[1.0],
+                             a_eq=[[1.0, -1.0, 2.0], [-1.0, 2.0, -2.0], [0.0, 1.0, 0.0]],
+                             b_eq=[1.0, 0.0, 1.0]))
+    assert len(driven) == 1
+    magnitude, nonbasic, k = driven[0]
+    slack, x_0 = (magnitude[nonbasic == j][0] for j in (3, 0))
+    assert 0.0 < slack - x_0 < 1e-11 and nonbasic[k] == 0
+    assert sol.status == LpStatus.OPTIMAL and sol.basis.cols.tolist() == [2, 0, 1]
     np.testing.assert_allclose(sol.x, [0.0, 1.0, 1.0], atol=1e-9)
 
 

@@ -866,7 +866,7 @@ def test_the_epigraph_lp_always_starts_from_the_slacks(monkeypatch):
 def test_the_epigraph_lp_factorizes_only_what_it_reads(monkeypatch):
     # the all-slack start is B = ±I, so its refactor inverts and solves
     # nothing and writes only the working columns, which are its nonbasic
-    # ones, and b; the final refactor reads only the basic values, so it
+    # ones, and b; the closing solve reads only the basic values, so it
     # solves for B⁻¹b alone, and then for the row prices by one solve with
     # the block's transpose; a silent return to the full tableau or the full
     # dense solve would keep every answer and lose the speed
@@ -876,15 +876,21 @@ def test_the_epigraph_lp_factorizes_only_what_it_reads(monkeypatch):
     cfg = ExperimentConfig()
     net, _, history = build_experiment(cfg)
     budget = reference_budget(net, history)
-    # per refactor: its T's column count, the standard form's working column
-    # count (the epigraph LP has inequality rows only, one slack each), the
-    # widths of the rhs it solved for and the orders of the blocks it inverted
+    # per refactor or closing solve: its T's column count (None for the
+    # closing solve), the standard form's working column count (the epigraph
+    # LP has inequality rows only, one slack each), the widths of the rhs it
+    # solved for and the orders of the blocks it inverted
     refactors = []
-    real_refactor, real_solve, real_inv = lp._refactor, np.linalg.solve, np.linalg.inv
+    real_refactor, real_closing_solve = lp._refactor, lp._closing_solve
+    real_solve, real_inv = np.linalg.solve, np.linalg.inv
 
     def refactor(T, basis, nonbasic, A0, b0):
         refactors.append((T.shape[1], A0.shape[1] - A0.shape[0], [], []))
         return real_refactor(T, basis, nonbasic, A0, b0)
+
+    def closing_solve(A0, b0, basis, cost_b):
+        refactors.append((None, A0.shape[1] - A0.shape[0], [], []))
+        return real_closing_solve(A0, b0, basis, cost_b)
 
     def solve(a, b):
         refactors[-1][2].append(b.shape[1] if b.ndim == 2 else 1)
@@ -895,6 +901,7 @@ def test_the_epigraph_lp_factorizes_only_what_it_reads(monkeypatch):
         return real_inv(a)
 
     monkeypatch.setattr(lp, "_refactor", refactor)
+    monkeypatch.setattr(lp, "_closing_solve", closing_solve)
     monkeypatch.setattr(np.linalg, "solve", solve)
     monkeypatch.setattr(np.linalg, "inv", inv)
     for norm in (Norm.L1, Norm.LINF):
@@ -905,7 +912,7 @@ def test_the_epigraph_lp_factorizes_only_what_it_reads(monkeypatch):
             solve_caolf(refs, region, SolveConfig(norm=norm))
             start, *_, final = refactors
             assert start[0] == start[1] + 1 and start[2:] == ([], [])
-            assert final[0] == 1 and final[2:] == ([1, 1], [])
+            assert final[0] is None and final[2:] == ([1, 1], [])
 
 
 def test_the_epigraph_lp_optimum_carries_a_dual_certificate(monkeypatch):
