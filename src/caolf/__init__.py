@@ -6,7 +6,7 @@ every recorded value (or (1 - gamma) for maximized metrics), and make gamma
 as small as the geometry allows.
 """
 
-from .geometry import Mono, Norm, RefGeometry, Sense, clip, dual_norm_value, norm_value
+from .geometry import Mono, Norm, Sense, clip, dual_norm_value, norm_value
 from .lp import LpBasis, LpProblem, LpSolution, LpStatus, solve_lp
 from .model import (
     CompetitiveSolution,
@@ -28,7 +28,7 @@ from .solver import (
 )
 
 __all__ = [
-    "Mono", "Norm", "RefGeometry", "Sense", "clip", "dual_norm_value", "norm_value",
+    "Mono", "Norm", "Sense", "clip", "dual_norm_value", "norm_value",
     "LpBasis", "LpProblem", "LpSolution", "LpStatus", "solve_lp",
     "CompetitiveSolution", "ConcaveLinear", "ConvexQuadratic", "FeasibleSet",
     "LipschitzNorm", "MetricRef",

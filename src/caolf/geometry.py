@@ -1,17 +1,17 @@
 """Norms, the monotonicity-aware clip operator, and projectable sets.
 
-Every metric carries a reference point together with per-coordinate
-monotonicity tags.  The clip operator turns the displacement from that
-reference into a vector of *harmful* movement only: movement in a direction
-that cannot increase a minimized metric (or decrease a maximized one) is
-zeroed out.  Norms of clipped displacements are what the solvers bound.
-The points with zero clip form a box, the reference's safe region, and the
-harmful movement is the displacement out of that box.
+Every metric has a reference point, per-coordinate monotonicity tags and a
+sense.  `MetricRef.safe_box` turns them into the reference's safe box
+[lo, hi]: the points reached from the reference by harmless movement only,
+movement that cannot increase a minimized metric (or decrease a maximized
+one).  The harmful movement is the displacement out of that box; `clip`
+gives it signed, `harm` without the sign flip.  Norms of the harmful
+movement are what the solvers bound.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Sequence
 
@@ -87,58 +87,26 @@ class Sense(str, Enum):
     MAXIMIZE = "max"
 
 
-@dataclass(frozen=True, eq=False)
-class RefGeometry:
-    """A reference point plus the monotonicity pattern of one metric.
-
-    ``sense`` flips the harmful direction: for a maximized metric, moving a
-    coordinate the metric increases in can only help, so the roles of
-    increasing and decreasing coordinates swap.
-    """
-
-    x_ref: np.ndarray
-    mono: np.ndarray
-    sense: Sense = Sense.MINIMIZE
-    # monotonicity after folding in the optimization sense
-    eff_mono: np.ndarray = field(init=False, repr=False)
-    # the safe region: the box [lo, hi] on which the clipped displacement is 0
-    lo: np.ndarray = field(init=False, repr=False)
-    hi: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "x_ref", np.asarray(self.x_ref, dtype=float))
-        object.__setattr__(self, "mono", as_mono_array(self.mono, dim=self.x_ref.size))
-        if self.x_ref.ndim != 1 or self.x_ref.size == 0:
-            raise ValueError("reference point must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(self.x_ref)):
-            raise ValueError("reference point must be finite")
-        eff = (-self.mono).astype(np.int8) if self.sense == Sense.MAXIMIZE else self.mono
-        object.__setattr__(self, "eff_mono", eff)
-        object.__setattr__(self, "lo", np.where(eff > 0, -np.inf, self.x_ref))
-        object.__setattr__(self, "hi", np.where(eff < 0, np.inf, self.x_ref))
-
-    @property
-    def dim(self) -> int:
-        return self.x_ref.size
-
-
 def harm(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """x - clamp(x, lo, hi): the displacement out of the safe box, `clip` without its sign flip."""
     return x - np.minimum(np.maximum(x, lo), hi)
 
 
-def clip(x, geom: RefGeometry) -> np.ndarray:
-    """Harmful part of the displacement from ``geom.x_ref`` to ``x``.
+def clip(x, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Harmful part of the displacement from the reference to ``x``, given
+    the reference's safe box [lo, hi] (`MetricRef.safe_box`).
 
     Coordinates the metric (effectively) increases in keep only positive
     displacement, decreasing coordinates keep only negative displacement
     (sign-flipped), and non-monotone coordinates keep the displacement as is.
+    The reference point is finite, so hi is +inf exactly on the decreasing
+    coordinates.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != geom.x_ref.shape:
-        raise ValueError(f"point has shape {x.shape}, reference has {geom.x_ref.shape}")
-    p = np.minimum(np.maximum(x, geom.lo), geom.hi)
-    return np.where(geom.eff_mono < 0, p - x, x - p)
+    if x.shape != lo.shape:
+        raise ValueError(f"point has shape {x.shape}, reference has {lo.shape}")
+    p = np.minimum(np.maximum(x, lo), hi)
+    return np.where(hi == np.inf, p - x, x - p)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +147,7 @@ class HalfspaceSet:
 
 
 class ClippedBallSet:
-    """{x : ||clip(x, geom)||_2 <= radius}; radius 0 gives the safe region.
+    """{x : ||clip(x, lo, hi)||_2 <= radius}; radius 0 gives the safe box [lo, hi].
 
     The set is the safe box fattened by ``radius``, so the projection moves
     straight toward the nearest safe point (the clamp into the box, nearest
@@ -187,14 +155,15 @@ class ClippedBallSet:
     Euclidean case exists; L1/LINF instances go through the LP path.
     """
 
-    def __init__(self, geom: RefGeometry, radius: float):
+    def __init__(self, lo, hi, radius: float):
         if radius < 0:
             raise ValueError("radius must be nonnegative")
-        self.geom = geom
+        self.lo = np.asarray(lo, dtype=float)
+        self.hi = np.asarray(hi, dtype=float)
         self.radius = float(radius)
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        p = np.minimum(np.maximum(x, self.geom.lo), self.geom.hi)
+        p = np.minimum(np.maximum(x, self.lo), self.hi)
         d = x - p
         gn = norm_value(d, Norm.L2)
         if gn <= self.radius:
@@ -202,7 +171,7 @@ class ClippedBallSet:
         return p + (self.radius / gn) * d
 
     def violation(self, x: np.ndarray) -> float:
-        d = x - np.minimum(np.maximum(x, self.geom.lo), self.geom.hi)
+        d = x - np.minimum(np.maximum(x, self.lo), self.hi)
         return max(0.0, norm_value(d, Norm.L2) - self.radius)
 
 

@@ -11,7 +11,6 @@ from .geometry import (
     HalfspaceSet,
     LowerBoundSet,
     Norm,
-    RefGeometry,
     Sense,
     as_mono_array,
     dykstra,
@@ -37,7 +36,18 @@ class LipschitzNorm:
             raise ValueError("Lipschitz bound must be positive and finite")
         # isinstance first: built in bulk, and an enum call costs ten times as much
         object.__setattr__(self, "norm", self.norm if isinstance(self.norm, Norm) else Norm(self.norm))
-        object.__setattr__(self, "mono", as_mono_array(self.mono))
+        mono = as_mono_array(self.mono)
+        mono.flags.writeable = False  # the constraint table trusts this validation
+        object.__setattr__(self, "mono", mono)
+
+
+def _checked_grad(grad) -> np.ndarray:
+    g = np.asarray(grad, dtype=float)
+    if g.ndim != 1:
+        raise ValueError(f"gradient must be a 1-D vector, got shape {g.shape}")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("gradient must be finite")
+    return g
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,10 +57,7 @@ class ConcaveLinear:
     grad: np.ndarray
 
     def __post_init__(self):
-        g = np.asarray(self.grad, dtype=float)
-        if not np.all(np.isfinite(g)):
-            raise ValueError("gradient must be finite")
-        object.__setattr__(self, "grad", g)
+        object.__setattr__(self, "grad", _checked_grad(self.grad))
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,12 +68,9 @@ class ConvexQuadratic:
     curvature: float
 
     def __post_init__(self):
-        g = np.asarray(self.grad, dtype=float)
-        if not np.all(np.isfinite(g)):
-            raise ValueError("gradient must be finite")
         if not (self.curvature > 0 and np.isfinite(self.curvature)):
             raise ValueError("curvature must be positive and finite")
-        object.__setattr__(self, "grad", g)
+        object.__setattr__(self, "grad", _checked_grad(self.grad))
 
 
 ConstraintModel = Union[LipschitzNorm, ConcaveLinear, ConvexQuadratic]
@@ -89,7 +93,9 @@ class MetricRef:
     models: tuple[ConstraintModel, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "x_ref", np.asarray(self.x_ref, dtype=float))
+        x_ref = np.array(self.x_ref, dtype=float)  # a copy: callers share their arrays
+        x_ref.flags.writeable = False
+        object.__setattr__(self, "x_ref", x_ref)
         object.__setattr__(self, "sense", self.sense if isinstance(self.sense, Sense) else Sense(self.sense))
         object.__setattr__(self, "models", tuple(self.models))
         if self.x_ref.ndim != 1 or self.x_ref.size == 0:
@@ -119,8 +125,13 @@ class MetricRef:
         raise ValueError(
             f"metric {self.id!r} has no Lipschitz model in norm {norm.value!r} (available: {have})")
 
-    def geometry(self, model: LipschitzNorm) -> RefGeometry:
-        return RefGeometry(self.x_ref, model.mono, self.sense)
+    def safe_box(self, model: LipschitzNorm) -> tuple[np.ndarray, np.ndarray]:
+        """The safe box [lo, hi] of ``model``, one of this metric's Lipschitz
+        models: lo is -inf where the metric, with its sense folded in,
+        increases, hi is +inf where it decreases, and both are ``x_ref``
+        elsewhere."""
+        eff = -model.mono if self.sense == Sense.MAXIMIZE else model.mono
+        return np.where(eff > 0, -np.inf, self.x_ref), np.where(eff < 0, np.inf, self.x_ref)
 
     def scaled(self, kappa: float) -> "MetricRef":
         """Copy with every Lipschitz bound multiplied by ``kappa``."""
@@ -137,10 +148,10 @@ class ClippedNormSurrogate:
 
     A Lipschitz model in ``norm`` needs rate * ||clip(x)|| <= gamma, rate =
     bound / value, where clip folds in the metric's sense and monotonicity.
-    Models with one safe box [lo, hi] share a clip row (rate, lo, hi) at the
-    group's largest rate (the first model's on a tie), in the order of those
-    models; ``model_row`` and ``model_rate`` hold each model's row and own
-    rate.  Other norms give no row.  A cap row (curvature, center, grad,
+    Models with one safe box [lo, hi] (`MetricRef.safe_box`) share a clip
+    row (rate, lo, hi) at the group's largest rate (the first model's on a
+    tie), in the order of those models; ``model_row`` and ``model_rate``
+    hold each model's row and own rate.  Other norms give no row.  A cap row (curvature, center, grad,
     value) is a hyperplane (curvature 0) or quadratic model, l2 only:
     (curvature ||u||^2 + grad . u) / value <= gamma with u = x - center; a
     zero gradient holds everywhere and gives no row.
@@ -162,7 +173,7 @@ class ClippedNormSurrogate:
             for m in r.models:
                 if isinstance(m, LipschitzNorm):
                     if m.norm == norm:
-                        clips.append((i, r.geometry(m), m.bound / r.value))
+                        clips.append((i, *r.safe_box(m), m.bound / r.value))
                 elif not isinstance(m, (ConcaveLinear, ConvexQuadratic)):
                     raise TypeError(f"unknown constraint model {type(m).__name__}")
                 elif norm != Norm.L2:
@@ -172,19 +183,19 @@ class ClippedNormSurrogate:
                     caps.append((i, m.curvature, m.grad, r))
                 elif float(np.dot(m.grad, m.grad)) != 0.0:
                     caps.append((i, 0.0, m.grad, r))
-        keys = [(g.lo.tobytes(), g.hi.tobytes()) for _, g, _ in clips]
+        keys = [(lo.tobytes(), hi.tobytes()) for _, lo, hi, _ in clips]
         best: dict[tuple[bytes, bytes], int] = {}  # group -> its largest-rate model
-        for j, (key, (_, _, rate)) in enumerate(zip(keys, clips)):
-            if rate > clips[best.setdefault(key, j)][2]:
+        for j, (key, (_, _, _, rate)) in enumerate(zip(keys, clips)):
+            if rate > clips[best.setdefault(key, j)][3]:
                 best[key] = j
         rows = sorted(best.values())
         self.norm = norm
         self.ids = tuple(r.id for r in refs)
         self.owner = np.array([row[0] for row in clips + caps], dtype=int)
         self.model_row = np.searchsorted(rows, [best[key] for key in keys])
-        self.model_rate = np.array([rate for _, _, rate in clips])
-        self.lo = np.reshape([clips[j][1].lo for j in rows], (-1, dim))  # (m, d)
-        self.hi = np.reshape([clips[j][1].hi for j in rows], (-1, dim))  # (m, d)
+        self.model_rate = np.array([rate for _, _, _, rate in clips])
+        self.lo = np.reshape([clips[j][1] for j in rows], (-1, dim))  # (m, d)
+        self.hi = np.reshape([clips[j][2] for j in rows], (-1, dim))  # (m, d)
         self.rate = self.model_rate[rows]                                 # (m,)
         self.curvature = np.array([c for _, c, _, _ in caps])             # (k,)
         self.center = np.reshape([r.x_ref for _, _, _, r in caps], (-1, dim))  # (k, d)

@@ -334,8 +334,11 @@ def verify_competitiveness(x, gamma: float, metrics):
     ``metrics`` is an iterable of (evaluator, reference_value, sense).
     Returns (slacks, ok): slack is the relative excess f(x)/v - 1 for
     minimized metrics and 1 - f(x)/v for maximized ones, so ``ok`` means
-    every slack is at most gamma (plus ``VERIFY_REL_TOL``).
+    every slack is at most gamma (plus ``VERIFY_REL_TOL``).  A NaN gamma
+    raises, since no slack compares with it; a negative one is allowed.
     """
+    if math.isnan(gamma):
+        raise ValueError("gamma must not be NaN")
     x = np.asarray(x, dtype=float)
     slacks = np.asarray([_relative_slack(float(evaluate(x)), value, sense)
                          for evaluate, value, sense in _checked_metrics(metrics)])

@@ -56,11 +56,11 @@ def lipschitz_evaluators(refs, norm=Norm.L2):
     out = []
     for r in refs:
         model = r.lipschitz_model(norm)
-        geom = r.geometry(model)
+        box = r.safe_box(model)
         sgn = 1.0 if r.sense == Sense.MINIMIZE else -1.0
 
-        def f(x, geom=geom, model=model, r=r, sgn=sgn):
-            return r.value + sgn * model.bound * norm_value(clip(x, geom), model.norm)
+        def f(x, box=box, model=model, r=r, sgn=sgn):
+            return r.value + sgn * model.bound * norm_value(clip(x, *box), model.norm)
 
         out.append((f, r.value, r.sense))
     return out

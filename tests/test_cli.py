@@ -276,6 +276,8 @@ def test_malformed_instance_exits_with_error(tmp_path, capsys):
         (broken(lambda p: p["metrics"][1]["models"][0].pop("bound")), "'bound'", every),
         (broken(lambda p: p["region"].update(halfspaces=[{"a": [1.0]}])), "'b'", every),
         (broken(lambda p: p["metrics"][0]["models"][0].update(mono=[True])), "-1, 0 or +1", every),
+        (broken(lambda p: p["metrics"][0].update(models=[{"kind": "linear", "grad": [[1.0]]}])),
+         "1-D", every),
         (broken(lambda p: p["metrics"][1].update(
             x_ref=[1.0, 2.0], models=[{"bound": 1.0, "mono": [0, 0]}])),
          "metric 'right' has dimension 2", every),
@@ -320,3 +322,12 @@ def test_the_package_imports_only_the_standard_library_and_numpy():
                 continue
             for name in names:
                 assert name.split(".")[0] in allowed, (path.name, name)
+
+
+def test_the_package_exports_resolve():
+    import caolf
+
+    namespace = {}
+    exec("from caolf import *", namespace)
+    for name in caolf.__all__:
+        assert namespace[name] is getattr(caolf, name), name

@@ -13,7 +13,6 @@ from caolf.geometry import (
     LowerBoundSet,
     Mono,
     Norm,
-    RefGeometry,
     Sense,
     as_mono_array,
     clip,
@@ -55,44 +54,50 @@ def test_norms_are_coordinate_monotone():
             assert norm_value(u, kind) <= norm_value(w, kind) + 1e-12
 
 
+def safe_box(x_ref, mono, sense=Sense.MINIMIZE):
+    """The safe box [lo, hi] of a metric at ``x_ref`` with one Lipschitz model."""
+    m = LipschitzNorm(1.0, Norm.L2, mono)
+    return MetricRef(id="m", x_ref=x_ref, value=1.0, sense=sense, models=(m,)).safe_box(m)
+
+
 def test_clip_minimize_cases():
-    geom = RefGeometry([1.0, 1.0, 1.0], [Mono.INCREASING, Mono.DECREASING, Mono.NON_MONOTONE])
+    box = safe_box([1.0, 1.0, 1.0], [Mono.INCREASING, Mono.DECREASING, Mono.NON_MONOTONE])
     # moving up hurts increasing coords, moving down hurts decreasing ones,
     # non-monotone coords keep the signed displacement
-    np.testing.assert_allclose(clip([3.0, 3.0, 3.0], geom), [2.0, 0.0, 2.0])
-    np.testing.assert_allclose(clip([0.5, 0.5, 0.5], geom), [0.0, 0.5, -0.5])
-    np.testing.assert_allclose(clip([1.0, 1.0, 1.0], geom), [0.0, 0.0, 0.0])
+    np.testing.assert_allclose(clip([3.0, 3.0, 3.0], *box), [2.0, 0.0, 2.0])
+    np.testing.assert_allclose(clip([0.5, 0.5, 0.5], *box), [0.0, 0.5, -0.5])
+    np.testing.assert_allclose(clip([1.0, 1.0, 1.0], *box), [0.0, 0.0, 0.0])
 
 
 def test_clip_maximize_swaps_directions():
-    g_min = RefGeometry([1.0, 1.0], [Mono.INCREASING, Mono.DECREASING], Sense.MINIMIZE)
-    g_max = RefGeometry([1.0, 1.0], [Mono.INCREASING, Mono.DECREASING], Sense.MAXIMIZE)
+    b_min = safe_box([1.0, 1.0], [Mono.INCREASING, Mono.DECREASING], Sense.MINIMIZE)
+    b_max = safe_box([1.0, 1.0], [Mono.INCREASING, Mono.DECREASING], Sense.MAXIMIZE)
     x = [3.0, 0.5]
-    np.testing.assert_allclose(clip(x, g_min), [2.0, 0.5])
-    np.testing.assert_allclose(clip(x, g_max), [0.0, 0.0])
-    np.testing.assert_allclose(clip([0.5, 3.0], g_max), [0.5, 2.0])
+    np.testing.assert_allclose(clip(x, *b_min), [2.0, 0.5])
+    np.testing.assert_allclose(clip(x, *b_max), [0.0, 0.0])
+    np.testing.assert_allclose(clip([0.5, 3.0], *b_max), [0.5, 2.0])
 
 
 def test_clip_zero_iff_in_safe_region():
     rng = np.random.default_rng(5)
     for _ in range(100):
-        geom = RefGeometry(rng.normal(size=3),
-                           rng.integers(-1, 2, size=3),
-                           Sense.MAXIMIZE if rng.random() < 0.5 else Sense.MINIMIZE)
+        box = safe_box(rng.normal(size=3),
+                       rng.integers(-1, 2, size=3),
+                       Sense.MAXIMIZE if rng.random() < 0.5 else Sense.MINIMIZE)
         x = rng.normal(size=3) * 2
-        p = ClippedBallSet(geom, 0.0).project(x)
-        assert norm_value(clip(p, geom), Norm.LINF) <= 1e-15
-        if norm_value(clip(x, geom), Norm.LINF) == 0.0:
+        p = ClippedBallSet(*box, 0.0).project(x)
+        assert norm_value(clip(p, *box), Norm.LINF) <= 1e-15
+        if norm_value(clip(x, *box), Norm.LINF) == 0.0:
             np.testing.assert_allclose(p, x)
 
 
 def test_safe_region_projection_is_idempotent_and_nonexpansive():
     rng = np.random.default_rng(7)
     for _ in range(100):
-        geom = RefGeometry(rng.normal(size=4), rng.integers(-1, 2, size=4))
+        box = safe_box(rng.normal(size=4), rng.integers(-1, 2, size=4))
         x = rng.normal(size=4) * 3
         y = rng.normal(size=4) * 3
-        safe = ClippedBallSet(geom, 0.0)
+        safe = ClippedBallSet(*box, 0.0)
         px, py = safe.project(x), safe.project(y)
         np.testing.assert_allclose(safe.project(px), px)
         assert np.all(np.abs(px - py) <= np.abs(x - y) + 1e-15)
@@ -100,7 +105,7 @@ def test_safe_region_projection_is_idempotent_and_nonexpansive():
 
 def test_clip_norm_is_distance_to_safe_region():
     # ||clip(x)|| == min ||x - y|| over the zero-clip set, by dense grid in 2-D
-    geom = RefGeometry([0.5, -0.25], [Mono.INCREASING, Mono.NON_MONOTONE])
+    box = safe_box([0.5, -0.25], [Mono.INCREASING, Mono.NON_MONOTONE])
     rng = np.random.default_rng(3)
     ax1 = np.linspace(0.5 - 10.0, 0.5, 5001)  # increasing coord: safe at or below ref
     for kind in Norm:
@@ -110,22 +115,21 @@ def test_clip_norm_is_distance_to_safe_region():
             for y1 in ax1:
                 cand = norm_value([x[0] - y1, x[1] - (-0.25)], kind)
                 best = min(best, cand)
-            assert norm_value(clip(x, geom), kind) == pytest.approx(best, abs=3e-3)
+            assert norm_value(clip(x, *box), kind) == pytest.approx(best, abs=3e-3)
 
 
 def test_clipped_ball_projection_one_dim_frozen():
     # derived by hand: safe set {0}, radius 1, so -3 lands at -1
-    geom = RefGeometry([0.0], [Mono.NON_MONOTONE])
-    ball = ClippedBallSet(geom, 1.0)
+    ball = ClippedBallSet(*safe_box([0.0], [Mono.NON_MONOTONE]), 1.0)
     np.testing.assert_allclose(ball.project(np.array([-3.0])), [-1.0])
     np.testing.assert_allclose(ball.project(np.array([0.5])), [0.5])
 
 
 def test_clipped_ball_projection_matches_grid_argmin():
-    geom = RefGeometry([1.0, 2.0], [Mono.INCREASING, Mono.NON_MONOTONE])
+    box = safe_box([1.0, 2.0], [Mono.INCREASING, Mono.NON_MONOTONE])
     x = np.array([3.0, 5.0])
     r = 1.0
-    out = ClippedBallSet(geom, r).project(x)
+    out = ClippedBallSet(*box, r).project(x)
     # frozen closed form: safe point (1, 2), distance sqrt(13)
     expect = np.array([1.0, 2.0]) + (r / np.sqrt(13.0)) * np.array([2.0, 3.0])
     np.testing.assert_allclose(out, expect, atol=1e-12)
@@ -134,7 +138,7 @@ def test_clipped_ball_projection_matches_grid_argmin():
     for y1 in np.linspace(-1, 4, 251):
         for y2 in np.linspace(0, 6, 301):
             y = np.array([y1, y2])
-            if norm_value(clip(y, geom), Norm.L2) <= r:
+            if norm_value(clip(y, *box), Norm.L2) <= r:
                 d = norm_value(x - y, Norm.L2)
                 if d < best_d:
                     best, best_d = y, d
@@ -144,12 +148,12 @@ def test_clipped_ball_projection_matches_grid_argmin():
 def test_clipped_ball_output_feasible_and_fixed_points():
     rng = np.random.default_rng(19)
     for _ in range(200):
-        geom = RefGeometry(rng.normal(size=3), rng.integers(-1, 2, size=3))
+        box = safe_box(rng.normal(size=3), rng.integers(-1, 2, size=3))
         r = float(rng.uniform(0, 2))
         x = rng.normal(size=3) * 4
-        out = ClippedBallSet(geom, r).project(x)
-        assert norm_value(clip(out, geom), Norm.L2) <= r + 1e-9
-        if norm_value(clip(x, geom), Norm.L2) <= r:
+        out = ClippedBallSet(*box, r).project(x)
+        assert norm_value(clip(out, *box), Norm.L2) <= r + 1e-9
+        if norm_value(clip(x, *box), Norm.L2) <= r:
             np.testing.assert_allclose(out, x)
 
 
@@ -163,9 +167,8 @@ def test_halfspace_projection():
 
 def test_all_projections_are_nonexpansive():
     rng = np.random.default_rng(31)
-    geom = RefGeometry([0.3, -0.7], [Mono.DECREASING, Mono.NON_MONOTONE])
     sets = [
-        ClippedBallSet(geom, 0.8),
+        ClippedBallSet(*safe_box([0.3, -0.7], [Mono.DECREASING, Mono.NON_MONOTONE]), 0.8),
         HalfspaceSet([1.0, 2.0], 0.5),
         LowerBoundSet([0.0, -np.inf]),
         BallSet([1.0, 1.0], 1.5),
@@ -179,9 +182,8 @@ def test_all_projections_are_nonexpansive():
 
 def test_violation_is_euclidean_distance():
     rng = np.random.default_rng(37)
-    geom = RefGeometry([0.0, 0.0], [Mono.NON_MONOTONE, Mono.NON_MONOTONE])
     sets = [
-        ClippedBallSet(geom, 1.0),
+        ClippedBallSet(*safe_box([0.0, 0.0], [Mono.NON_MONOTONE, Mono.NON_MONOTONE]), 1.0),
         HalfspaceSet([0.0, 1.0], 0.0),
         LowerBoundSet([1.0, 2.0]),
         BallSet([0.0, 0.0], 2.0),
@@ -194,29 +196,32 @@ def test_violation_is_euclidean_distance():
 
 
 def test_projections_match_the_written_out_formulas_bit_for_bit():
-    # the clip as a nested where on x - x_ref, the clipped-ball projection as a
-    # move toward the clamp into the safe box, and the halfspace and ball
-    # projections in closed form, over every monotonicity pattern in 3-D, both
-    # senses, coordinates tied at x_ref and radius 0
+    # the safe box from the sense-folded monotonicity, the clip as a nested
+    # where on x - x_ref, the clipped-ball projection as a move toward the
+    # clamp into the safe box, and the halfspace and ball projections in
+    # closed form, over every monotonicity pattern in 3-D, both senses,
+    # coordinates tied at x_ref and radius 0
     rng = np.random.default_rng(67)
     for mono, sense in itertools.product(itertools.product((-1, 0, 1), repeat=3), Sense):
-        geom = RefGeometry(rng.uniform(-2.0, 2.0, 3), list(mono), sense)
-        eff = geom.eff_mono
-        lo = np.where(eff > 0, -np.inf, geom.x_ref)
-        hi = np.where(eff < 0, np.inf, geom.x_ref)
+        x_ref = rng.uniform(-2.0, 2.0, 3)
+        box = safe_box(x_ref, list(mono), sense)
+        eff = -np.array(mono) if sense == Sense.MAXIMIZE else np.array(mono)
+        lo = np.where(eff > 0, -np.inf, x_ref)
+        hi = np.where(eff < 0, np.inf, x_ref)
+        assert (box[0].tobytes(), box[1].tobytes()) == (lo.tobytes(), hi.tobytes())
         for k in range(40):
             x = rng.uniform(-3.0, 3.0, 3)
             tied = rng.random(3) < 0.3
-            x[tied] = geom.x_ref[tied]
+            x[tied] = x_ref[tied]
             r = 0.0 if k % 4 == 0 else float(rng.uniform(0.0, 2.0))
-            d = x - geom.x_ref
+            d = x - x_ref
             harm = np.where(eff > 0, np.maximum(d, 0.0),
                             np.where(eff < 0, np.maximum(-d, 0.0), d))
-            assert clip(x, geom).tobytes() == harm.tobytes()
+            assert clip(x, *box).tobytes() == harm.tobytes()
             gn = norm_value(harm, Norm.L2)
             p = np.minimum(np.maximum(x, lo), hi)
             want = x.copy() if gn <= r else p + (r / gn) * (x - p)
-            ball = ClippedBallSet(geom, r)
+            ball = ClippedBallSet(*box, r)
             assert ball.project(x).tobytes() == want.tobytes()
             assert ball.violation(x) == max(0.0, gn - r)
 
@@ -272,16 +277,15 @@ def test_dykstra_no_sets_returns_start():
 
 
 def test_mono_spec_validation():
-    with pytest.raises(ValueError):
-        RefGeometry([0.0], [2])
-    with pytest.raises(ValueError):
-        RefGeometry([0.0, 1.0], [Mono.INCREASING])
-    with pytest.raises(ValueError):
-        RefGeometry([np.inf], [0])
+    with pytest.raises(ValueError, match=r"-1, 0 or \+1, got 2"):
+        LipschitzNorm(1.0, Norm.L2, [2])
+    with pytest.raises(ValueError, match="monotonicity length mismatch"):
+        MetricRef(id="m", x_ref=[0.0, 1.0], value=1.0,
+                  models=(LipschitzNorm(1.0, Norm.L2, [Mono.INCREASING]),))
+    with pytest.raises(ValueError, match="reference point must be finite"):
+        MetricRef(id="m", x_ref=[np.inf], value=1.0, models=(LipschitzNorm(1.0, Norm.L2, [0]),))
     # bools are ints to Python and numpy, but not monotonicity tags
     for bools in ([True, False], np.array([True, False]), [np.True_, 0]):
-        with pytest.raises(ValueError, match=r"-1, 0 or \+1, got True"):
-            RefGeometry([0.0, 0.0], bools)
         with pytest.raises(ValueError, match=r"-1, 0 or \+1, got True"):
             LipschitzNorm(1.0, Norm.L2, bools)
     # a fraction is no tag (int() would read 0.5 as 0 and 1.9 as 1); an
@@ -304,8 +308,9 @@ def test_mono_spec_validation():
     with pytest.raises(ValueError, match="'maximize' is not a valid Sense"):
         MetricRef(id="m", x_ref=[1.0], value=1.0, sense="maximize",
                   models=(LipschitzNorm(1.0, Norm.L2, [1]),))
-    geom = RefGeometry([0.0, 0.0], ["inc", "dec"])
-    assert list(geom.mono) == [1, -1]
+    assert LipschitzNorm(1.0, Norm.L2, ["inc", "dec"]).mono.tolist() == [1, -1]
+    lo, hi = safe_box([0.0, 0.0], ["inc", "dec"])
+    assert lo.tolist() == [-np.inf, 0.0] and hi.tolist() == [0.0, np.inf]
 
 
 @pytest.mark.parametrize("scalar, want", [
@@ -319,6 +324,43 @@ def test_scalar_monotonicity_broadcasts_like_an_int(scalar, want):
             as_mono_array(scalar, dim=2)
     else:
         assert as_mono_array(scalar, dim=2).tolist() == want
+
+
+def test_validated_arrays_are_read_only_copies():
+    # the table builds each safe box from these arrays without checking them
+    # again, so nothing may write into them after validation
+    capacity = np.array([1.0, 2.0])
+    model = LipschitzNorm(1.0, Norm.L2, [1, -1])
+    refs = [MetricRef(id=f"m{i}", x_ref=capacity, value=1.0, models=(model,)) for i in range(2)]
+    for array in (model.mono, refs[0].x_ref):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    assert refs[0].x_ref is not capacity and refs[0].x_ref is not refs[1].x_ref
+    capacity[0] = 5.0  # the caller's array stays its own, and writeable
+    assert refs[0].x_ref.tolist() == [1.0, 2.0]
+
+
+def test_building_the_table_validates_no_model_again(monkeypatch):
+    import caolf.geometry
+    import caolf.model
+
+    rng = np.random.default_rng(83)
+    refs = [MetricRef(id=f"m{i}", x_ref=rng.uniform(-2.0, 2.0, 6), value=1.0,
+                      sense=Sense.MAXIMIZE if i % 2 else Sense.MINIMIZE,
+                      models=tuple(LipschitzNorm(1.0, norm, rng.integers(-1, 2, 6))
+                                   for norm in Norm))
+            for i in range(5)]
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return as_mono_array(*args, **kwargs)
+
+    for module in (caolf.geometry, caolf.model):
+        monkeypatch.setattr(module, "as_mono_array", spy)
+    for norm in Norm:
+        assert ClippedNormSurrogate(refs, norm).rate.size == len(refs)
+    assert calls == []
 
 
 def _assert_surrogate_matches_models(surrogate, refs, norm, pts):
@@ -387,7 +429,7 @@ def _model_needs(refs, norm, x) -> list:
         for m in r.models:
             if isinstance(m, LipschitzNorm):
                 if m.norm == norm:
-                    need = max(need, m.bound / r.value * norm_value(clip(x, r.geometry(m)), norm))
+                    need = max(need, m.bound / r.value * norm_value(clip(x, *r.safe_box(m)), norm))
             else:
                 c = m.curvature if isinstance(m, ConvexQuadratic) else 0.0
                 need = max(need, (c * float(np.dot(u, u)) + float(np.dot(m.grad, u))) / r.value)
@@ -406,8 +448,7 @@ def _model_grid(refs, norm, pts) -> np.ndarray:
         for m in r.models:
             if isinstance(m, LipschitzNorm):
                 if m.norm == norm:
-                    g = r.geometry(m)
-                    worst = np.maximum(worst, reduce(harm(pts, g.lo, g.hi))
+                    worst = np.maximum(worst, reduce(harm(pts, *r.safe_box(m)))
                                        * (m.bound / r.value))
             else:
                 c = m.curvature if isinstance(m, ConvexQuadratic) else 0.0
@@ -444,9 +485,9 @@ def test_merged_keeps_the_largest_rate_first_on_ties_in_order():
         want = sorted(keep.values())
         assert len(want) == 4 and table.ids == tuple(r.id for r in refs)
         np.testing.assert_array_equal(table.rate, rates[want])
-        geoms = [refs[i].geometry(refs[i].models[0]) for i in want]
-        np.testing.assert_array_equal(table.lo, [g.lo for g in geoms])
-        np.testing.assert_array_equal(table.hi, [g.hi for g in geoms])
+        boxes = [refs[i].safe_box(refs[i].models[0]) for i in want]
+        np.testing.assert_array_equal(table.lo, [lo for lo, _ in boxes])
+        np.testing.assert_array_equal(table.hi, [hi for _, hi in boxes])
         np.testing.assert_array_equal(table.model_rate, rates)
         assert table.model_row.tolist() == [want.index(keep[g]) for g in group]
     # an exact tie goes to the first model, whose place orders the rows
@@ -474,9 +515,9 @@ def test_merged_without_duplicates_is_unchanged():
         table = ClippedNormSurrogate(refs, norm)
         assert table.model_row.tolist() == list(range(len(refs)))
         np.testing.assert_array_equal(table.rate, table.model_rate)
-        geoms = [r.geometry(r.models[0]) for r in refs]
-        np.testing.assert_array_equal(table.lo, [g.lo for g in geoms])
-        np.testing.assert_array_equal(table.hi, [g.hi for g in geoms])
+        boxes = [r.safe_box(r.models[0]) for r in refs]
+        np.testing.assert_array_equal(table.lo, [lo for lo, _ in boxes])
+        np.testing.assert_array_equal(table.hi, [hi for _, hi in boxes])
         # the safe box is the only stored form of a clip row
         assert not hasattr(table, "x_ref") and not hasattr(table, "eff_mono")
 

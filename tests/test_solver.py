@@ -56,9 +56,9 @@ def piecewise_evaluators(refs, norm=Norm.L2):
     out = []
     for r in refs:
         m = r.lipschitz_model(norm)
-        geom = r.geometry(m)
-        out.append((lambda x, m=m, geom=geom, r=r:
-                    r.value + m.bound * norm_value(clip(np.atleast_1d(x), geom), m.norm),
+        box = r.safe_box(m)
+        out.append((lambda x, m=m, box=box, r=r:
+                    r.value + m.bound * norm_value(clip(np.atleast_1d(x), *box), m.norm),
                     r.value, r.sense))
     return out
 
@@ -98,7 +98,7 @@ def test_reported_gamma_is_certified_at_x():
         sol = solve_caolf(refs, region, SolveConfig())
         achieved = max(
             r.lipschitz_model(Norm.L2).bound
-            * norm_value(clip(sol.x, r.geometry(r.lipschitz_model(Norm.L2))), Norm.L2)
+            * norm_value(clip(sol.x, *r.safe_box(r.lipschitz_model(Norm.L2))), Norm.L2)
             / r.value
             for r in refs)
         assert sol.gamma == pytest.approx(achieved, abs=1e-12)
@@ -188,7 +188,7 @@ def test_projection_probes_monotone_in_gamma():
         cfg = SolveConfig()
         start = np.mean([r.x_ref for r in refs], axis=0)
         for factor in (1.5, 2.0, 4.0):
-            sets = [ClippedBallSet(r.geometry(r.lipschitz_model(Norm.L2)),
+            sets = [ClippedBallSet(*r.safe_box(r.lipschitz_model(Norm.L2)),
                                    factor * base * r.value / r.lipschitz_model(Norm.L2).bound)
                     for r in refs] + region.sets()
             probe = dykstra(sets, start, tol=cfg.feasibility_tolerance)
@@ -215,6 +215,9 @@ def test_verify_competitiveness_maximize_sense():
     assert ok and slacks[0] == pytest.approx(0.1)
     _, bad = verify_competitiveness(np.zeros(1), 0.05, metrics)
     assert not bad
+    # a NaN compares false with every slack, which read as a violated metric
+    with pytest.raises(ValueError, match="gamma must not be NaN"):
+        verify_competitiveness(np.zeros(1), np.nan, metrics)
 
 
 def test_solution_feasible_for_value_constraints():
@@ -267,7 +270,7 @@ def test_stability_bound_on_random_instances():
         kmax = float(kappas.max())
         for i, r in enumerate(refs):
             m = r.lipschitz_model(Norm.L2)
-            drift = m.bound * norm_value(clip(probe.x, r.geometry(m)), Norm.L2)
+            drift = m.bound * norm_value(clip(probe.x, *r.safe_box(m)), Norm.L2)
             assert drift <= (kmax / kappas[i]) * base.gamma * r.value + 1e-6
 
 
@@ -318,7 +321,7 @@ def test_approx_mixed_models_all_bind():
     g = sol.gamma + 1e-6
     x = sol.x
     m = refs[0].lipschitz_model(Norm.L2)
-    assert m.bound * norm_value(clip(x, refs[0].geometry(m)), Norm.L2) <= g * refs[0].value
+    assert m.bound * norm_value(clip(x, *refs[0].safe_box(m)), Norm.L2) <= g * refs[0].value
     assert float(np.dot([1.0, 1.0], x - refs[1].x_ref)) <= g * refs[1].value
     d = x - refs[2].x_ref
     assert 0.8 * float(d @ d) + float(np.dot([0.3, -0.1], d)) <= g * refs[2].value
@@ -332,6 +335,18 @@ def test_approx_rejects_wrong_norm_model():
         solve_approx(refs, region, SolveConfig())
     with pytest.raises(ValueError):
         solve_approx([], region, SolveConfig())
+
+
+def test_a_gradient_that_is_not_a_vector_is_rejected():
+    # only the size used to be checked, so a (2, 1) gradient on a 2-D metric
+    # was flattened and solved
+    for nested in ([[1.0], [0.0]], [[1.0, 0.0]]):
+        with pytest.raises(ValueError, match="gradient must be a 1-D vector"):
+            ConvexQuadratic(nested, 1.0)
+        with pytest.raises(ValueError, match="gradient must be a 1-D vector"):
+            ConcaveLinear(nested)
+    with pytest.raises(ValueError, match="gradient must be a 1-D vector"):
+        ConcaveLinear(1.0)
 
 
 def test_grid_oracle_swcm_matches_analytic():
@@ -574,7 +589,7 @@ def test_sweep_centerings_end_and_zero_cells_are_exact(size):
             if mult in zero_cells:
                 assert sol.diagnostics.method == "zero-lp"
                 for r in refs:
-                    assert np.max(clip(sol.x, r.geometry(r.lipschitz_model(norm)))) <= tol, r.id
+                    assert np.max(clip(sol.x, *r.safe_box(r.lipschitz_model(norm)))) <= tol, r.id
                 assert region.violation(sol.x) <= tol
             else:
                 assert sol.diagnostics.method == "barrier-l2"
