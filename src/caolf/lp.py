@@ -36,6 +36,17 @@ leave (Dantzig's rule, ties within rounding going to the lowest basic
 index); that rule can cycle, so after ``DEGENERATE_RUN_LIMIT`` dual pivots
 in a row with a zero dual ratio it switches to Bland's dual rule for the
 rest of the phase.
+
+A start that serves many right-hand sides can be prepared once
+(`prepare_start`): an `LpStart` holds the problem's standard form, the
+inverse of its basis block and B⁻¹N, all read-only, so a solve from it
+copies B⁻¹N and computes only B⁻¹b.  Column generation runs inside one
+solve (``solve_lp``'s ``price``; Desrosiers & Lübbecke, "A primer in column
+generation", 2005): after each optimum's closing solve the row duals go to
+the callback, and each column it returns joins the live tableau as B⁻¹a,
+by one LU solve with the block of the basis that closing solve used.  That
+basis stays primal feasible, so the primal pivots go on from it, and only
+the last optimum is re-verified.
 """
 
 from __future__ import annotations
@@ -116,6 +127,66 @@ class LpSolution:
     duals: np.ndarray | None = None
 
 
+@dataclass(frozen=True, eq=False)
+class _Form:
+    """A checked problem without its right-hand sides, and its standard form
+    ``A t = b, t >= 0`` in `LpBasis`'s layout.
+
+    Working variables are all >= 0: working column t is ``sign[t]`` times
+    variable ``var[t]`` less its ``shift`` (the finite lower bound, else the
+    upper one, else 0), so a variable with only an upper bound is mirrored
+    at it and a free one is split into a + then a - column.  Each variable
+    in ``boxed`` (finite lower and upper bound) keeps its upper bound as one
+    extra inequality row, after the problem's own.  ``cost`` prices the
+    working columns and then the slacks, at 0.
+    """
+
+    c: np.ndarray
+    a_ub: np.ndarray
+    a_eq: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    var: np.ndarray
+    sign: np.ndarray
+    shift: np.ndarray
+    boxed: np.ndarray
+    A: np.ndarray
+    cost: np.ndarray
+
+    @property
+    def m_ub(self) -> int:
+        return self.a_ub.shape[0] + self.boxed.size
+
+
+@dataclass(frozen=True, eq=False)
+class LpStart:
+    """A basis of one problem, factorized once for many right-hand sides
+    (`prepare_start`); every array in it is read-only.
+
+    ``problem`` holds the checked data it was prepared for, ``form`` its
+    standard form, ``split`` the `_split` of the basis matrix B =
+    A[rows][:, cols], ``inverse`` the inverse of its block B[R, J] (None
+    without a block), and ``tableau`` B⁻¹N for the nonbasic columns in
+    ascending order.
+    """
+
+    problem: LpProblem
+    basis: LpBasis
+    form: _Form
+    split: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    inverse: np.ndarray | None
+    tableau: np.ndarray
+
+    def tableau_for(self, b_std: np.ndarray) -> np.ndarray:
+        """A fresh tableau B⁻¹[N | b] for the standard-form right-hand side ``b_std``."""
+        rows, cols = self.basis.rows, self.basis.cols
+        T = np.empty((self.tableau.shape[0], self.tableau.shape[1] + 1))
+        T[:, :-1] = self.tableau
+        T[:, -1:] = _through_basis(self.form.A[np.ix_(rows, cols)], self.split, b_std[rows, None],
+                                   self.inverse)
+        return T
+
+
 def _as_matrix(a, b, n, label):
     if a is None and b is None:
         return np.zeros((0, n)), np.zeros(0)
@@ -128,6 +199,126 @@ def _as_matrix(a, b, n, label):
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError(f"{label}: coefficients must be finite")
     return a, b
+
+
+def _checked(problem: LpProblem):
+    """``problem``'s (c, a_ub, b_ub, a_eq, b_eq, lower, upper) as float
+    arrays, a missing matrix as no rows; raises ValueError when malformed."""
+    c = np.asarray(problem.c, dtype=float)
+    if c.ndim != 1 or c.size == 0 or not np.all(np.isfinite(c)):
+        raise ValueError("objective must be a non-empty, finite 1-D vector")
+    n = c.size
+    a_ub, b_ub = _as_matrix(problem.a_ub, problem.b_ub, n, "a_ub")
+    a_eq, b_eq = _as_matrix(problem.a_eq, problem.b_eq, n, "a_eq")
+    lower = np.zeros(n) if problem.lower is None else np.asarray(problem.lower, dtype=float)
+    upper = np.full(n, np.inf) if problem.upper is None else np.asarray(problem.upper, dtype=float)
+    if lower.shape != (n,) or upper.shape != (n,):
+        raise ValueError("bound vectors must match the number of variables")
+    if np.any(np.isnan(lower)) or np.any(np.isnan(upper)) or np.any(lower == np.inf) or np.any(upper == -np.inf):
+        raise ValueError("bounds must be finite, -inf (lower) or +inf (upper)")
+    return c, a_ub, b_ub, a_eq, b_eq, lower, upper
+
+
+def _standard_form(c, a_ub, a_eq, lower, upper) -> _Form:
+    n = c.size
+    has_lo, has_up = np.isfinite(lower), np.isfinite(upper)
+    free = ~has_lo & ~has_up
+    shift = np.where(has_lo, lower, np.where(has_up, upper, 0.0))
+    width = 1 + free
+    first = np.cumsum(width) - width  # each variable's first working column
+    var = np.repeat(np.arange(n), width)
+    sign = np.ones(int(width.sum()))
+    sign[np.concatenate([first[has_up & ~has_lo], first[free] + 1])] = -1.0
+    boxed = np.nonzero(has_lo & has_up)[0]
+    m_ub = a_ub.shape[0] + boxed.size
+    # one slack per inequality row, each row as written
+    A = np.zeros((m_ub + a_eq.shape[0], var.size + m_ub))
+    unit_rows = (boxed[:, None] == np.arange(n)).astype(float)
+    A[:, :var.size] = np.vstack([a_ub, unit_rows, a_eq])[:, var] * sign
+    A[:m_ub, var.size:] = np.eye(m_ub)
+    if np.all(lower == 0.0) and np.all(upper == np.inf):
+        # every variable is a plain x >= 0, its own working column, so the
+        # problem's rows are A's, and A holds them once
+        a_ub, a_eq = A[:m_ub, :n], A[m_ub:, :n]
+    cost = np.concatenate([c[var] * sign, np.zeros(m_ub)])
+    return _Form(c, a_ub, a_eq, lower, upper, var, sign, shift, boxed, A, cost)
+
+
+def _rhs(form: _Form, b_ub, b_eq) -> np.ndarray:
+    """The standard form's right-hand side for ``b_ub`` and ``b_eq``."""
+    lower, upper, boxed = form.lower, form.upper, form.boxed
+    return np.concatenate([b_ub - form.a_ub @ form.shift, upper[boxed] - lower[boxed],
+                           b_eq - form.a_eq @ form.shift])
+
+
+def _duals(form: _Form, rows, y) -> np.ndarray:
+    """The row prices ``y`` of the kept standard-form ``rows`` in
+    `LpSolution.duals`' layout: 0 on a dropped row, none for a bound row."""
+    prices = np.zeros(form.m_ub + form.a_eq.shape[0])
+    prices[rows] = y
+    # a slack's reduced cost is -price, so an a_ub row's price is <= 0
+    return np.concatenate([-prices[:form.a_ub.shape[0]], prices[form.m_ub:]])
+
+
+def _insert(x, at, new):
+    """``x`` with ``new`` inserted before index ``at`` of its last axis."""
+    return np.concatenate([x[..., :at], new, x[..., at:]], axis=-1)
+
+
+def _grown(form: _Form, new):
+    """``form`` with the priced columns ``new``, an (at, c, a) of new
+    variables x >= 0 before variable ``at`` (`solve_lp`'s ``price``), the
+    standard-form index of the first of them and their number; None when
+    ``new`` has no column.  Raises ValueError when ``new`` is malformed."""
+    at, c_new, a_new = new
+    c_new, a_new = np.asarray(c_new, dtype=float), np.asarray(a_new, dtype=float)
+    n, n_ub, rows = form.c.size, form.a_ub.shape[0], form.a_ub.shape[0] + form.a_eq.shape[0]
+    if not (isinstance(at, (int, np.integer)) and 0 <= at <= n):
+        raise ValueError(f"priced columns: position {at!r} is outside 0..{n}")
+    if c_new.ndim != 1 or a_new.shape != (rows, c_new.size):
+        raise ValueError(f"priced columns: costs of shape {c_new.shape} and columns of shape "
+                         f"{a_new.shape} do not fit the problem's {rows} rows")
+    if not (np.all(np.isfinite(c_new)) and np.all(np.isfinite(a_new))):
+        raise ValueError("priced columns: entries must be finite")
+    k = c_new.size
+    if k == 0:
+        return None
+    grown = _standard_form(_insert(form.c, at, c_new), _insert(form.a_ub, at, a_new[:n_ub]),
+                           _insert(form.a_eq, at, a_new[n_ub:]),
+                           _insert(form.lower, at, np.zeros(k)),
+                           _insert(form.upper, at, np.full(k, np.inf)))
+    return grown, int(np.searchsorted(form.var, at)), k  # var[t] ascends in t
+
+
+def _solution(form: _Form, b_ub, b_eq, t_vals, iterations, basis, y) -> LpSolution:
+    """The OPTIMAL answer of working values ``t_vals`` (slack columns may
+    follow the working ones) and row prices ``y`` of the kept rows, once x
+    passes the re-verification against the original data; STALLED if not."""
+    c, lower, upper = form.c, form.lower, form.upper
+    x = form.shift + np.bincount(form.var, weights=form.sign * t_vals[:form.var.size],
+                                 minlength=c.size)
+    value = float(np.dot(c, x))
+    viol = max(float(np.max(form.a_ub @ x - b_ub, initial=0.0)),
+               float(np.max(np.abs(form.a_eq @ x - b_eq), initial=0.0)),
+               float(np.max(np.where(np.isfinite(lower), lower - x, 0.0), initial=0.0)),
+               float(np.max(np.where(np.isfinite(upper), x - upper, 0.0), initial=0.0)))
+    scale = 1.0 + max(
+        float(np.max(np.abs(b_ub), initial=0.0)),
+        float(np.max(np.abs(b_eq), initial=0.0)),
+        float(np.max(np.abs(x), initial=0.0)))
+    if viol > 1e-6 * scale:
+        return LpSolution(LpStatus.STALLED, None, np.nan, iterations)
+    return LpSolution(LpStatus.OPTIMAL, x, value, iterations, basis, _duals(form, basis.rows, y))
+
+
+def _fits(start, shape) -> bool:
+    """Whether ``start`` is an `LpBasis` of a standard form of ``shape``."""
+    return (isinstance(start, LpBasis) and start.shape == shape
+            and all(isinstance(v, np.ndarray) and v.ndim == 1 and v.dtype.kind in "iu"
+                    for v in (start.rows, start.cols))
+            and start.rows.shape == start.cols.shape
+            and bool(np.all((start.rows >= 0) & (start.rows < shape[0])))
+            and bool(np.all((start.cols >= 0) & (start.cols < shape[1]))))
 
 
 def _pivot(T, r, basis, nonbasic, row, k):
@@ -174,6 +365,31 @@ def _split(B):
     return (S, J, s_rows, R) if R.size == J.size else None
 
 
+def _substitute(B, split, X, inverse=None):
+    """Turn ``X`` into B⁻¹M in place, for the basis matrix ``B`` and its
+    `_split`, when X holds M[R] on the rows J and M[s_rows] on the rows S.
+
+    The block rows come from ``inverse`` @ X[J] when the block's inverse is
+    given, else from one LU solve with the block (which raises LinAlgError
+    when it is singular); each singleton's row then follows by substitution,
+    (M_s - B[s, J] X_J) / B[s, s].
+    """
+    S, J, s_rows, R = split
+    if J.size:
+        X[J] = np.linalg.solve(B[np.ix_(R, J)], X[J]) if inverse is None else inverse @ X[J]
+        X[S] -= B[np.ix_(s_rows, J)] @ X[J]
+    X[S] /= B[s_rows, S][:, None]
+
+
+def _through_basis(B, split, M, inverse=None):
+    """B⁻¹M in basis order, by `_substitute`."""
+    S, J, s_rows, R = split
+    X = np.empty((B.shape[1], M.shape[1]))
+    X[J], X[S] = M[R], M[s_rows]
+    _substitute(B, split, X, inverse)
+    return X
+
+
 def _refactor(T, basis, nonbasic, A0, b0):
     """Write B⁻¹[A0[:, nonbasic] | b0] into ``T``, for B = A0[:, basis];
     returns False when B is singular or the result is not finite.
@@ -182,11 +398,11 @@ def _refactor(T, basis, nonbasic, A0, b0):
     structural column) is absent from every row but its own.  So only the
     block B[R, J] of the rows R no such singleton covers and the other basic
     columns J is factorized, and each singleton's row of the result follows
-    from its own row of B by one substitution, (M_s - B[s, J] X_J) / B[s, s]
-    for M = [A0[:, nonbasic] | b0] (Suhl & Suhl, *ORSA J. Computing* 2(4),
-    1990).  The all-slack basis factorizes nothing.  The block is inverted
-    once and the inverse applied to all of M[R] by one matrix product.  The
-    basic columns are not written: B⁻¹B is the identity.
+    from its own row of B by one substitution (`_substitute`; Suhl & Suhl,
+    *ORSA J. Computing* 2(4), 1990).  The all-slack basis factorizes
+    nothing.  The block is inverted once and the inverse applied to all of
+    M[R] by one matrix product.  The basic columns are not written: B⁻¹B is
+    the identity.
     """
     B = A0[:, basis]
     split = _split(B)
@@ -196,13 +412,10 @@ def _refactor(T, basis, nonbasic, A0, b0):
     N = A0[:, nonbasic]
     T[J, -1], T[S, -1] = b0[R], b0[s_rows]
     T[J, :-1], T[S, :-1] = N[R], N[s_rows]
-    if J.size:
-        try:
-            T[J] = np.linalg.inv(B[np.ix_(R, J)]) @ T[J]
-        except np.linalg.LinAlgError:
-            return False
-        T[S] -= B[np.ix_(s_rows, J)] @ T[J]
-    T[S] /= B[s_rows, S][:, None]
+    try:
+        _substitute(B, split, T, np.linalg.inv(B[np.ix_(R, J)]) if J.size else None)
+    except np.linalg.LinAlgError:
+        return False
     return bool(np.all(np.isfinite(T)))
 
 
@@ -220,20 +433,15 @@ def _closing_solve(A0, b0, basis, cost_b):
     if split is None:
         return None
     S, J, s_rows, R = split
-    x = np.empty((basis.size, 1))
-    x[J, 0], x[S, 0] = b0[R], b0[s_rows]
     y = np.zeros(basis.size)
     y[s_rows] = cost_b[S] / B[s_rows, S]
-    if J.size:
-        block = B[np.ix_(R, J)]
-        try:
-            x[J] = np.linalg.solve(block, x[J])
-            y[R] = np.linalg.solve(block.T, cost_b[J] - B[np.ix_(s_rows, J)].T @ y[s_rows])
-        except np.linalg.LinAlgError:
-            return None
-        x[S] -= B[np.ix_(s_rows, J)] @ x[J]
-    x[S] /= B[s_rows, S][:, None]
-    return (x[:, 0], y) if np.all(np.isfinite(x)) and np.all(np.isfinite(y)) else None
+    try:
+        x = _through_basis(B, split, b0[:, None])[:, 0]
+        if J.size:
+            y[R] = np.linalg.solve(B[np.ix_(R, J)].T, cost_b[J] - B[np.ix_(s_rows, J)].T @ y[s_rows])
+    except np.linalg.LinAlgError:
+        return None
+    return (x, y) if np.all(np.isfinite(x)) and np.all(np.isfinite(y)) else None
 
 
 def _reduced_costs(cost, basis, nonbasic, T):
@@ -325,39 +533,59 @@ def _run_phase(T, basis, nonbasic, A0, b0, cost, max_iters, counter, choose=_pri
             since_refactor = 0
 
 
-def _from_basis(A, b, rows, cols, cost, max_iters, iters, dual_tol=None):
+def _from_basis(A, b, rows, cols, cost, max_iters, iters, dual_tol=None, grow=None, T=None):
     """Phase two of ``A[rows] t = b[rows], t >= 0`` from the basic columns ``cols``.
 
     The tableau holds B⁻¹ times the other columns, in ascending order at the
-    start, and B⁻¹b.  With a ``dual_tol``, dual pivots first restore primal
-    feasibility and must end "feasible"; a start that is primal feasible
-    already goes straight to the primal pivots, dual feasible or not.
-    Returns (status, pivots, working values, basis, row prices), the
-    working values and the row prices y = c_B B⁻¹ over ``rows`` from
-    `_closing_solve` at the final basis; the last three are None unless the
-    status is "optimal".
+    start, and B⁻¹b: ``T`` when given, else refactored here.  With a
+    ``dual_tol``, dual pivots first restore primal feasibility and must end
+    "feasible"; a start that is primal feasible already goes straight to the
+    primal pivots, dual feasible or not.
+
+    After each optimum's closing solve, ``grow(rows, y)``, when given, may
+    return the grown problem as (A, cost, at, k): k new columns at
+    ``at``..``at + k - 1``, every later column shifted by k.  They join the
+    tableau as B⁻¹a, by the LU solve `_closing_solve` uses, and the primal
+    pivots go on; a ``grow`` that returns None ends the solve.  Returns
+    (status, pivots, working values, basis, row prices), the working values
+    and the row prices y = c_B B⁻¹ over ``rows`` from `_closing_solve` at the
+    final basis; the last three are None unless the status is "optimal".
     """
     A0, b0, basis = A[rows], b[rows], cols.copy()
     nonbasic = _complement(basis, A.shape[1])
-    T = np.empty((basis.size, nonbasic.size + 1))
-    if not _refactor(T, basis, nonbasic, A0, b0):
-        return "stalled", iters, None, None, None
+    if T is None:
+        T = np.empty((basis.size, nonbasic.size + 1))
+        if not _refactor(T, basis, nonbasic, A0, b0):
+            return "stalled", iters, None, None, None
     status = "feasible"
     if dual_tol is not None:
         status, iters = _run_phase(T, basis, nonbasic, A0, b0, cost, max_iters, iters,
                                    partial(_dual_pivot, tol=dual_tol, run=[0]))
     if status == "feasible":
         status, iters = _run_phase(T, basis, nonbasic, A0, b0, cost, max_iters, iters)
-    closed = _closing_solve(A0, b0, basis, cost[basis]) if status == "optimal" else None
-    if closed is None:
-        return ("stalled" if status == "optimal" else status), iters, None, None, None
-    t_vals = np.zeros(A.shape[1])
-    t_vals[basis] = np.maximum(closed[0], 0.0)
-    return status, iters, t_vals, LpBasis(A.shape, rows, basis), closed[1]
+    while status == "optimal":
+        closed = _closing_solve(A0, b0, basis, cost[basis])
+        if closed is None:
+            return "stalled", iters, None, None, None
+        grown = None if grow is None else grow(rows, closed[1])
+        if grown is None:
+            t_vals = np.zeros(A.shape[1])
+            t_vals[basis] = np.maximum(closed[0], 0.0)
+            return status, iters, t_vals, LpBasis(A.shape, rows, basis), closed[1]
+        A, cost, at, k = grown
+        basis += k * (basis >= at)
+        nonbasic += k * (nonbasic >= at)
+        new = np.arange(at, at + k)
+        A0 = A[rows]
+        B = A0[:, basis]
+        T = np.column_stack([T[:, :-1], _through_basis(B, _split(B), A0[:, new]), T[:, -1]])
+        nonbasic = np.concatenate([nonbasic, new])
+        status, iters = _run_phase(T, basis, nonbasic, A0, b0, cost, max_iters, iters)
+    return status, iters, None, None, None
 
 
 def solve_lp(problem: LpProblem, max_iters: int | None = None,
-             start: LpBasis | None = None) -> LpSolution:
+             start: LpBasis | LpStart | None = None, price=None) -> LpSolution:
     """Solve ``problem`` with the two-phase dense simplex method.
 
     Returns OPTIMAL with the minimizer, its basis and its row duals (empty
@@ -366,16 +594,21 @@ def solve_lp(problem: LpProblem, max_iters: int | None = None,
     the iteration or accuracy budget is exhausted.  An OPTIMAL answer is
     re-verified against the original data before being reported; a failed
     check demotes the status to STALLED rather than ever reporting a wrong
-    optimum.
+    optimum.  ``max_iters`` bounds the pivots of the solve from ``start``,
+    all its pricing rounds together, and apart from them those of the cold
+    solve.
 
     ``start`` may be any dual-feasible basis of this problem, such as the
     basis of an earlier OPTIMAL solve of a problem with the same constraint
     matrix and costs, or one built by the caller in `LpBasis`'s layout; or
     any primal-feasible one, such as an earlier optimal basis after columns
-    were added (their indices shifted into `LpBasis`'s layout).  Without
-    one, a problem with no equality rows whose working costs are all >= 0
-    (as in an epigraph LP: shifted variables, free ones split into two
-    columns of cost 0) starts from its all-slack basis.  The solve then
+    were added (their indices shifted into `LpBasis`'s layout).  It may also
+    be an `LpStart` that `prepare_start` built for a problem with the same
+    ``c``, ``a_ub``, ``a_eq``, ``lower`` and ``upper`` (anything else raises
+    `ValueError`); the solve then copies its B⁻¹N and computes only B⁻¹b.
+    Without a start, a problem with no equality rows whose working costs are
+    all >= 0 (as in an epigraph LP: shifted variables, free ones split into
+    two columns of cost 0) starts from its all-slack basis.  The solve then
     begins with dual simplex pivots from the start, the row with the most
     negative basic value leaving until a long run of degenerate pivots hands
     over to Bland's dual rule; once the basis is primal feasible, primal
@@ -384,108 +617,114 @@ def solve_lp(problem: LpProblem, max_iters: int | None = None,
     feasible, stalls, or ends anywhere but at a verified optimum falls back
     to the cold two-phase solve, so INFEASIBLE and UNBOUNDED are always
     decided cold; ``iterations`` then counts the pivots of both.
+
+    ``price``, when given, generates columns.  After each optimum's closing
+    solve it gets the row duals (`LpSolution.duals`' layout) and returns
+    None, or (at, c, a): new variables x >= 0 of costs ``c`` (k values) and
+    columns ``a`` (one row per ``a_ub`` row, then per ``a_eq`` row, k
+    columns), inserted before variable ``at``.  They join the live tableau
+    at the same basis and the primal pivots go on; a callback that returns
+    None or no column ends the solve, which is then re-verified once, on
+    the grown problem.  ``x`` and ``basis`` are in the grown problem's
+    layout.  A cold fallback solves the grown problem and goes on pricing.
+    A malformed column (wrong shape, a non-finite entry, ``at`` outside
+    0..n) raises `ValueError`.
     """
-    c = np.asarray(problem.c, dtype=float)
-    if c.ndim != 1 or c.size == 0 or not np.all(np.isfinite(c)):
-        raise ValueError("objective must be a non-empty, finite 1-D vector")
-    n = c.size
-    a_ub, b_ub = _as_matrix(problem.a_ub, problem.b_ub, n, "a_ub")
-    a_eq, b_eq = _as_matrix(problem.a_eq, problem.b_eq, n, "a_eq")
-    lower = np.zeros(n) if problem.lower is None else np.asarray(problem.lower, dtype=float)
-    upper = np.full(n, np.inf) if problem.upper is None else np.asarray(problem.upper, dtype=float)
-    if lower.shape != (n,) or upper.shape != (n,):
-        raise ValueError("bound vectors must match the number of variables")
-    if np.any(np.isnan(lower)) or np.any(np.isnan(upper)) or np.any(lower == np.inf) or np.any(upper == -np.inf):
-        raise ValueError("bounds must be finite, -inf (lower) or +inf (upper)")
+    c, a_ub, b_ub, a_eq, b_eq, lower, upper = _checked(problem)
+    prepared = isinstance(start, LpStart)
+    if prepared and not all(mine is theirs or np.array_equal(mine, theirs) for mine, theirs in
+                            zip((c, a_ub, a_eq, lower, upper), (start.form.c, start.form.a_ub,
+                                start.form.a_eq, start.form.lower, start.form.upper))):
+        raise ValueError("the prepared start is for a problem with other c, a_ub, a_eq, "
+                         "lower or upper")
     if np.any(lower > upper):
         return LpSolution(LpStatus.INFEASIBLE, None, np.nan, 0)
-
-    # Working variables are all >= 0: a variable with a finite lower bound is
-    # shifted by it, one with only an upper bound is mirrored at it, and a
-    # free one is split into a + then a - column.  A boxed variable keeps its
-    # upper bound as one extra inequality row, after the problem's own.
-    has_lo, has_up = np.isfinite(lower), np.isfinite(upper)
-    free = ~has_lo & ~has_up
-    shift = np.where(has_lo, lower, np.where(has_up, upper, 0.0))
-    width = 1 + free
-    first = np.cumsum(width) - width  # each variable's first working column
-    nt = int(width.sum())
-    # working column t is sign[t] times variable var[t]
-    var = np.repeat(np.arange(n), width)
-    sign = np.ones(nt)
-    sign[np.concatenate([first[has_up & ~has_lo], first[free] + 1])] = -1.0
-    c_t = c[var] * sign
-
-    boxed = np.nonzero(has_lo & has_up)[0]
-    m_ub = a_ub.shape[0] + boxed.size
-    m = m_ub + a_eq.shape[0]
-
-    def finish(t_vals: np.ndarray, iterations: int, basis: LpBasis, y: np.ndarray) -> LpSolution:
-        # t_vals may carry slack columns after the nt working variables; y
-        # prices the kept rows of the standard form
-        x = shift + np.bincount(var, weights=sign * t_vals[:nt], minlength=n)
-        value = float(np.dot(c, x))
-        viol = max(float(np.max(a_ub @ x - b_ub, initial=0.0)),
-                   float(np.max(np.abs(a_eq @ x - b_eq), initial=0.0)),
-                   float(np.max(np.where(has_lo, lower - x, 0.0), initial=0.0)),
-                   float(np.max(np.where(has_up, x - upper, 0.0), initial=0.0)))
-        scale = 1.0 + max(
-            float(np.max(np.abs(b_ub), initial=0.0)),
-            float(np.max(np.abs(b_eq), initial=0.0)),
-            float(np.max(np.abs(x), initial=0.0)))
-        if viol > 1e-6 * scale:
-            return LpSolution(LpStatus.STALLED, None, np.nan, iterations)
-        prices = np.zeros(m)
-        prices[basis.rows] = y
-        # a slack's reduced cost is -price, so an a_ub row's price is <= 0
-        duals = np.concatenate([-prices[:a_ub.shape[0]], prices[m_ub:]])
-        return LpSolution(LpStatus.OPTIMAL, x, value, iterations, basis, duals)
-
-    # Standard form with one slack per inequality row, each row as written;
+    form = start.form if prepared else _standard_form(c, a_ub, a_eq, lower, upper)
+    b_std = _rhs(form, b_ub, b_eq)
+    m, m_ub, nt = b_std.size, form.m_ub, form.var.size
     # rows with a negative right-hand side, and all equality rows, receive an
-    # artificial variable for phase one.
-    A_std = np.zeros((m, nt + m_ub))
-    unit_rows = (boxed[:, None] == np.arange(n)).astype(float)
-    A_std[:, :nt] = np.vstack([a_ub, unit_rows, a_eq])[:, var] * sign
-    A_std[:m_ub, nt:] = np.eye(m_ub)
-    b_std = np.concatenate([b_ub - a_ub @ shift, upper[boxed] - lower[boxed], b_eq - a_eq @ shift])
+    # artificial variable for phase one
     needs_art = b_std < 0
     needs_art[m_ub:] = True
     if max_iters is None:
-        max_iters = 2000 + 10 * (m + A_std.shape[1] + int(needs_art.sum()))
-    cost = np.concatenate([c_t, np.zeros(m_ub)])
+        max_iters = 2000 + 10 * (m + form.A.shape[1] + int(needs_art.sum()))
 
-    if start is None and m == m_ub and np.all(c_t >= 0.0):
+    def grow(rows, y):
+        nonlocal form
+        new = price(_duals(form, rows, y))
+        grown = None if new is None else _grown(form, new)
+        if grown is None:
+            return None
+        form, at, k = grown
+        return form.A, form.cost, at, k
+
+    pricing = None if price is None else grow
+    if start is None and m == m_ub and np.all(form.cost[:nt] >= 0.0):
         # every slack basic prices every row at 0, so the reduced costs are
         # the working costs: dual feasible
-        start = LpBasis(A_std.shape, np.arange(m), nt + np.arange(m))
+        start = LpBasis(form.A.shape, np.arange(m), nt + np.arange(m))
     spent = 0
-    if (isinstance(start, LpBasis) and start.shape == A_std.shape
-            and all(isinstance(v, np.ndarray) and v.ndim == 1 and v.dtype.kind in "iu"
-                    for v in (start.rows, start.cols))
-            and start.rows.shape == start.cols.shape
-            and np.all((start.rows >= 0) & (start.rows < m))
-            and np.all((start.cols >= 0) & (start.cols < A_std.shape[1]))):
-        tol = PRIMAL_TOL * (1.0 + float(np.max(np.abs(b_std[start.rows]), initial=0.0)))
-        status, spent, t_vals, basis, y = _from_basis(A_std, b_std, start.rows, start.cols, cost,
-                                                      max_iters, 0, tol)
+    if prepared or _fits(start, form.A.shape):
+        basis, T = (start.basis, start.tableau_for(b_std)) if prepared else (start, None)
+        tol = PRIMAL_TOL * (1.0 + float(np.max(np.abs(b_std[basis.rows]), initial=0.0)))
+        status, spent, t_vals, basis, y = _from_basis(form.A, b_std, basis.rows, basis.cols,
+                                                      form.cost, max_iters, 0, tol, pricing, T)
         if status == "optimal":
-            sol = finish(t_vals, spent, basis, y)
+            sol = _solution(form, b_ub, b_eq, t_vals, spent, basis, y)
             if sol.status == LpStatus.OPTIMAL:
                 return sol
-    status, iters, t_vals, basis, y = _two_phase(A_std, b_std, needs_art, nt, cost, max_iters)
+    status, iters, t_vals, basis, y = _two_phase(form.A, b_std, needs_art, form.var.size,
+                                                 form.cost, max_iters, pricing)
     if status != "optimal":
         return LpSolution(LpStatus(status), None, np.nan, iters + spent)
-    return finish(t_vals, iters + spent, basis, y)
+    return _solution(form, b_ub, b_eq, t_vals, iters + spent, basis, y)
 
 
-def _two_phase(A_std, b_std, needs_art, nt, cost, max_iters):
+def prepare_start(problem: LpProblem, basis: LpBasis) -> LpStart:
+    """``basis`` of ``problem``'s standard form, factorized once for the
+    solves of every problem with the same ``c``, ``a_ub``, ``a_eq``,
+    ``lower`` and ``upper``, whatever their right-hand sides.
+
+    Builds the standard form, inverts the basis block and applies the
+    inverse to the nonbasic columns, as a refactorization does, and keeps
+    read-only copies of all of it; ``solve_lp(..., start=...)`` then copies
+    B⁻¹N and computes only B⁻¹b.  Raises `ValueError` when ``problem`` is
+    malformed or ``basis`` does not fit its standard form or is singular.
+    """
+    c, a_ub, b_ub, a_eq, b_eq, lower, upper = (np.array(v) for v in _checked(problem))
+    form = _standard_form(c, a_ub, a_eq, lower, upper)
+    if not _fits(basis, form.A.shape):
+        raise ValueError(f"the basis does not fit the standard form of shape {form.A.shape}")
+    rows, cols = basis.rows.copy(), basis.cols.copy()
+    A0 = form.A[rows]
+    B = A0[:, cols]
+    split = _split(B)
+    try:
+        inverse = (np.linalg.inv(B[np.ix_(split[3], split[1])])
+                   if split is not None and split[1].size else None)
+        tableau = None if split is None else _through_basis(
+            B, split, A0[:, _complement(cols, form.A.shape[1])], inverse)
+    except np.linalg.LinAlgError:
+        tableau = None
+    if tableau is None or not np.all(np.isfinite(tableau)):
+        raise ValueError("the basis is singular")
+    start = LpStart(LpProblem(form.c, form.a_ub, b_ub, form.a_eq, b_eq, form.lower, form.upper),
+                    LpBasis(form.A.shape, rows, cols), form, split, inverse, tableau)
+    for value in (*vars(start.problem).values(), rows, cols, *vars(form).values(), *split,
+                  inverse, tableau):
+        if value is not None:
+            value.setflags(write=False)
+    return start
+
+
+def _two_phase(A_std, b_std, needs_art, nt, cost, max_iters, grow=None):
     """The cold solve of ``A_std t = b_std, t >= 0``.
 
     Rows flagged in ``needs_art`` start on an artificial, the row's unit
     vector times the sign of its b, so it starts at |b|; every other row is
-    an inequality whose slack, column ``nt + row``, starts basic.  Returns
-    what `_from_basis` returns.
+    an inequality whose slack, column ``nt + row``, starts basic.  Phase two
+    prices columns by ``grow``, as `_from_basis` does.  Returns what
+    `_from_basis` returns.
     """
     m, art_off = A_std.shape
     art_rows = np.nonzero(needs_art)[0]
@@ -516,4 +755,4 @@ def _two_phase(A_std, b_std, needs_art, nt, cost, max_iters):
             _pivot(T, None, basis, nonbasic, i, k)
     keep = np.nonzero(basis < art_off)[0]
     del T, A0  # phase two builds its own tableau; free this one first
-    return _from_basis(A_std, b_std, keep, basis[keep], cost, max_iters, iters)
+    return _from_basis(A_std, b_std, keep, basis[keep], cost, max_iters, iters, grow=grow)

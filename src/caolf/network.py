@@ -13,20 +13,24 @@ flows instead: a master LP with one row per edge and one per demand pair,
 whose path columns are priced by the LP's row duals and one Dijkstra per
 source (column generation; Ford & Fulkerson, *Management Science* 5(1),
 1958; Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 17).  Each
-evaluation starts from the scenario's fixed record of columns and basis.
+evaluation is one `solve_lp` call: its pricing callback adds the priced
+paths, which join the kernel's live tableau.  A scenario's evaluator
+prepares one read-only start from the scenario's fixed record of columns
+and basis (`prepare_start`), so an evaluation factorizes nothing at its
+start and computes only the basic values for its capacities.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .geometry import Mono, Norm, Sense, dual_norm_value
-from .lp import LpBasis, LpProblem, LpStatus, solve_lp
+from .lp import LpBasis, LpProblem, LpStart, LpStatus, prepare_start, solve_lp
 from .model import LipschitzNorm, MetricRef
 
 METRIC_ROUTING = "routing-cost"
@@ -253,6 +257,17 @@ def _path_columns(net: NetworkInstance, pair_row: dict, paths) -> np.ndarray:
     return columns
 
 
+def _master_problem(net: NetworkInstance, demand: DemandMatrix, paths, capacity) -> LpProblem:
+    """The path-flow master LP at ``paths`` (`_route_by_paths`)."""
+    n, k = net.edge_count, len(demand)
+    pair_row = {(s, t): n + i for i, (s, t, _) in enumerate(demand.triples)}
+    columns = _path_columns(net, pair_row, paths)
+    a = np.hstack([columns, np.vstack([-np.eye(n), np.zeros((k, n))])])
+    c = np.concatenate([net.flow_cost @ columns[:n], net.price_in])
+    return LpProblem(c=c, a_ub=a[:n], b_ub=capacity, a_eq=a[n:],
+                     b_eq=np.array([f for _, _, f in demand.triples]))
+
+
 def _route_by_paths(net: NetworkInstance, demand: DemandMatrix, capacity, record):
     """Routing cost by column generation on the path-flow master LP, and the
     master's last (paths, basis), None when nothing is routed.
@@ -264,14 +279,17 @@ def _route_by_paths(net: NetworkInstance, demand: DemandMatrix, capacity, record
     Fulkerson, *Management Science* 5(1), 1958; Ahuja, Magnanti & Orlin,
     *Network Flows*, 1993, ch. 17).
 
-    The solve starts from ``record``, a (paths, basis) this function
-    returned; without one, from each pair's shortest path under
-    ``flow_cost``, with every capacity slack basic, which is dual feasible.
-    After each solve, the edge rows' duals u >= 0 and the pair rows' duals
-    sigma price the paths: one Dijkstra per source under flow_cost + u, and
-    each pair's shortest path shorter than its sigma by more than rounding
-    joins the master.  The next solve starts from the last basis, still
-    primal feasible, by primal pivots.  It stops when no path joins.
+    The solve starts from ``record``, a (paths, start) pair: the start is
+    the `LpBasis` this function returned with those paths, or an `LpStart`
+    prepared from it (`scenario_evaluator`).  Without a record it starts
+    from each pair's shortest path under ``flow_cost``, with every capacity
+    slack basic, which is dual feasible.  It is one `solve_lp` call whose
+    pricing callback gets the row duals after each optimum: the edge rows'
+    duals u >= 0 and the pair rows' duals sigma price the paths by one
+    Dijkstra per source under flow_cost + u, and each pair's shortest path
+    shorter than its sigma by more than rounding joins the master after the
+    paths it has, before the rents.  The kernel goes on from the same basis
+    and stops when no path joins.
     """
     capacity = _checked_routing(net, demand, capacity)
     if not demand.triples:
@@ -283,34 +301,34 @@ def _route_by_paths(net: NetworkInstance, demand: DemandMatrix, capacity, record
         if any(path is None for _, path in start):
             raise RuntimeError("routing LP ended with status infeasible")
         paths = tuple(path for _, path in start)
-        basis = LpBasis((n + k, k + 2 * n), np.arange(n + k),
+        start = LpBasis((n + k, k + 2 * n), np.arange(n + k),
                         np.concatenate([k + n + np.arange(n), np.arange(k)]))
     else:
-        paths, basis = record
+        paths, start = record
+    if isinstance(start, LpStart):
+        problem = replace(start.problem, b_ub=capacity)
+    else:
+        problem = _master_problem(net, demand, paths, capacity)
     pair_row = {pair: n + i for i, pair in enumerate(pairs)}
-    rent = np.vstack([-np.eye(n), np.zeros((k, n))])
-    b_eq = np.array([f for _, _, f in demand.triples])
-    columns = _path_columns(net, pair_row, paths)
     known = set(paths)
-    while True:
-        a = np.hstack([columns, rent])
-        c = np.concatenate([net.flow_cost @ columns[:n], net.price_in])
-        sol = solve_lp(LpProblem(c=c, a_ub=a[:n], b_ub=capacity, a_eq=a[n:], b_eq=b_eq),
-                       start=basis)
-        if sol.status != LpStatus.OPTIMAL:
-            raise RuntimeError(f"routing LP ended with status {sol.status.value}")
-        u, sigma = sol.duals[:n], sol.duals[n:]
+
+    def price(duals):
+        nonlocal paths
+        u, sigma = duals[:n], duals[n:]
         priced = _cheapest_paths(net, pairs, net.flow_cost + np.maximum(u, 0.0))
         new = tuple(path for (length, path), v in zip(priced, sigma)
                     if length < v - 1e-9 * (1.0 + abs(v)) and path not in known)
         if not new:
-            return sol.value, (paths, sol.basis)
-        # the new columns go after the old paths, so rents and slacks shift
-        cols = sol.basis.cols + len(new) * (sol.basis.cols >= len(paths))
-        paths += new
+            return None
+        at, paths = len(paths), paths + new
         known.update(new)
-        columns = np.hstack([columns, _path_columns(net, pair_row, new)])
-        basis = LpBasis((n + k, len(paths) + 2 * n), sol.basis.rows, cols)
+        columns = _path_columns(net, pair_row, new)
+        return at, net.flow_cost @ columns[:n], columns
+
+    sol = solve_lp(problem, start=start, price=price)
+    if sol.status != LpStatus.OPTIMAL:
+        raise RuntimeError(f"routing LP ended with status {sol.status.value}")
+    return sol.value, (paths, sol.basis)
 
 
 def routing_cost_lipschitz(net: NetworkInstance, norm: Norm) -> float:
@@ -453,8 +471,8 @@ class Scenario:
 
     ``routing_record`` is the path-flow master LP solved at ``capacity``:
     its path columns, each a tuple of edge ids, and its optimal basis
-    (`_route_by_paths`).  `scenario_evaluator` starts every routing
-    evaluation from it and never changes it.
+    (`_route_by_paths`).  `scenario_evaluator` prepares the start of every
+    routing evaluation from it and never changes it.
     """
 
     capacity: np.ndarray
@@ -525,11 +543,19 @@ def scenario_evaluator(net: NetworkInstance, scenario: Scenario, metric_id: str)
 
     Routing cost is evaluated by path flows from the scenario's own routing
     record (from the shortest paths when it has none), the same start for
-    every capacity: the paths one call adds are its own, so a value never
-    depends on earlier calls.
+    every capacity.  The evaluator prepares that start once, when it is
+    built: the master LP at the record's paths, its standard form and B⁻¹N
+    at the record's basis (`prepare_start`), read-only and never changed.
+    Each evaluation is one solve from it for its capacities, which computes
+    only B⁻¹b and prices its own paths, so a value never depends on earlier
+    calls.
     """
     if metric_id == METRIC_ROUTING:
         demand, record = scenario.demand, scenario.routing_record
+        if record is not None:
+            paths, basis = record
+            record = paths, prepare_start(
+                _master_problem(net, demand, paths, scenario.capacity), basis)
         return lambda b: _route_by_paths(net, demand, b, record)[0]
     if metric_id.startswith(METRIC_THROUGHPUT + ":"):
         s, t = parse_throughput_id(metric_id)

@@ -155,31 +155,54 @@ def test_default_experiment_draws_are_pinned():
                                    [a for _, _, a in pinned["demand"]], rtol=1e-12, atol=0)
 
 
+def prepared_arrays(start):
+    """Every array of an `lp.LpStart`."""
+    values = (*vars(start.problem).values(), start.basis.rows, start.basis.cols,
+              *vars(start.form).values(), *start.split, start.inverse, start.tableau)
+    return [v for v in values if isinstance(v, np.ndarray)]
+
+
 def test_warm_routing_equals_cold_routing_cost(monkeypatch):
-    # every scenario's routing evaluator starts from the scenario's own
-    # record; its values must equal the cold routing_cost and must not depend
-    # on the order in which capacities are evaluated, and evaluating leaves
-    # the record as it was: the basis is a plain value, its arrays read-only
+    # every scenario's routing evaluator prepares one start from the
+    # scenario's own record, and each evaluation is one solve from it that
+    # prices its paths in the same call, never cold; its values must equal
+    # the cold routing_cost and must not depend on the order in which
+    # capacities are evaluated, and evaluating leaves the record and the
+    # prepared start as they were: read-only, with the same values
     assert [f.name for f in dataclasses.fields(lp.LpBasis)] == ["shape", "rows", "cols"]
     net, _, history = build_experiment(ExperimentConfig())
     rng = np.random.default_rng(2027)
-    solve_lp = network.solve_lp
-    starts, pivots = [], []
+    solve_lp, two_phase, prepare_start = network.solve_lp, lp._two_phase, network.prepare_start
+    starts, pivots, cold_solves, prepared = [], [], [], []
 
-    def recording(problem, max_iters=None, start=None):
-        sol = solve_lp(problem, max_iters, start)
+    def recording(problem, max_iters=None, start=None, price=None):
+        sol = solve_lp(problem, max_iters, start, price)
         starts.append(start)
         pivots.append(sol.iterations)
         return sol
 
+    def counting(*args):
+        cold_solves.append(args)
+        return two_phase(*args)
+
+    def preparing(*args):
+        prepared.append(prepare_start(*args))
+        return prepared[-1]
+
     monkeypatch.setattr(network, "solve_lp", recording)
+    monkeypatch.setattr(network, "prepare_start", preparing)
+    monkeypatch.setattr(lp, "_two_phase", counting)
     warm_pivots = cold_pivots = 0
     for sc in history:
         paths, basis = sc.routing_record
         basis.rows.setflags(write=False)
         basis.cols.setflags(write=False)
         before = (basis.shape, basis.rows.copy(), basis.cols.copy())
+        prepared.clear()
         evaluate = network.scenario_evaluator(net, sc, METRIC_ROUTING)
+        assert len(prepared) == 1  # built with the evaluator
+        arrays = prepared_arrays(prepared[0])
+        values = [a.copy() for a in arrays]
         capacities = [sc.capacity, np.zeros(net.edge_count), 100.0 * sc.capacity]
         capacities += [sc.capacity * scale * rng.uniform(0.9, 1.1, net.edge_count)
                        for scale in (0.5, 0.75, 1.0, 1.25, 1.5)]
@@ -188,10 +211,14 @@ def test_warm_routing_equals_cold_routing_cost(monkeypatch):
         for b in capacities:
             starts.clear()
             forward.append(evaluate(b))
-            assert starts[0] is basis  # then one start per pricing round
+            assert starts == [prepared[0]]  # one solve, from the prepared start
         warm_pivots += sum(pivots)
         backward = [evaluate(b) for b in reversed(capacities)][::-1]
         assert [v.hex() for v in forward] == [v.hex() for v in backward]
+        assert not cold_solves
+        assert not any(a.flags.writeable for a in arrays)
+        for a, value in zip(arrays, values):
+            assert a.tobytes() == value.tobytes()
         assert sc.routing_record[0] is paths and sc.routing_record[1] is basis
         assert basis.shape == before[0]
         np.testing.assert_array_equal(basis.rows, before[1])
@@ -202,23 +229,27 @@ def test_warm_routing_equals_cold_routing_cost(monkeypatch):
             assert abs(value - cold) <= 1e-9 * max(1.0, abs(cold)), (value, cold)
         assert starts[-1] is None
         cold_pivots += sum(pivots)
-    assert warm_pivots < cold_pivots / 10  # 774 against 17646
+        cold_solves.clear()
+    assert warm_pivots == 774 and cold_pivots == 17646
 
 
 def recorded_build(monkeypatch, cfg):
-    """build_experiment(cfg), with the routing solves of each scenario's
-    record, as (problem, start, pivots), and the number of routing solves
-    that fell back to phase one."""
+    """build_experiment(cfg), with the routing solve of each scenario's
+    record as (problem, start, pivots), and the number of routing solves
+    that fell back to phase one.  Each record is one solve, which prices
+    its paths in the same call."""
     solve_lp, two_phase, route = network.solve_lp, lp._two_phase, network._route_by_paths
     solves, phase_ones = [], []
 
     def routing(*args):
-        solves.append([])
-        return route(*args)
+        calls = len(solves)
+        result = route(*args)
+        assert len(solves) == calls + 1  # one solve per record
+        return result
 
-    def recording(problem, max_iters=None, start=None):
-        sol = solve_lp(problem, max_iters, start)
-        solves[-1].append((problem, start, sol.iterations))
+    def recording(problem, max_iters=None, start=None, price=None):
+        sol = solve_lp(problem, max_iters, start, price)
+        solves.append((problem, start, sol.iterations))
         return sol
 
     def counting(*args):
@@ -259,18 +290,19 @@ def highs_routing_cost(monkeypatch, net, demand, capacity):
                             for n in (7, 6) for s in range(10)])
 def test_tree_start_records_the_cold_routing_cost(monkeypatch, cfg):
     # the path record starts from each pair's shortest path, a start that is
-    # dual feasible, so no solve of any pricing round falls back to phase one
+    # dual feasible, so no record's solve falls back to phase one
     net, history, solves, fallbacks = recorded_build(monkeypatch, cfg)
     assert fallbacks == 0
-    for sc, rounds in zip(history, solves):
-        assert all(start is not None for _, start, _ in rounds)
+    for sc, (_, start, _) in zip(history, solves):
+        assert start is not None
         cold = network.routing_cost(net, sc.demand, sc.capacity)
         assert abs(sc.values[METRIC_ROUTING] - cold) <= 1e-12 * cold, (sc.values, cold)
 
 
 def test_tree_start_needs_a_quarter_of_the_cold_pivots(monkeypatch):
     net, history, solves, _ = recorded_build(monkeypatch, ExperimentConfig())
-    path_pivots = sum(pivots for rounds in solves for _, _, pivots in rounds)
+    path_pivots = sum(pivots for _, _, pivots in solves)
+    assert path_pivots == 219
     cold_pivots = []
 
     def counting(problem):
@@ -289,8 +321,8 @@ def test_tree_start_on_a_larger_network_matches_highs(monkeypatch, seed):
     cfg = ExperimentConfig(node_count=20, edge_count=60, demand_pairs=80, seed=seed)
     net, history, solves, fallbacks = recorded_build(monkeypatch, cfg)
     assert fallbacks == 0
-    for sc, rounds in zip(history, solves):
-        assert all(start is not None for _, start, _ in rounds)
+    for sc, (_, start, _) in zip(history, solves):
+        assert start is not None
         ref = highs_routing_cost(monkeypatch, net, sc.demand, sc.capacity)
         assert abs(sc.values[METRIC_ROUTING] - ref) <= 1e-12 * ref, (sc.values, ref)
 

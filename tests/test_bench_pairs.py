@@ -1,6 +1,8 @@
-"""The pair summary of ``tools/bench_pairs.py`` on fabricated runs."""
+"""The pair summary of ``tools/bench_pairs.py`` on fabricated runs, and
+where its runs take place."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -110,3 +112,39 @@ def test_same_outputs_needs_one_shared_digest_on_both_sides():
     # runs without a digest show nothing
     runs = [{"parent": run(1.0, digest=None), "change": run(1.0, digest=None)}]
     assert not bench_pairs.summarize(runs, METRICS)["same_outputs"]
+
+
+@pytest.mark.parametrize("stash", ["", "5" * 40], ids=["clean", "local-edits"])
+def test_both_sides_run_from_exports_side_by_side(monkeypatch, tmp_path, stash):
+    # the parent and the change each run from their own export under one
+    # temporary directory, never from the checkout: the change side exports
+    # HEAD, or the commit `git stash create` makes when there are local edits
+    refs = {("rev-parse", "--verify", "PARENT^{commit}"): "p" * 40,
+            ("rev-parse", "HEAD"): "h" * 40, ("stash", "create"): stash}
+    exports, runs = {}, []
+
+    def export_tree(ref, dest):
+        assert dest.is_dir() and not any(dest.iterdir())
+        exports[dest] = ref
+
+    def run_once(tree, workload, seed, seconds):
+        runs.append(tree)
+        return {"metrics": {name: {"value": 1.0} for name in
+                            ("setup_s", "wall_s", "op_p50_ms", "gamma_sum", "ok_frac", "peak_rss_mb")},
+                "output_sha256": "a", "exit_code": 0}
+
+    monkeypatch.setattr(bench_pairs, "git", lambda *argv: refs[argv])
+    monkeypatch.setattr(bench_pairs, "export_tree", export_tree)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main(["--parent", "PARENT", "--out", str(out), "--pairs", "verify=3"]) == 0
+    (parent, parent_ref), (change, change_ref) = exports.items()
+    assert parent_ref == "p" * 40 and change_ref == (stash or "h" * 40)
+    assert parent.parent == change.parent and parent != change
+    assert bench_pairs.ROOT not in (parent, change, *parent.parents)
+    assert not parent.parent.exists()  # removed afterwards
+    # the side that goes first alternates, each side in its own tree
+    assert runs == [parent, change, change, parent, parent, change]
+    report = json.loads(out.read_text())
+    assert report["parent"] == "p" * 40
+    assert report["change"] == "h" * 40 + (f" with local edits ({stash})" if stash else "")

@@ -235,7 +235,7 @@ def test_a_matrix_without_its_right_hand_side_is_named():
 def test_an_optimum_that_fails_its_check_is_reported_stalled(monkeypatch):
     # finish re-verifies every optimum against the original data: a phase
     # two that claimed t = (2, 0) for x1 + x2 <= 1 must not be reported
-    def wrong_two_phase(A_std, b_std, needs_art, nt, cost, max_iters):
+    def wrong_two_phase(A_std, b_std, needs_art, nt, cost, max_iters, grow=None):
         basis = LpBasis(A_std.shape, np.array([0]), np.array([0]))
         return "optimal", 3, np.array([2.0, 0.0, 0.0]), basis, np.array([-1.0])
 
@@ -728,6 +728,214 @@ def test_a_long_degenerate_run_hands_over_to_blands_dual_rule(monkeypatch):
         assert np.all(-a @ sol.x <= -1.0 + 1e-9)
         fired += any(run[0] >= 3 for run in runs)
     assert fired == 5
+
+
+# ---------------------------------------------------------------------------
+# column generation inside one solve, and prepared starts
+
+
+def pool_lp(seed):
+    """A seeded feasible, bounded LP with every bound kind on its first
+    variables and a pool of x >= 0 columns, and equality rows with one
+    dependent row: (the LP without the pool, the pool's costs and columns
+    in `LpSolution.duals`' row layout, the variable the pool goes before).
+
+    Every pool column's reduced cost at a fixed dual point is >= 0, as is
+    every lower-only variable's, so the LP with any part of the pool is
+    bounded; the pool sits at 0 in a feasible point, so without it the LP
+    is feasible."""
+    rng = np.random.default_rng([2031, seed])
+    n, k = int(rng.integers(3, 8)), int(rng.integers(4, 12))
+    kind = rng.integers(0, 4, n)  # boxed, lower only, upper only, free
+    lo = rng.uniform(-2.0, 1.0, n)
+    up = lo + rng.uniform(0.5, 3.0, n)
+    lower = np.where(kind <= 1, lo, -np.inf)
+    upper = np.where((kind == 0) | (kind == 2), up, np.inf)
+    x0 = rng.uniform(lo, up)
+    m_ub = int(rng.integers(1, 5))
+    a_ub = rng.normal(size=(m_ub, n + k))
+    b_ub = a_ub[:, :n] @ x0 + rng.uniform(0.0, 1.0, m_ub)
+    a_eq = rng.normal(size=(2, n + k))
+    a_eq = np.vstack([a_eq, a_eq[0] + a_eq[1]])
+    z = np.select([kind == 0, kind == 1, kind == 2],
+                  [rng.normal(size=n), rng.uniform(0.0, 1.0, n), -rng.uniform(0.0, 1.0, n)])
+    z = np.concatenate([z, rng.uniform(0.0, 0.3, k)])
+    c = -a_ub.T @ rng.uniform(0.0, 1.0, m_ub) + a_eq.T @ rng.normal(size=3) + z
+    at = int(rng.integers(0, n + 1))
+    keep = np.r_[0:at, at + k:n + k]
+    # the pool goes before variable ``at`` of the LP without it
+    order = np.r_[0:at, n:n + k, at:n]
+    a_ub, a_eq, c = a_ub[:, order], a_eq[:, order], c[order]
+    problem = LpProblem(c=c[keep], a_ub=a_ub[:, keep], b_ub=b_ub, a_eq=a_eq[:, keep],
+                        b_eq=a_eq[:, keep] @ x0, lower=lower, upper=upper)
+    return problem, c[at:at + k], np.vstack([a_ub, a_eq])[:, at:at + k], at
+
+
+class Pricer:
+    """The pricing callback over a pool: the columns not yet added whose
+    reduced cost c + a_ubᵀu - a_eqᵀv is below -1e-9, in pool order, before
+    variable ``at`` plus the number added so far."""
+
+    def __init__(self, pool_c, pool_a, at, m_ub):
+        self.pool_c, self.pool_a, self.at, self.m_ub = pool_c, pool_a, at, m_ub
+        self.added, self.calls = [], 0
+
+    def __call__(self, duals):
+        self.calls += 1
+        u, v = duals[:self.m_ub], duals[self.m_ub:]
+        d = self.pool_c + u @ self.pool_a[:self.m_ub] - v @ self.pool_a[self.m_ub:]
+        new = [j for j in np.flatnonzero(d < -1e-9) if j not in self.added]
+        if not new:
+            return None
+        at = self.at + len(self.added)
+        self.added += new
+        return at, self.pool_c[new], self.pool_a[:, new]
+
+    def grown(self, problem):
+        """``problem`` with the added columns, in the order they joined."""
+        cols, at = self.added, self.at
+
+        def insert(x, new):
+            return np.concatenate([x[..., :at], new, x[..., at:]], axis=-1)
+
+        return replace(problem, c=insert(problem.c, self.pool_c[cols]),
+                       a_ub=insert(problem.a_ub, self.pool_a[:self.m_ub, cols]),
+                       a_eq=insert(problem.a_eq, self.pool_a[self.m_ub:, cols]),
+                       lower=insert(problem.lower, np.zeros(len(cols))),
+                       upper=insert(problem.upper, np.full(len(cols), np.inf)))
+
+
+def full_lp(problem, pool_c, pool_a, at):
+    pricer = Pricer(pool_c, pool_a, at, problem.a_ub.shape[0])
+    pricer.added = list(range(pool_c.size))
+    return pricer.grown(problem)
+
+
+def test_priced_columns_reach_the_cold_optimum_of_the_full_lp():
+    # the callback adds the pool columns that price negative; the one solve
+    # ends at the full LP's cold optimum, and its basis, in the layout of the
+    # LP the columns grew, re-solves that LP at 0 pivots
+    grew = 0
+    for seed in range(40):
+        problem, pool_c, pool_a, at = pool_lp(seed)
+        full = solve_lp(full_lp(problem, pool_c, pool_a, at))
+        assert full.status == LpStatus.OPTIMAL
+        for start in (None, solve_lp(problem).basis):
+            pricer = Pricer(pool_c, pool_a, at, problem.a_ub.shape[0])
+            sol = solve_lp(problem, start=start, price=pricer)
+            assert sol.status == LpStatus.OPTIMAL
+            assert abs(sol.value - full.value) <= 1e-9 * (1.0 + abs(full.value)), seed
+            grown = pricer.grown(problem)
+            assert sol.x.shape == grown.c.shape
+            assert np.all(sol.x[at:at + len(pricer.added)] >= 0.0)
+            # the grown LP's own standard form rounds its shifted right-hand
+            # side over more columns, so x may move in its last bits
+            again = solve_lp(grown, start=sol.basis)
+            assert again.iterations == 0
+            assert again.value == pytest.approx(sol.value, rel=1e-12, abs=1e-12)
+            np.testing.assert_allclose(again.x, sol.x, rtol=1e-12, atol=1e-12)
+            grew += len(pricer.added) > 0
+    assert grew >= 60  # of 80 solves
+
+
+def test_a_callback_that_adds_nothing_leaves_the_solve_bit_identical():
+    calls = []
+    for seed in range(40):
+        problem, pool_c, pool_a, at = pool_lp(seed)
+        rows = problem.a_ub.shape[0] + problem.a_eq.shape[0]
+        base = solve_lp(problem)
+        for start in (None, base.basis):
+            plain = solve_lp(problem, start=start)
+            for nothing in (None, (at, np.zeros(0), np.zeros((rows, 0)))):
+                sol = solve_lp(problem, start=start,
+                               price=lambda duals, nothing=nothing: calls.append(duals) or nothing)
+                assert lp_record(sol) == lp_record(plain), seed
+                np.testing.assert_array_equal(calls[-1], plain.duals)
+    assert len(calls) == 160  # one call per solve, after its only optimum
+
+
+def test_a_singular_start_falls_back_to_the_cold_solve_which_goes_on_pricing(monkeypatch):
+    cold_solves = []
+    two_phase = lp._two_phase
+
+    def counted_two_phase(*args):
+        cold_solves.append(1)
+        return two_phase(*args)
+
+    monkeypatch.setattr(lp, "_two_phase", counted_two_phase)
+    grew = 0
+    for seed in range(20):
+        problem, pool_c, pool_a, at = pool_lp(seed)
+        full = solve_lp(full_lp(problem, pool_c, pool_a, at))
+        shape = solve_lp(problem).basis.shape
+        singular = LpBasis(shape, np.arange(shape[0]), np.zeros(shape[0], dtype=int))
+        pricer = Pricer(pool_c, pool_a, at, problem.a_ub.shape[0])
+        cold_solves.clear()
+        sol = solve_lp(problem, start=singular, price=pricer)
+        assert len(cold_solves) == 1
+        assert sol.status == LpStatus.OPTIMAL
+        assert abs(sol.value - full.value) <= 1e-9 * (1.0 + abs(full.value)), seed
+        grew += len(pricer.added) > 0
+    assert grew >= 15
+
+
+def test_malformed_priced_columns_are_rejected():
+    problem, pool_c, pool_a, at = pool_lp(0)
+    n = problem.c.size
+    bad_nan = pool_a[:, :1].copy()
+    bad_nan[0, 0] = np.nan
+    for new in ((at, pool_c[:1], pool_a[:-1, :1]),  # one row short
+                (at, pool_c[:1], pool_a[:, :2]),  # two columns, one cost
+                (at, pool_c[:1], pool_a[:, 0]),  # not 2-D
+                (at, pool_c[:1], bad_nan),
+                (at, [np.inf], pool_a[:, :1]),
+                (-1, pool_c[:1], pool_a[:, :1]),
+                (n + 1, pool_c[:1], pool_a[:, :1]),
+                (1.0, pool_c[:1], pool_a[:, :1])):
+        with pytest.raises(ValueError, match="priced columns"):
+            solve_lp(problem, price=lambda duals, new=new: new)
+
+
+def test_a_prepared_start_solves_as_its_basis_does_and_stays_read_only():
+    # one start prepared from an optimum serves every right-hand side: the
+    # same pivots and the same optimum as the plain basis start, with its
+    # arrays read-only and unchanged
+    for seed in range(10):
+        rng = np.random.default_rng([11, seed])
+        base = flow_like_problem(np.random.default_rng([11, seed]), rng.uniform(1.0, 2.0, 4))
+        basis = solve_lp(base).basis
+        start = lp.prepare_start(base, basis)
+        arrays = [v for v in (*vars(start.problem).values(), start.basis.rows, start.basis.cols,
+                              *vars(start.form).values(), *start.split,
+                              start.inverse, start.tableau) if isinstance(v, np.ndarray)]
+        before = [a.copy() for a in arrays]
+        assert not any(a.flags.writeable for a in arrays)
+        for _ in range(5):
+            problem = flow_like_problem(np.random.default_rng([11, seed]), rng.uniform(0.0, 3.0, 4))
+            want, got = solve_lp(problem, start=basis), solve_lp(problem, start=start)
+            assert got.status == want.status == LpStatus.OPTIMAL
+            assert got.iterations == want.iterations
+            assert got.value == pytest.approx(want.value, rel=1e-12, abs=1e-12)
+        for a, b in zip(arrays, before):
+            np.testing.assert_array_equal(a, b)
+        # the caller's basis and problem stay writeable
+        assert basis.rows.flags.writeable and base.a_eq.flags.writeable
+
+
+def test_a_prepared_start_is_only_for_its_own_problem():
+    base = flow_like_problem(np.random.default_rng(5), np.full(4, 1.5))
+    basis = solve_lp(base).basis
+    start = lp.prepare_start(base, basis)
+    assert solve_lp(replace(base, b_ub=np.full(4, 0.5)), start=start).status == LpStatus.OPTIMAL
+    for other in (replace(base, c=base.c + 1.0), replace(base, a_ub=2.0 * base.a_ub),
+                  replace(base, upper=np.full(base.c.size, 9.0))):
+        with pytest.raises(ValueError, match="prepared start"):
+            solve_lp(other, start=start)
+    with pytest.raises(ValueError, match="does not fit"):
+        lp.prepare_start(base, LpBasis((2, 5), np.array([0, 1]), np.array([0, 1])))
+    shape = basis.shape
+    with pytest.raises(ValueError, match="singular"):
+        lp.prepare_start(base, LpBasis(shape, basis.rows, np.zeros(basis.rows.size, dtype=int)))
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,19 @@
     python3 tools/bench_pairs.py --parent HEAD~1 --out BENCH_6.json \\
         --pairs sweep-lp=10 --pairs sweep-l2=3 --pairs verify=3 --pairs synthetic=3
 
-The parent's tree is exported with ``git archive`` into a temporary
-directory (removed afterwards; set TMPDIR to choose where), so nothing is
-registered in the repository.  For each workload, N pairs of untraced runs of
+Both sides run from trees exported with ``git archive`` side by side into
+one temporary directory (removed afterwards; set TMPDIR to choose where), so
+neither runs from a location of its own and nothing is registered in the
+repository.  The parent side exports ``--parent``; the change side exports
+HEAD, or, when the checkout has local edits, the commit ``git stash create``
+makes of them, which leaves the checkout and the stash list as they were.
+That commit holds the tracked and the staged files only, so ``git add`` a
+new file before a run.  For each workload, N pairs of untraced runs of
 ``python3 perfbench/run.py --workload W --seed S --seconds T`` are made, one
-in the parent's tree and one in this checkout, one run at a time; the side
-that goes first alternates from pair to pair.  T is ``run_seconds`` from
-``BENCHMARK.json``, so every report compares with the benchmark's bounds.
-``perfbench/`` is only run, never imported.
+in each tree, one run at a time; the side that goes first alternates from
+pair to pair.  T is ``run_seconds`` from ``BENCHMARK.json``, so every report
+compares with the benchmark's bounds.  ``perfbench/`` is only run, never
+imported.
 
 The output file holds every run's final JSON line, ``output_sha256`` and exit
 code.  Each workload's summary lists each side's distinct ``output_sha256``
@@ -151,19 +156,20 @@ def main(argv=None) -> int:
         if name not in known:
             sys.exit(f"unknown workload {name!r}; choose from {', '.join(sorted(known))}")
     parent_sha = git("rev-parse", "--verify", args.parent + "^{commit}")
+    head, edits = git("rev-parse", "HEAD"), git("stash", "create")
     report = {
         "parent": parent_sha,
-        "change": git("rev-parse", "HEAD") + (" with local edits" if git("status", "--porcelain")
-                                              else ""),
+        "change": head + (f" with local edits ({edits})" if edits else ""),
         "seed": args.seed, "run_seconds": spec["run_seconds"],
         "host": {"nproc": os.cpu_count(), "python": platform.python_version(),
                  "machine": platform.machine()},
         "workloads": {},
     }
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        parent_tree = Path(tmp)
-        export_tree(parent_sha, parent_tree)
-        trees = {"parent": parent_tree, "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        trees = {side: Path(tmp) / side for side in SIDES}
+        for side, ref in zip(SIDES, (parent_sha, edits or head)):
+            trees[side].mkdir()
+            export_tree(ref, trees[side])
         for workload, count in args.pairs:
             pairs = []
             for i in range(count):
