@@ -182,7 +182,7 @@ class LpStart:
         rows, cols = self.basis.rows, self.basis.cols
         T = np.empty((self.tableau.shape[0], self.tableau.shape[1] + 1))
         T[:, :-1] = self.tableau
-        T[:, -1:] = _through_basis(self.form.A[np.ix_(rows, cols)], self.split, b_std[rows, None],
+        T[:, -1:] = _through_basis(self.form.A[rows][:, cols], self.split, b_std[rows, None],
                                    self.inverse)
         return T
 
@@ -376,8 +376,8 @@ def _substitute(B, split, X, inverse=None):
     """
     S, J, s_rows, R = split
     if J.size:
-        X[J] = np.linalg.solve(B[np.ix_(R, J)], X[J]) if inverse is None else inverse @ X[J]
-        X[S] -= B[np.ix_(s_rows, J)] @ X[J]
+        X[J] = np.linalg.solve(B[:, J][R], X[J]) if inverse is None else inverse @ X[J]
+        X[S] -= B[:, J][s_rows] @ X[J]
     X[S] /= B[s_rows, S][:, None]
 
 
@@ -413,7 +413,7 @@ def _refactor(T, basis, nonbasic, A0, b0):
     T[J, -1], T[S, -1] = b0[R], b0[s_rows]
     T[J, :-1], T[S, :-1] = N[R], N[s_rows]
     try:
-        _substitute(B, split, T, np.linalg.inv(B[np.ix_(R, J)]) if J.size else None)
+        _substitute(B, split, T, np.linalg.inv(B[:, J][R]) if J.size else None)
     except np.linalg.LinAlgError:
         return False
     return bool(np.all(np.isfinite(T)))
@@ -438,7 +438,7 @@ def _closing_solve(A0, b0, basis, cost_b):
     try:
         x = _through_basis(B, split, b0[:, None])[:, 0]
         if J.size:
-            y[R] = np.linalg.solve(B[np.ix_(R, J)].T, cost_b[J] - B[np.ix_(s_rows, J)].T @ y[s_rows])
+            y[R] = np.linalg.solve(B[:, J][R].T, cost_b[J] - B[:, J][s_rows].T @ y[s_rows])
     except np.linalg.LinAlgError:
         return None
     return (x, y) if np.all(np.isfinite(x)) and np.all(np.isfinite(y)) else None
@@ -700,7 +700,7 @@ def prepare_start(problem: LpProblem, basis: LpBasis) -> LpStart:
     B = A0[:, cols]
     split = _split(B)
     try:
-        inverse = (np.linalg.inv(B[np.ix_(split[3], split[1])])
+        inverse = (np.linalg.inv(B[:, split[1]][split[3]])
                    if split is not None and split[1].size else None)
         tableau = None if split is None else _through_basis(
             B, split, A0[:, _complement(cols, form.A.shape[1])], inverse)
