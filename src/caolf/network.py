@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import Mono, Norm, Sense, dual_norm_value
-from .lp import LpBasis, LpProblem, LpStart, LpStatus, prepare_start, solve_lp
+from .lp import LpBasis, LpProblem, LpStatus, prepare_start, solve_lp
 from .model import LipschitzNorm, MetricRef
 
 METRIC_ROUTING = "routing-cost"
@@ -279,17 +279,17 @@ def _route_by_paths(net: NetworkInstance, demand: DemandMatrix, capacity, record
     Fulkerson, *Management Science* 5(1), 1958; Ahuja, Magnanti & Orlin,
     *Network Flows*, 1993, ch. 17).
 
-    The solve starts from ``record``, a (paths, start) pair: the start is
-    the `LpBasis` this function returned with those paths, or an `LpStart`
-    prepared from it (`scenario_evaluator`).  Without a record it starts
-    from each pair's shortest path under ``flow_cost``, with every capacity
-    slack basic, which is dual feasible.  It is one `solve_lp` call whose
-    pricing callback gets the row duals after each optimum: the edge rows'
-    duals u >= 0 and the pair rows' duals sigma price the paths by one
-    Dijkstra per source under flow_cost + u, and each pair's shortest path
-    shorter than its sigma by more than rounding joins the master after the
-    paths it has, before the rents.  The kernel goes on from the same basis
-    and stops when no path joins.
+    The solve starts from ``record``, a (paths, `LpStart`) that
+    `scenario_evaluator` prepared from a (paths, basis) this function
+    returned; without one, from each pair's shortest path under
+    ``flow_cost``, with every capacity slack basic, which is dual feasible.
+    It is one `solve_lp` call whose pricing callback gets the row duals
+    after each optimum: the edge rows' duals u >= 0 and the pair rows'
+    duals sigma price the paths by one Dijkstra per source under
+    flow_cost + u, and each pair's shortest path shorter than its sigma by
+    more than rounding joins the master after the paths it has, before the
+    rents.  The kernel goes on from the same basis and stops when no path
+    joins.
     """
     capacity = _checked_routing(net, demand, capacity)
     if not demand.triples:
@@ -301,14 +301,12 @@ def _route_by_paths(net: NetworkInstance, demand: DemandMatrix, capacity, record
         if any(path is None for _, path in start):
             raise RuntimeError("routing LP ended with status infeasible")
         paths = tuple(path for _, path in start)
+        problem = _master_problem(net, demand, paths, capacity)
         start = LpBasis((n + k, k + 2 * n), np.arange(n + k),
                         np.concatenate([k + n + np.arange(n), np.arange(k)]))
     else:
         paths, start = record
-    if isinstance(start, LpStart):
         problem = replace(start.problem, b_ub=capacity)
-    else:
-        problem = _master_problem(net, demand, paths, capacity)
     pair_row = {pair: n + i for i, pair in enumerate(pairs)}
     known = set(paths)
 
