@@ -244,13 +244,6 @@ def _standard_form(c, a_ub, a_eq, lower, upper) -> _Form:
     return _Form(c, a_ub, a_eq, lower, upper, var, sign, shift, boxed, A, cost)
 
 
-def _rhs(form: _Form, b_ub, b_eq) -> np.ndarray:
-    """The standard form's right-hand side for ``b_ub`` and ``b_eq``."""
-    lower, upper, boxed = form.lower, form.upper, form.boxed
-    return np.concatenate([b_ub - form.a_ub @ form.shift, upper[boxed] - lower[boxed],
-                           b_eq - form.a_eq @ form.shift])
-
-
 def _duals(form: _Form, rows, y) -> np.ndarray:
     """The row prices ``y`` of the kept standard-form ``rows`` in
     `LpSolution.duals`' layout: 0 on a dropped row, none for a bound row."""
@@ -640,7 +633,9 @@ def solve_lp(problem: LpProblem, max_iters: int | None = None,
     if np.any(lower > upper):
         return LpSolution(LpStatus.INFEASIBLE, None, np.nan, 0)
     form = start.form if prepared else _standard_form(c, a_ub, a_eq, lower, upper)
-    b_std = _rhs(form, b_ub, b_eq)
+    b_std = np.concatenate([b_ub - form.a_ub @ form.shift,
+                            form.upper[form.boxed] - form.lower[form.boxed],
+                            b_eq - form.a_eq @ form.shift])
     m, m_ub, nt = b_std.size, form.m_ub, form.var.size
     # rows with a negative right-hand side, and all equality rows, receive an
     # artificial variable for phase one
