@@ -933,9 +933,8 @@ def test_a_prepared_start_is_only_for_its_own_problem():
             solve_lp(other, start=start)
     with pytest.raises(ValueError, match="does not fit"):
         lp.prepare_start(base, LpBasis((2, 5), np.array([0, 1]), np.array([0, 1])))
-    shape = basis.shape
     with pytest.raises(ValueError, match="singular"):
-        lp.prepare_start(base, LpBasis(shape, basis.rows, np.zeros(basis.rows.size, dtype=int)))
+        lp.prepare_start(base, LpBasis(basis.shape, basis.rows, np.zeros(basis.rows.size, dtype=int)))
 
 
 # ---------------------------------------------------------------------------
