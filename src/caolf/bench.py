@@ -200,8 +200,9 @@ def run_sweep(cfg: ExperimentConfig | None = None) -> list[SweepRow]:
     net, _, history = build_experiment(cfg)
     budget = reference_budget(net, history)
     refs_by_norm = {norm: build_metric_refs(net, history, norm) for norm in cfg.norms}
-    evaluators = {ref.id: ref_evaluator(net, history, ref.id)
-                  for refs in refs_by_norm.values() for ref in refs}
+    # the norms share their reference ids, so each id gets one evaluator
+    ids = dict.fromkeys(ref.id for refs in refs_by_norm.values() for ref in refs)
+    evaluators = {ref_id: ref_evaluator(net, history, ref_id) for ref_id in ids}
     rows: list[SweepRow] = []
     for mult in cfg.budget_multipliers:
         for norm in cfg.norms:

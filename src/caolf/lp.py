@@ -17,9 +17,9 @@ factorizes only the basic columns that are not column singletons (most are
 slacks), so neither the all-slack basis nor the cold start's costs a
 factorization: rows keep their signs and an artificial takes its row's.  It
 inverts that block and applies the inverse to the nonbasic columns by one
-matrix product.  The optimal basis closes with one solve (`_closing_solve`)
-for the basic values B⁻¹b and the row prices y = c_B B⁻¹, the row duals
-(`LpSolution.duals`); a problem without rows takes the same path.
+matrix product.  An optimum closes with one split of its basis and one
+solve (`_closing_solve`) for the row prices y = c_B B⁻¹, the row duals
+(`LpSolution.duals`), and the last also for B⁻¹b, once per solve.
 
 A solve can start from any dual-feasible basis of its problem
 (`LpBasis`), for example the optimal basis of an earlier solve that differs
@@ -43,10 +43,9 @@ inverse of its basis block and B⁻¹N, all read-only, so a solve from it
 copies B⁻¹N and computes only B⁻¹b.  Column generation runs inside one
 solve (``solve_lp``'s ``price``; Desrosiers & Lübbecke, "A primer in column
 generation", 2005): after each optimum's closing solve the row duals go to
-the callback, and each column it returns joins the live tableau as B⁻¹a,
-by one LU solve with the block of the basis that closing solve used.  That
-basis stays primal feasible, so the primal pivots go on from it, and only
-the last optimum is re-verified.
+the callback, and each column it returns joins the live tableau as B⁻¹a
+by the split of the basis that solve made, one split per pricing round.
+The basis stays primal feasible, so the primal pivots go on from it.
 """
 
 from __future__ import annotations
@@ -180,11 +179,8 @@ class LpStart:
     def tableau_for(self, b_std: np.ndarray) -> np.ndarray:
         """A fresh tableau B⁻¹[N | b] for the standard-form right-hand side ``b_std``."""
         rows, cols = self.basis.rows, self.basis.cols
-        T = np.empty((self.tableau.shape[0], self.tableau.shape[1] + 1))
-        T[:, :-1] = self.tableau
-        T[:, -1:] = _through_basis(self.form.A[rows][:, cols], self.split, b_std[rows, None],
-                                   self.inverse)
-        return T
+        return np.hstack([self.tableau, _through_basis(self.form.A[rows][:, cols], self.split,
+                                                       b_std[rows, None], self.inverse)])
 
 
 def _as_matrix(a, b, n, label):
@@ -266,7 +262,7 @@ def _grown(form: _Form, new):
     at, c_new, a_new = new
     c_new, a_new = np.asarray(c_new, dtype=float), np.asarray(a_new, dtype=float)
     n, n_ub, rows = form.c.size, form.a_ub.shape[0], form.a_ub.shape[0] + form.a_eq.shape[0]
-    if not (isinstance(at, (int, np.integer)) and 0 <= at <= n):
+    if not (isinstance(at, (int, np.integer)) and not isinstance(at, bool) and 0 <= at <= n):
         raise ValueError(f"priced columns: position {at!r} is outside 0..{n}")
     if c_new.ndim != 1 or a_new.shape != (rows, c_new.size):
         raise ValueError(f"priced columns: costs of shape {c_new.shape} and columns of shape "
@@ -412,29 +408,26 @@ def _refactor(T, basis, nonbasic, A0, b0):
     return bool(np.all(np.isfinite(T)))
 
 
-def _closing_solve(A0, b0, basis, cost_b):
-    """B⁻¹b0 and the row prices y with yB = ``cost_b``, for B = A0[:, basis];
-    None when B is singular or either is not finite.
+def _closing_solve(B, cost_b):
+    """The basis matrix ``B``'s `_split` and the row prices y with yB =
+    ``cost_b``; None when B is singular or y is not finite.
 
-    B⁻¹b0 is `_refactor`'s last column by one LU solve with the block.  The
-    singleton split carries over to the transpose: each singleton column s
-    fixes its row's price, y[s_row] = c_s / B[s_row, s], and the other basic
-    columns J then give y[R] by one solve with the block B[R, J]ᵀ.
+    The singleton split carries over to the transpose: each singleton column
+    s fixes its row's price, y[s_row] = c_s / B[s_row, s], and the other
+    basic columns J then give y[R] by one solve with the block B[R, J]ᵀ.
     """
-    B = A0[:, basis]
     split = _split(B)
     if split is None:
         return None
     S, J, s_rows, R = split
-    y = np.zeros(basis.size)
+    y = np.zeros(B.shape[1])
     y[s_rows] = cost_b[S] / B[s_rows, S]
     try:
-        x = _through_basis(B, split, b0[:, None])[:, 0]
         if J.size:
             y[R] = np.linalg.solve(B[:, J][R].T, cost_b[J] - B[:, J][s_rows].T @ y[s_rows])
     except np.linalg.LinAlgError:
         return None
-    return (x, y) if np.all(np.isfinite(x)) and np.all(np.isfinite(y)) else None
+    return (split, y) if np.all(np.isfinite(y)) else None
 
 
 def _reduced_costs(cost, basis, nonbasic, T):
@@ -526,8 +519,8 @@ def _run_phase(T, basis, nonbasic, A0, b0, cost, max_iters, counter, choose=_pri
             since_refactor = 0
 
 
-def _from_basis(A, b, rows, cols, cost, max_iters, iters, dual_tol=None, grow=None, T=None):
-    """Phase two of ``A[rows] t = b[rows], t >= 0`` from the basic columns ``cols``.
+def _from_basis(form, b, rows, cols, max_iters, iters, dual_tol=None, price=None, T=None):
+    """Phase two of ``form.A[rows] t = b[rows], t >= 0`` from the basic columns ``cols``.
 
     The tableau holds B⁻¹ times the other columns, in ascending order at the
     start, and B⁻¹b: ``T`` when given, else refactored here.  With a
@@ -535,46 +528,53 @@ def _from_basis(A, b, rows, cols, cost, max_iters, iters, dual_tol=None, grow=No
     "feasible"; a start that is primal feasible already goes straight to the
     primal pivots, dual feasible or not.
 
-    After each optimum's closing solve, ``grow(rows, y)``, when given, may
-    return the grown problem as (A, cost, at, k): k new columns at
-    ``at``..``at + k - 1``, every later column shifted by k.  They join the
-    tableau as B⁻¹a, by the LU solve `_closing_solve` uses, and the primal
-    pivots go on; a ``grow`` that returns None ends the solve.  Returns
-    (status, pivots, working values, basis, row prices), the working values
-    and the row prices y = c_B B⁻¹ over ``rows`` from `_closing_solve` at the
-    final basis; the last three are None unless the status is "optimal".
+    After each optimum's closing solve, ``price`` (`solve_lp`'s) gets the
+    row duals; the columns it returns grow ``form`` and join the tableau as
+    B⁻¹a by that solve's split of B, the same matrix after the index shift,
+    and the primal pivots go on.  Once no column joins, B⁻¹b is solved by
+    the same split.  Returns (status, pivots, working values, basis, row
+    prices y = c_B B⁻¹ over ``rows``, form as grown); the middle three are
+    None unless the status is "optimal".
     """
-    A0, b0, basis = A[rows], b[rows], cols.copy()
-    nonbasic = _complement(basis, A.shape[1])
+    A0, b0, basis = form.A[rows], b[rows], cols.copy()
+    nonbasic = _complement(basis, form.A.shape[1])
     if T is None:
         T = np.empty((basis.size, nonbasic.size + 1))
         if not _refactor(T, basis, nonbasic, A0, b0):
-            return "stalled", iters, None, None, None
+            return "stalled", iters, None, None, None, form
     status = "feasible"
     if dual_tol is not None:
-        status, iters = _run_phase(T, basis, nonbasic, A0, b0, cost, max_iters, iters,
+        status, iters = _run_phase(T, basis, nonbasic, A0, b0, form.cost, max_iters, iters,
                                    partial(_dual_pivot, tol=dual_tol, run=[0]))
     if status == "feasible":
-        status, iters = _run_phase(T, basis, nonbasic, A0, b0, cost, max_iters, iters)
+        status, iters = _run_phase(T, basis, nonbasic, A0, b0, form.cost, max_iters, iters)
     while status == "optimal":
-        closed = _closing_solve(A0, b0, basis, cost[basis])
+        B = A0[:, basis]
+        closed = _closing_solve(B, form.cost[basis])
         if closed is None:
-            return "stalled", iters, None, None, None
-        grown = None if grow is None else grow(rows, closed[1])
+            break
+        split, y = closed
+        new = None if price is None else price(_duals(form, rows, y))
+        grown = None if new is None else _grown(form, new)
+        if grown is not None:
+            form, at, k = grown
+            A0, new = form.A[rows], np.arange(at, at + k)
+        try:  # B⁻¹a, or B⁻¹b once no column joins
+            X = _through_basis(B, split, b0[:, None] if grown is None else A0[:, new])
+        except np.linalg.LinAlgError:
+            break
+        if not np.all(np.isfinite(X)):
+            break
         if grown is None:
-            t_vals = np.zeros(A.shape[1])
-            t_vals[basis] = np.maximum(closed[0], 0.0)
-            return status, iters, t_vals, LpBasis(A.shape, rows, basis), closed[1]
-        A, cost, at, k = grown
+            t_vals = np.zeros(form.A.shape[1])
+            t_vals[basis] = np.maximum(X[:, 0], 0.0)
+            return status, iters, t_vals, LpBasis(form.A.shape, rows, basis), y, form
         basis += k * (basis >= at)
         nonbasic += k * (nonbasic >= at)
-        new = np.arange(at, at + k)
-        A0 = A[rows]
-        B = A0[:, basis]
-        T = np.column_stack([T[:, :-1], _through_basis(B, _split(B), A0[:, new]), T[:, -1]])
+        T = np.column_stack([T[:, :-1], X, T[:, -1]])
         nonbasic = np.concatenate([nonbasic, new])
-        status, iters = _run_phase(T, basis, nonbasic, A0, b0, cost, max_iters, iters)
-    return status, iters, None, None, None
+        status, iters = _run_phase(T, basis, nonbasic, A0, b0, form.cost, max_iters, iters)
+    return "stalled" if status == "optimal" else status, iters, None, None, None, form
 
 
 def solve_lp(problem: LpProblem, max_iters: int | None = None,
@@ -598,7 +598,9 @@ def solve_lp(problem: LpProblem, max_iters: int | None = None,
     were added (their indices shifted into `LpBasis`'s layout).  It may also
     be an `LpStart` that `prepare_start` built for a problem with the same
     ``c``, ``a_ub``, ``a_eq``, ``lower`` and ``upper`` (anything else raises
-    `ValueError`); the solve then copies its B⁻¹N and computes only B⁻¹b.
+    `ValueError`); the solve then copies its B⁻¹N and computes only B⁻¹b,
+    and checks only the right-hand sides of a problem that holds the
+    prepared arrays themselves, as ``replace(start.problem, b_ub=b)`` does.
     Without a start, a problem with no equality rows whose working costs are
     all >= 0 (as in an epigraph LP: shifted variables, free ones split into
     two columns of cost 0) starts from its all-slack basis.  The solve then
@@ -618,18 +620,28 @@ def solve_lp(problem: LpProblem, max_iters: int | None = None,
     columns), inserted before variable ``at``.  They join the live tableau
     at the same basis and the primal pivots go on; a callback that returns
     None or no column ends the solve, which is then re-verified once, on
-    the grown problem.  ``x`` and ``basis`` are in the grown problem's
-    layout.  A cold fallback solves the grown problem and goes on pricing.
+    the grown problem, whose layout ``x`` and ``basis`` follow.  A pricing
+    round splits the basis once, for the row prices and B⁻¹a, and B⁻¹b is
+    solved once per solve, at its last optimum.  A cold fallback solves the
+    grown problem and goes on pricing.
     A malformed column (wrong shape, a non-finite entry, ``at`` outside
     0..n) raises `ValueError`.
     """
-    c, a_ub, b_ub, a_eq, b_eq, lower, upper = _checked(problem)
     prepared = isinstance(start, LpStart)
-    if prepared and not all(mine is theirs or np.array_equal(mine, theirs) for mine, theirs in
-                            zip((c, a_ub, a_eq, lower, upper), (start.form.c, start.form.a_ub,
-                                start.form.a_eq, start.form.lower, start.form.upper))):
-        raise ValueError("the prepared start is for a problem with other c, a_ub, a_eq, "
-                         "lower or upper")
+    theirs = prepared and (start.form.c, start.form.a_ub, start.form.a_eq, start.form.lower,
+                           start.form.upper)
+    if prepared and all(mine is prep for mine, prep in zip(
+            (problem.c, problem.a_ub, problem.a_eq, problem.lower, problem.upper), theirs)):
+        c, a_ub, a_eq, lower, upper = theirs  # checked by `prepare_start`
+        b_ub, b_eq = (np.atleast_1d(np.asarray(b, dtype=float)) for b in (problem.b_ub, problem.b_eq))
+        if not (b_ub.shape == (a_ub.shape[0],) and b_eq.shape == (a_eq.shape[0],)
+                and np.all(np.isfinite(np.concatenate([b_ub, b_eq])))):
+            raise ValueError("the right-hand sides must be finite, one value per row")
+    else:
+        c, a_ub, b_ub, a_eq, b_eq, lower, upper = _checked(problem)
+        if prepared and not all(map(np.array_equal, (c, a_ub, a_eq, lower, upper), theirs)):
+            raise ValueError("the prepared start is for a problem with other c, a_ub, a_eq, "
+                             "lower or upper")
     if np.any(lower > upper):
         return LpSolution(LpStatus.INFEASIBLE, None, np.nan, 0)
     form = start.form if prepared else _standard_form(c, a_ub, a_eq, lower, upper)
@@ -643,17 +655,6 @@ def solve_lp(problem: LpProblem, max_iters: int | None = None,
     needs_art[m_ub:] = True
     if max_iters is None:
         max_iters = 2000 + 10 * (m + form.A.shape[1] + int(needs_art.sum()))
-
-    def grow(rows, y):
-        nonlocal form
-        new = price(_duals(form, rows, y))
-        grown = None if new is None else _grown(form, new)
-        if grown is None:
-            return None
-        form, at, k = grown
-        return form.A, form.cost, at, k
-
-    pricing = None if price is None else grow
     if start is None and m == m_ub and np.all(form.cost[:nt] >= 0.0):
         # every slack basic prices every row at 0, so the reduced costs are
         # the working costs: dual feasible
@@ -662,14 +663,13 @@ def solve_lp(problem: LpProblem, max_iters: int | None = None,
     if prepared or _fits(start, form.A.shape):
         basis, T = (start.basis, start.tableau_for(b_std)) if prepared else (start, None)
         tol = PRIMAL_TOL * (1.0 + float(np.max(np.abs(b_std[basis.rows]), initial=0.0)))
-        status, spent, t_vals, basis, y = _from_basis(form.A, b_std, basis.rows, basis.cols,
-                                                      form.cost, max_iters, 0, tol, pricing, T)
+        status, spent, t_vals, basis, y, form = _from_basis(form, b_std, basis.rows, basis.cols,
+                                                            max_iters, 0, tol, price, T)
         if status == "optimal":
             sol = _solution(form, b_ub, b_eq, t_vals, spent, basis, y)
             if sol.status == LpStatus.OPTIMAL:
                 return sol
-    status, iters, t_vals, basis, y = _two_phase(form.A, b_std, needs_art, form.var.size,
-                                                 form.cost, max_iters, pricing)
+    status, iters, t_vals, basis, y, form = _two_phase(form, b_std, needs_art, max_iters, price)
     if status != "optimal":
         return LpSolution(LpStatus(status), None, np.nan, iters + spent)
     return _solution(form, b_ub, b_eq, t_vals, iters + spent, basis, y)
@@ -712,19 +712,18 @@ def prepare_start(problem: LpProblem, basis: LpBasis) -> LpStart:
     return start
 
 
-def _two_phase(A_std, b_std, needs_art, nt, cost, max_iters, grow=None):
-    """The cold solve of ``A_std t = b_std, t >= 0``.
+def _two_phase(form, b_std, needs_art, max_iters, price=None):
+    """The cold solve of ``form.A t = b_std, t >= 0``.
 
     Rows flagged in ``needs_art`` start on an artificial, the row's unit
     vector times the sign of its b, so it starts at |b|; every other row is
-    an inequality whose slack, column ``nt + row``, starts basic.  Phase two
-    prices columns by ``grow``, as `_from_basis` does.  Returns what
-    `_from_basis` returns.
+    an inequality whose slack starts basic.  Phase two prices columns by
+    ``price``, as `_from_basis` does, and returns what it returns.
     """
-    m, art_off = A_std.shape
+    m, art_off = form.A.shape
     art_rows = np.nonzero(needs_art)[0]
-    A0 = np.hstack([A_std, np.zeros((m, art_rows.size))])
-    basis = nt + np.arange(m)
+    A0 = np.hstack([form.A, np.zeros((m, art_rows.size))])
+    basis = form.var.size + np.arange(m)
     A0[art_rows, art_off + np.arange(art_rows.size)] = np.where(b_std[art_rows] < 0, -1.0, 1.0)
     basis[art_rows] = art_off + np.arange(art_rows.size)
     nonbasic = _complement(basis, A0.shape[1])
@@ -735,10 +734,10 @@ def _two_phase(A_std, b_std, needs_art, nt, cost, max_iters, grow=None):
     cost1[art_off:] = 1.0
     status, iters = _run_phase(T, basis, nonbasic, A0, b_std, cost1, max_iters, 0)
     if status == "stalled" or status == "unbounded":
-        return "stalled", iters, None, None, None
+        return "stalled", iters, None, None, None, form
     art_total = float(np.sum(T[basis >= art_off, -1], initial=0.0))
     if art_total > 1e-7 * (1.0 + float(np.max(np.abs(b_std), initial=0.0))):
-        return "infeasible", iters, None, None, None
+        return "infeasible", iters, None, None, None, form
 
     # Drive leftover artificials out of the basis by the column of largest
     # |entry|, the lowest standard-form index on ties (`_lowest_tied`); a row
@@ -750,4 +749,4 @@ def _two_phase(A_std, b_std, needs_art, nt, cost, max_iters, grow=None):
             _pivot(T, None, basis, nonbasic, i, k)
     keep = np.nonzero(basis < art_off)[0]
     del T, A0  # phase two builds its own tableau; free this one first
-    return _from_basis(A_std, b_std, keep, basis[keep], cost, max_iters, iters, grow=grow)
+    return _from_basis(form, b_std, keep, basis[keep], max_iters, iters, price=price)

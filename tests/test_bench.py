@@ -233,6 +233,53 @@ def test_warm_routing_equals_cold_routing_cost(monkeypatch):
     assert warm_pivots == 774 and cold_pivots == 17646
 
 
+def test_a_routing_evaluation_splits_each_basis_once(monkeypatch):
+    # an evaluation from the prepared start splits each optimal basis once,
+    # in its closing solve: the priced paths' B⁻¹a reuse that split, and
+    # B⁻¹b is solved once, at the last optimum, also by that split; only a
+    # refactorization splits a basis otherwise.  A re-split per pricing
+    # round, or B⁻¹b per round, would keep every answer and lose the time
+    net, _, history = build_experiment(ExperimentConfig())
+    sc = history.scenarios[0]
+    prepare_start, split, through_basis = network.prepare_start, lp._split, lp._through_basis
+    closing_solve, refactor = lp._closing_solve, lp._refactor
+    prepared, counts, rhs_solves = [], {}, []
+
+    def counted(name, real):
+        def call(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args)
+        return call
+
+    def solves_for_b(B, split, M, inverse=None):
+        # B⁻¹b by the closing split; the prepared start's own B⁻¹b, for its
+        # first tableau, goes through the inverse it keeps
+        rhs_solves.append(inverse is None and M.shape[1] == 1 and np.array_equal(M[:, 0], b0))
+        return through_basis(B, split, M, inverse)
+
+    monkeypatch.setattr(network, "prepare_start", lambda *args: prepared.append(
+        prepare_start(*args)) or prepared[-1])
+    evaluate = network.scenario_evaluator(net, sc, METRIC_ROUTING)
+    assert len(prepared) == 1 and prepared[0].inverse is not None
+    for name, real in (("_split", split), ("_closing_solve", closing_solve),
+                       ("_refactor", refactor), ("_two_phase", lp._two_phase)):
+        monkeypatch.setattr(lp, name, counted(name, real))
+    monkeypatch.setattr(lp, "_through_basis", solves_for_b)
+    rng = np.random.default_rng(2032)
+    rounds = 0
+    for scale in (0.5, 0.75, 1.0, 1.25, 1.5, 2.0):
+        b = sc.capacity * scale * rng.uniform(0.9, 1.1, net.edge_count)
+        b0 = np.concatenate([b, prepared[0].problem.b_eq])[prepared[0].basis.rows]
+        counts.clear()
+        rhs_solves.clear()
+        assert evaluate(b) > 0.0
+        assert "_two_phase" not in counts
+        assert counts["_split"] == counts["_closing_solve"] + counts.get("_refactor", 0), counts
+        assert sum(rhs_solves) == 1, rhs_solves
+        rounds += counts["_closing_solve"] - 1
+    assert rounds >= 3  # pricing rounds that added paths, over the six evaluations
+
+
 def recorded_build(monkeypatch, cfg):
     """build_experiment(cfg), with the routing solve of each scenario's
     record as (problem, start, pivots), and the number of routing solves
@@ -386,6 +433,18 @@ def test_run_sweep_rows_shape_and_determinism():
     again = run_sweep(cfg)
     assert [format_row(r, include_timing=False) for r in rows] == \
         [format_row(r, include_timing=False) for r in again]
+
+
+def test_a_three_norm_sweep_prepares_one_routing_start_per_scenario(monkeypatch):
+    # the norms share their reference ids, so the sweep builds one evaluator
+    # per id, and one prepared routing start per scenario, not per norm
+    prepare_start, prepared = network.prepare_start, []
+    monkeypatch.setattr(network, "prepare_start",
+                        lambda *args: prepared.append(args) or prepare_start(*args))
+    cfg = tiny_config(norms=(Norm.L1, Norm.L2, Norm.LINF))
+    run_sweep(cfg)
+    _, _, history = build_experiment(cfg)
+    assert len(prepared) == sum(sc.routing_record is not None for sc in history) == 2
 
 
 def test_three_norm_sweep_matches_its_recording():

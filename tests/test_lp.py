@@ -235,9 +235,9 @@ def test_a_matrix_without_its_right_hand_side_is_named():
 def test_an_optimum_that_fails_its_check_is_reported_stalled(monkeypatch):
     # finish re-verifies every optimum against the original data: a phase
     # two that claimed t = (2, 0) for x1 + x2 <= 1 must not be reported
-    def wrong_two_phase(A_std, b_std, needs_art, nt, cost, max_iters, grow=None):
-        basis = LpBasis(A_std.shape, np.array([0]), np.array([0]))
-        return "optimal", 3, np.array([2.0, 0.0, 0.0]), basis, np.array([-1.0])
+    def wrong_two_phase(form, b_std, needs_art, max_iters, price=None):
+        basis = LpBasis(form.A.shape, np.array([0]), np.array([0]))
+        return "optimal", 3, np.array([2.0, 0.0, 0.0]), basis, np.array([-1.0]), form
 
     monkeypatch.setattr(lp, "_two_phase", wrong_two_phase)
     sol = solve_lp(LpProblem(c=[-1.0, -1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0]))
@@ -339,18 +339,22 @@ def test_refactor_matches_the_dense_solve():
         want = np.linalg.solve(A0[:, basis], np.c_[A0[:, nonbasic], b0])
         T = refactored(A0, b0, basis, nonbasic)
         np.testing.assert_allclose(T, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
-        np.testing.assert_allclose(lp._closing_solve(A0, b0, basis, np.zeros(30))[0], T[:, -1],
+        B = A0[:, basis]
+        split, _ = lp._closing_solve(B, np.zeros(30))
+        np.testing.assert_allclose(lp._through_basis(B, split, b0[:, None])[:, 0], T[:, -1],
                                    rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 def test_the_closing_solve_matches_the_dense_solve():
-    # the basic values B⁻¹b0 and the row prices y with yB = c_B, from the
-    # singleton split and one block solve each, against the dense solves
+    # the row prices y with yB = c_B, and the basic values B⁻¹b0 by the
+    # split the closing solve returns, from the singleton split and one block
+    # solve each, against the dense solves
     rng = np.random.default_rng(37)
     for A0, b0, basis in random_bases(rng):
         cost_b = rng.normal(size=30)
-        x, y = lp._closing_solve(A0, b0, basis, cost_b)
         B = A0[:, basis]
+        split, y = lp._closing_solve(B, cost_b)
+        x = lp._through_basis(B, split, b0[:, None])[:, 0]
         for got, want in ((x, np.linalg.solve(B, b0)), (y, np.linalg.solve(B.T, cost_b))):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
     # singular bases as in the refactor's test below: two singletons on row
@@ -360,9 +364,9 @@ def test_the_closing_solve_matches_the_dense_solve():
     A0[4, 0] = 3.0
     basis = 40 + np.arange(30)
     basis[7] = 0
-    assert lp._closing_solve(A0, b0, basis, np.ones(30)) is None
+    assert lp._closing_solve(A0[:, basis], np.ones(30)) is None
     A0[[2, 9], 0] = [1.0, -1.0]
-    assert lp._closing_solve(A0, b0, basis, np.ones(30)) is None
+    assert lp._closing_solve(A0[:, basis], np.ones(30)) is None
 
 
 def test_refactor_substitutes_a_structural_singleton():
@@ -879,6 +883,45 @@ def test_a_singular_start_falls_back_to_the_cold_solve_which_goes_on_pricing(mon
     assert grew >= 15
 
 
+def test_a_warm_solve_that_fails_after_pricing_falls_back_to_the_grown_problem(monkeypatch):
+    # the warm solve prices once, then its second closing solve fails; the
+    # cold fallback must solve the problem the priced columns grew, and go
+    # on pricing, so x is in the grown layout and the value is the full LP's
+    cold_solves, closing_solves = [], []
+    two_phase, closing_solve = lp._two_phase, lp._closing_solve
+
+    def counted_two_phase(*args):
+        cold_solves.append(1)
+        return two_phase(*args)
+
+    def failing_second(*args):
+        closing_solves.append(1)
+        return None if len(closing_solves) == 2 else closing_solve(*args)
+
+    monkeypatch.setattr(lp, "_two_phase", counted_two_phase)
+    grew = 0
+    for seed in range(40):
+        problem, pool_c, pool_a, at = pool_lp(seed)
+        full = solve_lp(full_lp(problem, pool_c, pool_a, at))
+        basis = solve_lp(problem).basis
+        pricer = Pricer(pool_c, pool_a, at, problem.a_ub.shape[0])
+        cold_solves.clear()
+        closing_solves.clear()
+        monkeypatch.setattr(lp, "_closing_solve", failing_second)
+        sol = solve_lp(problem, start=basis, price=pricer)
+        monkeypatch.setattr(lp, "_closing_solve", closing_solve)
+        if pricer.calls == 1 and not pricer.added:
+            continue  # nothing priced: the warm solve ended at its first closing solve
+        grew += 1
+        assert len(cold_solves) == 1 and len(closing_solves) > 2, seed
+        assert sol.status == LpStatus.OPTIMAL
+        grown = pricer.grown(problem)
+        assert sol.x.shape == grown.c.shape
+        assert abs(sol.value - full.value) <= 1e-9 * (1.0 + abs(full.value)), seed
+        assert abs(float(grown.c @ sol.x) - sol.value) <= 1e-9 * (1.0 + abs(sol.value)), seed
+    assert grew >= 30
+
+
 def test_malformed_priced_columns_are_rejected():
     problem, pool_c, pool_a, at = pool_lp(0)
     n = problem.c.size
@@ -891,9 +934,11 @@ def test_malformed_priced_columns_are_rejected():
                 (at, [np.inf], pool_a[:, :1]),
                 (-1, pool_c[:1], pool_a[:, :1]),
                 (n + 1, pool_c[:1], pool_a[:, :1]),
-                (1.0, pool_c[:1], pool_a[:, :1])):
+                (1.0, pool_c[:1], pool_a[:, :1]),
+                (True, pool_c[:1], pool_a[:, :1])):  # a bool is an int, not a position
+        once = [new]  # a solve that took the columns must not get them again
         with pytest.raises(ValueError, match="priced columns"):
-            solve_lp(problem, price=lambda duals, new=new: new)
+            solve_lp(problem, price=lambda duals, once=once: once.pop() if once else None)
 
 
 def test_a_prepared_start_solves_as_its_basis_does_and_stays_read_only():
@@ -935,6 +980,23 @@ def test_a_prepared_start_is_only_for_its_own_problem():
         lp.prepare_start(base, LpBasis((2, 5), np.array([0, 1]), np.array([0, 1])))
     with pytest.raises(ValueError, match="singular"):
         lp.prepare_start(base, LpBasis(basis.shape, basis.rows, np.zeros(basis.rows.size, dtype=int)))
+
+
+def test_a_prepared_problem_has_its_right_hand_sides_checked():
+    # a problem that holds the prepared arrays themselves, as a routing
+    # evaluation's does, skips their checks but not its right-hand sides'
+    base = flow_like_problem(np.random.default_rng(5), np.full(4, 1.5))
+    start = lp.prepare_start(base, solve_lp(base).basis)
+    want = solve_lp(replace(base, b_ub=np.full(4, 0.5)), start=start)
+    assert lp_record(solve_lp(replace(start.problem, b_ub=np.full(4, 0.5)), start=start)) == \
+        lp_record(want)
+    nan = np.full(4, 0.5)
+    nan[2] = np.nan
+    b_eq = start.problem.b_eq
+    for bad in (dict(b_ub=nan), dict(b_ub=np.full(5, 0.5)), dict(b_ub=np.full((4, 1), 0.5)),
+                dict(b_ub=None), dict(b_eq=np.append(b_eq[:-1], np.inf)), dict(b_eq=b_eq[:-1])):
+        with pytest.raises(ValueError):
+            solve_lp(replace(start.problem, **bad), start=start)
 
 
 # ---------------------------------------------------------------------------

@@ -881,20 +881,21 @@ def test_the_epigraph_lp_always_starts_from_the_slacks(monkeypatch):
 def test_the_epigraph_lp_factorizes_only_what_it_reads(monkeypatch):
     # the all-slack start is B = ±I, so its refactor inverts and solves
     # nothing and writes only the working columns, which are its nonbasic
-    # ones, and b; the closing solve reads only the basic values, so it
-    # solves for B⁻¹b alone, and then for the row prices by one solve with
-    # the block's transpose; a silent return to the full tableau or the full
-    # dense solve would keep every answer and lose the speed
+    # ones, and b; the closing solve finds the row prices by one solve with
+    # the block's transpose, and then the basic values, the only ones read,
+    # by one solve for B⁻¹b alone; a silent return to the full tableau or
+    # the full dense solve would keep every answer and lose the speed
     from caolf import lp
     from caolf.bench import ExperimentConfig, build_experiment, reference_budget
     from caolf.network import build_metric_refs
     cfg = ExperimentConfig()
     net, _, history = build_experiment(cfg)
     budget = reference_budget(net, history)
-    # per refactor or closing solve: its T's column count (None for the
-    # closing solve), the standard form's working column count (the epigraph
-    # LP has inequality rows only, one slack each), the widths of the rhs it
-    # solved for and the orders of the blocks it inverted
+    # per refactor or closing solve: its T's column count and the standard
+    # form's working column count (the epigraph LP has inequality rows only,
+    # one slack each; both None for the closing solve, which sees only B),
+    # then the widths of the right-hand sides solved for and the orders of
+    # the blocks inverted from it until the next refactor or closing solve
     refactors = []
     real_refactor, real_closing_solve = lp._refactor, lp._closing_solve
     real_solve, real_inv = np.linalg.solve, np.linalg.inv
@@ -903,9 +904,9 @@ def test_the_epigraph_lp_factorizes_only_what_it_reads(monkeypatch):
         refactors.append((T.shape[1], A0.shape[1] - A0.shape[0], [], []))
         return real_refactor(T, basis, nonbasic, A0, b0)
 
-    def closing_solve(A0, b0, basis, cost_b):
-        refactors.append((None, A0.shape[1] - A0.shape[0], [], []))
-        return real_closing_solve(A0, b0, basis, cost_b)
+    def closing_solve(B, cost_b):
+        refactors.append((None, None, [], []))
+        return real_closing_solve(B, cost_b)
 
     def solve(a, b):
         refactors[-1][2].append(b.shape[1] if b.ndim == 2 else 1)
