@@ -179,8 +179,11 @@ class LpStart:
     def tableau_for(self, b_std: np.ndarray) -> np.ndarray:
         """A fresh tableau B⁻¹[N | b] for the standard-form right-hand side ``b_std``."""
         rows, cols = self.basis.rows, self.basis.cols
-        return np.hstack([self.tableau, _through_basis(self.form.A[rows][:, cols], self.split,
-                                                       b_std[rows, None], self.inverse)])
+        T = np.empty((self.tableau.shape[0], self.tableau.shape[1] + 1))
+        T[:, :-1] = self.tableau
+        T[:, -1:] = _through_basis(self.form.A[rows][:, cols], self.split, b_std[rows, None],
+                                   self.inverse)
+        return T
 
 
 def _as_matrix(a, b, n, label):
@@ -598,9 +601,7 @@ def solve_lp(problem: LpProblem, max_iters: int | None = None,
     were added (their indices shifted into `LpBasis`'s layout).  It may also
     be an `LpStart` that `prepare_start` built for a problem with the same
     ``c``, ``a_ub``, ``a_eq``, ``lower`` and ``upper`` (anything else raises
-    `ValueError`); the solve then copies its B⁻¹N and computes only B⁻¹b,
-    and checks only the right-hand sides of a problem that holds the
-    prepared arrays themselves, as ``replace(start.problem, b_ub=b)`` does.
+    `ValueError`); the solve then copies its B⁻¹N and computes only B⁻¹b.
     Without a start, a problem with no equality rows whose working costs are
     all >= 0 (as in an epigraph LP: shifted variables, free ones split into
     two columns of cost 0) starts from its all-slack basis.  The solve then
@@ -627,21 +628,13 @@ def solve_lp(problem: LpProblem, max_iters: int | None = None,
     A malformed column (wrong shape, a non-finite entry, ``at`` outside
     0..n) raises `ValueError`.
     """
+    c, a_ub, b_ub, a_eq, b_eq, lower, upper = _checked(problem)
     prepared = isinstance(start, LpStart)
-    theirs = prepared and (start.form.c, start.form.a_ub, start.form.a_eq, start.form.lower,
-                           start.form.upper)
-    if prepared and all(mine is prep for mine, prep in zip(
-            (problem.c, problem.a_ub, problem.a_eq, problem.lower, problem.upper), theirs)):
-        c, a_ub, a_eq, lower, upper = theirs  # checked by `prepare_start`
-        b_ub, b_eq = (np.atleast_1d(np.asarray(b, dtype=float)) for b in (problem.b_ub, problem.b_eq))
-        if not (b_ub.shape == (a_ub.shape[0],) and b_eq.shape == (a_eq.shape[0],)
-                and np.all(np.isfinite(np.concatenate([b_ub, b_eq])))):
-            raise ValueError("the right-hand sides must be finite, one value per row")
-    else:
-        c, a_ub, b_ub, a_eq, b_eq, lower, upper = _checked(problem)
-        if prepared and not all(map(np.array_equal, (c, a_ub, a_eq, lower, upper), theirs)):
-            raise ValueError("the prepared start is for a problem with other c, a_ub, a_eq, "
-                             "lower or upper")
+    if prepared and not all(mine is theirs or np.array_equal(mine, theirs) for mine, theirs in
+                            zip((c, a_ub, a_eq, lower, upper), (start.form.c, start.form.a_ub,
+                                start.form.a_eq, start.form.lower, start.form.upper))):
+        raise ValueError("the prepared start is for a problem with other c, a_ub, a_eq, "
+                         "lower or upper")
     if np.any(lower > upper):
         return LpSolution(LpStatus.INFEASIBLE, None, np.nan, 0)
     form = start.form if prepared else _standard_form(c, a_ub, a_eq, lower, upper)

@@ -984,7 +984,7 @@ def test_a_prepared_start_is_only_for_its_own_problem():
 
 def test_a_prepared_problem_has_its_right_hand_sides_checked():
     # a problem that holds the prepared arrays themselves, as a routing
-    # evaluation's does, skips their checks but not its right-hand sides'
+    # evaluation's does, still has its right-hand sides checked
     base = flow_like_problem(np.random.default_rng(5), np.full(4, 1.5))
     start = lp.prepare_start(base, solve_lp(base).basis)
     want = solve_lp(replace(base, b_ub=np.full(4, 0.5)), start=start)
