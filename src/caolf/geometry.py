@@ -54,17 +54,16 @@ class Mono(IntEnum):
     INCREASING = 1
 
 
-def as_mono_array(mono, dim: int | None = None) -> np.ndarray:
-    """Coerce a monotonicity signature into an int8 array of -1/0/+1 entries.
+def as_mono_array(mono) -> np.ndarray:
+    """Coerce a monotonicity signature, one entry per coordinate, into an
+    int8 array of -1/0/+1 entries.
 
     Accepts Mono members, integral numbers (not bools; 1.0 but not 0.5), or
-    the strings "inc"/"dec"/"none".  A scalar is broadcast to ``dim``.
+    the strings "inc"/"dec"/"none".  A signature that is not 1-D raises.
     """
     names = {"inc": 1, "dec": -1, "none": 0}
-    if np.ndim(mono) == 0:
-        if dim is None:
-            raise ValueError("scalar monotonicity signature needs an explicit dimension")
-        mono = [mono] * dim
+    if np.ndim(mono) != 1:
+        raise ValueError("a monotonicity signature needs one entry per coordinate")
     out = np.empty(len(mono), dtype=np.int8)
     for j, m in enumerate(mono):
         if isinstance(m, str):
@@ -75,8 +74,6 @@ def as_mono_array(mono, dim: int | None = None) -> np.ndarray:
             if isinstance(m, (bool, np.bool_)) or m not in (-1, 0, 1):
                 raise ValueError(f"monotonicity entries must be -1, 0 or +1, got {m}")
             out[j] = m
-    if dim is not None and out.size != dim:
-        raise ValueError(f"monotonicity signature has length {out.size}, expected {dim}")
     return out
 
 

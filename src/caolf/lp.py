@@ -12,14 +12,14 @@ every choice among equals takes the lowest standard-form index among the
 values within rounding of the least (`_lowest_tied`).  The primal simplex
 uses Bland's rule for both the entering and the leaving choice, so it
 cannot cycle; the tableau is refactorized from the original data every
-``REFACTOR_EVERY`` pivots to keep drift bounded.  A refactorization
-factorizes only the basic columns that are not column singletons (most are
-slacks), so neither the all-slack basis nor the cold start's costs a
-factorization: rows keep their signs and an artificial takes its row's.  It
-inverts that block and applies the inverse to the nonbasic columns by one
-matrix product.  An optimum closes with one split of its basis and one
-solve (`_closing_solve`) for the row prices y = c_B B⁻¹, the row duals
-(`LpSolution.duals`), and the last also for B⁻¹b, once per solve.
+``REFACTOR_EVERY`` pivots to keep drift bounded, by the routine that builds
+every start's tableau too (`_refactor`).  It inverts only the block of the
+basic columns that are not column singletons (most are slacks), so neither
+the all-slack basis nor the cold start's costs a factorization: rows keep
+their signs and an artificial takes its row's.  An optimum closes with one
+split of its basis and one solve (`_closing_solve`) for the row prices y =
+c_B B⁻¹, the row duals (`LpSolution.duals`), and the last also for B⁻¹b,
+once per solve.
 
 A solve can start from any dual-feasible basis of its problem
 (`LpBasis`), for example the optimal basis of an earlier solve that differs
@@ -39,13 +39,14 @@ rest of the phase.
 
 A start that serves many right-hand sides can be prepared once
 (`prepare_start`): an `LpStart` holds the problem's standard form, the
-inverse of its basis block and B⁻¹N, all read-only, so a solve from it
-copies B⁻¹N and computes only B⁻¹b.  Column generation runs inside one
+inverse of its basis block and B⁻¹[N | 0], all read-only, so a solve from
+it copies that tableau and computes only B⁻¹b.  Column generation runs inside one
 solve (``solve_lp``'s ``price``; Desrosiers & Lübbecke, "A primer in column
 generation", 2005): after each optimum's closing solve the row duals go to
 the callback, and each column it returns joins the live tableau as B⁻¹a
 by the split of the basis that solve made, one split per pricing round.
-The basis stays primal feasible, so the primal pivots go on from it.
+The basis stays primal feasible, so the primal pivots go on from it, up
+to the first optimum after which no priced column enters.
 """
 
 from __future__ import annotations
@@ -163,10 +164,10 @@ class LpStart:
     (`prepare_start`); every array in it is read-only.
 
     ``problem`` holds the checked data it was prepared for, ``form`` its
-    standard form, ``split`` the `_split` of the basis matrix B =
-    A[rows][:, cols], ``inverse`` the inverse of its block B[R, J] (None
-    without a block), and ``tableau`` B⁻¹N for the nonbasic columns in
-    ascending order.
+    standard form, and ``split``, ``inverse`` and ``tableau`` what
+    `_refactor` made of the basis matrix B = A[rows][:, cols]: its `_split`,
+    the inverse of its block B[R, J] (None without a block), and B⁻¹[N | 0]
+    for the nonbasic columns in ascending order and a zero right-hand side.
     """
 
     problem: LpProblem
@@ -179,8 +180,7 @@ class LpStart:
     def tableau_for(self, b_std: np.ndarray) -> np.ndarray:
         """A fresh tableau B⁻¹[N | b] for the standard-form right-hand side ``b_std``."""
         rows, cols = self.basis.rows, self.basis.cols
-        T = np.empty((self.tableau.shape[0], self.tableau.shape[1] + 1))
-        T[:, :-1] = self.tableau
+        T = self.tableau.copy()
         T[:, -1:] = _through_basis(self.form.A[rows][:, cols], self.split, b_std[rows, None],
                                    self.inverse)
         return T
@@ -260,8 +260,8 @@ def _insert(x, at, new):
 def _grown(form: _Form, new):
     """``form`` with the priced columns ``new``, an (at, c, a) of new
     variables x >= 0 before variable ``at`` (`solve_lp`'s ``price``), the
-    standard-form index of the first of them and their number; None when
-    ``new`` has no column.  Raises ValueError when ``new`` is malformed."""
+    standard-form index of the first of them and their number.  Raises
+    ValueError when ``new`` is malformed."""
     at, c_new, a_new = new
     c_new, a_new = np.asarray(c_new, dtype=float), np.asarray(a_new, dtype=float)
     n, n_ub, rows = form.c.size, form.a_ub.shape[0], form.a_ub.shape[0] + form.a_eq.shape[0]
@@ -273,8 +273,6 @@ def _grown(form: _Form, new):
     if not (np.all(np.isfinite(c_new)) and np.all(np.isfinite(a_new))):
         raise ValueError("priced columns: entries must be finite")
     k = c_new.size
-    if k == 0:
-        return None
     grown = _standard_form(_insert(form.c, at, c_new), _insert(form.a_ub, at, a_new[:n_ub]),
                            _insert(form.a_eq, at, a_new[n_ub:]),
                            _insert(form.lower, at, np.zeros(k)),
@@ -383,8 +381,9 @@ def _through_basis(B, split, M, inverse=None):
 
 
 def _refactor(T, basis, nonbasic, A0, b0):
-    """Write B⁻¹[A0[:, nonbasic] | b0] into ``T``, for B = A0[:, basis];
-    returns False when B is singular or the result is not finite.
+    """Write B⁻¹[A0[:, nonbasic] | b0] into ``T``, for B = A0[:, basis], the
+    one way a tableau is built; returns B's `_split` and its block's inverse
+    (None without a block), or None when B is singular or T not finite.
 
     A basic column s with a single nonzero (every slack, and the odd
     structural column) is absent from every row but its own.  So only the
@@ -399,16 +398,17 @@ def _refactor(T, basis, nonbasic, A0, b0):
     B = A0[:, basis]
     split = _split(B)
     if split is None:
-        return False
+        return None
     S, J, s_rows, R = split
     N = A0[:, nonbasic]
     T[J, -1], T[S, -1] = b0[R], b0[s_rows]
     T[J, :-1], T[S, :-1] = N[R], N[s_rows]
     try:
-        _substitute(B, split, T, np.linalg.inv(B[:, J][R]) if J.size else None)
+        inverse = np.linalg.inv(B[:, J][R]) if J.size else None
     except np.linalg.LinAlgError:
-        return False
-    return bool(np.all(np.isfinite(T)))
+        return None
+    _substitute(B, split, T, inverse)
+    return (split, inverse) if np.all(np.isfinite(T)) else None
 
 
 def _closing_solve(B, cost_b):
@@ -516,7 +516,7 @@ def _run_phase(T, basis, nonbasic, A0, b0, cost, max_iters, counter, choose=_pri
         if counter >= max_iters:
             return "stalled", counter
         if since_refactor >= REFACTOR_EVERY:
-            if not _refactor(T, basis, nonbasic, A0, b0):
+            if _refactor(T, basis, nonbasic, A0, b0) is None:
                 return "stalled", counter
             r = _reduced_costs(cost, basis, nonbasic, T)
             since_refactor = 0
@@ -534,16 +534,17 @@ def _from_basis(form, b, rows, cols, max_iters, iters, dual_tol=None, price=None
     After each optimum's closing solve, ``price`` (`solve_lp`'s) gets the
     row duals; the columns it returns grow ``form`` and join the tableau as
     B⁻¹a by that solve's split of B, the same matrix after the index shift,
-    and the primal pivots go on.  Once no column joins, B⁻¹b is solved by
-    the same split.  Returns (status, pivots, working values, basis, row
-    prices y = c_B B⁻¹ over ``rows``, form as grown); the middle three are
-    None unless the status is "optimal".
+    and the primal pivots go on.  Once ``price`` returns None, or a round's
+    columns take no pivot (B is then optimal for the grown form), B⁻¹b is
+    solved by the last split.  Returns (status, pivots, working values,
+    basis, row prices y = c_B B⁻¹ over ``rows``, form as grown); the middle
+    three are None unless the status is "optimal".
     """
     A0, b0, basis = form.A[rows], b[rows], cols.copy()
     nonbasic = _complement(basis, form.A.shape[1])
     if T is None:
         T = np.empty((basis.size, nonbasic.size + 1))
-        if not _refactor(T, basis, nonbasic, A0, b0):
+        if _refactor(T, basis, nonbasic, A0, b0) is None:
             return "stalled", iters, None, None, None, form
     status = "feasible"
     if dual_tol is not None:
@@ -558,17 +559,16 @@ def _from_basis(form, b, rows, cols, max_iters, iters, dual_tol=None, price=None
             break
         split, y = closed
         new = None if price is None else price(_duals(form, rows, y))
-        grown = None if new is None else _grown(form, new)
-        if grown is not None:
-            form, at, k = grown
+        if new is not None:
+            form, at, k = _grown(form, new)
             A0, new = form.A[rows], np.arange(at, at + k)
-        try:  # B⁻¹a, or B⁻¹b once no column joins
-            X = _through_basis(B, split, b0[:, None] if grown is None else A0[:, new])
+        try:  # B⁻¹a, or B⁻¹b once pricing is over
+            X = _through_basis(B, split, b0[:, None] if new is None else A0[:, new])
         except np.linalg.LinAlgError:
             break
         if not np.all(np.isfinite(X)):
             break
-        if grown is None:
+        if new is None:
             t_vals = np.zeros(form.A.shape[1])
             t_vals[basis] = np.maximum(X[:, 0], 0.0)
             return status, iters, t_vals, LpBasis(form.A.shape, rows, basis), y, form
@@ -576,7 +576,10 @@ def _from_basis(form, b, rows, cols, max_iters, iters, dual_tol=None, price=None
         nonbasic += k * (nonbasic >= at)
         T = np.column_stack([T[:, :-1], X, T[:, -1]])
         nonbasic = np.concatenate([nonbasic, new])
+        pivots = iters
         status, iters = _run_phase(T, basis, nonbasic, A0, b0, form.cost, max_iters, iters)
+        if iters == pivots:  # no priced column entered, so B stays optimal for the grown form
+            price = None
     return "stalled" if status == "optimal" else status, iters, None, None, None, form
 
 
@@ -601,7 +604,7 @@ def solve_lp(problem: LpProblem, max_iters: int | None = None,
     were added (their indices shifted into `LpBasis`'s layout).  It may also
     be an `LpStart` that `prepare_start` built for a problem with the same
     ``c``, ``a_ub``, ``a_eq``, ``lower`` and ``upper`` (anything else raises
-    `ValueError`); the solve then copies its B⁻¹N and computes only B⁻¹b.
+    `ValueError`); the solve then copies its tableau and computes only B⁻¹b.
     Without a start, a problem with no equality rows whose working costs are
     all >= 0 (as in an epigraph LP: shifted variables, free ones split into
     two columns of cost 0) starts from its all-slack basis.  The solve then
@@ -619,12 +622,14 @@ def solve_lp(problem: LpProblem, max_iters: int | None = None,
     None, or (at, c, a): new variables x >= 0 of costs ``c`` (k values) and
     columns ``a`` (one row per ``a_ub`` row, then per ``a_eq`` row, k
     columns), inserted before variable ``at``.  They join the live tableau
-    at the same basis and the primal pivots go on; a callback that returns
-    None or no column ends the solve, which is then re-verified once, on
-    the grown problem, whose layout ``x`` and ``basis`` follow.  A pricing
-    round splits the basis once, for the row prices and B⁻¹a, and B⁻¹b is
-    solved once per solve, at its last optimum.  A cold fallback solves the
-    grown problem and goes on pricing.
+    at the same basis and the primal pivots go on.  The solve ends at the
+    first optimum after which no priced column enters (the callback returns
+    None, no column, or only columns that do not improve), so every round
+    but the last pivots and it prices at most ``max_iters`` + 1 times.  It
+    is then re-verified once, on the grown problem, whose layout ``x`` and
+    ``basis`` follow.  A pricing round splits the basis once, for the row
+    prices and B⁻¹a, and B⁻¹b is solved once per solve, at its last
+    optimum.  A cold fallback solves the grown problem and goes on pricing.
     A malformed column (wrong shape, a non-finite entry, ``at`` outside
     0..n) raises `ValueError`.
     """
@@ -673,29 +678,23 @@ def prepare_start(problem: LpProblem, basis: LpBasis) -> LpStart:
     solves of every problem with the same ``c``, ``a_ub``, ``a_eq``,
     ``lower`` and ``upper``, whatever their right-hand sides.
 
-    Builds the standard form, inverts the basis block and applies the
-    inverse to the nonbasic columns, as a refactorization does, and keeps
-    read-only copies of all of it; ``solve_lp(..., start=...)`` then copies
-    B⁻¹N and computes only B⁻¹b.  Raises `ValueError` when ``problem`` is
-    malformed or ``basis`` does not fit its standard form or is singular.
+    Builds the standard form and the tableau B⁻¹[N | 0] by `_refactor`, as
+    every tableau is built, and keeps read-only copies of all of it;
+    ``solve_lp(..., start=...)`` then copies the tableau and computes only
+    B⁻¹b.  Raises `ValueError` when ``problem`` is malformed or ``basis``
+    does not fit its standard form or is singular.
     """
     c, a_ub, b_ub, a_eq, b_eq, lower, upper = (np.array(v) for v in _checked(problem))
     form = _standard_form(c, a_ub, a_eq, lower, upper)
     if not _fits(basis, form.A.shape):
         raise ValueError(f"the basis does not fit the standard form of shape {form.A.shape}")
     rows, cols = basis.rows.copy(), basis.cols.copy()
-    A0 = form.A[rows]
-    B = A0[:, cols]
-    split = _split(B)
-    try:
-        inverse = (np.linalg.inv(B[:, split[1]][split[3]])
-                   if split is not None and split[1].size else None)
-        tableau = None if split is None else _through_basis(
-            B, split, A0[:, _complement(cols, form.A.shape[1])], inverse)
-    except np.linalg.LinAlgError:
-        tableau = None
-    if tableau is None or not np.all(np.isfinite(tableau)):
+    nonbasic = _complement(cols, form.A.shape[1])
+    tableau = np.empty((rows.size, nonbasic.size + 1))
+    factored = _refactor(tableau, cols, nonbasic, form.A[rows], np.zeros(rows.size))
+    if factored is None:
         raise ValueError("the basis is singular")
+    split, inverse = factored
     start = LpStart(LpProblem(form.c, form.a_ub, b_ub, form.a_eq, b_eq, form.lower, form.upper),
                     LpBasis(form.A.shape, rows, cols), form, split, inverse, tableau)
     for value in (*vars(start.problem).values(), rows, cols, *vars(form).values(), *split,

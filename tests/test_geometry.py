@@ -318,12 +318,14 @@ def test_mono_spec_validation():
     (Mono.NON_MONOTONE, [0, 0]), ("dec", [-1, -1]), (True, None), (np.True_, None),
 ])
 def test_scalar_monotonicity_broadcasts_like_an_int(scalar, want):
-    # numpy integer scalars used to raise a TypeError from len(), and so did bools
-    if want is None:
-        with pytest.raises(ValueError, match=r"-1, 0 or \+1, got True"):
-            as_mono_array(scalar, dim=2)
-    else:
-        assert as_mono_array(scalar, dim=2).tolist() == want
+    # a signature has one entry per coordinate, so no scalar, numpy integers
+    # and bools included, stands for all of them; spelled out, it is accepted
+    with pytest.raises(ValueError, match="one entry per coordinate"):
+        as_mono_array(scalar)
+    if want is not None:
+        assert as_mono_array([scalar] * 2).tolist() == want
+    with pytest.raises(ValueError, match="one entry per coordinate"):
+        as_mono_array([[scalar] * 2])
 
 
 def test_validated_arrays_are_read_only_copies():

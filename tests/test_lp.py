@@ -858,6 +858,29 @@ def test_a_callback_that_adds_nothing_leaves_the_solve_bit_identical():
     assert len(calls) == 160  # one call per solve, after its only optimum
 
 
+def test_a_round_whose_columns_take_no_pivot_ends_the_solve():
+    # a column too dear to enter leaves the basis optimal for the grown
+    # problem, so the solve ends after one call, however often the callback
+    # would offer it again
+    for seed in range(20):
+        problem, pool_c, pool_a, at = pool_lp(seed)
+        basis = solve_lp(problem).basis
+        for start in (None, basis, lp.prepare_start(problem, basis)):
+            calls = []
+
+            def dear(duals):
+                calls.append(duals)
+                if len(calls) > 50:
+                    pytest.fail("the solve went on pricing")
+                return at, [1e6], pool_a[:, :1]
+
+            plain, sol = solve_lp(problem, start=start), solve_lp(problem, start=start, price=dear)
+            assert len(calls) == 1, seed
+            assert sol.status == plain.status == LpStatus.OPTIMAL
+            assert sol.x.size == problem.c.size + 1 and sol.x[at] == 0.0
+            assert sol.value == pytest.approx(plain.value, rel=1e-12)
+
+
 def test_a_singular_start_falls_back_to_the_cold_solve_which_goes_on_pricing(monkeypatch):
     cold_solves = []
     two_phase = lp._two_phase
@@ -936,9 +959,8 @@ def test_malformed_priced_columns_are_rejected():
                 (n + 1, pool_c[:1], pool_a[:, :1]),
                 (1.0, pool_c[:1], pool_a[:, :1]),
                 (True, pool_c[:1], pool_a[:, :1])):  # a bool is an int, not a position
-        once = [new]  # a solve that took the columns must not get them again
         with pytest.raises(ValueError, match="priced columns"):
-            solve_lp(problem, price=lambda duals, once=once: once.pop() if once else None)
+            solve_lp(problem, price=lambda duals, new=new: new)
 
 
 def test_a_prepared_start_solves_as_its_basis_does_and_stays_read_only():

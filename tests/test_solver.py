@@ -242,9 +242,9 @@ def test_stability_scaled_instance_ratio():
     # 100/101 to 200/102, a ratio of 1.01/0.51
     refs = two_point_refs(100.0, 1.0)
     region = FeasibleSet.unconstrained(1)
-    # the certificate scales an accepted feasibility residual by the largest
-    # bound-to-value rate (100 here), so the distance tolerance must be two
-    # orders below the gamma accuracy this test pins
+    # the feasibility tolerance only widens the region's halfspaces, and an
+    # unconstrained region has none: with the default tolerance these solves,
+    # and those of the random instances below, are bit-identical
     cfg = SolveConfig(gamma_tolerance=1e-9, feasibility_tolerance=1e-11)
     base = solve_caolf(refs, region, cfg)
     probe = stability_probe(refs, region, cfg, kappas=[1.0, 2.0])
