@@ -40,13 +40,13 @@ rest of the phase.
 A start that serves many right-hand sides can be prepared once
 (`prepare_start`): an `LpStart` holds the problem's standard form, the
 inverse of its basis block and B⁻¹[N | 0], all read-only, so a solve from
-it copies that tableau and computes only B⁻¹b.  Column generation runs inside one
-solve (``solve_lp``'s ``price``; Desrosiers & Lübbecke, "A primer in column
-generation", 2005): after each optimum's closing solve the row duals go to
-the callback, and each column it returns joins the live tableau as B⁻¹a
-by the split of the basis that solve made, one split per pricing round.
-The basis stays primal feasible, so the primal pivots go on from it, up
-to the first optimum after which no priced column enters.
+it copies that tableau and computes only B⁻¹b.  Column generation runs
+inside one solve (``solve_lp``'s ``price``; Desrosiers & Lübbecke, "A
+primer in column generation", 2005): after each optimum's closing solve the
+row duals go to the callback, and each column it returns joins the live
+tableau as B⁻¹a by the split of the basis that solve made, one split per
+pricing round.  The basis stays primal feasible, so the primal pivots go on
+from it, up to the first optimum after which no priced column enters.
 """
 
 from __future__ import annotations
