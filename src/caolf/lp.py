@@ -317,24 +317,18 @@ def _pivot(T, r, basis, nonbasic, row, k):
     The leaving variable takes over column ``k`` as the unit vector of
     ``row``, so after the update it reads -factor/p, with 1/p on ``row``,
     for the pivot column ``factor`` and pivot ``p``; ``r``, unless None,
-    follows the same way.
+    follows the same way.  Only the other rows with a nonzero in ``factor``
+    change: a row with a zero there would only have zeros subtracted, so it
+    keeps its bits, the sign of a zero included.
     """
     factor = T[:, k].copy()
     p = factor[row]
     T[:, k] = 0.0
     T[row, k] = 1.0
     T[row] /= p
-    # Only rows with a nonzero in the pivot column change.  Updating just those
-    # pays off on a large tableau with sparse pivot columns, as a 24-dim L1
-    # epigraph LP's (median 27% nonzero), and is about even on a routing path
-    # master's; on denser columns gathering the rows costs more than it saves.
-    rows = np.nonzero(factor)[0]
-    if 2 * rows.size < T.shape[0]:
-        rows = rows[rows != row]
-        T[rows] -= np.outer(factor[rows], T[row])
-    else:
-        factor[row] = 0.0
-        T -= np.outer(factor, T[row])
+    factor[row] = 0.0
+    rows = np.flatnonzero(factor)
+    T[rows] -= np.outer(factor[rows], T[row])
     if r is not None:
         rk, r[k] = r[k], 0.0
         r -= rk * T[row, :-1]
@@ -593,9 +587,9 @@ def solve_lp(problem: LpProblem, max_iters: int | None = None,
     the iteration or accuracy budget is exhausted.  An OPTIMAL answer is
     re-verified against the original data before being reported; a failed
     check demotes the status to STALLED rather than ever reporting a wrong
-    optimum.  ``max_iters`` bounds the pivots of the solve from ``start``,
-    all its pricing rounds together, and apart from them those of the cold
-    solve.
+    optimum.  ``max_iters``, None or an int >= 1 (else `ValueError`), bounds
+    the pivots of the solve from ``start``, all its pricing rounds together,
+    and apart from them those of the cold solve.
 
     ``start`` may be any dual-feasible basis of this problem, such as the
     basis of an earlier OPTIMAL solve of a problem with the same constraint
@@ -633,6 +627,9 @@ def solve_lp(problem: LpProblem, max_iters: int | None = None,
     A malformed column (wrong shape, a non-finite entry, ``at`` outside
     0..n) raises `ValueError`.
     """
+    if max_iters is not None and not (isinstance(max_iters, (int, np.integer))
+                                      and not isinstance(max_iters, bool) and max_iters >= 1):
+        raise ValueError(f"max_iters must be None or an int >= 1, not {max_iters!r}")
     c, a_ub, b_ub, a_eq, b_eq, lower, upper = _checked(problem)
     prepared = isinstance(start, LpStart)
     if prepared and not all(mine is theirs or np.array_equal(mine, theirs) for mine, theirs in

@@ -210,6 +210,10 @@ def test_input_validation():
     for c in ([np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf]):
         with pytest.raises(ValueError, match="objective"):
             solve_lp(LpProblem(c=c, a_ub=[[1.0, 1.0]], b_ub=[1.0]))
+    # max_iters bounds the pivots, so it is None or an int >= 1
+    for max_iters in (0, -5, 2.5, True):
+        with pytest.raises(ValueError, match="max_iters"):
+            solve_lp(LpProblem(c=[-1.0], a_ub=[[1.0]], b_ub=[1.0]), max_iters=max_iters)
 
 
 def test_a_malformed_matrix_is_rejected_before_crossing_bounds_answer():
@@ -248,7 +252,7 @@ def test_an_optimum_that_fails_its_check_is_reported_stalled(monkeypatch):
 
 def test_pivot_matches_the_dense_rank_one_update():
     # _pivot keeps only the nonbasic columns and updates only the rows with a
-    # nonzero in the pivot column when they are few; either way its tableau
+    # nonzero in the pivot column, however many there are; its tableau
     # must equal the nonbasic columns of the dense update of the full
     # tableau, whose basic columns are unit vectors, and the leaving
     # variable's column must read -factor/p with 1/p on the pivot row
@@ -279,6 +283,23 @@ def test_pivot_matches_the_dense_rank_one_update():
         leaving_col = -factor * (1.0 / factor[row])
         leaving_col[row] = 1.0 / factor[row]
         assert np.array_equal(T[:, k], leaving_col)
+
+
+def test_a_pivot_leaves_a_row_off_the_pivot_column_bit_for_bit():
+    # a row with a zero in the pivot column is not updated at all: three of
+    # the column's four entries are nonzero, and a dense update would turn
+    # row 2's -0.0 under the pivot row's -1.5 into -0.0 - 0.0 * -1.5 = +0.0
+    T = np.array([[2.0, -3.0, 1.0],
+                  [1.0, 4.0, 2.0],
+                  [0.0, -0.0, 5.0],
+                  [3.0, 1.0, 1.0]])
+    r = np.array([-1.0, 0.5])
+    basis, nonbasic = np.array([2, 3, 4, 5]), np.array([0, 1])
+    untouched = T[2].copy()
+    _pivot(T, r, basis, nonbasic, 0, 0)
+    assert T[0, 1] == -1.5
+    assert T[2].tobytes() == untouched.tobytes() and np.signbit(T[2, 1])
+    assert basis[0] == 0 and nonbasic[0] == 2
 
 
 def sparse_standard_form(rng, m=30, n=40, density=0.08):
