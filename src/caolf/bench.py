@@ -45,18 +45,25 @@ FLOW_PAIR_FRACTION = 0.05       # share of the largest pairs given a throughput 
 @dataclass
 class ExperimentConfig:
     node_count: int = 12
-    edge_count: int = 30
+    edge_count: int | None = None
     scenario_count: int = 5
-    demand_pairs: int = 36
+    demand_pairs: int | None = None
     budget_multipliers: tuple = tuple(np.linspace(0.1, 1.6, 10))
     norms: tuple = (Norm.L1, Norm.L2, Norm.LINF)
     seed: int = 0
     gamma_tolerance: float = 1e-6
 
     def __post_init__(self):
-        if self.node_count < 2 or self.edge_count < self.node_count:
-            raise ValueError("need >= 2 nodes and at least one edge per node (spanning cycle)")
-        if self.edge_count > self.node_count * (self.node_count - 1):
+        if self.node_count < 2:
+            raise ValueError("need >= 2 nodes")
+        ordered_pairs = self.node_count * (self.node_count - 1)
+        if self.edge_count is None:  # at least one edge per node, at most one per ordered pair
+            self.edge_count = min(ordered_pairs, max(self.node_count, 30))
+        if self.demand_pairs is None:
+            self.demand_pairs = min(ordered_pairs, 36)
+        if self.edge_count < self.node_count:
+            raise ValueError("need at least one edge per node (spanning cycle)")
+        if self.edge_count > ordered_pairs:
             raise ValueError("more edges than ordered node pairs")
         if self.scenario_count < 1:
             raise ValueError("need at least one scenario")
@@ -69,7 +76,7 @@ class ExperimentConfig:
             raise ValueError("budget multipliers must be ascending")
         self.budget_multipliers = mults
         self.norms = tuple(Norm(n) for n in self.norms)
-        if not (1 <= self.demand_pairs <= self.node_count * (self.node_count - 1)):
+        if not 1 <= self.demand_pairs <= ordered_pairs:
             raise ValueError("demand pair count out of range")
 
 

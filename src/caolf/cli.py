@@ -44,7 +44,7 @@ def _parse_model(payload, what: str):
     kind = payload.get("kind", "lipschitz")
     if kind == "lipschitz":
         return LipschitzNorm(bound=float(payload["bound"]),
-                             norm=Norm(payload.get("norm", "l2")),
+                             norm=payload.get("norm", "l2"),
                              mono=payload["mono"])
     if kind == "linear":
         return ConcaveLinear(grad=np.asarray(payload["grad"], dtype=float))
@@ -93,7 +93,7 @@ def _emit(payload, out_path) -> None:
 
 def _cmd_solve(args) -> int:
     _, metrics, region = load_instance(args.instance)
-    config = SolveConfig(norm=Norm(args.norm), gamma_tolerance=args.tol)
+    config = SolveConfig(norm=args.norm, gamma_tolerance=args.tol)
     sol = solve_caolf(metrics, region, config)
     _emit({
         "gamma": sol.gamma,
@@ -106,18 +106,10 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    norms = (Norm(args.norm),) if args.norm else (Norm.L1, Norm.L2, Norm.LINF)
-    ordered_pairs = args.nodes * (args.nodes - 1)
-    edges, pairs = args.edges, args.demand_pairs
-    if edges is None:
-        edges = min(ExperimentConfig.edge_count, ordered_pairs)
-    if pairs is None:
-        pairs = min(ExperimentConfig.demand_pairs, ordered_pairs)
-    cfg = ExperimentConfig(seed=args.seed, norms=norms,
-                           node_count=args.nodes, edge_count=edges,
-                           scenario_count=args.scenarios,
-                           demand_pairs=pairs,
-                           gamma_tolerance=args.tol)
+    norms = {"norms": (args.norm,)} if args.norm else {}  # without --norm, every norm
+    cfg = ExperimentConfig(seed=args.seed, node_count=args.nodes, edge_count=args.edges,
+                           scenario_count=args.scenarios, demand_pairs=args.demand_pairs,
+                           gamma_tolerance=args.tol, **norms)
     emit_csv(run_sweep(cfg), args.out, include_timing=not args.no_timing)
     return 0
 
@@ -131,10 +123,8 @@ def _cmd_verify(args) -> int:
     # a NaN would read as a violated metric (exit 1) rather than as bad input
     if not (np.all(np.isfinite(x)) and np.isfinite(gamma)):
         raise ValueError("'point' and 'gamma' must be finite")
-    if x.shape != (region.dim,):
-        raise ValueError(f"'point' has shape {x.shape}, the instance has dimension {region.dim}")
     # the certificate `solve` reports
-    needed = ClippedNormSurrogate(metrics, Norm(args.norm)).needed(x)
+    needed = ClippedNormSurrogate(metrics, args.norm).needed(x)
     report = [{"id": ref.id, "needed_gamma": float(need), "ok": bool(need <= gamma + args.tol)}
               for ref, need in zip(metrics, needed)]
     region_ok = region.violation(x) <= args.tol
@@ -147,7 +137,7 @@ def _cmd_verify(args) -> int:
 def _cmd_oracle(args) -> int:
     payload, metrics, region = load_instance(args.instance)
     gamma, point = grid_oracle_caolf(metrics, region, resolution=args.resolution,
-                                     box=payload["box"], norm=Norm(args.norm))
+                                     box=payload["box"], norm=args.norm)
     _emit({"gamma": gamma, "x": [float(v) for v in point],
            "resolution": args.resolution}, args.out)
     return 0
@@ -159,12 +149,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tolerance-minimizing scalarization against historical metric references.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_norm_default=True, with_tol=True):
+    def common(p, with_norm_default=True, tol_help="gamma tolerance of each solve (positive)"):
         p.add_argument("--norm", choices=[n.value for n in Norm],
                        default="l2" if with_norm_default else None,
                        help="norm the Lipschitz models are stated in")
-        if with_tol:
-            p.add_argument("--tol", type=float, default=1e-6, help="tolerance parameter")
+        if tol_help:
+            p.add_argument("--tol", type=float, default=1e-6, help=tol_help)
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     p_solve = sub.add_parser("solve", help="solve one instance file")
@@ -177,23 +167,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--nodes", type=int, default=12)
     p_sweep.add_argument("--edges", type=int, default=None,
-                         help="edge count (default: 30, capped at the ordered node pairs)")
+                         help="edge count (default: 30, raised to the node count and "
+                              "capped at the ordered node pairs)")
     p_sweep.add_argument("--scenarios", type=int, default=5)
     p_sweep.add_argument("--demand-pairs", type=int, default=None,
-                         help="demand pair count (default: scales with the node count)")
+                         help="demand pair count (default: 36, capped at the ordered node pairs)")
     p_sweep.add_argument("--no-timing", action="store_true",
                          help="write zero wall times for reproducible output")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="check a point against an instance")
     p_verify.add_argument("instance", help="instance JSON with 'point' and 'gamma'")
-    common(p_verify)
+    common(p_verify, tol_help="slack, finite and >= 0: a metric passes when its need is at "
+                              "most gamma + tol, and the point when it violates the region "
+                              "by at most tol")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_oracle = sub.add_parser("oracle", help="brute-force small instances on a grid")
     p_oracle.add_argument("instance", help="instance JSON with a 'box' entry")
     p_oracle.add_argument("--resolution", type=int, default=101)
-    common(p_oracle, with_tol=False)  # the grid has no tolerance to set
+    common(p_oracle, tol_help=None)  # the grid has no tolerance to set
     p_oracle.set_defaults(func=_cmd_oracle)
     return parser
 

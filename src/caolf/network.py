@@ -308,18 +308,16 @@ def _route_by_paths(net: NetworkInstance, demand: DemandMatrix, capacity, record
         paths, start = record
         problem = replace(start.problem, b_ub=capacity)
     pair_row = {pair: n + i for i, pair in enumerate(pairs)}
-    known = set(paths)
 
     def price(duals):
         nonlocal paths
         u, sigma = duals[:n], duals[n:]
         priced = _cheapest_paths(net, pairs, net.flow_cost + np.maximum(u, 0.0))
         new = tuple(path for (length, path), v in zip(priced, sigma)
-                    if length < v - 1e-9 * (1.0 + abs(v)) and path not in known)
+                    if length < v - 1e-9 * (1.0 + abs(v)))
         if not new:
             return None
         at, paths = len(paths), paths + new
-        known.update(new)
         columns = _path_columns(net, pair_row, new)
         return at, net.flow_cost @ columns[:n], columns
 

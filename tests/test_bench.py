@@ -346,7 +346,7 @@ def test_tree_start_records_the_cold_routing_cost(monkeypatch, cfg):
         assert abs(sc.values[METRIC_ROUTING] - cold) <= 1e-12 * cold, (sc.values, cold)
 
 
-def test_tree_start_needs_a_quarter_of_the_cold_pivots(monkeypatch):
+def test_path_record_needs_a_quarter_of_the_cold_pivots(monkeypatch):
     net, history, solves, _ = recorded_build(monkeypatch, ExperimentConfig())
     path_pivots = sum(pivots for _, _, pivots in solves)
     assert path_pivots == 219
@@ -418,6 +418,22 @@ def test_config_validation_rejects_bad_values():
     for tol in (np.nan, np.inf, 0.0, -1.0):
         with pytest.raises(ValueError, match="positive and finite"):
             tiny_config(gamma_tolerance=tol)
+
+
+def test_the_config_sizes_the_draw_for_every_node_count():
+    # without counts: 30 edges and 36 pairs, raised to one edge per node and
+    # capped at one edge or pair per ordered node pair
+    default, small = ExperimentConfig(), ExperimentConfig(node_count=4)
+    assert (default.edge_count, default.demand_pairs) == (30, 36)
+    assert (small.edge_count, small.demand_pairs) == (12, 12)
+    for nodes in range(2, 41):
+        cfg, ordered = ExperimentConfig(node_count=nodes), nodes * (nodes - 1)
+        assert nodes <= cfg.edge_count <= ordered
+        assert cfg.edge_count == min(ordered, max(nodes, 30)), nodes
+        assert cfg.demand_pairs == min(ordered, 36), nodes
+    for nodes in (1, 0, -3):
+        with pytest.raises(ValueError, match="2 nodes"):
+            ExperimentConfig(node_count=nodes)
 
 
 # ---------------------------------------------------------------------------

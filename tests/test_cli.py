@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from caolf.bench import CSV_HEADER
-from caolf.cli import build_parser, main
+from caolf.cli import build_parser, load_instance, main
 
 
 def write_instance(path, payload):
@@ -156,6 +156,24 @@ def test_verify_accepts_a_quadratic_only_metric(tmp_path, capsys):
     assert "l2" in capsys.readouterr().err
 
 
+def test_a_region_without_lower_bounds_is_unbounded_below(tmp_path, capsys):
+    # the two anchors moved to -3 and -2: the optimum -3 + 1/3 lies below 0
+    payload = two_anchor_instance()
+    for metric, x in zip(payload["metrics"], (-3.0, -2.0)):
+        metric["x_ref"] = [x]
+    for region in ({}, None):
+        if region is None:
+            del payload["region"]
+        else:
+            payload["region"] = region
+        inst = write_instance(tmp_path / "inst.json", payload)
+        assert np.all(load_instance(inst)[2].lower == -np.inf)
+        assert main(["solve", inst]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["gamma"] == pytest.approx(2.0 / 3.0, abs=1e-5)
+        assert out["x"][0] == pytest.approx(-3.0 + 1.0 / 3.0, abs=1e-4)
+
+
 def test_verify_requires_point_and_gamma(tmp_path, capsys):
     inst = write_instance(tmp_path / "inst.json", two_anchor_instance(gamma=0.5))
     assert main(["verify", inst]) == 2
@@ -240,6 +258,9 @@ def test_sweep_edge_count_scales_with_the_node_count(capsys):
     assert capsys.readouterr().out.splitlines()[0] == CSV_HEADER
     assert main(["sweep", "--nodes", "4", "--edges", "40", "--norm", "l1", "--no-timing"]) == 2
     assert "more edges than ordered node pairs" in capsys.readouterr().err
+    # 31 nodes need 31 edges, one more than the default 30
+    assert main(["sweep", "--nodes", "31", "--scenarios", "1", "--norm", "linf", "--no-timing"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) > 1
 
 
 def test_a_tolerance_that_is_not_a_finite_number_exits_with_error(tmp_path, capsys):
@@ -274,6 +295,8 @@ def test_malformed_instance_exits_with_error(tmp_path, capsys):
         (broken(lambda p: p["metrics"][0].update(sense="minimise")), "unknown sense", every),
         (broken(lambda p: p["metrics"][0].pop("x_ref")), "'x_ref'", every),
         (broken(lambda p: p["metrics"][1]["models"][0].pop("bound")), "'bound'", every),
+        (broken(lambda p: p["metrics"][1]["models"][0].update(kind="cubic")),
+         "unknown model kind 'cubic'", every),
         (broken(lambda p: p["region"].update(halfspaces=[{"a": [1.0]}])), "'b'", every),
         (broken(lambda p: p["metrics"][0]["models"][0].update(mono=[True])), "-1, 0 or +1", every),
         (broken(lambda p: p["metrics"][0].update(models=[{"kind": "linear", "grad": [[1.0]]}])),
@@ -290,6 +313,7 @@ def test_malformed_instance_exits_with_error(tmp_path, capsys):
         (broken(lambda p: p["metrics"][1]["models"][0].update(bound=None)), "", every),
         (broken(lambda p: p.update(point={"a": 1})), "", ("verify",)),
         (broken(lambda p: p.update(gamma=[1])), "", ("verify",)),
+        (broken(lambda p: p.update(point=[0.3, 0.3])), "shape (2,)", ("verify",)),
         (broken(lambda p: p.update(point=[float("nan")])), "finite", ("verify",)),
         (broken(lambda p: p.update(point=[float("inf")])), "finite", ("verify",)),
         (broken(lambda p: p.update(gamma=float("nan"))), "finite", ("verify",)),

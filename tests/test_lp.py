@@ -206,6 +206,9 @@ def test_input_validation():
         solve_lp(LpProblem(c=[1.0], a_ub=[[np.inf]], b_ub=[1.0]))
     with pytest.raises(ValueError):
         solve_lp(LpProblem(c=[1.0], lower=np.array([np.nan])))
+    for bounds in ({"lower": np.zeros(3)}, {"upper": np.ones(1)}):
+        with pytest.raises(ValueError, match="bound vectors"):
+            solve_lp(LpProblem(c=[1.0, 1.0], **bounds))
     # a non-finite objective is rejected too, not solved to a NaN "optimum"
     for c in ([np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf]):
         with pytest.raises(ValueError, match="objective"):
@@ -480,6 +483,46 @@ def test_warm_start_reaches_the_cold_optimum_for_another_rhs(monkeypatch):
             assert warm.value == pytest.approx(cold.value, rel=1e-9, abs=1e-12)
             assert np.all(problem.a_ub @ warm.x <= problem.b_ub + 1e-9)
             assert warm.basis is not None
+
+
+def test_a_failed_periodic_refactorization_falls_back_to_the_cold_solve(monkeypatch):
+    # with a refactorization after every pivot, the warm solve's first one
+    # (its second, after the start's) finds B singular: the phase ends
+    # stalled, and the solve reports the cold solve's optimum
+    cold_solves, refactors = [], []
+    two_phase, refactor = lp._two_phase, lp._refactor
+
+    def counted_two_phase(*args):
+        cold_solves.append(1)
+        return two_phase(*args)
+
+    def failing_second(*args):
+        refactors.append(1)
+        return None if len(refactors) == 2 else refactor(*args)
+
+    monkeypatch.setattr(lp, "REFACTOR_EVERY", 1)
+    monkeypatch.setattr(lp, "_two_phase", counted_two_phase)
+    fell_back = 0
+    for seed in range(10):
+        rng = np.random.default_rng([11, seed])
+        base = flow_like_problem(np.random.default_rng([11, seed]), rng.uniform(1.0, 2.0, 4))
+        start = solve_lp(base).basis
+        for _ in range(5):
+            problem = flow_like_problem(np.random.default_rng([11, seed]), rng.uniform(0.0, 3.0, 4))
+            cold = solve_lp(problem)
+            cold_solves.clear()
+            refactors.clear()
+            monkeypatch.setattr(lp, "_refactor", failing_second)
+            sol = solve_lp(problem, start=start)
+            monkeypatch.setattr(lp, "_refactor", refactor)
+            if len(refactors) == 1:
+                continue  # the start was optimal: no pivot, no periodic refactorization
+            fell_back += 1
+            assert len(cold_solves) == 1, seed
+            assert sol.status == cold.status == LpStatus.OPTIMAL
+            assert sol.value == cold.value and sol.iterations > cold.iterations
+            np.testing.assert_array_equal(sol.x, cold.x)
+    assert fell_back >= 15  # of 50 warm solves; the others start optimal
 
 
 def test_a_start_basis_on_another_matrix_reaches_the_cold_optimum():
@@ -963,6 +1006,56 @@ def test_a_warm_solve_that_fails_after_pricing_falls_back_to_the_grown_problem(m
         assert sol.x.shape == grown.c.shape
         assert abs(sol.value - full.value) <= 1e-9 * (1.0 + abs(full.value)), seed
         assert abs(float(grown.c @ sol.x) - sol.value) <= 1e-9 * (1.0 + abs(sol.value)), seed
+    assert grew >= 30
+
+
+@pytest.mark.parametrize("fault", ["raises", "not finite"])
+def test_a_round_whose_new_columns_cannot_be_solved_falls_back_cold(monkeypatch, fault):
+    # B⁻¹a for the first round's priced columns raises LinAlgError or is
+    # not finite: the warm solve breaks off, and the cold fallback solves the
+    # grown problem and goes on pricing, to the full LP's value
+    cold_solves, armed = [], []
+    two_phase, through_basis = lp._two_phase, lp._through_basis
+
+    def counted_two_phase(*args):
+        cold_solves.append(1)
+        return two_phase(*args)
+
+    def failing_once(*args):
+        X = through_basis(*args)
+        if armed == [True]:
+            armed.append(False)
+            if fault == "raises":
+                raise np.linalg.LinAlgError("singular matrix")
+            X[0, 0] = np.nan
+        return X
+
+    monkeypatch.setattr(lp, "_two_phase", counted_two_phase)
+    monkeypatch.setattr(lp, "_through_basis", failing_once)
+    grew = 0
+    for seed in range(40):
+        problem, pool_c, pool_a, at = pool_lp(seed)
+        full = solve_lp(full_lp(problem, pool_c, pool_a, at))
+        basis = solve_lp(problem).basis
+        pricer = Pricer(pool_c, pool_a, at, problem.a_ub.shape[0])
+
+        def arming(duals):
+            new = pricer(duals)
+            if new is not None and not armed:
+                armed.append(True)  # the next B⁻¹M is this round's B⁻¹a
+            return new
+
+        cold_solves.clear()
+        armed.clear()
+        sol = solve_lp(problem, start=basis, price=arming)
+        if not armed:
+            continue  # nothing priced: the warm solve ended at its first closing solve
+        grew += 1
+        assert armed == [True, False] and len(cold_solves) == 1, seed
+        assert pricer.calls >= 2, seed  # the cold solve priced again
+        assert sol.status == LpStatus.OPTIMAL
+        assert sol.x.shape == pricer.grown(problem).c.shape
+        assert abs(sol.value - full.value) <= 1e-9 * (1.0 + abs(full.value)), seed
     assert grew >= 30
 
 

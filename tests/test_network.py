@@ -465,7 +465,7 @@ def test_throughput_id_round_trip():
     assert parse_throughput_id(throughput_metric_id(3, 11)) == (3, 11)
 
 
-def test_evaluate_scenario_keys_and_values():
+def test_record_scenario_keys_and_values():
     rng = np.random.default_rng(59)
     net = random_net(rng, 4, 8, with_prices=True)
     cap = rng.uniform(1.0, 4.0, net.edge_count)
@@ -478,7 +478,7 @@ def test_evaluate_scenario_keys_and_values():
     assert values[throughput_metric_id(0, 3)] == pytest.approx(max_flow(net, cap, 0, 3))
 
 
-def test_evaluate_scenario_unknown_metric():
+def test_record_scenario_unknown_metric():
     net = single_edge_net()
     with pytest.raises(ValueError):
         record_scenario(net, [1.0], DemandMatrix(2, ((0, 1, 1.0),)), ("latency",))

@@ -335,6 +335,10 @@ def test_approx_rejects_wrong_norm_model():
         solve_approx(refs, region, SolveConfig())
     with pytest.raises(ValueError):
         solve_approx([], region, SolveConfig())
+    # the mixed-model solver works in l2 only, even on l1 models
+    for norm in (Norm.L1, Norm.LINF):
+        with pytest.raises(ValueError, match="l2 norm"):
+            solve_approx(refs, region, SolveConfig(norm=norm))
 
 
 def test_a_gradient_that_is_not_a_vector_is_rejected():
